@@ -28,8 +28,8 @@ def equivalent_thermal_photon(environment: CovarianceMatrix) -> float:
     return value if value > 0.0 else 0.0
 
 
-def _thermal_environment_photon(spec: ChannelSpec) -> float:
-    """Mean photon number of a thermal environment; error if not thermal."""
+def thermal_environment_photon(spec: ChannelSpec) -> float:
+    """Mean photon number N of a thermal environment (2N + 1) I; error for other noise."""
     gamma = spec.environment.data
     if abs(gamma[0, 1]) > _THERMAL_ATOL or abs(gamma[0, 0] - gamma[1, 1]) > _THERMAL_ATOL:
         raise ValueError(
@@ -37,6 +37,19 @@ def _thermal_environment_photon(spec: ChannelSpec) -> float:
             "use private_capacity_upper_general for general Gaussian noise"
         )
     return (float(gamma[0, 0]) - 1.0) / 2.0
+
+
+def _formula_environment(spec: ChannelSpec) -> tuple[str, float]:
+    """Label and photon number of the thermal environment the closed forms use:
+    the environment's own occupation if it is thermal, else N*."""
+    try:
+        return "thermal_photon", thermal_environment_photon(spec)
+    except ValueError:
+        return "equivalent_photon", equivalent_thermal_photon(spec.environment)
+
+
+def _with_thermal_environment(spec: ChannelSpec, photon: float) -> ChannelSpec:
+    return ChannelSpec(spec.kind, spec.parameter, thermal_state(photon))
 
 
 def _validated_photon(input_photon: float) -> float:
@@ -88,7 +101,7 @@ def holevo_capacity(spec: ChannelSpec, input_photon: float) -> float:
     Amplifier:     g(kN + (k-1)Ne) - g((k-1)Ne / (2k-1)).
     """
     n = _validated_photon(input_photon)
-    ne = _thermal_environment_photon(spec)
+    ne = thermal_environment_photon(spec)
     if spec.kind is ChannelKind.BEAM_SPLITTER:
         t = spec.parameter
         return thermal_entropy(t * n + (1.0 - t) * ne) - thermal_entropy((1.0 - t) * ne)
@@ -102,7 +115,7 @@ def maximal_capacity(spec: ChannelSpec, input_photon: float) -> float:
     Beam splitter: 2 g(tN + (1-t)Ne); amplifier: 2 g(kN + (k-1)(Ne+1)).
     """
     n = _validated_photon(input_photon)
-    ne = _thermal_environment_photon(spec)
+    ne = thermal_environment_photon(spec)
     if spec.kind is ChannelKind.BEAM_SPLITTER:
         t = spec.parameter
         return 2.0 * thermal_entropy(t * n + (1.0 - t) * ne)
@@ -116,7 +129,7 @@ def moe_sum_lower(spec: ChannelSpec) -> float:
     Beam splitter: 2 (1-t) g(Ne).  For the amplifier the subtracted terms of
     the upper bound are exposed in the same role: 2 (k-1)/(2k-1) g(Ne) + 2 ln(2k-1).
     """
-    ne = _thermal_environment_photon(spec)
+    ne = thermal_environment_photon(spec)
     if spec.kind is ChannelKind.BEAM_SPLITTER:
         return 2.0 * (1.0 - spec.parameter) * thermal_entropy(ne)
     k = spec.parameter
@@ -130,7 +143,7 @@ def private_capacity_upper(spec: ChannelSpec, input_photon: float) -> float:
     Amplifier:     2 [g(kN + (k-1)(Ne+1)) - (k-1)/(2k-1) g(Ne) - ln(2k-1)].
     """
     n = _validated_photon(input_photon)
-    ne = _thermal_environment_photon(spec)
+    ne = thermal_environment_photon(spec)
     if spec.kind is ChannelKind.BEAM_SPLITTER:
         t = spec.parameter
         return 2.0 * (thermal_entropy(t * n + (1.0 - t) * ne) - (1.0 - t) * thermal_entropy(ne))
@@ -150,8 +163,7 @@ def private_capacity_upper_general(spec: ChannelSpec, input_photon: float) -> fl
     (hence not on squeezing).
     """
     ne_star = equivalent_thermal_photon(spec.environment)
-    thermal_spec = ChannelSpec(spec.kind, spec.parameter, thermal_state(ne_star))
-    return private_capacity_upper(thermal_spec, input_photon)
+    return private_capacity_upper(_with_thermal_environment(spec, ne_star), input_photon)
 
 
 def private_capacity_lower_approx(spec: ChannelSpec, input_photon: float) -> float:
@@ -184,16 +196,6 @@ def coherent_lower_bound(spec: ChannelSpec, input_photon: float, second_argument
     return coherent_information(spec, n) - coherent_information(spec, other)
 
 
-def _describe(spec: ChannelSpec) -> str:
-    kind = "beam_splitter" if spec.kind is ChannelKind.BEAM_SPLITTER else "amplifier"
-    knob = "transmissivity" if spec.kind is ChannelKind.BEAM_SPLITTER else "gain"
-    try:
-        env = f"thermal_photon={_thermal_environment_photon(spec):.12g}"
-    except ValueError:
-        env = f"equivalent_photon={equivalent_thermal_photon(spec.environment):.12g}"
-    return f"{kind}({knob}={spec.parameter:.12g}, {env})"
-
-
 def evaluate_bounds(
     spec: ChannelSpec,
     input_photon: float,
@@ -206,15 +208,12 @@ def evaluate_bounds(
     number when the noise is not thermal; the coherent-information columns go
     through the covariance pipeline with the actual environment.
     """
-    try:
-        _thermal_environment_photon(spec)
-        formula_spec = spec
-    except ValueError:
-        formula_spec = ChannelSpec(
-            spec.kind, spec.parameter, thermal_state(equivalent_thermal_photon(spec.environment))
-        )
+    label, ne = _formula_environment(spec)
+    formula_spec = _with_thermal_environment(spec, ne)
+    kind = "beam_splitter" if spec.kind is ChannelKind.BEAM_SPLITTER else "amplifier"
+    knob = "transmissivity" if spec.kind is ChannelKind.BEAM_SPLITTER else "gain"
     result = BoundResult(
-        channel=_describe(spec),
+        channel=f"{kind}({knob}={spec.parameter:.12g}, {label}={ne:.12g})",
         input_photon=float(input_photon),
         holevo=holevo_capacity(formula_spec, input_photon),
         maximal=maximal_capacity(formula_spec, input_photon),

@@ -2,31 +2,32 @@
 
 A channel mixes a single-mode input with a single-mode Gaussian
 environment through a two-mode symplectic; tracing one output mode gives
-the channel, tracing the other gives the weak-complementary map.  The
+the channel, tracing the other gives the weak-complementary map.  Both are
+affine maps Gamma -> X Gamma X.T + Y evaluated in closed form.  The
 complementary map first purifies a mixed environment with a reference
 mode, so its output covers two modes (environment output F, reference C).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .core import (
     PHASE_FLIP,
     CovarianceMatrix,
     SymplecticMatrix,
-    direct_sum,
+    amplifier_block,
     entropy,
     mixing_symplectic,
-    purify,
 )
 
 MAX_GAIN = 1e6
-_CROSSCHECK_ATOL = 1e-12
+# Symplectic eigenvalues within this of 1 count as pure, as in core.purify.
+_PURE_ATOL = 1e-12
 
 
 class ChannelKind(Enum):
@@ -83,11 +84,7 @@ def beam_splitter_symplectic(transmissivity: float) -> SymplecticMatrix:
 
 def amplifier_symplectic(gain: float) -> SymplecticMatrix:
     """Two-mode amplifier symplectic [[sqrt(k) I, sqrt(k-1) Z], [sqrt(k-1) Z, sqrt(k) I]]."""
-    if gain < 1.0:
-        raise ValueError("amplifier gain must be >= 1")
-    a = np.sqrt(gain) * np.eye(2)
-    b = np.sqrt(gain - 1.0) * PHASE_FLIP
-    return SymplecticMatrix(np.block([[a, b], [b, a]]))
+    return SymplecticMatrix(amplifier_block(gain))
 
 
 def channel_symplectic(spec: ChannelSpec) -> SymplecticMatrix:
@@ -95,6 +92,12 @@ def channel_symplectic(spec: ChannelSpec) -> SymplecticMatrix:
     if spec.kind is ChannelKind.BEAM_SPLITTER:
         return beam_splitter_symplectic(spec.parameter)
     return amplifier_symplectic(spec.parameter)
+
+
+def _single_mode_data(state: CovarianceMatrix) -> np.ndarray:
+    if state.n_modes != 1:
+        raise ValueError("channel input must be a single-mode state")
+    return state.data
 
 
 def _closed_form_output(spec: ChannelSpec, gamma_a: np.ndarray) -> np.ndarray:
@@ -115,49 +118,39 @@ def _closed_form_weak(spec: ChannelSpec, gamma_a: np.ndarray) -> np.ndarray:
     return (k - 1.0) * (PHASE_FLIP @ gamma_a @ PHASE_FLIP) + k * gamma_e
 
 
-def _conjugated_pair(state: CovarianceMatrix, spec: ChannelSpec) -> np.ndarray:
-    if state.n_modes != 1:
-        raise ValueError("channel input must be a single-mode state")
-    s = channel_symplectic(spec).data
-    joint = direct_sum(state, spec.environment).data
-    out = s @ joint @ s.T
-    return 0.5 * (out + out.T)
-
-
-def _checked(block: np.ndarray, reference: np.ndarray) -> CovarianceMatrix:
-    scale = max(1.0, float(np.max(np.abs(reference))))
-    assert float(np.max(np.abs(block - reference))) <= _CROSSCHECK_ATOL * scale, (
-        "conjugate-and-trace output disagrees with the closed-form map"
-    )
-    return CovarianceMatrix(block)
-
-
 def apply_channel(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
-    """Channel output covariance (transmitted mode B)."""
-    out = _conjugated_pair(state, spec)[:2, :2]
-    return _checked(out, _closed_form_output(spec, state.data))
+    """Channel output (mode B): t G_A + (1-t) G_E, or k G_A + (k-1) Z G_E Z for the amplifier."""
+    return CovarianceMatrix(_closed_form_output(spec, _single_mode_data(state)))
 
 
 def weak_complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
-    """Environment-side output covariance (mode F) without purifying the environment."""
-    out = _conjugated_pair(state, spec)[2:, 2:]
-    return _checked(out, _closed_form_weak(spec, state.data))
+    """Environment-side output (mode F): (1-t) G_A + t G_E, or (k-1) Z G_A Z + k G_E."""
+    return CovarianceMatrix(_closed_form_weak(spec, _single_mode_data(state)))
 
 
 def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
     """Two-mode complementary output on (F, C), where C purifies the environment.
 
+    With nu = sqrt(det G_E), the environment G_E = nu R R.T has the symplectic
+    factor R = sqrt(G_E / nu) (symmetric, det 1) and purifies to
+    [[G_E, c R Z], [c Z R, nu I]], c = sqrt((nu - 1)(nu + 1)).  The channel
+    keeps C and scales the E-C block by sqrt(t) or sqrt(k) on the way to F.
     Tracing out C recovers the weak-complementary output; the two maps
     coincide whenever the environment is pure.
     """
-    if state.n_modes != 1:
-        raise ValueError("channel input must be a single-mode state")
-    env_pure = purify(spec.environment)  # modes (E, C)
-    joint = direct_sum(state, env_pure)  # modes (A, E, C)
-    s = block_diag(channel_symplectic(spec).data, np.eye(2))
-    out = s @ joint.data @ s.T
-    out = 0.5 * (out + out.T)
-    return CovarianceMatrix(out[2:, 2:])  # keep (F, C)
+    gamma_e = spec.environment.data
+    nu = math.sqrt(gamma_e[0, 0] * gamma_e[1, 1] - gamma_e[0, 1] * gamma_e[1, 0])
+    out = np.zeros((4, 4))
+    out[:2, :2] = _closed_form_weak(spec, _single_mode_data(state))
+    out[2:, 2:] = nu * np.eye(2)
+    if nu - 1.0 > _PURE_ATOL:
+        # sqrt of a 2x2 positive matrix M with det M = 1 is (M + I) / sqrt(tr M + 2).
+        m = gamma_e / nu
+        root = (m + np.eye(2)) / math.sqrt(m[0, 0] + m[1, 1] + 2.0)
+        cross = math.sqrt((nu - 1.0) * (nu + 1.0) * spec.parameter) * (root @ PHASE_FLIP)
+        out[:2, 2:] = cross
+        out[2:, :2] = cross.T
+    return CovarianceMatrix(out)
 
 
 def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_complement: bool = True) -> ChannelOutput:

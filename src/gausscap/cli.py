@@ -13,12 +13,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .capacities import BoundResult, evaluate_bounds
+from .capacities import evaluate_bounds
 from .channels import ChannelSpec
 from .core import (
     PhysicalityError,
@@ -44,34 +43,6 @@ _OMISSION_NOTE = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs for one CLI invocation."""
-
-    command: str
-    channel: str | None = None
-    tau: float | None = None
-    kappa: float | None = None
-    ne: float | None = None
-    squeeze: float = 0.0
-    n_start: float = 0.0
-    n_stop: float = 10.0
-    n_steps: int = 101
-    units: str = "nats"
-    seed: int = 0
-    trials: int = 10000
-    tolerance: float = 1e-9
-    fmt: str = "csv"
-    out: str | None = None
-    coherent_arg: str = "square"
-    family: str = "qepi-bs"
-    max_photon: float = 5.0
-    max_squeeze: float = 1.5
-    workers: int = 1
-    note: bool = False
-    matrix_text: str | None = None
-
-
 def format_float(value: float) -> str:
     """Fixed 17-significant-digit rendering; round-trips float64 exactly."""
     return format(float(value), ".17g")
@@ -84,19 +55,6 @@ def render_csv(header: tuple[str, ...], rows: list[tuple[float, ...]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bounds_rows(results: list[BoundResult]) -> list[tuple[float, ...]]:
-    return [
-        (r.input_photon, r.holevo, r.maximal, r.upper, r.lower_approx, r.coherent_info, r.coherent_lower)
-        for r in results
-    ]
-
-
-def _render_results(results: list[BoundResult], fmt: str) -> str:
-    if fmt == "csv":
-        return render_csv(BOUNDS_COLUMNS, _bounds_rows(results))
-    return json.dumps([dataclasses.asdict(r) for r in results], indent=2) + "\n"
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -104,92 +62,99 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _environment_state(config: RunConfig):
-    ne = 1.0 if config.ne is None else config.ne
-    return squeezed_thermal_state(ne, config.squeeze)
+def _environment_state(args: argparse.Namespace):
+    ne = 1.0 if args.ne is None else args.ne
+    return squeezed_thermal_state(ne, args.squeeze)
 
 
-def _channel_spec(config: RunConfig) -> ChannelSpec:
-    env = _environment_state(config)
-    if config.channel == "bs":
-        if config.tau is None:
+def _channel_spec(args: argparse.Namespace) -> ChannelSpec:
+    env = _environment_state(args)
+    if args.channel == "bs":
+        if args.tau is None:
             raise ValueError("--tau is required for the beam-splitter channel")
-        return ChannelSpec.beam_splitter(config.tau, env)
-    if config.channel == "amp":
-        if config.kappa is None:
+        return ChannelSpec.beam_splitter(args.tau, env)
+    if args.channel == "amp":
+        if args.kappa is None:
             raise ValueError("--kappa is required for the amplifier channel")
-        return ChannelSpec.amplifier(config.kappa, env)
+        return ChannelSpec.amplifier(args.kappa, env)
     raise ValueError("--channel must be 'bs' or 'amp'")
 
 
-def _photon_grid(config: RunConfig) -> np.ndarray:
-    if config.n_steps < 1:
+def _photon_grid(args: argparse.Namespace) -> np.ndarray:
+    if args.n_steps < 1:
         raise ValueError("--n-steps must be at least 1")
-    if config.n_start < 0 or config.n_stop < config.n_start:
+    if args.n_start < 0 or args.n_stop < args.n_start:
         raise ValueError("the N range must satisfy 0 <= start <= stop")
-    return np.linspace(config.n_start, config.n_stop, config.n_steps)
+    return np.linspace(args.n_start, args.n_stop, args.n_steps)
 
 
-def cmd_bounds(config: RunConfig) -> int:
-    """One row of capacity bounds per input photon number."""
-    spec = _channel_spec(config)
+def _bounds_text(spec: ChannelSpec, grid: np.ndarray, args: argparse.Namespace) -> str:
+    """Every bound of one channel at each grid point, rendered as CSV or JSON."""
     results = [
-        evaluate_bounds(spec, float(n), units=config.units, coherent_second_arg=config.coherent_arg)
-        for n in _photon_grid(config)
+        evaluate_bounds(spec, float(n), units=args.units, coherent_second_arg=args.coherent_arg)
+        for n in grid
     ]
-    _emit(_render_results(results, config.fmt), config.out)
+    if args.fmt == "csv":
+        rows = [
+            (r.input_photon, r.holevo, r.maximal, r.upper, r.lower_approx, r.coherent_info, r.coherent_lower)
+            for r in results
+        ]
+        return render_csv(BOUNDS_COLUMNS, rows)
+    return json.dumps([dataclasses.asdict(r) for r in results], indent=2) + "\n"
+
+
+def cmd_bounds(args: argparse.Namespace) -> int:
+    """One row of capacity bounds per input photon number."""
+    spec = _channel_spec(args)
+    _emit(_bounds_text(spec, _photon_grid(args), args), args.out)
     return EXIT_OK
 
 
-def cmd_fig2(config: RunConfig) -> int:
+def cmd_fig2(args: argparse.Namespace) -> int:
     """Reference datasets: a beam-splitter panel and an amplifier panel.
 
     Defaults: transmissivity 0.85, gain 5, thermal environment photon 1,
     N from 0 to 10 in 101 points.
     """
-    if config.note:
+    if args.note:
         print(_OMISSION_NOTE, file=sys.stderr)
-    env = _environment_state(config)
-    tau = 0.85 if config.tau is None else config.tau
-    kappa = 5.0 if config.kappa is None else config.kappa
-    grid = _photon_grid(config)
+    env = _environment_state(args)
+    tau = 0.85 if args.tau is None else args.tau
+    kappa = 5.0 if args.kappa is None else args.kappa
+    grid = _photon_grid(args)
     panels = (
         ("bs", ChannelSpec.beam_splitter(tau, env)),
         ("amp", ChannelSpec.amplifier(kappa, env)),
     )
-    ext = "csv" if config.fmt == "csv" else "json"
-    prefix = config.out if config.out is not None else "fig2"
+    ext = "csv" if args.fmt == "csv" else "json"
+    prefix = args.out if args.out is not None else "fig2"
     for tag, spec in panels:
-        results = [
-            evaluate_bounds(spec, float(n), units=config.units, coherent_second_arg=config.coherent_arg)
-            for n in grid
-        ]
         path = f"{prefix}_{tag}.{ext}"
-        Path(path).write_text(_render_results(results, config.fmt))
-        print(f"wrote {path} ({len(results)} rows)", file=sys.stderr)
+        Path(path).write_text(_bounds_text(spec, grid, args))
+        print(f"wrote {path} ({len(grid)} rows)", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_verify_epi(config: RunConfig) -> int:
+def cmd_verify_epi(args: argparse.Namespace) -> int:
     """Monte Carlo campaign for one inequality family; exit 4 on any violation."""
     parameter_range = None
-    if config.family.endswith("amp"):
-        if config.kappa is not None:
-            parameter_range = (config.kappa, config.kappa)
-    elif config.tau is not None:
-        parameter_range = (config.tau, config.tau)
+    if args.family.endswith("amp"):
+        if args.kappa is not None:
+            parameter_range = (args.kappa, args.kappa)
+    elif args.tau is not None:
+        parameter_range = (args.tau, args.tau)
     report = monte_carlo_verify(
-        config.family,
-        config.trials,
-        max_photon=config.max_photon,
-        max_squeeze=config.max_squeeze,
+        args.family,
+        args.trials,
+        max_photon=args.max_n,
+        max_squeeze=args.max_r,
         parameter_range=parameter_range,
-        env_photon=config.ne,
-        seed=config.seed,
-        tolerance=config.tolerance,
-        workers=config.workers,
+        env_photon=args.ne,
+        seed=args.seed if args.seed is not None else int(os.environ.get("GAUSSCAP_SEED", 0)),
+        tolerance=args.tolerance,
+        workers=args.workers,
     )
-    _emit(json.dumps(dataclasses.asdict(report), indent=2) + "\n", config.out)
+    _emit(json.dumps(dataclasses.asdict(report), indent=2) + "\n", args.out)
     if report.violations > 0:
         print(
             f"{report.violations} violation(s) of {report.inequality} at tolerance {report.tolerance:g}",
@@ -199,11 +164,10 @@ def cmd_verify_epi(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_entropy(config: RunConfig) -> int:
+def cmd_entropy(args: argparse.Namespace) -> int:
     """Inspect a serialized covariance matrix: spectrum, entropy, photon number."""
-    if config.matrix_text is None:
-        raise ValueError("provide a covariance matrix via --matrix or --matrix-file")
-    state = deserialize_covariance(json.loads(config.matrix_text))
+    text = args.matrix if args.matrix is not None else Path(args.matrix_file).read_text()
+    state = deserialize_covariance(json.loads(text))
     nats = entropy(state)
     photons = mean_photon_number(state) if state.n_modes == 1 else total_photon_number(state)
     payload = {
@@ -213,7 +177,7 @@ def cmd_entropy(config: RunConfig) -> int:
         "entropy_bits": nats / math.log(2.0),
         "mean_photon": photons,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", config.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -283,37 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("GAUSSCAP_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in (
-        "channel", "tau", "kappa", "ne", "squeeze", "n_start", "n_stop", "n_steps",
-        "units", "trials", "tolerance", "fmt", "out", "coherent_arg", "family",
-        "workers", "note",
-    ):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "max_n"):
-        config.max_photon = args.max_n
-    if hasattr(args, "max_r"):
-        config.max_squeeze = args.max_r
-    if hasattr(args, "seed"):
-        config.seed = _resolve_seed(args.seed)
-    if getattr(args, "matrix", None) is not None:
-        config.matrix_text = args.matrix
-    elif getattr(args, "matrix_file", None) is not None:
-        config.matrix_text = Path(args.matrix_file).read_text()
-    return config
-
-
 _COMMANDS = {
     "bounds": cmd_bounds,
     "fig2": cmd_fig2,
@@ -326,8 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](args)
     except PhysicalityError as exc:
         print(f"physicality error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

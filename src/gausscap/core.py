@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import block_diag, schur
 
 SYMMETRY_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
@@ -199,11 +198,20 @@ def two_mode_squeezed_state(squeeze: float) -> CovarianceMatrix:
     return CovarianceMatrix(np.block([[ch, sh], [sh, ch]]))
 
 
+def _block_diag(*blocks: NDArray[np.float64]) -> NDArray[np.float64]:
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return out
+
+
 def direct_sum(*states: CovarianceMatrix) -> CovarianceMatrix:
     """Covariance of the product state, modes concatenated in argument order."""
     if not states:
         raise ValueError("direct_sum needs at least one state")
-    return CovarianceMatrix(block_diag(*(s.data for s in states)))
+    return CovarianceMatrix(_block_diag(*(s.data for s in states)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +236,15 @@ def mixing_symplectic(transmissivity: float) -> NDArray[np.float64]:
     a = np.sqrt(transmissivity) * np.eye(2)
     b = np.sqrt(1.0 - transmissivity) * np.eye(2)
     return np.block([[a, b], [-b, a]])
+
+
+def amplifier_block(gain: float) -> NDArray[np.float64]:
+    """Two-mode amplifier block [[sqrt(k) I, sqrt(k-1) Z], [sqrt(k-1) Z, sqrt(k) I]]."""
+    if gain < 1.0:
+        raise ValueError("amplifier gain must be >= 1")
+    a = np.sqrt(gain) * np.eye(2)
+    b = np.sqrt(gain - 1.0) * PHASE_FLIP
+    return np.block([[a, b], [b, a]])
 
 
 def two_mode_squeezing_symplectic(squeeze: float) -> NDArray[np.float64]:
@@ -277,15 +294,18 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> NDArray[np.float64]:
 def thermal_entropy(mean_photon):
     """Entropy in nats of a thermal state with the given mean photon number.
 
-    Evaluates (x+1) ln(x+1) - x ln x, extended by continuity to 0 at x = 0.
-    Accepts scalars or arrays.
+    Evaluates g(x) = (x+1) ln(x+1) - x ln x as ln(1+x) + x ln(1 + 1/x), which
+    does not cancel at large x, extended by continuity to 0 at x = 0.  Below
+    x = 1 the second term is summed as x (ln(1+x) - ln x), so 1/x cannot
+    overflow.  Accepts scalars or arrays.
     """
     x = np.asarray(mean_photon, dtype=float)
     if np.any(x < 0):
         raise ValueError("mean photon number must be nonnegative")
-    positive = x > 0
-    safe = np.where(positive, x, 1.0)
-    value = (x + 1.0) * np.log1p(x) - np.where(positive, safe * np.log(safe), 0.0)
+    safe = np.where(x > 0, x, 1.0)
+    head = np.log1p(safe)
+    tail = np.where(safe < 1.0, head - np.log(safe), np.log1p(1.0 / np.maximum(safe, 1.0)))
+    value = np.where(x > 0, head + safe * tail, 0.0)
     if np.ndim(mean_photon) == 0:
         return float(value)
     return value
@@ -346,6 +366,8 @@ def williamson(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.fl
         ``S`` is the symplectic factor and ``d`` the diagonal of D, i.e.
         each symplectic eigenvalue repeated twice, sorted descending.
     """
+    from scipy.linalg import schur  # the only scipy use; imported here to keep it off the import path
+
     data = state.data
     n = state.n_modes
     evals, evecs = np.linalg.eigh(data)
@@ -386,15 +408,9 @@ def purify(state: CovarianceMatrix) -> CovarianceMatrix:
     # nu within roundoff of 1 means a pure factor: couple nothing to the
     # reference so pure environments purify to exact products.
     excess = np.where(nu - 1.0 > 1e-12, nu - 1.0, 0.0)
-    c = np.sqrt(excess * (nu + 1.0))
-    big = np.zeros((4 * n, 4 * n))
-    big[:2 * n, :2 * n] = np.diag(d)
-    big[2 * n:, 2 * n:] = np.diag(d)
-    for j in range(n):
-        blk = c[j] * PHASE_FLIP
-        big[2 * j:2 * j + 2, 2 * n + 2 * j:2 * n + 2 * j + 2] = blk
-        big[2 * n + 2 * j:2 * n + 2 * j + 2, 2 * j:2 * j + 2] = blk
-    widen = block_diag(s.data, np.eye(2 * n))
+    cross = np.kron(np.diag(np.sqrt(excess * (nu + 1.0))), PHASE_FLIP)
+    big = np.block([[np.diag(d), cross], [cross, np.diag(d)]])
+    widen = _block_diag(s.data, np.eye(2 * n))
     out = widen @ big @ widen.T
     return CovarianceMatrix(0.5 * (out + out.T))
 
@@ -412,7 +428,7 @@ def _random_symplectic_data(n_modes: int, max_squeeze: float, rng: np.random.Gen
         sq = squeezing_symplectic(rng.uniform(0.0, max_squeeze))
         post = rotation_symplectic(rng.uniform(0.0, 2.0 * np.pi))
         blocks.append(pre @ sq @ post)
-    s = block_diag(*blocks)
+    s = _block_diag(*blocks)
     for i in range(n_modes):
         for j in range(i + 1, n_modes):
             mixer = embed_two_mode(mixing_symplectic(rng.uniform(0.0, 1.0)), n_modes, i, j)

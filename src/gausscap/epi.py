@@ -18,11 +18,14 @@ from enum import Enum
 
 import numpy as np
 
+from .capacities import thermal_environment_photon
 from .channels import ChannelKind, ChannelSpec, apply_channel, complementary
 from .core import (
     PHASE_FLIP,
     CovarianceMatrix,
     ModePartition,
+    amplifier_block,
+    apply_symplectic,
     conditional_entropy,
     direct_sum,
     embed_two_mode,
@@ -121,9 +124,7 @@ def _conditional_mix(pair1: CovarianceMatrix, pair2: CovarianceMatrix, two_mode:
     (S(out, Z1, Z2), S(Z1, Z2)).
     """
     joint = direct_sum(pair1, pair2)  # modes (X1, Z1, X2, Z2)
-    s = embed_two_mode(two_mode, 4, 0, 2)
-    out = s @ joint.data @ s.T
-    transformed = CovarianceMatrix(0.5 * (out + out.T))
+    transformed = apply_symplectic(embed_two_mode(two_mode, 4, 0, 2), joint)
     kept = partial_trace(transformed, ModePartition.keeping((0, 1, 3), 4))
     conditioner = partial_trace(transformed, ModePartition.keeping((1, 3), 4))
     return entropy(kept), entropy(conditioner)
@@ -158,10 +159,7 @@ def check_cqepi_amp(pair1: CovarianceMatrix, pair2: CovarianceMatrix, gain: floa
     k = gain
     if k < 1.0:
         raise ValueError("gain must be >= 1")
-    a = np.sqrt(k) * np.eye(2)
-    b = np.sqrt(k - 1.0) * PHASE_FLIP
-    amp = np.block([[a, b], [b, a]])
-    s_joint, s_cond = _conditional_mix(pair1, pair2, amp)
+    s_joint, s_cond = _conditional_mix(pair1, pair2, amplifier_block(k))
     lhs = s_joint - s_cond
     c1, c2 = _conditional_rhs_terms(pair1, pair2)
     rhs = k / (2.0 * k - 1.0) * c1 + (k - 1.0) / (2.0 * k - 1.0) * c2 + math.log(2.0 * k - 1.0)
@@ -170,27 +168,21 @@ def check_cqepi_amp(pair1: CovarianceMatrix, pair2: CovarianceMatrix, gain: floa
 
 def check_moe_chain(state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
     """Single-use output-entropy floor S(channel(G)) >= (1-t) g(Ne)."""
-    ne = _thermal_chain_env(spec)
-    lhs = entropy(apply_channel(state, spec))
-    rhs = (1.0 - spec.parameter) * thermal_entropy(ne)
-    return EpiTrial(Inequality.MOE_CHAIN_BS, spec.parameter, (state,), lhs, rhs)
+    return _chain_trial(Inequality.MOE_CHAIN_BS, apply_channel, state, spec)
 
 
 def check_wc_chain(state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
     """Complementary-side floor S(complement(G)) >= (1-t) g(Ne)."""
-    ne = _thermal_chain_env(spec)
-    lhs = entropy(complementary(state, spec))
-    rhs = (1.0 - spec.parameter) * thermal_entropy(ne)
-    return EpiTrial(Inequality.WC_CHAIN_BS, spec.parameter, (state,), lhs, rhs)
+    return _chain_trial(Inequality.WC_CHAIN_BS, complementary, state, spec)
 
 
-def _thermal_chain_env(spec: ChannelSpec) -> float:
+def _chain_trial(inequality: Inequality, output, state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
+    """lhs = S(output(state, spec)) against the floor (1-t) g(Ne) of a thermal beam splitter."""
     if spec.kind is not ChannelKind.BEAM_SPLITTER:
         raise ValueError("chain inequalities are checked for the beam splitter")
-    gamma = spec.environment.data
-    if abs(gamma[0, 1]) > 1e-12 or abs(gamma[0, 0] - gamma[1, 1]) > 1e-12:
-        raise ValueError("chain inequalities assume a thermal environment")
-    return (float(gamma[0, 0]) - 1.0) / 2.0
+    rhs = (1.0 - spec.parameter) * thermal_entropy(thermal_environment_photon(spec))
+    lhs = entropy(output(state, spec))
+    return EpiTrial(inequality, spec.parameter, (state,), lhs, rhs)
 
 
 def _require_single_mode(*states: CovarianceMatrix) -> None:
@@ -224,10 +216,7 @@ def _sample_two_mode_squeezed_thermal(rng: np.random.Generator, max_photon: floa
     """Two-mode squeezed thermal state with random occupation and squeezing."""
     n = rng.uniform(0.0, max_photon)
     r = rng.uniform(0.0, max_squeeze)
-    s = two_mode_squeezing_symplectic(r)
-    base = direct_sum(thermal_state(n), thermal_state(n))
-    out = s @ base.data @ s.T
-    return CovarianceMatrix(0.5 * (out + out.T))
+    return apply_symplectic(two_mode_squeezing_symplectic(r), direct_sum(thermal_state(n), thermal_state(n)))
 
 
 _DEFAULT_RANGES = {

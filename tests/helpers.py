@@ -1,12 +1,13 @@
 """Independent oracles shared by the test modules.
 
-Everything here is computed from first principles (stdlib math plus raw
-numpy eigensolvers) so the expectations do not reuse the library's own
-code paths.
+Everything here is computed from first principles (stdlib math, mpmath
+and raw numpy eigensolvers) so the expectations do not reuse the library's
+own code paths.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 
@@ -60,3 +61,89 @@ def fc_entropy_thermal_amp(gain: float, n_in: float, n_env: float) -> float:
     d = math.sqrt(gain) * math.sqrt(nu_e * nu_e - 1.0)
     hi, lo = two_mode_block_sym_eigs(f, nu_e, d)
     return g_direct((hi - 1.0) / 2.0) + g_direct((lo - 1.0) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# conjugate-and-trace channel oracle
+# ---------------------------------------------------------------------------
+
+PHASE_FLIP = np.diag([1.0, -1.0])
+
+
+def raw_channel_symplectic(kind: str, parameter: float) -> np.ndarray:
+    """Two-mode (A, E) symplectic: beam splitter ("bs") or amplifier ("amp")."""
+    if kind == "bs":
+        a, b = math.sqrt(parameter) * np.eye(2), math.sqrt(1.0 - parameter) * np.eye(2)
+        return np.block([[a, b], [-b, a]])
+    a, b = math.sqrt(parameter) * np.eye(2), math.sqrt(parameter - 1.0) * PHASE_FLIP
+    return np.block([[a, b], [b, a]])
+
+
+def raw_single_mode_purification(gamma_e: np.ndarray) -> np.ndarray:
+    """Two-mode pure (E, C) state whose E marginal is ``gamma_e``.
+
+    gamma_e = nu S S.T with nu = sqrt(det gamma_e) and S its symmetric,
+    determinant-one square-root factor, taken from an eigendecomposition;
+    the thermal factor nu I is extended to a two-mode squeezed block and S
+    then acts on E.  Factors within 1e-12 of nu = 1 count as pure and couple
+    nothing to C.
+    """
+    evals, evecs = np.linalg.eigh(gamma_e)
+    nu = math.sqrt(evals[0] * evals[1])
+    s = evecs @ np.diag(np.sqrt(evals / nu)) @ evecs.T
+    c = math.sqrt((nu - 1.0) * (nu + 1.0)) if nu - 1.0 > 1e-12 else 0.0
+    thermal = np.block([[nu * np.eye(2), c * PHASE_FLIP], [c * PHASE_FLIP, nu * np.eye(2)]])
+    widen = np.eye(4)
+    widen[:2, :2] = s
+    return widen @ thermal @ widen.T
+
+
+def conjugate_and_trace(kind: str, parameter: float, gamma_a: np.ndarray, gamma_e: np.ndarray):
+    """Channel outputs by conjugating the joint state with the channel symplectic.
+
+    Returns (B, F, (F, C)): the channel symplectic acts on gamma_a + gamma_e
+    (direct sum) and each output is a principal block; for (F, C) the
+    environment is first purified with a reference mode C that the channel
+    leaves alone.
+    """
+    s = raw_channel_symplectic(kind, parameter)
+    joint = np.zeros((4, 4))
+    joint[:2, :2], joint[2:, 2:] = gamma_a, gamma_e
+    pair = s @ joint @ s.T
+    wide = np.eye(6)
+    wide[:4, :4] = s
+    joint = np.zeros((6, 6))
+    joint[:2, :2], joint[2:, 2:] = gamma_a, raw_single_mode_purification(gamma_e)
+    triple = wide @ joint @ wide.T
+    return pair[:2, :2], pair[2:, 2:], triple[2:, 2:]
+
+
+# ---------------------------------------------------------------------------
+# high-precision coherent information
+# ---------------------------------------------------------------------------
+
+def g_mp(x):
+    """g(x) at mpmath's working precision; x <= 0 (a pure factor up to rounding) gives 0."""
+    return mp.mpf(0) if x <= 0 else (x + 1) * mp.log(x + 1) - x * mp.log(x)
+
+
+def coherent_information_mp(kind: str, parameter, n_in, n_env) -> float:
+    """S(B) - S(F, C) in 50-digit arithmetic for a thermal input and environment.
+
+    S(B) is g of the output photon number; (F, C) is [[f I, d Z], [d Z, nu_e I]]
+    with f and d as in ``fc_entropy_thermal_bs`` / ``fc_entropy_thermal_amp``.
+    Its symplectic eigenvalues satisfy nu+^2 + nu-^2 = f^2 + nu_e^2 - 2 d^2 and
+    nu+ nu- = f nu_e - d^2.
+    """
+    with mp.workdps(50):
+        p, nu_a, nu_e = mp.mpf(parameter), 2 * mp.mpf(n_in) + 1, 2 * mp.mpf(n_env) + 1
+        if kind == "bs":
+            nu_b, f = p * nu_a + (1 - p) * nu_e, (1 - p) * nu_a + p * nu_e
+        else:
+            nu_b, f = p * nu_a + (p - 1) * nu_e, (p - 1) * nu_a + p * nu_e
+        d2 = p * (nu_e * nu_e - 1)
+        delta, prod = f * f + nu_e * nu_e - 2 * d2, f * nu_e - d2
+        hi = mp.sqrt((delta + mp.sqrt(delta * delta - 4 * prod * prod)) / 2)
+        lo = prod / hi
+        s_fc = g_mp((hi - 1) / 2) + g_mp((lo - 1) / 2)
+        return float(g_mp((nu_b - 1) / 2) - s_fc)

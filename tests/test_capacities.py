@@ -20,7 +20,7 @@ from gausscap import (
     thermal_state,
     vacuum_state,
 )
-from helpers import fc_entropy_thermal_bs, g_direct
+from helpers import coherent_information_mp, fc_entropy_thermal_bs, g_direct
 
 
 def bs(tau, ne):
@@ -225,6 +225,25 @@ class TestCoherentInformation:
         s_b = entropy(apply_channel(state, spec))
         s_ba = entropy(partial_trace(transformed, ModePartition.keeping([0, 1], 4)))
         assert coherent_information(spec, n) == pytest.approx(s_b - s_ba, abs=1e-8)
+
+
+class TestCoherentInformationAtLargeInput:
+    """The complementary output stays accurate when the input dwarfs the environment."""
+
+    @pytest.mark.parametrize("n", [1e6, 1e10, 1e14])
+    def test_beam_splitter_against_mpmath(self, n):
+        expected = coherent_information_mp("bs", 0.85, n, 1)
+        assert coherent_information(bs(0.85, 1), n) == pytest.approx(expected, abs=1e-12)
+
+    def test_lower_bound_at_squared_argument(self):
+        expected = coherent_information_mp("bs", 0.85, 1e7, 1) - coherent_information_mp("bs", 0.85, 1e14, 1)
+        assert coherent_lower_bound(bs(0.85, 1), 1e7) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("kappa", [5.0, 1e6])
+    def test_amplifier_against_mpmath(self, kappa):
+        for n in (0.5, 10.0, 1e6):
+            expected = coherent_information_mp("amp", kappa, n, 1)
+            assert coherent_information(amp(kappa, 1), n) == pytest.approx(expected, abs=1e-10)
 
 
 class TestCoherentLowerBound:

@@ -26,7 +26,7 @@ from gausscap import (
     weak_complementary,
 )
 from gausscap.core import PHASE_FLIP, embed_two_mode, symplectic_residual
-from helpers import fc_entropy_thermal_amp, fc_entropy_thermal_bs, g_direct
+from helpers import conjugate_and_trace, fc_entropy_thermal_amp, fc_entropy_thermal_bs, g_direct
 
 
 def _random_spec(seed: int) -> ChannelSpec:
@@ -246,3 +246,39 @@ class TestOutputEntropies:
         assert outs.complement is not None and outs.complement.n_modes == 2
         lean = channel_outputs(thermal_state(1), spec, include_complement=False)
         assert lean.complement is None
+
+
+def _oracle_cases():
+    """(id, spec, input) triples: random specs plus squeezed, pure and high-gain environments."""
+    cases = []
+    for seed in range(20):
+        cases.append((f"random-{seed}", _random_spec(seed + 7000), random_gaussian_state(1, 3.0, 1.0, seed + 8000)))
+    envs = {
+        "squeezed": squeezed_thermal_state(0.7, 1.1),
+        "rotated-squeezed": random_gaussian_state(1, 1.5, 1.2, 11),
+        "vacuum": vacuum_state(),
+        "pure-squeezed": random_gaussian_state(1, 0.0, 1.0, 12),
+    }
+    state = random_gaussian_state(1, 2.0, 0.8, 13)
+    for name, env in envs.items():
+        cases.append((f"bs-{name}", ChannelSpec.beam_splitter(0.37, env), state))
+        for gain in (1.0, 3.5, 1e3):
+            cases.append((f"amp{gain:g}-{name}", ChannelSpec.amplifier(gain, env), state))
+    return cases
+
+
+class TestConjugateAndTraceOracle:
+    """The closed-form maps against conjugation by the channel symplectic."""
+
+    @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
+    def test_outputs_match_oracle(self, case):
+        _, spec, state = case
+        kind = "bs" if spec.kind is ChannelKind.BEAM_SPLITTER else "amp"
+        out, weak, comp = conjugate_and_trace(kind, spec.parameter, state.data, spec.environment.data)
+        for got, expected in (
+            (apply_channel(state, spec), out),
+            (weak_complementary(state, spec), weak),
+            (complementary(state, spec), comp),
+        ):
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            np.testing.assert_allclose(got.data, expected, rtol=0, atol=1e-12 * scale)

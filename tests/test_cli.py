@@ -1,11 +1,12 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from gausscap.cli import BOUNDS_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, format_float, main
-from helpers import g_direct
+from helpers import coherent_information_mp, g_direct, g_mp
 
 
 def parse_csv(text):
@@ -43,6 +44,30 @@ class TestBounds:
             assert row[header.index("maximal")] >= row[header.index("upper")]
             assert row[header.index("upper")] >= row[header.index("lower_approx")]
             assert row[header.index("lower_approx")] >= 0
+
+    def test_amplifier_at_maximum_gain(self, capsys):
+        rc = main([
+            "bounds", "--channel", "amp", "--kappa", "1e6", "--ne", "1",
+            "--n-stop", "10", "--n-steps", "11",
+        ])
+        assert rc == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        with mpmath.workdps(50):
+            k, ne = mpmath.mpf(10) ** 6, mpmath.mpf(1)
+            for row in rows:
+                n = mpmath.mpf(row[header.index("N")])
+                holevo = g_mp(k * n + (k - 1) * ne) - g_mp((k - 1) * ne / (2 * k - 1))
+                maximal = 2 * g_mp(k * n + (k - 1) * (ne + 1))
+                upper = maximal - 2 * (k - 1) / (2 * k - 1) * g_mp(ne) - 2 * mpmath.log(2 * k - 1)
+                for name, value in (
+                    ("holevo", holevo), ("maximal", maximal), ("upper", upper), ("lower_approx", 2 * holevo),
+                ):
+                    assert row[header.index(name)] == pytest.approx(float(value), rel=1e-9), name
+                n = float(n)
+                coherent = coherent_information_mp("amp", 1e6, n, 1)
+                assert row[header.index("coherent_info")] == pytest.approx(coherent, abs=1e-8)
+                lower = coherent - coherent_information_mp("amp", 1e6, n * n, 1)
+                assert row[header.index("coherent_lower")] == pytest.approx(lower, abs=1e-8)
 
     def test_squeezed_environment_upper_matches_thermal(self, capsys):
         args = [

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from gausscap import (
     vacuum_state,
     williamson,
 )
-from helpers import g_direct, raw_symplectic_eigenvalues
+from helpers import g_direct, g_mp, raw_symplectic_eigenvalues
 
 
 class TestConstructors:
@@ -125,6 +126,16 @@ class TestThermalEntropy:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             thermal_entropy(-1e-9)
+
+    @pytest.mark.parametrize("x", [1e8, 1e12, 1e15])
+    def test_large_argument_against_mpmath(self, x):
+        with mpmath.workdps(50):
+            expected = float(g_mp(mpmath.mpf(x)))
+        assert abs(thermal_entropy(x) - expected) <= 1e-13 * expected
+
+    def test_subnormal_argument_stays_finite(self):
+        x = 5e-324
+        assert thermal_entropy(x) == pytest.approx(x * (1.0 - math.log(x)), rel=1e-12)
 
     def test_array_input(self):
         xs = np.array([0.0, 0.5, 1.0])
