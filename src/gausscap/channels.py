@@ -3,7 +3,7 @@
 A channel mixes a single-mode input with a single-mode Gaussian
 environment through a two-mode symplectic; tracing one output mode gives
 the channel, tracing the other gives the weak-complementary map.  Both are
-affine maps Gamma -> X Gamma X.T + Y evaluated in closed form.  The
+one affine map, ``channel_map``, with input and environment exchanged.  The
 complementary map first purifies a mixed environment with a reference
 mode, so its output covers two modes (environment output F, reference C).
 """
@@ -28,6 +28,8 @@ from .core import (
 MAX_GAIN = 1e6
 # Symplectic eigenvalues within this of 1 count as pure, as in core.purify.
 _PURE_ATOL = 1e-12
+_IDENTITY = np.eye(2)
+_IDENTITY.setflags(write=False)
 
 
 class ChannelKind(Enum):
@@ -94,38 +96,41 @@ def channel_symplectic(spec: ChannelSpec) -> SymplecticMatrix:
     return amplifier_symplectic(spec.parameter)
 
 
+def coupling(kind: ChannelKind, parameter: float) -> tuple[float, float, np.ndarray]:
+    """(p, q, M) of the output mode B = sqrt(p) A + sqrt(q) M E.
+
+    (t, 1-t, I) for a beam splitter with t in [0, 1], (k, k-1, Z) for an
+    amplifier with k >= 1.  No upper gain cap applies here.
+    """
+    if kind is ChannelKind.BEAM_SPLITTER:
+        if not 0.0 <= parameter <= 1.0:
+            raise ValueError("transmissivity must lie in [0, 1]")
+        return parameter, 1.0 - parameter, _IDENTITY
+    if not parameter >= 1.0:
+        raise ValueError("gain must be >= 1")
+    return parameter, parameter - 1.0, PHASE_FLIP
+
+
+def channel_map(kind: ChannelKind, parameter: float, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
+    """Covariance of B = sqrt(p) A + sqrt(q) M E for independent A and E: p G_A + q M G_E M."""
+    p, q, m = coupling(kind, parameter)
+    return p * gamma_a + q * (m @ gamma_e @ m)
+
+
 def _single_mode_data(state: CovarianceMatrix) -> np.ndarray:
     if state.n_modes != 1:
         raise ValueError("channel input must be a single-mode state")
     return state.data
 
 
-def _closed_form_output(spec: ChannelSpec, gamma_a: np.ndarray) -> np.ndarray:
-    gamma_e = spec.environment.data
-    if spec.kind is ChannelKind.BEAM_SPLITTER:
-        t = spec.parameter
-        return t * gamma_a + (1.0 - t) * gamma_e
-    k = spec.parameter
-    return k * gamma_a + (k - 1.0) * (PHASE_FLIP @ gamma_e @ PHASE_FLIP)
-
-
-def _closed_form_weak(spec: ChannelSpec, gamma_a: np.ndarray) -> np.ndarray:
-    gamma_e = spec.environment.data
-    if spec.kind is ChannelKind.BEAM_SPLITTER:
-        t = spec.parameter
-        return (1.0 - t) * gamma_a + t * gamma_e
-    k = spec.parameter
-    return (k - 1.0) * (PHASE_FLIP @ gamma_a @ PHASE_FLIP) + k * gamma_e
-
-
 def apply_channel(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
     """Channel output (mode B): t G_A + (1-t) G_E, or k G_A + (k-1) Z G_E Z for the amplifier."""
-    return CovarianceMatrix(_closed_form_output(spec, _single_mode_data(state)))
+    return CovarianceMatrix(channel_map(spec.kind, spec.parameter, _single_mode_data(state), spec.environment.data))
 
 
 def weak_complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
-    """Environment-side output (mode F): (1-t) G_A + t G_E, or (k-1) Z G_A Z + k G_E."""
-    return CovarianceMatrix(_closed_form_weak(spec, _single_mode_data(state)))
+    """Environment-side output (mode F), A and E exchanged: (1-t) G_A + t G_E, or (k-1) Z G_A Z + k G_E."""
+    return CovarianceMatrix(channel_map(spec.kind, spec.parameter, spec.environment.data, _single_mode_data(state)))
 
 
 def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
@@ -141,13 +146,14 @@ def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatri
     gamma_e = spec.environment.data
     nu = math.sqrt(gamma_e[0, 0] * gamma_e[1, 1] - gamma_e[0, 1] * gamma_e[1, 0])
     out = np.zeros((4, 4))
-    out[:2, :2] = _closed_form_weak(spec, _single_mode_data(state))
+    out[:2, :2] = channel_map(spec.kind, spec.parameter, gamma_e, _single_mode_data(state))
     out[2:, 2:] = nu * np.eye(2)
     if nu - 1.0 > _PURE_ATOL:
         # sqrt of a 2x2 positive matrix M with det M = 1 is (M + I) / sqrt(tr M + 2).
         m = gamma_e / nu
         root = (m + np.eye(2)) / math.sqrt(m[0, 0] + m[1, 1] + 2.0)
-        cross = math.sqrt((nu - 1.0) * (nu + 1.0) * spec.parameter) * (root @ PHASE_FLIP)
+        p = coupling(spec.kind, spec.parameter)[0]
+        cross = math.sqrt((nu - 1.0) * (nu + 1.0) * p) * (root @ PHASE_FLIP)
         out[:2, 2:] = cross
         out[2:, :2] = cross.T
     return CovarianceMatrix(out)

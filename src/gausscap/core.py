@@ -101,7 +101,7 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class SymplecticMatrix:
-    """Phase-space matrix of a Gaussian unitary; must satisfy S Omega S.T = Omega."""
+    """Gaussian unitary in phase space: S Omega S.T = Omega to 1e-10 * max(1, max|S|^2) (roundoff grows with |S|^2)."""
 
     data: NDArray[np.float64]
 
@@ -110,7 +110,7 @@ class SymplecticMatrix:
         if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] % 2 != 0:
             raise ValueError("symplectic matrix must be 2n x 2n")
         residual = symplectic_residual(data)
-        if residual > SYMPLECTIC_ATOL:
+        if residual > SYMPLECTIC_ATOL * max(1.0, float(np.max(np.abs(data))) ** 2):
             raise ValueError(f"matrix is not symplectic (residual {residual:.3e})")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -233,9 +233,8 @@ def mixing_symplectic(transmissivity: float) -> NDArray[np.float64]:
     """Two-mode beam-splitter block [[sqrt(t) I, sqrt(1-t) I], [-sqrt(1-t) I, sqrt(t) I]]."""
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in [0, 1]")
-    a = np.sqrt(transmissivity) * np.eye(2)
-    b = np.sqrt(1.0 - transmissivity) * np.eye(2)
-    return np.block([[a, b], [-b, a]])
+    a, b = np.sqrt(transmissivity), np.sqrt(1.0 - transmissivity)
+    return np.array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]])
 
 
 def amplifier_block(gain: float) -> NDArray[np.float64]:
@@ -252,18 +251,6 @@ def two_mode_squeezing_symplectic(squeeze: float) -> NDArray[np.float64]:
     ch = np.cosh(squeeze) * np.eye(2)
     sh = np.sinh(squeeze) * PHASE_FLIP
     return np.block([[ch, sh], [sh, ch]])
-
-
-def embed_two_mode(block: NDArray[np.float64], n_modes: int, mode_a: int, mode_b: int) -> NDArray[np.float64]:
-    """Embed a two-mode symplectic block so it acts on (mode_a, mode_b) of n modes."""
-    if mode_a == mode_b or not (0 <= mode_a < n_modes and 0 <= mode_b < n_modes):
-        raise ValueError("mode indices must be distinct and within range")
-    out = np.eye(2 * n_modes)
-    placed = [(0, mode_a), (1, mode_b)]
-    for bi, mi in placed:
-        for bj, mj in placed:
-            out[2 * mi:2 * mi + 2, 2 * mj:2 * mj + 2] = block[2 * bi:2 * bi + 2, 2 * bj:2 * bj + 2]
-    return out
 
 
 def apply_symplectic(transform: SymplecticMatrix | NDArray[np.float64], state: CovarianceMatrix) -> CovarianceMatrix:
@@ -431,8 +418,9 @@ def _random_symplectic_data(n_modes: int, max_squeeze: float, rng: np.random.Gen
     s = _block_diag(*blocks)
     for i in range(n_modes):
         for j in range(i + 1, n_modes):
-            mixer = embed_two_mode(mixing_symplectic(rng.uniform(0.0, 1.0)), n_modes, i, j)
-            s = mixer @ s
+            # the pair mixer changes only the rows of modes i and j
+            rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+            s[rows] = mixing_symplectic(rng.uniform(0.0, 1.0)) @ s[rows]
     return s
 
 

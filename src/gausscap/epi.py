@@ -19,23 +19,16 @@ from enum import Enum
 import numpy as np
 
 from .capacities import thermal_environment_photon
-from .channels import ChannelKind, ChannelSpec, apply_channel, complementary
+from .channels import ChannelKind, ChannelSpec, apply_channel, channel_map, complementary, coupling
 from .core import (
-    PHASE_FLIP,
     CovarianceMatrix,
     ModePartition,
-    amplifier_block,
-    apply_symplectic,
     conditional_entropy,
-    direct_sum,
-    embed_two_mode,
     entropy,
-    mixing_symplectic,
-    partial_trace,
     random_gaussian_state,
     thermal_entropy,
     thermal_state,
-    two_mode_squeezing_symplectic,
+    two_mode_squeezed_state,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -88,10 +81,7 @@ def check_qepi_bs(state1: CovarianceMatrix, state2: CovarianceMatrix, transmissi
     """
     _require_single_mode(state1, state2)
     t = transmissivity
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("transmissivity must lie in [0, 1]")
-    mixed = CovarianceMatrix(t * state1.data + (1.0 - t) * state2.data)
-    lhs = entropy(mixed)
+    lhs = entropy(CovarianceMatrix(channel_map(ChannelKind.BEAM_SPLITTER, t, state1.data, state2.data)))
     rhs = t * entropy(state1) + (1.0 - t) * entropy(state2)
     return EpiTrial(Inequality.QEPI_BS, t, (state1, state2), lhs, rhs)
 
@@ -104,30 +94,34 @@ def check_qepi_amp(state1: CovarianceMatrix, state2: CovarianceMatrix, gain: flo
     """
     _require_single_mode(state1, state2)
     k = gain
-    if k < 1.0:
-        raise ValueError("gain must be >= 1")
-    mixed = CovarianceMatrix(k * state1.data + (k - 1.0) * (PHASE_FLIP @ state2.data @ PHASE_FLIP))
-    lhs = entropy(mixed)
-    rhs = (
-        k / (2.0 * k - 1.0) * entropy(state1)
-        + (k - 1.0) / (2.0 * k - 1.0) * entropy(state2)
-        + math.log(2.0 * k - 1.0)
-    )
+    lhs = entropy(CovarianceMatrix(channel_map(ChannelKind.AMPLIFIER, k, state1.data, state2.data)))
+    rhs = _amplifier_rhs(k, entropy(state1), entropy(state2))
     return EpiTrial(Inequality.QEPI_AMP, k, (state1, state2), lhs, rhs)
 
 
-def _conditional_mix(pair1: CovarianceMatrix, pair2: CovarianceMatrix, two_mode: np.ndarray) -> tuple[float, float]:
-    """Conditional lhs for (X1,Z1) x (X2,Z2) inputs mixed on (X1, X2).
+def _amplifier_rhs(k: float, s1: float, s2: float) -> float:
+    """k/(2k-1) s1 + (k-1)/(2k-1) s2 + ln(2k-1)."""
+    return k / (2.0 * k - 1.0) * s1 + (k - 1.0) / (2.0 * k - 1.0) * s2 + math.log(2.0 * k - 1.0)
 
-    Builds the four-mode product (X1, Z1, X2, Z2), applies the two-mode
-    symplectic to (X1, X2), discards the second output, and returns
-    (S(out, Z1, Z2), S(Z1, Z2)).
+
+def _conditional_lhs(kind: ChannelKind, parameter: float, pair1: CovarianceMatrix, pair2: CovarianceMatrix) -> float:
+    """S(B | Z1 Z2) for independent (X1, Z1), (X2, Z2) and B = sqrt(p) X1 + sqrt(q) M X2.
+
+    The (B, Z1, Z2) covariance is built in closed form: the B block is the
+    channel map of (X1, X2), B couples to Z1 through sqrt(p) C1 and to Z2
+    through sqrt(q) M C2 (C_i the X_i-Z_i block), and Z1, Z2 stay
+    uncorrelated.  The conditioner (Z1, Z2) is its trailing 4x4 block.
     """
-    joint = direct_sum(pair1, pair2)  # modes (X1, Z1, X2, Z2)
-    transformed = apply_symplectic(embed_two_mode(two_mode, 4, 0, 2), joint)
-    kept = partial_trace(transformed, ModePartition.keeping((0, 1, 3), 4))
-    conditioner = partial_trace(transformed, ModePartition.keeping((1, 3), 4))
-    return entropy(kept), entropy(conditioner)
+    p, q, m = coupling(kind, parameter)
+    g1, g2 = pair1.data, pair2.data
+    out = np.zeros((6, 6))
+    out[:2, :2] = channel_map(kind, parameter, g1[:2, :2], g2[:2, :2])
+    out[:2, 2:4] = math.sqrt(p) * g1[:2, 2:]
+    out[:2, 4:] = math.sqrt(q) * (m @ g2[:2, 2:])
+    out[2:, :2] = out[:2, 2:].T
+    out[2:4, 2:4] = g1[2:, 2:]
+    out[4:, 4:] = g2[2:, 2:]
+    return entropy(CovarianceMatrix(out)) - entropy(CovarianceMatrix(out[2:, 2:]))
 
 
 def _conditional_rhs_terms(pair1: CovarianceMatrix, pair2: CovarianceMatrix) -> tuple[float, float]:
@@ -142,8 +136,7 @@ def check_cqepi_bs(pair1: CovarianceMatrix, pair2: CovarianceMatrix, transmissiv
     """
     _require_two_mode(pair1, pair2)
     t = transmissivity
-    s_joint, s_cond = _conditional_mix(pair1, pair2, mixing_symplectic(t))
-    lhs = s_joint - s_cond
+    lhs = _conditional_lhs(ChannelKind.BEAM_SPLITTER, t, pair1, pair2)
     c1, c2 = _conditional_rhs_terms(pair1, pair2)
     rhs = t * c1 + (1.0 - t) * c2
     return EpiTrial(Inequality.CQEPI_BS, t, (pair1, pair2), lhs, rhs)
@@ -157,12 +150,8 @@ def check_cqepi_amp(pair1: CovarianceMatrix, pair2: CovarianceMatrix, gain: floa
     """
     _require_two_mode(pair1, pair2)
     k = gain
-    if k < 1.0:
-        raise ValueError("gain must be >= 1")
-    s_joint, s_cond = _conditional_mix(pair1, pair2, amplifier_block(k))
-    lhs = s_joint - s_cond
-    c1, c2 = _conditional_rhs_terms(pair1, pair2)
-    rhs = k / (2.0 * k - 1.0) * c1 + (k - 1.0) / (2.0 * k - 1.0) * c2 + math.log(2.0 * k - 1.0)
+    lhs = _conditional_lhs(ChannelKind.AMPLIFIER, k, pair1, pair2)
+    rhs = _amplifier_rhs(k, *_conditional_rhs_terms(pair1, pair2))
     return EpiTrial(Inequality.CQEPI_AMP, k, (pair1, pair2), lhs, rhs)
 
 
@@ -216,7 +205,7 @@ def _sample_two_mode_squeezed_thermal(rng: np.random.Generator, max_photon: floa
     """Two-mode squeezed thermal state with random occupation and squeezing."""
     n = rng.uniform(0.0, max_photon)
     r = rng.uniform(0.0, max_squeeze)
-    return apply_symplectic(two_mode_squeezing_symplectic(r), direct_sum(thermal_state(n), thermal_state(n)))
+    return CovarianceMatrix((2.0 * n + 1.0) * two_mode_squeezed_state(r).data)
 
 
 _DEFAULT_RANGES = {

@@ -98,6 +98,18 @@ def raw_single_mode_purification(gamma_e: np.ndarray) -> np.ndarray:
     return widen @ thermal @ widen.T
 
 
+def embed_two_mode(block: np.ndarray, n_modes: int, mode_a: int, mode_b: int) -> np.ndarray:
+    """Embed a two-mode symplectic block so it acts on (mode_a, mode_b) of n modes."""
+    if mode_a == mode_b or not (0 <= mode_a < n_modes and 0 <= mode_b < n_modes):
+        raise ValueError("mode indices must be distinct and within range")
+    out = np.eye(2 * n_modes)
+    placed = [(0, mode_a), (1, mode_b)]
+    for bi, mi in placed:
+        for bj, mj in placed:
+            out[2 * mi:2 * mi + 2, 2 * mj:2 * mj + 2] = block[2 * bi:2 * bi + 2, 2 * bj:2 * bj + 2]
+    return out
+
+
 def conjugate_and_trace(kind: str, parameter: float, gamma_a: np.ndarray, gamma_e: np.ndarray):
     """Channel outputs by conjugating the joint state with the channel symplectic.
 
@@ -116,6 +128,26 @@ def conjugate_and_trace(kind: str, parameter: float, gamma_a: np.ndarray, gamma_
     joint[:2, :2], joint[2:, 2:] = gamma_a, raw_single_mode_purification(gamma_e)
     triple = wide @ joint @ wide.T
     return pair[:2, :2], pair[2:, 2:], triple[2:, 2:]
+
+
+def conditional_conjugate_and_trace(kind: str, parameter: float, pair1: np.ndarray, pair2: np.ndarray):
+    """(B, Z1, Z2) and (Z1, Z2) covariances of the conditional EPI lhs, by conjugation.
+
+    The channel symplectic acts on modes (X1, X2) of the product
+    (X1, Z1, X2, Z2); the kept blocks are the principal submatrices on
+    modes (0, 1, 3) and (1, 3).
+    """
+    joint = np.zeros((8, 8))
+    joint[:4, :4], joint[4:, 4:] = pair1, pair2
+    s = embed_two_mode(raw_channel_symplectic(kind, parameter), 4, 0, 2)
+    out = s @ joint @ s.T
+    kept = [0, 1, 2, 3, 6, 7]
+    return out[np.ix_(kept, kept)], out[np.ix_(kept[2:], kept[2:])]
+
+
+def raw_entropy(matrix: np.ndarray) -> float:
+    """Von Neumann entropy from raw numpy symplectic eigenvalues; factors below 1 count as pure."""
+    return sum(g_direct(max((nu - 1.0) / 2.0, 0.0)) for nu in raw_symplectic_eigenvalues(matrix))
 
 
 # ---------------------------------------------------------------------------

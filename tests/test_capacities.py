@@ -214,7 +214,8 @@ class TestCoherentInformation:
         from gausscap import apply_channel, entropy, partial_trace, purify
         from gausscap import ModePartition, direct_sum
         from gausscap.channels import channel_symplectic
-        from gausscap.core import CovarianceMatrix, embed_two_mode
+        from gausscap.core import CovarianceMatrix
+        from helpers import embed_two_mode
 
         spec = bs(0.7, 1.2)
         state = thermal_state(n)

@@ -25,8 +25,9 @@ from gausscap import (
     vacuum_state,
     weak_complementary,
 )
-from gausscap.core import PHASE_FLIP, embed_two_mode, symplectic_residual
-from helpers import conjugate_and_trace, fc_entropy_thermal_amp, fc_entropy_thermal_bs, g_direct
+from gausscap.channels import MAX_GAIN
+from gausscap.core import PHASE_FLIP, symplectic_residual
+from helpers import conjugate_and_trace, embed_two_mode, fc_entropy_thermal_amp, fc_entropy_thermal_bs, g_direct
 
 
 def _random_spec(seed: int) -> ChannelSpec:
@@ -282,3 +283,11 @@ class TestConjugateAndTraceOracle:
         ):
             scale = max(1.0, float(np.max(np.abs(expected))))
             np.testing.assert_allclose(got.data, expected, rtol=0, atol=1e-12 * scale)
+
+
+class TestSymplecticsAtMaximumGain:
+    def test_amplifier_at_max_gain_constructs(self):
+        s = amplifier_symplectic(MAX_GAIN).data
+        assert s[0, 0] == pytest.approx(1e3, rel=1e-15)
+        spec = ChannelSpec.amplifier(MAX_GAIN, thermal_state(1))
+        np.testing.assert_array_equal(channel_symplectic(spec).data, s)

@@ -1,0 +1,93 @@
+"""The conditional EPI checks against conjugate-and-trace, and over inputs
+the Monte Carlo campaign never draws (squeezed, arbitrarily correlated)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gausscap import (
+    check_cqepi_amp,
+    check_cqepi_bs,
+    check_qepi_amp,
+    check_qepi_bs,
+    direct_sum,
+    random_gaussian_state,
+    two_mode_squeezed_state,
+)
+from gausscap.epi import _sample_two_mode_squeezed_thermal
+from helpers import conditional_conjugate_and_trace, raw_entropy
+from test_epi import tms_thermal
+
+CHECKS = {"bs": check_cqepi_bs, "amp": check_cqepi_amp}
+PARAMETERS = [("bs", 0.0), ("bs", 0.35), ("bs", 1.0), ("amp", 1.0), ("amp", 1.0 + 1e-6), ("amp", 3.5), ("amp", 1e3)]
+
+
+def _pairs(family: str, seed: int):
+    rng = np.random.default_rng(seed)
+    if family == "general":
+        return random_gaussian_state(2, seed=rng), random_gaussian_state(2, seed=rng)
+    if family == "product":
+        x1, z1, x2, z2 = (random_gaussian_state(1, seed=rng) for _ in range(4))
+        return direct_sum(x1, z1), direct_sum(x2, z2)
+    return two_mode_squeezed_state(rng.uniform(0.0, 1.0)), two_mode_squeezed_state(rng.uniform(0.0, 1.0))
+
+
+class TestConditionalOutputOracle:
+    @pytest.mark.parametrize("kind,parameter", PARAMETERS)
+    @pytest.mark.parametrize("family", ["general", "product", "pure"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lhs_matches_conjugate_and_trace(self, kind, parameter, family, seed):
+        pair1, pair2 = _pairs(family, seed)
+        kept, conditioner = conditional_conjugate_and_trace(kind, parameter, pair1.data, pair2.data)
+        s_kept = raw_entropy(kept)
+        lhs = CHECKS[kind](pair1, pair2, parameter).lhs
+        assert abs(lhs - (s_kept - raw_entropy(conditioner))) <= 1e-12 * max(1.0, abs(s_kept))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sampler_matches_two_mode_squeezed_thermal(self, seed):
+        drawn = np.random.default_rng(seed)
+        n, r = drawn.uniform(0.0, 5.0), drawn.uniform(0.0, 1.5)
+        sampled = _sample_two_mode_squeezed_thermal(np.random.default_rng(seed), 5.0, 1.5).data
+        expected = tms_thermal(n, r).data
+        np.testing.assert_allclose(sampled, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def _general_pairs(seed: int):
+    rng = np.random.default_rng(seed)
+    return random_gaussian_state(2, 5.0, 1.5, rng), random_gaussian_state(2, 5.0, 1.5, rng)
+
+
+def _product_pairs(seed: int):
+    rng = np.random.default_rng(seed)
+    x1, z1, x2, z2 = (random_gaussian_state(1, 5.0, 1.5, rng) for _ in range(4))
+    return (x1, x2), (direct_sum(x1, z1), direct_sum(x2, z2))
+
+
+SEEDS = st.integers(0, 2**31 - 1)
+TRANSMISSIVITIES = st.floats(0.0, 1.0)
+GAINS = st.floats(1.0 + 1e-3, 1e3)
+
+
+class TestConditionalEpiProperties:
+    @settings(deadline=None, max_examples=100)
+    @given(seed=SEEDS, t=TRANSMISSIVITIES)
+    def test_general_pairs_bs(self, seed, t):
+        assert check_cqepi_bs(*_general_pairs(seed), t).slack >= -1e-9
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=SEEDS, k=GAINS)
+    def test_general_pairs_amp(self, seed, k):
+        assert check_cqepi_amp(*_general_pairs(seed), k).slack >= -1e-9
+
+    @settings(deadline=None, max_examples=50)
+    @given(seed=SEEDS, t=TRANSMISSIVITIES)
+    def test_product_pairs_reduce_to_qepi_bs(self, seed, t):
+        singles, pairs = _product_pairs(seed)
+        assert check_cqepi_bs(*pairs, t).slack == pytest.approx(check_qepi_bs(*singles, t).slack, abs=1e-9)
+
+    @settings(deadline=None, max_examples=50)
+    @given(seed=SEEDS, k=GAINS)
+    def test_product_pairs_reduce_to_qepi_amp(self, seed, k):
+        singles, pairs = _product_pairs(seed)
+        assert check_cqepi_amp(*pairs, k).slack == pytest.approx(check_qepi_amp(*singles, k).slack, abs=1e-9)

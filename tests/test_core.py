@@ -31,6 +31,7 @@ from gausscap import (
     vacuum_state,
     williamson,
 )
+from gausscap.core import symplectic_residual
 from helpers import g_direct, g_mp, raw_symplectic_eigenvalues
 
 
@@ -351,3 +352,18 @@ class TestSerialization:
             deserialize_covariance([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             deserialize_covariance({"n_modes": 2, "data": [3.0, 0.0, 0.0, 3.0]})
+
+
+class TestSymplecticTolerance:
+    def test_large_entries_pass_within_roundoff(self):
+        # two-mode squeezer at r = 8, cosh(8)^2 ~ 2e6: the residual's roundoff exceeds an absolute 1e-10
+        ch, sh = np.cosh(8.0) * np.eye(2), np.sinh(8.0) * np.diag([1.0, -1.0])
+        s = np.block([[ch, sh], [sh, ch]])
+        assert symplectic_residual(s) > 1e-10
+        SymplecticMatrix(s)
+
+    def test_large_perturbed_matrix_rejected(self):
+        s = np.diag([np.exp(-7.0), np.exp(7.0)])
+        s[1, 1] *= 1.0 + 1e-3
+        with pytest.raises(ValueError, match="symplectic"):
+            SymplecticMatrix(s)

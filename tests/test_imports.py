@@ -10,6 +10,7 @@ import numpy as np
 spec = gc.ChannelSpec.beam_splitter(0.85, gc.squeezed_thermal_state(1.0, 0.5))
 gc.evaluate_bounds(spec, 2.0)
 gc.monte_carlo_verify("wc-chain-bs", 5)
+gc.monte_carlo_verify("cqepi-amp", 5)
 print("scipy" in sys.modules)
 state = gc.random_gaussian_state(2, seed=3)
 s, d = gc.williamson(state)
