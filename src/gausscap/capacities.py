@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, apply_channel, complementary
+from .channels import ChannelKind, ChannelSpec, _everywhere, apply_channel, complementary
 from .core import CovarianceMatrix, entropy, thermal_entropy, thermal_state
 
 _THERMAL_ATOL = 1e-12
@@ -28,15 +28,21 @@ def equivalent_thermal_photon(environment: CovarianceMatrix) -> float:
     return value if value > 0.0 else 0.0
 
 
-def thermal_environment_photon(spec: ChannelSpec) -> float:
-    """Mean photon number N of a thermal environment (2N + 1) I; error for other noise."""
-    gamma = spec.environment.data
-    if abs(gamma[0, 1]) > _THERMAL_ATOL or abs(gamma[0, 0] - gamma[1, 1]) > _THERMAL_ATOL:
+def _thermal_photon(gamma: np.ndarray):
+    """Mean photon number N of thermal covariances (2N + 1) I, one 2x2 matrix or a
+    stack (..., 2, 2); error for other noise."""
+    thermal = (abs(gamma[..., 0, 1]) <= _THERMAL_ATOL) & (abs(gamma[..., 0, 0] - gamma[..., 1, 1]) <= _THERMAL_ATOL)
+    if not _everywhere(thermal):
         raise ValueError(
             "this formula assumes a thermal environment; "
             "use private_capacity_upper_general for general Gaussian noise"
         )
-    return (float(gamma[0, 0]) - 1.0) / 2.0
+    return (gamma[..., 0, 0] - 1.0) / 2.0
+
+
+def thermal_environment_photon(spec: ChannelSpec) -> float:
+    """Mean photon number N of a thermal environment (2N + 1) I; error for other noise."""
+    return float(_thermal_photon(spec.environment.data))
 
 
 def _formula_environment(spec: ChannelSpec) -> tuple[str, float]:

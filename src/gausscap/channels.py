@@ -10,7 +10,6 @@ mode, so its output covers two modes (environment output F, reference C).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,25 +95,65 @@ def channel_symplectic(spec: ChannelSpec) -> SymplecticMatrix:
     return amplifier_symplectic(spec.parameter)
 
 
-def coupling(kind: ChannelKind, parameter: float) -> tuple[float, float, np.ndarray]:
+def _everywhere(mask) -> bool:
+    """Truth of a comparison on a scalar, or on every entry of an array."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def coupling(kind: ChannelKind, parameter) -> tuple:
     """(p, q, M) of the output mode B = sqrt(p) A + sqrt(q) M E.
 
     (t, 1-t, I) for a beam splitter with t in [0, 1], (k, k-1, Z) for an
-    amplifier with k >= 1.  No upper gain cap applies here.
+    amplifier with k >= 1.  No upper gain cap applies here.  ``parameter``
+    may be an array of per-matrix values shaped to broadcast against a stack
+    of matrices, e.g. (T, 1, 1); then p and q are arrays too.
     """
     if kind is ChannelKind.BEAM_SPLITTER:
-        if not 0.0 <= parameter <= 1.0:
+        if not _everywhere((parameter >= 0.0) & (parameter <= 1.0)):
             raise ValueError("transmissivity must lie in [0, 1]")
         return parameter, 1.0 - parameter, _IDENTITY
-    if not parameter >= 1.0:
+    if not _everywhere(parameter >= 1.0):
         raise ValueError("gain must be >= 1")
     return parameter, parameter - 1.0, PHASE_FLIP
 
 
-def channel_map(kind: ChannelKind, parameter: float, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
-    """Covariance of B = sqrt(p) A + sqrt(q) M E for independent A and E: p G_A + q M G_E M."""
+def channel_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
+    """Covariance of B = sqrt(p) A + sqrt(q) M E for independent A and E: p G_A + q M G_E M.
+
+    Takes one pair of 2x2 covariances or stacks of them, shape (..., 2, 2),
+    with ``parameter`` as in ``coupling``.
+    """
     p, q, m = coupling(kind, parameter)
     return p * gamma_a + q * (m @ gamma_e @ m)
+
+
+def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
+    """Covariance on (F, C) of the complementary output, where C purifies the environment.
+
+    With nu = sqrt(det G_E), the environment G_E = nu R R.T has the symplectic
+    factor R = sqrt(G_E / nu) (symmetric, det 1) and purifies to
+    [[G_E, c R Z], [c Z R, nu I]], c = sqrt((nu - 1)(nu + 1)).  The channel
+    keeps C and scales the E-C block by sqrt(t) or sqrt(k) on the way to F,
+    whose own block is ``channel_map`` with input and environment exchanged.
+    Takes one pair of 2x2 covariances or stacks, shape (..., 2, 2), with
+    ``parameter`` as in ``coupling``; returns shape (..., 4, 4).
+    """
+    g = gamma_e
+    nu = np.sqrt(g[..., 0:1, 0:1] * g[..., 1:2, 1:2] - g[..., 0:1, 1:2] * g[..., 1:2, 0:1])
+    out = np.zeros(nu.shape[:-2] + (4, 4))
+    out[..., :2, :2] = channel_map(kind, parameter, gamma_e, gamma_a)
+    out[..., 2:, 2:] = nu * _IDENTITY
+    # sqrt of a 2x2 positive matrix M with det M = 1 is (M + I) / sqrt(tr M + 2).
+    m = gamma_e / nu
+    root = (m + _IDENTITY) / np.sqrt(m[..., 0:1, 0:1] + m[..., 1:2, 1:2] + 2.0)
+    # environments within _PURE_ATOL of nu = 1 are pure and couple nothing to C
+    excess = nu - 1.0
+    excess = np.where(excess > _PURE_ATOL, excess * (nu + 1.0), 0.0)
+    # adding 0.0 turns the -0.0 entries of an uncoupled block into +0.0
+    cross = np.sqrt(excess * coupling(kind, parameter)[0]) * (root @ PHASE_FLIP) + 0.0
+    out[..., :2, 2:] = cross
+    out[..., 2:, :2] = cross.mT
+    return out
 
 
 def _single_mode_data(state: CovarianceMatrix) -> np.ndarray:
@@ -136,27 +175,11 @@ def weak_complementary(state: CovarianceMatrix, spec: ChannelSpec) -> Covariance
 def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
     """Two-mode complementary output on (F, C), where C purifies the environment.
 
-    With nu = sqrt(det G_E), the environment G_E = nu R R.T has the symplectic
-    factor R = sqrt(G_E / nu) (symmetric, det 1) and purifies to
-    [[G_E, c R Z], [c Z R, nu I]], c = sqrt((nu - 1)(nu + 1)).  The channel
-    keeps C and scales the E-C block by sqrt(t) or sqrt(k) on the way to F.
-    Tracing out C recovers the weak-complementary output; the two maps
-    coincide whenever the environment is pure.
+    The closed form is ``_complementary_map``.  Tracing out C recovers the
+    weak-complementary output; the two maps coincide whenever the
+    environment is pure.
     """
-    gamma_e = spec.environment.data
-    nu = math.sqrt(gamma_e[0, 0] * gamma_e[1, 1] - gamma_e[0, 1] * gamma_e[1, 0])
-    out = np.zeros((4, 4))
-    out[:2, :2] = channel_map(spec.kind, spec.parameter, gamma_e, _single_mode_data(state))
-    out[2:, 2:] = nu * np.eye(2)
-    if nu - 1.0 > _PURE_ATOL:
-        # sqrt of a 2x2 positive matrix M with det M = 1 is (M + I) / sqrt(tr M + 2).
-        m = gamma_e / nu
-        root = (m + np.eye(2)) / math.sqrt(m[0, 0] + m[1, 1] + 2.0)
-        p = coupling(spec.kind, spec.parameter)[0]
-        cross = math.sqrt((nu - 1.0) * (nu + 1.0) * p) * (root @ PHASE_FLIP)
-        out[:2, 2:] = cross
-        out[2:, :2] = cross.T
-    return CovarianceMatrix(out)
+    return CovarianceMatrix(_complementary_map(spec.kind, spec.parameter, _single_mode_data(state), spec.environment.data))
 
 
 def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_complement: bool = True) -> ChannelOutput:

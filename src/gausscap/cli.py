@@ -154,7 +154,7 @@ def cmd_verify_epi(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         workers=args.workers,
     )
-    _emit(json.dumps(dataclasses.asdict(report), indent=2) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(report), indent=2, allow_nan=False) + "\n", args.out)
     if report.violations > 0:
         print(
             f"{report.violations} violation(s) of {report.inequality} at tolerance {report.tolerance:g}",
@@ -235,7 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--ne", type=float, default=None, help="fix the chain-env photon number instead of sampling")
     verify.add_argument("--max-n", type=float, default=5.0, help="upper bound for sampled photon numbers")
     verify.add_argument("--max-r", type=float, default=1.5, help="upper bound for sampled squeezing")
-    verify.add_argument("--workers", type=int, default=1, help="thread count; the report is thread-count independent")
+    verify.add_argument(
+        "--workers", type=int, default=1,
+        help="threads for the trial chunks (at most one per chunk); the report is thread-count independent",
+    )
     verify.add_argument("--out", default=None)
 
     entropy_cmd = sub.add_parser("entropy", help="inspect a serialized covariance matrix")

@@ -45,14 +45,53 @@ def symplectic_residual(matrix: NDArray[np.float64]) -> float:
     return float(np.max(np.abs(matrix @ omega @ matrix.T - omega)))
 
 
-def _paired_spectrum(data: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Symplectic eigenvalues as |eig(Omega @ data)|, one per +/- pair, descending."""
-    omega = symplectic_form(data.shape[0] // 2)
-    mags = np.sort(np.abs(np.linalg.eigvals(omega @ data)))[::-1]
-    pairs = mags.reshape(-1, 2)
-    if np.any(pairs[:, 0] - pairs[:, 1] > PAIR_ATOL * np.maximum(pairs[:, 0], 1.0)):
-        raise ArithmeticError("spectrum of Omega @ Gamma does not split into +/- pairs")
-    return pairs.mean(axis=1)
+def _reject(failed, error: type[Exception], reason) -> None:
+    """Raise ``error(reason(index))`` for the first index where ``failed`` holds.
+
+    ``failed`` is a boolean per matrix: 0-d for one matrix, or one entry per
+    matrix of a stack, in which case the message names the matrix (unless
+    the stack holds only one).
+    """
+    if failed.ndim == 0:  # one matrix: a numpy bool, whose truth test is cheaper than .any()
+        if failed:
+            raise error(reason(()))
+    elif failed.any():
+        index = np.unravel_index(int(np.argmax(failed)), failed.shape)
+        if failed.size == 1:
+            raise error(reason(index))
+        label = index[0] if len(index) == 1 else index
+        raise error(f"matrix {label} of the stack: {reason(index)}")
+
+
+def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Validate one covariance matrix or a stack of them, shape (..., 2n, 2n).
+
+    Checks symmetry (to 1e-12, ``ValueError``), positive definiteness and the
+    uncertainty condition (every symplectic eigenvalue >= 1 - 1e-9,
+    ``PhysicalityError``), and that |eig(Omega @ Gamma)| splits into +/- pairs
+    (``ArithmeticError``).  A stack reports its first failing matrix.  Returns
+    the symmetrised data and the symplectic eigenvalues per matrix, one per
+    +/- pair, descending.
+    """
+    asymmetry = np.abs(data - data.mT).max(axis=(-2, -1))
+    _reject(asymmetry > SYMMETRY_ATOL, ValueError,
+            lambda i: f"covariance matrix is not symmetric (max asymmetry {asymmetry[i]:.3e})")
+    data = 0.5 * (data + data.mT)
+    _reject(np.linalg.eigvalsh(data)[..., 0] <= 0.0, PhysicalityError,
+            lambda i: "covariance matrix is not positive definite")
+    omega = symplectic_form(data.shape[-1] // 2)
+    mags = np.abs(np.linalg.eigvals(omega @ data))
+    mags.sort(axis=-1)
+    pairs = mags[..., ::-1].reshape(mags.shape[:-1] + (-1, 2))
+    big, small = pairs[..., 0], pairs[..., 1]
+    _reject((big - small > PAIR_ATOL * np.maximum(big, 1.0)).any(axis=-1), ArithmeticError,
+            lambda i: "spectrum of Omega @ Gamma does not split into +/- pairs")
+    # the mean of each pair, summed and halved exactly as np.mean does
+    spectrum = (big + small) * 0.5
+    nu_min = spectrum[..., -1]
+    _reject(nu_min < 1.0 - PHYSICALITY_ATOL, PhysicalityError,
+            lambda i: f"uncertainty condition violated: min symplectic eigenvalue {nu_min[i]:.12g} < 1")
+    return data, spectrum
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -72,18 +111,7 @@ class CovarianceMatrix:
             raise ValueError("covariance matrix must be square")
         if data.shape[0] == 0 or data.shape[0] % 2 != 0:
             raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
-        asymmetry = float(np.max(np.abs(data - data.T)))
-        if asymmetry > SYMMETRY_ATOL:
-            raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asymmetry:.3e})")
-        data = 0.5 * (data + data.T)
-        if float(np.linalg.eigvalsh(data)[0]) <= 0.0:
-            raise PhysicalityError("covariance matrix is not positive definite")
-        spectrum = _paired_spectrum(data)
-        nu_min = float(spectrum.min())
-        if nu_min < 1.0 - PHYSICALITY_ATOL:
-            raise PhysicalityError(
-                f"uncertainty condition violated: min symplectic eigenvalue {nu_min:.12g} < 1"
-            )
+        data, spectrum = _validated(data)
         data.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -218,23 +246,37 @@ def direct_sum(*states: CovarianceMatrix) -> CovarianceMatrix:
 # symplectic building blocks
 # ---------------------------------------------------------------------------
 
-def rotation_symplectic(angle: float) -> NDArray[np.float64]:
-    """Single-mode phase rotation."""
+def rotation_symplectic(angle) -> NDArray[np.float64]:
+    """Single-mode phase rotation [[cos, sin], [-sin, cos]]; an array of angles gives a stack."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, s], [-s, c]])
+    out = np.empty(np.shape(angle) + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = s
+    out[..., 1, 0] = -s
+    return out
 
 
-def squeezing_symplectic(squeeze: float) -> NDArray[np.float64]:
-    """Single-mode squeezer diag(e^{-r}, e^{r})."""
-    return np.diag([np.exp(-squeeze), np.exp(squeeze)])
+def squeezing_symplectic(squeeze) -> NDArray[np.float64]:
+    """Single-mode squeezer diag(e^{-r}, e^{r}); an array of r gives a stack."""
+    out = np.zeros(np.shape(squeeze) + (2, 2))
+    out[..., 0, 0] = np.exp(-squeeze)
+    out[..., 1, 1] = np.exp(squeeze)
+    return out
 
 
-def mixing_symplectic(transmissivity: float) -> NDArray[np.float64]:
-    """Two-mode beam-splitter block [[sqrt(t) I, sqrt(1-t) I], [-sqrt(1-t) I, sqrt(t) I]]."""
-    if not 0.0 <= transmissivity <= 1.0:
+def mixing_symplectic(transmissivity) -> NDArray[np.float64]:
+    """Two-mode beam-splitter block [[sqrt(t) I, sqrt(1-t) I], [-sqrt(1-t) I, sqrt(t) I]].
+
+    An array of transmissivities gives a stack of blocks.
+    """
+    if not np.all((transmissivity >= 0.0) & (transmissivity <= 1.0)):
         raise ValueError("transmissivity must lie in [0, 1]")
     a, b = np.sqrt(transmissivity), np.sqrt(1.0 - transmissivity)
-    return np.array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]])
+    out = np.zeros(np.shape(transmissivity) + (4, 4))
+    out[..., 0, 0] = out[..., 1, 1] = out[..., 2, 2] = out[..., 3, 3] = a
+    out[..., 0, 2] = out[..., 1, 3] = b
+    out[..., 2, 0] = out[..., 3, 1] = -b
+    return out
 
 
 def amplifier_block(gain: float) -> NDArray[np.float64]:
@@ -244,13 +286,6 @@ def amplifier_block(gain: float) -> NDArray[np.float64]:
     a = np.sqrt(gain) * np.eye(2)
     b = np.sqrt(gain - 1.0) * PHASE_FLIP
     return np.block([[a, b], [b, a]])
-
-
-def two_mode_squeezing_symplectic(squeeze: float) -> NDArray[np.float64]:
-    """Two-mode squeezer [[cosh(r) I, sinh(r) Z], [sinh(r) Z, cosh(r) I]]."""
-    ch = np.cosh(squeeze) * np.eye(2)
-    sh = np.sinh(squeeze) * PHASE_FLIP
-    return np.block([[ch, sh], [sh, ch]])
 
 
 def apply_symplectic(transform: SymplecticMatrix | NDArray[np.float64], state: CovarianceMatrix) -> CovarianceMatrix:
@@ -272,9 +307,7 @@ def symplectic_eigenvalues(state: CovarianceMatrix) -> NDArray[np.float64]:
     Values within 1e-9 below 1 are rounded up to exactly 1; anything lower
     is rejected at construction time with ``PhysicalityError``.
     """
-    nu = getattr(state, "_spectrum", None)
-    if nu is None:
-        nu = _paired_spectrum(state.data)
+    nu = state._spectrum
     return np.where(nu < 1.0, 1.0, nu)
 
 
@@ -298,10 +331,15 @@ def thermal_entropy(mean_photon):
     return value
 
 
+def _spectral_entropy(spectrum: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Entropy in nats of each symplectic spectrum along the last axis, values below 1 counted as 1."""
+    nu = np.where(spectrum < 1.0, 1.0, spectrum)
+    return thermal_entropy((nu - 1.0) / 2.0).sum(axis=-1)
+
+
 def entropy(state: CovarianceMatrix) -> float:
     """Von Neumann entropy in nats: sum of thermal_entropy((nu - 1) / 2)."""
-    nu = symplectic_eigenvalues(state)
-    return float(np.sum(thermal_entropy((nu - 1.0) / 2.0)))
+    return float(_spectral_entropy(state._spectrum))
 
 
 def mean_photon_number(state: CovarianceMatrix) -> float:
@@ -408,30 +446,70 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _random_symplectic_data(n_modes: int, max_squeeze: float, rng: np.random.Generator) -> NDArray[np.float64]:
-    blocks = []
-    for _ in range(n_modes):
-        pre = rotation_symplectic(rng.uniform(0.0, 2.0 * np.pi))
-        sq = squeezing_symplectic(rng.uniform(0.0, max_squeeze))
-        post = rotation_symplectic(rng.uniform(0.0, 2.0 * np.pi))
-        blocks.append(pre @ sq @ post)
-    s = _block_diag(*blocks)
-    for i in range(n_modes):
-        for j in range(i + 1, n_modes):
-            # the pair mixer changes only the rows of modes i and j
-            rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-            s[rows] = mixing_symplectic(rng.uniform(0.0, 1.0)) @ s[rows]
+def _symplectic_draw_count(n_modes: int) -> int:
+    return 3 * n_modes + n_modes * (n_modes - 1) // 2
+
+
+def _symplectic_stack(draws: NDArray[np.float64], n_modes: int, max_squeeze: float) -> NDArray[np.float64]:
+    """Random symplectics, shape (T, 2n, 2n), from uniform [0, 1) draws of shape (T, 3n + n(n-1)/2).
+
+    Each row holds, in draw order, (angle, squeezing, angle) per mode and then
+    one transmissivity per mode pair i < j.  Mode m gets the local factor
+    R(2 pi u) S(max_squeeze u') R(2 pi u''), and the pair mixers then act on
+    the rows of modes i and j in turn.  A generator's ``uniform(0, h)`` is
+    exactly h times its next ``random()``, so scaling a row of ``random()``
+    draws reproduces sampling one scalar at a time.
+    """
+    local = draws[:, :3 * n_modes].reshape(-1, n_modes, 3)
+    blocks = (
+        rotation_symplectic(2.0 * np.pi * local[..., 0])
+        @ squeezing_symplectic(max_squeeze * local[..., 1])
+        @ rotation_symplectic(2.0 * np.pi * local[..., 2])
+    )
+    s = np.zeros((len(draws), 2 * n_modes, 2 * n_modes))
+    for m in range(n_modes):
+        s[:, 2 * m:2 * m + 2, 2 * m:2 * m + 2] = blocks[:, m]
+    pairs = [(i, j) for i in range(n_modes) for j in range(i + 1, n_modes)]
+    mixers = mixing_symplectic(draws[:, 3 * n_modes:]) if pairs else None
+    for k, (i, j) in enumerate(pairs):
+        # the pair mixer changes only the rows of modes i and j
+        rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+        s[:, rows] = mixers[:, k] @ s[:, rows]
     return s
+
+
+def _state_draw_count(n_modes: int, max_photon: float) -> int:
+    """Uniform draws one random state takes: n photon numbers (if max_photon > 0), then its symplectic's."""
+    return (n_modes if max_photon > 0 else 0) + _symplectic_draw_count(n_modes)
+
+
+def _gaussian_state_stack(
+    draws: NDArray[np.float64], n_modes: int, max_photon: float, max_squeeze: float
+) -> NDArray[np.float64]:
+    """Random covariances S D S.T, shape (T, 2n, 2n) and not yet validated, from
+    uniform [0, 1) draws of shape (T, _state_draw_count(n_modes, max_photon))."""
+    if max_photon > 0:
+        photons, draws = max_photon * draws[:, :n_modes], draws[:, n_modes:]
+    else:
+        photons = np.zeros((len(draws), n_modes))
+    s = _symplectic_stack(draws, n_modes, max_squeeze)
+    # scaling the columns equals S @ diag(d) exactly: each entry has a single nonzero term
+    gamma = (s * np.repeat(2.0 * photons + 1.0, 2, axis=-1)[:, None, :]) @ s.mT
+    return 0.5 * (gamma + gamma.mT)
+
+
+def _check_sampling_bounds(*bounds: float) -> None:
+    if not all(0.0 <= b < np.inf for b in bounds):
+        raise ValueError("sampling bounds must be finite and nonnegative")
 
 
 def random_symplectic(n_modes: int, max_squeeze: float = 1.0, seed=None) -> SymplecticMatrix:
     """Random symplectic built from per-mode rotations/squeezers and pair mixers."""
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    if max_squeeze < 0:
-        raise ValueError("max_squeeze must be nonnegative")
-    rng = _as_generator(seed)
-    return SymplecticMatrix(_random_symplectic_data(n_modes, max_squeeze, rng))
+    _check_sampling_bounds(max_squeeze)
+    draws = _as_generator(seed).random(_symplectic_draw_count(n_modes))
+    return SymplecticMatrix(_symplectic_stack(draws[None], n_modes, max_squeeze)[0])
 
 
 def random_gaussian_state(
@@ -449,14 +527,9 @@ def random_gaussian_state(
     """
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    if max_photon < 0 or max_squeeze < 0:
-        raise ValueError("sampling bounds must be nonnegative")
-    rng = _as_generator(seed)
-    photons = rng.uniform(0.0, max_photon, size=n_modes) if max_photon > 0 else np.zeros(n_modes)
-    s = _random_symplectic_data(n_modes, max_squeeze, rng)
-    d = np.repeat(2.0 * photons + 1.0, 2)
-    gamma = s @ np.diag(d) @ s.T
-    return CovarianceMatrix(0.5 * (gamma + gamma.T))
+    _check_sampling_bounds(max_photon, max_squeeze)
+    draws = _as_generator(seed).random(_state_draw_count(n_modes, max_photon))
+    return CovarianceMatrix(_gaussian_state_stack(draws[None], n_modes, max_photon, max_squeeze)[0])
 
 
 # ---------------------------------------------------------------------------

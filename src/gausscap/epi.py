@@ -4,34 +4,42 @@ Each check evaluates one inequality instance exactly and records the
 slack lhs - rhs; a trial counts as a violation when the slack drops
 below -tolerance (default 1e-9).  Near the degenerate amplifier gain
 k -> 1 the slack itself shrinks to the scale of k - 1, so checks pinned
-there should use a correspondingly wider band.  Campaign results are
-reproducible: trial i draws all of its randomness from a generator
-seeded with (seed, i), so serial and parallel runs aggregate identically.
+there should use a correspondingly wider band.
+
+Every family is evaluated by one kernel over stacks of covariance matrices
+(``_plain_kernel``, ``_conditional_kernel``, ``_chain_kernel``), and every
+input, output, conditioner and marginal in the stack is validated like a
+``CovarianceMatrix``.  A ``check_*`` call is a stack of one.  Campaign
+results are reproducible: trial i draws all of its randomness from a
+generator seeded with (seed, i), the trials are evaluated in fixed-size
+chunks, and the mean is an exactly rounded sum in trial order, so serial
+and threaded runs aggregate identically.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .capacities import thermal_environment_photon
-from .channels import ChannelKind, ChannelSpec, apply_channel, channel_map, complementary, coupling
+from .capacities import _thermal_photon
+from .channels import ChannelKind, ChannelSpec, _complementary_map, channel_map, coupling
 from .core import (
     CovarianceMatrix,
-    ModePartition,
-    conditional_entropy,
-    entropy,
-    random_gaussian_state,
+    _check_sampling_bounds,
+    _gaussian_state_stack,
+    _spectral_entropy,
+    _state_draw_count,
+    _validated,
+    symplectic_eigenvalues,
     thermal_entropy,
-    thermal_state,
-    two_mode_squeezed_state,
 )
 
 DEFAULT_TOLERANCE = 1e-9
+# Trials per kernel call: a campaign's memory does not grow with its trial count.
+_CHUNK = 512
 
 
 class Inequality(Enum):
@@ -74,16 +82,121 @@ class EpiReport:
     tolerance: float
 
 
+_PLAIN = (Inequality.QEPI_BS, Inequality.QEPI_AMP)
+_CONDITIONAL = (Inequality.CQEPI_BS, Inequality.CQEPI_AMP)
+_AMPLIFIER = (Inequality.QEPI_AMP, Inequality.CQEPI_AMP)
+
+
+# ---------------------------------------------------------------------------
+# kernels: stacks of validated matrices in, lhs and rhs arrays out
+# ---------------------------------------------------------------------------
+
+def _rhs(kind: ChannelKind, parameter: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """t s1 + (1-t) s2 for the beam splitter; k/(2k-1) s1 + (k-1)/(2k-1) s2 + ln(2k-1) for the amplifier."""
+    if kind is ChannelKind.BEAM_SPLITTER:
+        return parameter * s1 + (1.0 - parameter) * s2
+    k = parameter
+    return k / (2.0 * k - 1.0) * s1 + (k - 1.0) / (2.0 * k - 1.0) * s2 + np.log(2.0 * k - 1.0)
+
+
+def _entropy(matrices: np.ndarray) -> np.ndarray:
+    """Entropy of each matrix of a stack, after validating it."""
+    return _spectral_entropy(_validated(matrices)[1])
+
+
+def _plain_kernel(kind: ChannelKind, parameter: np.ndarray, x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """Plain EPI on stacks of validated single-mode inputs x_i = (data, spectra).
+
+    lhs = S(B) with B the channel map of (X1, X2); rhs from S(X1), S(X2).
+    """
+    lhs = _entropy(channel_map(kind, parameter[:, None, None], x1[0], x2[0]))
+    return lhs, _rhs(kind, parameter, _spectral_entropy(x1[1]), _spectral_entropy(x2[1]))
+
+
+def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional EPI on stacks of validated two-mode (X_i, Z_i) inputs pair_i = (data, spectra).
+
+    lhs = S(B | Z1 Z2) for B = sqrt(p) X1 + sqrt(q) M X2.  The (B, Z1, Z2)
+    covariance is built in closed form: the B block is the channel map of
+    (X1, X2), B couples to Z1 through sqrt(p) C1 and to Z2 through
+    sqrt(q) M C2 (C_i the X_i-Z_i block), and Z1, Z2 stay uncorrelated.  The
+    conditioner (Z1, Z2) is its trailing 4x4 block.  rhs combines the
+    conditional entropies S(X_i | Z_i) = S(X_i Z_i) - S(Z_i).
+    """
+    column = parameter[:, None, None]
+    p, q, m = coupling(kind, column)
+    g1, g2 = pair1[0], pair2[0]
+    out = np.zeros((len(g1), 6, 6))
+    out[:, :2, :2] = channel_map(kind, column, g1[:, :2, :2], g2[:, :2, :2])
+    out[:, :2, 2:4] = np.sqrt(p) * g1[:, :2, 2:]
+    out[:, :2, 4:] = np.sqrt(q) * (m @ g2[:, :2, 2:])
+    out[:, 2:, :2] = out[:, :2, 2:].mT
+    out[:, 2:4, 2:4] = g1[:, 2:, 2:]
+    out[:, 4:, 4:] = g2[:, 2:, 2:]
+    lhs = _entropy(out) - _entropy(out[:, 2:, 2:])
+    c1 = _spectral_entropy(pair1[1]) - _entropy(g1[:, 2:, 2:])
+    c2 = _spectral_entropy(pair2[1]) - _entropy(g2[:, 2:, 2:])
+    return lhs, _rhs(kind, parameter, c1, c2)
+
+
+def _chain_kernel(inequality: Inequality, transmissivity: np.ndarray, env, state) -> tuple[np.ndarray, np.ndarray]:
+    """Chain inequality on stacks of validated thermal environments and single-mode inputs.
+
+    lhs = S(output) of the beam splitter (channel output for moe, (F, C)
+    complementary output for wc); rhs = (1-t) g(Ne), the floor of a thermal
+    environment with Ne photons.
+    """
+    rhs = (1.0 - transmissivity) * thermal_entropy(_thermal_photon(env[0]))
+    output = channel_map if inequality is Inequality.MOE_CHAIN_BS else _complementary_map
+    lhs = _entropy(output(ChannelKind.BEAM_SPLITTER, transmissivity[:, None, None], state[0], env[0]))
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# single checks: a stack of one
+# ---------------------------------------------------------------------------
+
+def _kind(inequality: Inequality) -> ChannelKind:
+    return ChannelKind.AMPLIFIER if inequality in _AMPLIFIER else ChannelKind.BEAM_SPLITTER
+
+
+def _stack_of_one(state: CovarianceMatrix):
+    return state.data[None], symplectic_eigenvalues(state)[None]
+
+
+def _trial(inequality: Inequality, parameter: float, inputs: tuple[CovarianceMatrix, ...], lhs_rhs) -> EpiTrial:
+    lhs, rhs = lhs_rhs
+    return EpiTrial(inequality, parameter, inputs, float(lhs[0]), float(rhs[0]))
+
+
+def _pair_trial(inequality: Inequality, first: CovarianceMatrix, second: CovarianceMatrix, parameter: float) -> EpiTrial:
+    """A qepi or cqepi check: its family's kernel on stacks of one."""
+    if inequality in _PLAIN:
+        _require_single_mode(first, second)
+        kernel = _plain_kernel
+    else:
+        _require_two_mode(first, second)
+        kernel = _conditional_kernel
+    stacks = _stack_of_one(first), _stack_of_one(second)
+    return _trial(inequality, parameter, (first, second), kernel(_kind(inequality), np.array([parameter], dtype=float), *stacks))
+
+
+def _chain_trial(inequality: Inequality, state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
+    """A chain check: the chain kernel on stacks of one."""
+    if spec.kind is not ChannelKind.BEAM_SPLITTER:
+        raise ValueError("chain inequalities are checked for the beam splitter")
+    _require_single_mode(state)
+    transmissivity = np.array([spec.parameter], dtype=float)
+    lhs_rhs = _chain_kernel(inequality, transmissivity, _stack_of_one(spec.environment), _stack_of_one(state))
+    return _trial(inequality, spec.parameter, (state,), lhs_rhs)
+
+
 def check_qepi_bs(state1: CovarianceMatrix, state2: CovarianceMatrix, transmissivity: float) -> EpiTrial:
     """Beam-splitter entropy power inequality on two single-mode inputs.
 
     lhs = S(t G1 + (1-t) G2), rhs = t S(G1) + (1-t) S(G2).
     """
-    _require_single_mode(state1, state2)
-    t = transmissivity
-    lhs = entropy(CovarianceMatrix(channel_map(ChannelKind.BEAM_SPLITTER, t, state1.data, state2.data)))
-    rhs = t * entropy(state1) + (1.0 - t) * entropy(state2)
-    return EpiTrial(Inequality.QEPI_BS, t, (state1, state2), lhs, rhs)
+    return _pair_trial(Inequality.QEPI_BS, state1, state2, transmissivity)
 
 
 def check_qepi_amp(state1: CovarianceMatrix, state2: CovarianceMatrix, gain: float) -> EpiTrial:
@@ -92,41 +205,7 @@ def check_qepi_amp(state1: CovarianceMatrix, state2: CovarianceMatrix, gain: flo
     lhs = S(k G1 + (k-1) Z G2 Z),
     rhs = k/(2k-1) S(G1) + (k-1)/(2k-1) S(G2) + ln(2k-1).
     """
-    _require_single_mode(state1, state2)
-    k = gain
-    lhs = entropy(CovarianceMatrix(channel_map(ChannelKind.AMPLIFIER, k, state1.data, state2.data)))
-    rhs = _amplifier_rhs(k, entropy(state1), entropy(state2))
-    return EpiTrial(Inequality.QEPI_AMP, k, (state1, state2), lhs, rhs)
-
-
-def _amplifier_rhs(k: float, s1: float, s2: float) -> float:
-    """k/(2k-1) s1 + (k-1)/(2k-1) s2 + ln(2k-1)."""
-    return k / (2.0 * k - 1.0) * s1 + (k - 1.0) / (2.0 * k - 1.0) * s2 + math.log(2.0 * k - 1.0)
-
-
-def _conditional_lhs(kind: ChannelKind, parameter: float, pair1: CovarianceMatrix, pair2: CovarianceMatrix) -> float:
-    """S(B | Z1 Z2) for independent (X1, Z1), (X2, Z2) and B = sqrt(p) X1 + sqrt(q) M X2.
-
-    The (B, Z1, Z2) covariance is built in closed form: the B block is the
-    channel map of (X1, X2), B couples to Z1 through sqrt(p) C1 and to Z2
-    through sqrt(q) M C2 (C_i the X_i-Z_i block), and Z1, Z2 stay
-    uncorrelated.  The conditioner (Z1, Z2) is its trailing 4x4 block.
-    """
-    p, q, m = coupling(kind, parameter)
-    g1, g2 = pair1.data, pair2.data
-    out = np.zeros((6, 6))
-    out[:2, :2] = channel_map(kind, parameter, g1[:2, :2], g2[:2, :2])
-    out[:2, 2:4] = math.sqrt(p) * g1[:2, 2:]
-    out[:2, 4:] = math.sqrt(q) * (m @ g2[:2, 2:])
-    out[2:, :2] = out[:2, 2:].T
-    out[2:4, 2:4] = g1[2:, 2:]
-    out[4:, 4:] = g2[2:, 2:]
-    return entropy(CovarianceMatrix(out)) - entropy(CovarianceMatrix(out[2:, 2:]))
-
-
-def _conditional_rhs_terms(pair1: CovarianceMatrix, pair2: CovarianceMatrix) -> tuple[float, float]:
-    cond = ModePartition(kept=(0,), traced=(1,))
-    return conditional_entropy(pair1, cond), conditional_entropy(pair2, cond)
+    return _pair_trial(Inequality.QEPI_AMP, state1, state2, gain)
 
 
 def check_cqepi_bs(pair1: CovarianceMatrix, pair2: CovarianceMatrix, transmissivity: float) -> EpiTrial:
@@ -134,12 +213,7 @@ def check_cqepi_bs(pair1: CovarianceMatrix, pair2: CovarianceMatrix, transmissiv
 
     lhs = S(out | Z1 Z2), rhs = t S(X1|Z1) + (1-t) S(X2|Z2).
     """
-    _require_two_mode(pair1, pair2)
-    t = transmissivity
-    lhs = _conditional_lhs(ChannelKind.BEAM_SPLITTER, t, pair1, pair2)
-    c1, c2 = _conditional_rhs_terms(pair1, pair2)
-    rhs = t * c1 + (1.0 - t) * c2
-    return EpiTrial(Inequality.CQEPI_BS, t, (pair1, pair2), lhs, rhs)
+    return _pair_trial(Inequality.CQEPI_BS, pair1, pair2, transmissivity)
 
 
 def check_cqepi_amp(pair1: CovarianceMatrix, pair2: CovarianceMatrix, gain: float) -> EpiTrial:
@@ -148,30 +222,17 @@ def check_cqepi_amp(pair1: CovarianceMatrix, pair2: CovarianceMatrix, gain: floa
     lhs = S(out | Z1 Z2),
     rhs = k/(2k-1) S(X1|Z1) + (k-1)/(2k-1) S(X2|Z2) + ln(2k-1).
     """
-    _require_two_mode(pair1, pair2)
-    k = gain
-    lhs = _conditional_lhs(ChannelKind.AMPLIFIER, k, pair1, pair2)
-    rhs = _amplifier_rhs(k, *_conditional_rhs_terms(pair1, pair2))
-    return EpiTrial(Inequality.CQEPI_AMP, k, (pair1, pair2), lhs, rhs)
+    return _pair_trial(Inequality.CQEPI_AMP, pair1, pair2, gain)
 
 
 def check_moe_chain(state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
     """Single-use output-entropy floor S(channel(G)) >= (1-t) g(Ne)."""
-    return _chain_trial(Inequality.MOE_CHAIN_BS, apply_channel, state, spec)
+    return _chain_trial(Inequality.MOE_CHAIN_BS, state, spec)
 
 
 def check_wc_chain(state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
     """Complementary-side floor S(complement(G)) >= (1-t) g(Ne)."""
-    return _chain_trial(Inequality.WC_CHAIN_BS, complementary, state, spec)
-
-
-def _chain_trial(inequality: Inequality, output, state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
-    """lhs = S(output(state, spec)) against the floor (1-t) g(Ne) of a thermal beam splitter."""
-    if spec.kind is not ChannelKind.BEAM_SPLITTER:
-        raise ValueError("chain inequalities are checked for the beam splitter")
-    rhs = (1.0 - spec.parameter) * thermal_entropy(thermal_environment_photon(spec))
-    lhs = entropy(output(state, spec))
-    return EpiTrial(inequality, spec.parameter, (state,), lhs, rhs)
+    return _chain_trial(Inequality.WC_CHAIN_BS, state, spec)
 
 
 def _require_single_mode(*states: CovarianceMatrix) -> None:
@@ -201,11 +262,26 @@ def fock_entropy_oracle(mean_photon: float, cutoff: int) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
+# ---------------------------------------------------------------------------
+# campaigns
+# ---------------------------------------------------------------------------
+
+def _two_mode_squeezed_thermal_stack(photons: np.ndarray, squeezes: np.ndarray) -> np.ndarray:
+    """(2n + 1) times the two-mode squeezed vacuum of squeezing r, shape (T, 4, 4), for arrays of n and r."""
+    scale = 2.0 * photons + 1.0
+    ch, sh = scale * np.cosh(2.0 * squeezes), scale * np.sinh(2.0 * squeezes)
+    out = np.zeros((len(scale), 4, 4))
+    out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = out[:, 3, 3] = ch
+    out[:, 0, 2] = out[:, 2, 0] = sh
+    out[:, 1, 3] = out[:, 3, 1] = -sh
+    return out
+
+
 def _sample_two_mode_squeezed_thermal(rng: np.random.Generator, max_photon: float, max_squeeze: float) -> CovarianceMatrix:
-    """Two-mode squeezed thermal state with random occupation and squeezing."""
-    n = rng.uniform(0.0, max_photon)
-    r = rng.uniform(0.0, max_squeeze)
-    return CovarianceMatrix((2.0 * n + 1.0) * two_mode_squeezed_state(r).data)
+    """Two-mode squeezed thermal state with occupation uniform in [0, max_photon]
+    and squeezing uniform in [0, max_squeeze], drawn in that order."""
+    n, r = rng.random(2)
+    return CovarianceMatrix(_two_mode_squeezed_thermal_stack(np.array([max_photon * n]), np.array([max_squeeze * r]))[0])
 
 
 _DEFAULT_RANGES = {
@@ -218,36 +294,72 @@ _DEFAULT_RANGES = {
 }
 
 
-def _run_trial(
-    inequality: Inequality,
-    index: int,
-    seed: int,
-    max_photon: float,
-    max_squeeze: float,
-    parameter_range: tuple[float, float],
-    env_photon: float | None,
-) -> EpiTrial:
-    rng = np.random.default_rng((seed, index))
-    lo, hi = parameter_range
-    parameter = lo if lo == hi else rng.uniform(lo, hi)
-    if inequality in (Inequality.QEPI_BS, Inequality.QEPI_AMP):
-        s1 = random_gaussian_state(1, max_photon, max_squeeze, rng)
-        s2 = random_gaussian_state(1, max_photon, max_squeeze, rng)
-        if inequality is Inequality.QEPI_BS:
-            return check_qepi_bs(s1, s2, parameter)
-        return check_qepi_amp(s1, s2, parameter)
-    if inequality in (Inequality.CQEPI_BS, Inequality.CQEPI_AMP):
-        p1 = _sample_two_mode_squeezed_thermal(rng, max_photon, max_squeeze)
-        p2 = _sample_two_mode_squeezed_thermal(rng, max_photon, max_squeeze)
-        if inequality is Inequality.CQEPI_BS:
-            return check_cqepi_bs(p1, p2, parameter)
-        return check_cqepi_amp(p1, p2, parameter)
-    ne = rng.uniform(0.0, max_photon) if env_photon is None else env_photon
-    spec = ChannelSpec.beam_splitter(parameter, thermal_state(ne))
-    state = random_gaussian_state(1, max_photon, max_squeeze, rng)
-    if inequality is Inequality.MOE_CHAIN_BS:
-        return check_moe_chain(state, spec)
-    return check_wc_chain(state, spec)
+@dataclass(frozen=True)
+class _Campaign:
+    """Sampling settings of one campaign; ``lhs_rhs`` evaluates a chunk of its trials."""
+
+    inequality: Inequality
+    seed: int
+    max_photon: float
+    max_squeeze: float
+    parameter_range: tuple[float, float]
+    env_photon: float | None
+
+    def _draws(self, indices: range) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The trials' uniform [0, 1) draws, in each trial's draw order.
+
+        Trial i takes, from a generator seeded with (seed, i): the mixing
+        parameter (unless the range is a single value), then per family
+        both single-mode states (qepi), the (photon, squeeze) pair of both
+        two-mode states (cqepi), or the environment photon number (unless
+        fixed) and the input state (chains).  Returns the parameters and
+        the remaining draws split per input.
+        """
+        lo, hi = self.parameter_range
+        varied = lo != hi
+        state = _state_draw_count(1, self.max_photon)
+        if self.inequality in _PLAIN:
+            widths = [state, state]
+        elif self.inequality in _CONDITIONAL:
+            widths = [2, 2]
+        else:
+            widths = [int(self.env_photon is None), state]
+        draws = np.array([np.random.default_rng((self.seed, i)).random(varied + sum(widths)) for i in indices])
+        parameter = lo + (hi - lo) * draws[:, 0] if varied else np.full(len(indices), float(lo))
+        return parameter, np.split(draws[:, int(varied):], np.cumsum(widths)[:-1], axis=1)
+
+    def _state(self, draws: np.ndarray):
+        return _validated(_gaussian_state_stack(draws, 1, self.max_photon, self.max_squeeze))
+
+    def lhs_rhs(self, indices: range) -> tuple[np.ndarray, np.ndarray]:
+        parameter, (first, second) = self._draws(indices)
+        inequality, kind = self.inequality, _kind(self.inequality)
+        if inequality in _PLAIN:
+            return _plain_kernel(kind, parameter, self._state(first), self._state(second))
+        if inequality in _CONDITIONAL:
+            pair1, pair2 = (
+                _validated(_two_mode_squeezed_thermal_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]))
+                for d in (first, second)
+            )
+            return _conditional_kernel(kind, parameter, pair1, pair2)
+        photons = self.max_photon * first[:, 0] if self.env_photon is None else np.full(len(indices), self.env_photon)
+        env = _validated((2.0 * photons + 1.0)[:, None, None] * np.eye(2))
+        return _chain_kernel(inequality, parameter, env, self._state(second))
+
+    def slacks(self, indices: range) -> np.ndarray:
+        """Slacks of the trials ``indices``.  A failing trial raises its own
+        error class, naming the first failing trial in index order."""
+        try:
+            lhs, rhs = self.lhs_rhs(indices)
+        except (ValueError, ArithmeticError) as exc:
+            if len(indices) == 1:
+                raise type(exc)(
+                    f"trial {indices[0]} of {self.inequality.value} failed (seed={self.seed}): {exc}"
+                ) from exc
+            for i in indices:  # find the first failing trial, one trial at a time
+                self.slacks(range(i, i + 1))
+            raise
+        return lhs - rhs
 
 
 def monte_carlo_verify(
@@ -264,10 +376,11 @@ def monte_carlo_verify(
 ) -> EpiReport:
     """Run ``trials`` random instances of one inequality family.
 
-    Deterministic for a fixed seed; with ``workers`` > 1 the trials run on a
-    thread pool and the report is identical to the single-threaded one
-    because each trial owns a sub-seeded generator and the mean is an
-    exactly rounded sum.
+    Deterministic for a fixed seed.  The trials are evaluated in chunks of
+    a fixed size; with ``workers`` > 1 the chunks run on at most
+    min(workers, chunks) threads, and the report is identical to the
+    single-threaded one because each trial owns a sub-seeded generator and
+    the mean is an exactly rounded sum in trial order.
     """
     inequality = Inequality(inequality) if not isinstance(inequality, Inequality) else inequality
     if trials < 1:
@@ -276,30 +389,32 @@ def monte_carlo_verify(
         raise ValueError("seed must be nonnegative")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    _check_sampling_bounds(max_photon, max_squeeze)
+    if not math.isfinite(tolerance):
+        raise ValueError("tolerance must be finite")
+    if env_photon is not None and not 0.0 <= env_photon < math.inf:
+        raise ValueError("env_photon must be finite and nonnegative")
     prange = parameter_range if parameter_range is not None else _DEFAULT_RANGES[inequality]
+    if not all(math.isfinite(v) for v in prange):
+        raise ValueError("parameter_range must be finite")
+    campaign = _Campaign(inequality, seed, max_photon, max_squeeze, tuple(prange), env_photon)
 
-    def run(index: int) -> EpiTrial:
-        try:
-            return _run_trial(inequality, index, seed, max_photon, max_squeeze, prange, env_photon)
-        except Exception as exc:
-            raise RuntimeError(
-                f"trial {index} of {inequality.value} failed (seed={seed}): {exc}"
-            ) from exc
-
-    if workers == 1:
-        results = [run(i) for i in range(trials)]
+    chunks = [range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK)]
+    if workers == 1 or len(chunks) == 1:
+        parts = [campaign.slacks(chunk) for chunk in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(trials)))
+        from concurrent.futures import ThreadPoolExecutor  # only here: its import is not free
 
-    slacks = [trial.slack for trial in results]
-    violations = sum(1 for s in slacks if s < -tolerance)
+        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            parts = list(pool.map(campaign.slacks, chunks))
+
+    slacks = np.concatenate(parts)
     return EpiReport(
         inequality=inequality.value,
         trials=trials,
-        violations=violations,
-        min_slack=min(slacks),
-        mean_slack=math.fsum(slacks) / trials,
+        violations=int(np.count_nonzero(slacks < -tolerance)),
+        min_slack=float(slacks.min()),
+        mean_slack=math.fsum(slacks.tolist()) / trials,
         seed=seed,
         tolerance=tolerance,
     )

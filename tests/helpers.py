@@ -98,6 +98,13 @@ def raw_single_mode_purification(gamma_e: np.ndarray) -> np.ndarray:
     return widen @ thermal @ widen.T
 
 
+def two_mode_squeezing_symplectic(squeeze: float) -> np.ndarray:
+    """Two-mode squeezer [[cosh(r) I, sinh(r) Z], [sinh(r) Z, cosh(r) I]]."""
+    ch = np.cosh(squeeze) * np.eye(2)
+    sh = np.sinh(squeeze) * PHASE_FLIP
+    return np.block([[ch, sh], [sh, ch]])
+
+
 def embed_two_mode(block: np.ndarray, n_modes: int, mode_a: int, mode_b: int) -> np.ndarray:
     """Embed a two-mode symplectic block so it acts on (mode_a, mode_b) of n modes."""
     if mode_a == mode_b or not (0 <= mode_a < n_modes and 0 <= mode_b < n_modes):
@@ -148,6 +155,82 @@ def conditional_conjugate_and_trace(kind: str, parameter: float, pair1: np.ndarr
 def raw_entropy(matrix: np.ndarray) -> float:
     """Von Neumann entropy from raw numpy symplectic eigenvalues; factors below 1 count as pure."""
     return sum(g_direct(max((nu - 1.0) / 2.0, 0.0)) for nu in raw_symplectic_eigenvalues(matrix))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo trial oracle
+# ---------------------------------------------------------------------------
+
+def reference_gaussian_state(n_modes: int, max_photon: float, max_squeeze: float, rng) -> np.ndarray:
+    """Random covariance drawn one scalar at a time in the sampler's documented order.
+
+    Photon numbers (if max_photon > 0), then per mode a rotation angle, a
+    squeezing and a rotation angle, then one transmissivity per mode pair
+    i < j, whose beam splitter acts on the rows of modes i and j.
+    """
+    photons = rng.uniform(0.0, max_photon, size=n_modes) if max_photon > 0 else np.zeros(n_modes)
+    s = np.zeros((2 * n_modes, 2 * n_modes))
+
+    def rotation(angle):
+        c, si = np.cos(angle), np.sin(angle)
+        return np.array([[c, si], [-si, c]])
+
+    for m in range(n_modes):
+        pre = rotation(rng.uniform(0.0, 2.0 * np.pi))
+        r = rng.uniform(0.0, max_squeeze)
+        post = rotation(rng.uniform(0.0, 2.0 * np.pi))
+        s[2 * m:2 * m + 2, 2 * m:2 * m + 2] = pre @ np.diag([np.exp(-r), np.exp(r)]) @ post
+    for i in range(n_modes):
+        for j in range(i + 1, n_modes):
+            t = rng.uniform(0.0, 1.0)
+            a, b = np.sqrt(t), np.sqrt(1.0 - t)
+            mixer = np.array([[a, 0.0, b, 0.0], [0.0, a, 0.0, b], [-b, 0.0, a, 0.0], [0.0, -b, 0.0, a]])
+            rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+            s[rows] = mixer @ s[rows]
+    gamma = s @ np.diag(np.repeat(2.0 * photons + 1.0, 2)) @ s.T
+    return 0.5 * (gamma + gamma.T)
+
+
+def _reference_rhs(kind: str, parameter: float, s1: float, s2: float) -> float:
+    if kind == "bs":
+        return parameter * s1 + (1.0 - parameter) * s2
+    k = parameter
+    return (k * s1 + (k - 1.0) * s2) / (2.0 * k - 1.0) + math.log(2.0 * k - 1.0)
+
+
+def reference_trial(family: str, seed: int, index: int, max_photon: float, max_squeeze: float,
+                    parameter_range: tuple[float, float], env_photon=None) -> tuple[float, float]:
+    """(lhs, rhs) of Monte Carlo trial ``index`` of a campaign, recomputed from its (seed, index) draws.
+
+    The draws follow the campaign's documented order: the mixing parameter
+    (unless the range is one value), then both single-mode inputs (qepi),
+    the (photon, squeeze) pair of both two-mode squeezed thermal inputs
+    (cqepi), or the environment photon number (unless fixed) and the input
+    (chains).  Outputs come from ``conjugate_and_trace`` and
+    ``conditional_conjugate_and_trace``, entropies from raw eigenvalues.
+    """
+    rng = np.random.default_rng((seed, index))
+    lo, hi = parameter_range
+    parameter = lo if lo == hi else rng.uniform(lo, hi)
+    kind = "amp" if family.endswith("amp") else "bs"
+    if family.startswith("qepi"):
+        g1 = reference_gaussian_state(1, max_photon, max_squeeze, rng)
+        g2 = reference_gaussian_state(1, max_photon, max_squeeze, rng)
+        out = conjugate_and_trace(kind, parameter, g1, g2)[0]
+        return raw_entropy(out), _reference_rhs(kind, parameter, raw_entropy(g1), raw_entropy(g2))
+    if family.startswith("cqepi"):
+        pairs = []
+        for _ in range(2):
+            n, r = rng.uniform(0.0, max_photon), rng.uniform(0.0, max_squeeze)
+            s = two_mode_squeezing_symplectic(r)
+            pairs.append((2.0 * n + 1.0) * (s @ s.T))
+        kept, conditioner = conditional_conjugate_and_trace(kind, parameter, *pairs)
+        c1, c2 = (raw_entropy(g) - raw_entropy(g[2:, 2:]) for g in pairs)
+        return raw_entropy(kept) - raw_entropy(conditioner), _reference_rhs(kind, parameter, c1, c2)
+    ne = rng.uniform(0.0, max_photon) if env_photon is None else env_photon
+    state = reference_gaussian_state(1, max_photon, max_squeeze, rng)
+    out, _, fc = conjugate_and_trace("bs", parameter, state, (2.0 * ne + 1.0) * np.eye(2))
+    return raw_entropy(out if family == "moe-chain-bs" else fc), (1.0 - parameter) * g_direct(ne)
 
 
 # ---------------------------------------------------------------------------

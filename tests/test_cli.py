@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -292,3 +293,22 @@ class TestEntropyCommand:
 
     def test_malformed_json_is_config_error(self):
         assert main(["entropy", "--matrix", "[1, 0, 0"]) == EXIT_CONFIG
+
+
+class TestVerifyEpiErrors:
+    @pytest.mark.parametrize(
+        "extra,code,message",
+        [
+            (["--family", "qepi-amp", "--kappa", "nan"], EXIT_CONFIG, "parameter_range must be finite"),
+            (["--tau", "1.5"], EXIT_CONFIG, r"trial 0 of qepi-bs failed \(seed=1\): transmissivity must lie in \[0, 1\]"),
+            (["--max-r", "50"], EXIT_NUMERICAL, r"trial 0 of qepi-bs failed \(seed=1\): covariance matrix is not positive definite"),
+            (["--tolerance", "nan"], EXIT_CONFIG, "tolerance must be finite"),
+            (["--max-n", "nan"], EXIT_CONFIG, "sampling bounds must be finite"),
+            (["--family", "wc-chain-bs", "--ne", "inf"], EXIT_CONFIG, "env_photon must be finite"),
+        ],
+    )
+    def test_exit_code_and_message(self, capsys, extra, code, message):
+        assert main(["verify-epi", "--trials", "20", "--seed", "1"] + extra) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(message, captured.err)

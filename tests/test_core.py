@@ -31,8 +31,8 @@ from gausscap import (
     vacuum_state,
     williamson,
 )
-from gausscap.core import symplectic_residual
-from helpers import g_direct, g_mp, raw_symplectic_eigenvalues
+from gausscap.core import _validated, symplectic_residual
+from helpers import g_direct, g_mp, raw_symplectic_eigenvalues, reference_gaussian_state
 
 
 class TestConstructors:
@@ -367,3 +367,57 @@ class TestSymplecticTolerance:
         s[1, 1] *= 1.0 + 1e-3
         with pytest.raises(ValueError, match="symplectic"):
             SymplecticMatrix(s)
+
+
+class TestBatchedValidation:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_stack_matches_one_matrix_at_a_time(self, n_modes):
+        rng = np.random.default_rng(n_modes)
+        stack = np.array([random_gaussian_state(n_modes, 5.0, 1.5, rng).data for _ in range(25)])
+        data, spectra = _validated(stack)
+        for i, matrix in enumerate(stack):
+            one_data, one_spectrum = _validated(matrix)
+            assert spectra[i].tobytes() == one_spectrum.tobytes()
+            assert data[i].tobytes() == one_data.tobytes()
+            assert symplectic_eigenvalues(CovarianceMatrix(matrix)).tobytes() == one_spectrum.tobytes()
+
+    @pytest.mark.parametrize(
+        "defect,error,reason",
+        [
+            (np.array([[2.0, 1e-6], [0.0, 2.0]]), ValueError, "not symmetric"),
+            (-np.eye(2), PhysicalityError, "not positive definite"),
+            (0.5 * np.eye(2), PhysicalityError, "uncertainty condition violated"),
+        ],
+    )
+    def test_bad_matrix_in_a_stack_is_named(self, defect, error, reason):
+        stack = np.array([thermal_state(1.0).data] * 7)
+        stack[3] = defect
+        with pytest.raises(error, match=f"matrix 3 of the stack: .*{reason}") as caught:
+            _validated(stack)
+        assert caught.type is error
+
+    def test_single_matrix_messages_name_no_index(self):
+        with pytest.raises(PhysicalityError, match="^uncertainty condition violated"):
+            _validated(0.5 * np.eye(2))
+        with pytest.raises(PhysicalityError, match="^covariance matrix is not positive definite"):
+            _validated(-np.eye(2)[None])
+
+
+class TestSamplerDrawOrder:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 5, 8, 16])
+    def test_matches_scalar_draws_bit_for_bit(self, n_modes):
+        for seed in range(50):
+            state = random_gaussian_state(n_modes, 5.0, 1.5, seed)
+            expected = reference_gaussian_state(n_modes, 5.0, 1.5, np.random.default_rng(seed))
+            assert state.data.tobytes() == expected.tobytes()
+
+    def test_consumes_the_generator_like_scalar_draws(self):
+        rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+        random_gaussian_state(3, 0.0, 1.0, rng)
+        reference_gaussian_state(3, 0.0, 1.0, reference)
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError):
+            random_gaussian_state(1, *bounds, seed=0)

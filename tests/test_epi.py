@@ -23,8 +23,9 @@ from gausscap import (
     two_mode_squeezed_state,
     vacuum_state,
 )
-from gausscap.core import CovarianceMatrix, two_mode_squeezing_symplectic
-from helpers import g_direct
+from gausscap.core import CovarianceMatrix, PhysicalityError
+from gausscap.epi import _CHUNK
+from helpers import g_direct, reference_trial, two_mode_squeezing_symplectic
 
 
 def tms_thermal(n, r):
@@ -215,10 +216,102 @@ class TestMonteCarlo:
         assert report.violations == 0
 
     def test_trial_errors_carry_context(self):
-        with pytest.raises(RuntimeError, match="trial 0 of qepi-bs"):
+        with pytest.raises(ValueError, match="trial 0 of qepi-bs"):
             monte_carlo_verify("qepi-bs", 5, parameter_range=(-0.5, -0.5), seed=1)
 
     def test_equality_trials_counted_exactly(self):
         trial = check_qepi_bs(thermal_state(1), thermal_state(1), 0.7)
         assert not trial.is_violation()
         assert abs(trial.slack) < 1e-10
+
+
+FAMILIES = ["qepi-bs", "qepi-amp", "cqepi-bs", "cqepi-amp", "moe-chain-bs", "wc-chain-bs"]
+
+
+def _oracle_report(family, trials, seed, max_photon=5.0, max_squeeze=1.5, parameter_range=None, env_photon=None):
+    if parameter_range is None:
+        parameter_range = (1.0, 10.0) if family.endswith("amp") else (0.0, 1.0)
+    slacks = []
+    for i in range(trials):
+        lhs, rhs = reference_trial(family, seed, i, max_photon, max_squeeze, parameter_range, env_photon)
+        slacks.append(lhs - rhs)
+    return min(slacks), math.fsum(slacks) / trials
+
+
+class TestBatchedCampaigns:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_per_trial_oracle(self, family):
+        report = monte_carlo_verify(family, 200, seed=13)
+        min_slack, mean_slack = _oracle_report(family, 200, 13)
+        assert report.min_slack == pytest.approx(min_slack, abs=1e-12)
+        assert report.mean_slack == pytest.approx(mean_slack, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "family,kwargs",
+        [
+            ("qepi-bs", {"parameter_range": (0.3, 0.3)}),
+            ("qepi-amp", {"max_photon": 0.0}),
+            ("cqepi-amp", {"parameter_range": (2.5, 2.5), "max_squeeze": 0.5}),
+            ("moe-chain-bs", {"env_photon": 2.0}),
+            ("wc-chain-bs", {"parameter_range": (0.85, 0.85), "env_photon": 1.0}),
+        ],
+    )
+    def test_fixed_settings_match_per_trial_oracle(self, family, kwargs):
+        report = monte_carlo_verify(family, 100, seed=2, **kwargs)
+        min_slack, mean_slack = _oracle_report(family, 100, 2, **kwargs)
+        assert report.min_slack == pytest.approx(min_slack, abs=1e-12)
+        assert report.mean_slack == pytest.approx(mean_slack, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["qepi-bs", "cqepi-amp", "wc-chain-bs"])
+    @pytest.mark.parametrize("trials", [_CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 5])
+    def test_reports_do_not_depend_on_workers(self, family, trials):
+        reports = [monte_carlo_verify(family, trials, seed=21, workers=w) for w in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_threads_are_bounded_by_chunks(self, monkeypatch):
+        import concurrent.futures
+
+        requested = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                requested.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monte_carlo_verify("qepi-bs", _CHUNK, seed=1, workers=8)
+        assert requested == []
+        monte_carlo_verify("qepi-bs", _CHUNK + 1, seed=1, workers=8)
+        assert requested == [2]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_failing_trial_keeps_its_class(self, workers):
+        # t drawn from [0, 1.001): the first trial with t > 1 fails, past the first chunk
+        prange = (0.0, 1.001)
+        first = next(i for i in range(10_000) if np.random.default_rng((1, i)).uniform(*prange) > 1.0)
+        assert first >= _CHUNK
+        message = rf"^trial {first} of qepi-bs failed \(seed=1\): transmissivity must lie in \[0, 1\]$"
+        with pytest.raises(ValueError, match=message) as caught:
+            monte_carlo_verify("qepi-bs", first + _CHUNK, seed=1, parameter_range=prange, workers=workers)
+        assert caught.type is ValueError
+
+    def test_unphysical_trial_raises_physicality_error(self):
+        with pytest.raises(PhysicalityError, match=r"^trial 0 of cqepi-bs failed \(seed=1\): "):
+            monte_carlo_verify("cqepi-bs", 10, seed=1, max_squeeze=50.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_photon": math.nan},
+            {"max_squeeze": math.inf},
+            {"tolerance": math.nan},
+            {"parameter_range": (math.nan, math.nan)},
+            {"parameter_range": (0.5, math.inf)},
+            {"env_photon": math.nan},
+        ],
+    )
+    def test_rejects_non_finite_arguments(self, kwargs):
+        family = "wc-chain-bs" if "env_photon" in kwargs else "qepi-bs"
+        with pytest.raises(ValueError) as caught:
+            monte_carlo_verify(family, 5, seed=1, **kwargs)
+        assert caught.type is ValueError

@@ -26,3 +26,21 @@ def test_bounds_and_campaigns_do_not_load_scipy():
     assert loaded == "False"
     # williamson imports scipy on first use and still decomposes the state
     assert float(residual) < 1e-12
+
+
+_CAMPAIGN_SCRIPT = """
+import sys
+import gausscap as gc
+spec = gc.ChannelSpec.beam_splitter(0.85, gc.squeezed_thermal_state(1.0, 0.5))
+gc.evaluate_bounds(spec, 2.0)
+gc.monte_carlo_verify("wc-chain-bs", 5)
+gc.monte_carlo_verify("cqepi-amp", 5, workers=4)
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_single_chunk_campaigns_do_not_load_concurrent_futures():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _CAMPAIGN_SCRIPT], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
