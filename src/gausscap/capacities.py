@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, _everywhere, apply_channel, complementary
-from .core import CovarianceMatrix, entropy, thermal_entropy, thermal_state
+from .channels import ChannelKind, ChannelSpec, apply_channel, complementary
+from .core import CovarianceMatrix, _everywhere, entropy, thermal_entropy, thermal_state
 
 _THERMAL_ATOL = 1e-12
 

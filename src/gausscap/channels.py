@@ -19,6 +19,7 @@ from .core import (
     PHASE_FLIP,
     CovarianceMatrix,
     SymplecticMatrix,
+    _everywhere,
     amplifier_block,
     entropy,
     mixing_symplectic,
@@ -95,11 +96,6 @@ def channel_symplectic(spec: ChannelSpec) -> SymplecticMatrix:
     return amplifier_symplectic(spec.parameter)
 
 
-def _everywhere(mask) -> bool:
-    """Truth of a comparison on a scalar, or on every entry of an array."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
 def coupling(kind: ChannelKind, parameter) -> tuple:
     """(p, q, M) of the output mode B = sqrt(p) A + sqrt(q) M E.
 
@@ -152,7 +148,7 @@ def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_
     # adding 0.0 turns the -0.0 entries of an uncoupled block into +0.0
     cross = np.sqrt(excess * coupling(kind, parameter)[0]) * (root @ PHASE_FLIP) + 0.0
     out[..., :2, 2:] = cross
-    out[..., 2:, :2] = cross.mT
+    out[..., 2:, :2] = cross.swapaxes(-1, -2)
     return out
 
 

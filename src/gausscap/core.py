@@ -45,6 +45,11 @@ def symplectic_residual(matrix: NDArray[np.float64]) -> float:
     return float(np.max(np.abs(matrix @ omega @ matrix.T - omega)))
 
 
+def _everywhere(mask) -> bool:
+    """Truth of a comparison on a scalar, or on every entry of an array."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _reject(failed, error: type[Exception], reason) -> None:
     """Raise ``error(reason(index))`` for the first index where ``failed`` holds.
 
@@ -73,10 +78,10 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     the symmetrised data and the symplectic eigenvalues per matrix, one per
     +/- pair, descending.
     """
-    asymmetry = np.abs(data - data.mT).max(axis=(-2, -1))
+    asymmetry = np.abs(data - data.swapaxes(-1, -2)).max(axis=(-2, -1))
     _reject(asymmetry > SYMMETRY_ATOL, ValueError,
             lambda i: f"covariance matrix is not symmetric (max asymmetry {asymmetry[i]:.3e})")
-    data = 0.5 * (data + data.mT)
+    data = 0.5 * (data + data.swapaxes(-1, -2))
     _reject(np.linalg.eigvalsh(data)[..., 0] <= 0.0, PhysicalityError,
             lambda i: "covariance matrix is not positive definite")
     omega = symplectic_form(data.shape[-1] // 2)
@@ -219,11 +224,21 @@ def squeezed_thermal_state(thermal_photon: float, squeeze: float) -> CovarianceM
     return CovarianceMatrix(np.diag(diag))
 
 
+def _two_mode_squeezed_stack(photons: NDArray[np.float64], squeezes: NDArray[np.float64]) -> NDArray[np.float64]:
+    """(2n + 1) times the two-mode squeezed vacuum of squeezing r, shape (T, 4, 4)
+    and not yet validated, for arrays of n and r of length T."""
+    scale = 2.0 * photons + 1.0
+    ch, sh = scale * np.cosh(2.0 * squeezes), scale * np.sinh(2.0 * squeezes)
+    out = np.zeros((len(scale), 4, 4))
+    out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = out[:, 3, 3] = ch
+    out[:, 0, 2] = out[:, 2, 0] = sh
+    out[:, 1, 3] = out[:, 3, 1] = -sh
+    return out
+
+
 def two_mode_squeezed_state(squeeze: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum; pure, with thermal marginals of sinh(r)^2 photons."""
-    ch = np.cosh(2.0 * squeeze) * np.eye(2)
-    sh = np.sinh(2.0 * squeeze) * PHASE_FLIP
-    return CovarianceMatrix(np.block([[ch, sh], [sh, ch]]))
+    return CovarianceMatrix(_two_mode_squeezed_stack(np.zeros(1), np.array([squeeze], dtype=float))[0])
 
 
 def _block_diag(*blocks: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -269,7 +284,7 @@ def mixing_symplectic(transmissivity) -> NDArray[np.float64]:
 
     An array of transmissivities gives a stack of blocks.
     """
-    if not np.all((transmissivity >= 0.0) & (transmissivity <= 1.0)):
+    if not _everywhere((transmissivity >= 0.0) & (transmissivity <= 1.0)):
         raise ValueError("transmissivity must lie in [0, 1]")
     a, b = np.sqrt(transmissivity), np.sqrt(1.0 - transmissivity)
     out = np.zeros(np.shape(transmissivity) + (4, 4))
@@ -494,8 +509,8 @@ def _gaussian_state_stack(
         photons = np.zeros((len(draws), n_modes))
     s = _symplectic_stack(draws, n_modes, max_squeeze)
     # scaling the columns equals S @ diag(d) exactly: each entry has a single nonzero term
-    gamma = (s * np.repeat(2.0 * photons + 1.0, 2, axis=-1)[:, None, :]) @ s.mT
-    return 0.5 * (gamma + gamma.mT)
+    gamma = (s * np.repeat(2.0 * photons + 1.0, 2, axis=-1)[:, None, :]) @ s.swapaxes(-1, -2)
+    return 0.5 * (gamma + gamma.swapaxes(-1, -2))
 
 
 def _check_sampling_bounds(*bounds: float) -> None:

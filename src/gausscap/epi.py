@@ -32,6 +32,7 @@ from .core import (
     _gaussian_state_stack,
     _spectral_entropy,
     _state_draw_count,
+    _two_mode_squeezed_stack,
     _validated,
     symplectic_eigenvalues,
     thermal_entropy,
@@ -130,7 +131,7 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) 
     out[:, :2, :2] = channel_map(kind, column, g1[:, :2, :2], g2[:, :2, :2])
     out[:, :2, 2:4] = np.sqrt(p) * g1[:, :2, 2:]
     out[:, :2, 4:] = np.sqrt(q) * (m @ g2[:, :2, 2:])
-    out[:, 2:, :2] = out[:, :2, 2:].mT
+    out[:, 2:, :2] = out[:, :2, 2:].swapaxes(-1, -2)
     out[:, 2:4, 2:4] = g1[:, 2:, 2:]
     out[:, 4:, 4:] = g2[:, 2:, 2:]
     lhs = _entropy(out) - _entropy(out[:, 2:, 2:])
@@ -266,24 +267,6 @@ def fock_entropy_oracle(mean_photon: float, cutoff: int) -> float:
 # campaigns
 # ---------------------------------------------------------------------------
 
-def _two_mode_squeezed_thermal_stack(photons: np.ndarray, squeezes: np.ndarray) -> np.ndarray:
-    """(2n + 1) times the two-mode squeezed vacuum of squeezing r, shape (T, 4, 4), for arrays of n and r."""
-    scale = 2.0 * photons + 1.0
-    ch, sh = scale * np.cosh(2.0 * squeezes), scale * np.sinh(2.0 * squeezes)
-    out = np.zeros((len(scale), 4, 4))
-    out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = out[:, 3, 3] = ch
-    out[:, 0, 2] = out[:, 2, 0] = sh
-    out[:, 1, 3] = out[:, 3, 1] = -sh
-    return out
-
-
-def _sample_two_mode_squeezed_thermal(rng: np.random.Generator, max_photon: float, max_squeeze: float) -> CovarianceMatrix:
-    """Two-mode squeezed thermal state with occupation uniform in [0, max_photon]
-    and squeezing uniform in [0, max_squeeze], drawn in that order."""
-    n, r = rng.random(2)
-    return CovarianceMatrix(_two_mode_squeezed_thermal_stack(np.array([max_photon * n]), np.array([max_squeeze * r]))[0])
-
-
 _DEFAULT_RANGES = {
     Inequality.QEPI_BS: (0.0, 1.0),
     Inequality.CQEPI_BS: (0.0, 1.0),
@@ -338,7 +321,7 @@ class _Campaign:
             return _plain_kernel(kind, parameter, self._state(first), self._state(second))
         if inequality in _CONDITIONAL:
             pair1, pair2 = (
-                _validated(_two_mode_squeezed_thermal_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]))
+                _validated(_two_mode_squeezed_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]))
                 for d in (first, second)
             )
             return _conditional_kernel(kind, parameter, pair1, pair2)

@@ -15,7 +15,7 @@ from gausscap import (
     random_gaussian_state,
     two_mode_squeezed_state,
 )
-from gausscap.epi import _sample_two_mode_squeezed_thermal
+from gausscap.core import _two_mode_squeezed_stack
 from helpers import conditional_conjugate_and_trace, raw_entropy
 from test_epi import tms_thermal
 
@@ -48,7 +48,7 @@ class TestConditionalOutputOracle:
     def test_sampler_matches_two_mode_squeezed_thermal(self, seed):
         drawn = np.random.default_rng(seed)
         n, r = drawn.uniform(0.0, 5.0), drawn.uniform(0.0, 1.5)
-        sampled = _sample_two_mode_squeezed_thermal(np.random.default_rng(seed), 5.0, 1.5).data
+        sampled = _two_mode_squeezed_stack(np.array([n]), np.array([r]))[0]
         expected = tms_thermal(n, r).data
         np.testing.assert_allclose(sampled, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
