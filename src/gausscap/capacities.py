@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, apply_channel, complementary
-from .core import CovarianceMatrix, _everywhere, entropy, thermal_entropy, thermal_state
+from .channels import ChannelKind, ChannelSpec, _complementary_map, channel_map
+from .core import _CHUNK, CovarianceMatrix, _everywhere, _stack_entropy, _validated, thermal_entropy, thermal_state
 
 _THERMAL_ATOL = 1e-12
 
@@ -58,10 +58,12 @@ def _with_thermal_environment(spec: ChannelSpec, photon: float) -> ChannelSpec:
     return ChannelSpec(spec.kind, spec.parameter, thermal_state(photon))
 
 
-def _validated_photon(input_photon: float) -> float:
-    if input_photon < 0:
-        raise ValueError("input mean photon number must be nonnegative")
-    return float(input_photon)
+def _validated_photon(input_photon):
+    """N as a float, or a 1-D float array of N; error unless every entry is finite and nonnegative."""
+    n = np.asarray(input_photon, dtype=float)
+    if n.ndim > 1 or not _everywhere((n >= 0.0) & (n < math.inf)):
+        raise ValueError("input mean photon number must be a finite, nonnegative scalar or 1-D array")
+    return float(n) if n.ndim == 0 else n
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,7 @@ class BoundResult:
     coherent_lower: float
     units: str = "nats"
 
-    _ENTROPY_FIELDS = (
-        "holevo",
-        "maximal",
-        "moe_sum_lower",
-        "upper",
-        "lower_approx",
-        "coherent_info",
-        "coherent_lower",
-    )
+    _ENTROPY_FIELDS = ("holevo", "maximal", "moe_sum_lower", "upper", "lower_approx", "coherent_info", "coherent_lower")
 
     def as_units(self, units: str) -> "BoundResult":
         """Return the result converted to ``nats`` or ``bits``."""
@@ -181,52 +175,74 @@ def private_capacity_lower_approx(spec: ChannelSpec, input_photon: float) -> flo
     return 2.0 * holevo_capacity(spec, input_photon)
 
 
-def coherent_information(spec: ChannelSpec, input_photon: float) -> float:
-    """S(channel output) - S(complementary output) for a thermal input of energy N."""
-    state = thermal_state(_validated_photon(input_photon))
-    return entropy(apply_channel(state, spec)) - entropy(complementary(state, spec))
+def coherent_information(spec: ChannelSpec, input_photon):
+    """S(channel output) - S(complementary output) for a thermal input of energy N.
+
+    ``input_photon`` is a scalar (a stack of one) or a 1-D array.  The thermal
+    inputs (2N + 1) I, their channel outputs and their (F, C) complementary
+    outputs are validated stacks of at most ``_CHUNK`` matrices.
+    """
+    n = _validated_photon(input_photon)
+    grid = np.atleast_1d(n)
+    info = np.empty(len(grid))
+    for start in range(0, len(grid), _CHUNK):
+        inputs = _validated((2.0 * grid[start:start + _CHUNK] + 1.0)[:, None, None] * np.eye(2))[0]
+        args = spec.kind, spec.parameter, inputs, spec.environment.data
+        info[start:start + _CHUNK] = _stack_entropy(channel_map(*args)) - _stack_entropy(_complementary_map(*args))
+    return float(info[0]) if np.ndim(n) == 0 else info
 
 
-def coherent_lower_bound(spec: ChannelSpec, input_photon: float, second_argument: str = "square") -> float:
+_SECOND_POINTS = {"square": lambda n: n * n, "half": lambda n: n / 2.0}
+
+
+def _coherent_columns(spec: ChannelSpec, grid: np.ndarray, second_argument: str):
+    """I_c(N) and I_c(N) - I_c(N') over a 1-D grid, from one coherent_information call on every N and N'.
+    An N' or an input (2N + 1) I beyond the float range raises ``FloatingPointError``."""
+    if second_argument not in _SECOND_POINTS:
+        raise ValueError("second_argument must be 'square' or 'half'")
+    with np.errstate(over="raise"):
+        info = coherent_information(spec, np.concatenate([grid, _SECOND_POINTS[second_argument](grid)]))
+    return info[:len(grid)], info[:len(grid)] - info[len(grid):]
+
+
+def coherent_lower_bound(spec: ChannelSpec, input_photon, second_argument: str = "square"):
     """Coherent-information lower bound I_c(N) - I_c(N') with N' = N^2.
 
     ``second_argument`` switches N' to N/2 for sensitivity exploration.
+    ``input_photon`` is a scalar (a grid of one) or a 1-D array.
     """
     n = _validated_photon(input_photon)
-    if second_argument == "square":
-        other = n * n
-    elif second_argument == "half":
-        other = n / 2.0
-    else:
-        raise ValueError("second_argument must be 'square' or 'half'")
-    return coherent_information(spec, n) - coherent_information(spec, other)
+    lower = _coherent_columns(spec, np.atleast_1d(n), second_argument)[1]
+    return float(lower[0]) if np.ndim(n) == 0 else lower
 
 
-def evaluate_bounds(
-    spec: ChannelSpec,
-    input_photon: float,
-    units: str = "nats",
-    coherent_second_arg: str = "square",
-) -> BoundResult:
-    """Evaluate every bound at one (channel, N) point.
+def evaluate_bounds(spec: ChannelSpec, input_photon, units: str = "nats", coherent_second_arg: str = "square"):
+    """Evaluate every bound at one N, or at each N of a 1-D array (a list of results).
 
     Formula-based quantities use the environment's equivalent thermal photon
     number when the noise is not thermal; the coherent-information columns go
-    through the covariance pipeline with the actual environment.
+    through the channel maps with the actual environment.  The grid runs in
+    slices of ``_CHUNK`` points, each one call of every closed form and one
+    of ``coherent_information``, so memory does not grow with the grid; a
+    scalar N is a grid of one.
     """
+    n = _validated_photon(input_photon)
     label, ne = _formula_environment(spec)
     formula_spec = _with_thermal_environment(spec, ne)
     kind = "beam_splitter" if spec.kind is ChannelKind.BEAM_SPLITTER else "amplifier"
     knob = "transmissivity" if spec.kind is ChannelKind.BEAM_SPLITTER else "gain"
-    result = BoundResult(
-        channel=f"{kind}({knob}={spec.parameter:.12g}, {label}={ne:.12g})",
-        input_photon=float(input_photon),
-        holevo=holevo_capacity(formula_spec, input_photon),
-        maximal=maximal_capacity(formula_spec, input_photon),
-        moe_sum_lower=moe_sum_lower(formula_spec),
-        upper=private_capacity_upper_general(spec, input_photon),
-        lower_approx=private_capacity_lower_approx(formula_spec, input_photon),
-        coherent_info=coherent_information(spec, input_photon),
-        coherent_lower=coherent_lower_bound(spec, input_photon, coherent_second_arg),
-    )
-    return result.as_units(units)
+    channel = f"{kind}({knob}={spec.parameter:.12g}, {label}={ne:.12g})"
+    grid, results = np.atleast_1d(n), []
+    for start in range(0, len(grid), _CHUNK):
+        chunk = grid[start:start + _CHUNK]
+        columns = (
+            chunk,
+            holevo_capacity(formula_spec, chunk),
+            maximal_capacity(formula_spec, chunk),
+            np.full(len(chunk), moe_sum_lower(formula_spec)),
+            private_capacity_upper_general(spec, chunk),
+            private_capacity_lower_approx(formula_spec, chunk),
+            *_coherent_columns(spec, chunk, coherent_second_arg),
+        )
+        results += [BoundResult(channel, *row).as_units(units) for row in zip(*(c.tolist() for c in columns))]
+    return results[0] if np.ndim(n) == 0 else results

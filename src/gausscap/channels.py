@@ -131,12 +131,12 @@ def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_
     [[G_E, c R Z], [c Z R, nu I]], c = sqrt((nu - 1)(nu + 1)).  The channel
     keeps C and scales the E-C block by sqrt(t) or sqrt(k) on the way to F,
     whose own block is ``channel_map`` with input and environment exchanged.
-    Takes one pair of 2x2 covariances or stacks, shape (..., 2, 2), with
-    ``parameter`` as in ``coupling``; returns shape (..., 4, 4).
+    Takes 2x2 covariances or stacks that broadcast together, shape (..., 2, 2),
+    with ``parameter`` as in ``coupling``; returns shape (..., 4, 4).
     """
     g = gamma_e
     nu = np.sqrt(g[..., 0:1, 0:1] * g[..., 1:2, 1:2] - g[..., 0:1, 1:2] * g[..., 1:2, 0:1])
-    out = np.zeros(nu.shape[:-2] + (4, 4))
+    out = np.zeros(np.broadcast_shapes(gamma_a.shape, gamma_e.shape)[:-2] + (4, 4))
     out[..., :2, :2] = channel_map(kind, parameter, gamma_e, gamma_a)
     out[..., 2:, 2:] = nu * _IDENTITY
     # sqrt of a 2x2 positive matrix M with det M = 1 is (M + I) / sqrt(tr M + 2).

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +50,7 @@ def format_float(value: float) -> str:
 
 
 def render_csv(header: tuple[str, ...], rows: list[tuple[float, ...]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header)] + [",".join(format_float(v) for v in row) for row in rows]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -83,23 +81,16 @@ def _channel_spec(args: argparse.Namespace) -> ChannelSpec:
 def _photon_grid(args: argparse.Namespace) -> np.ndarray:
     if args.n_steps < 1:
         raise ValueError("--n-steps must be at least 1")
-    if args.n_start < 0 or args.n_stop < args.n_start:
-        raise ValueError("the N range must satisfy 0 <= start <= stop")
+    if not 0 <= args.n_start <= args.n_stop < math.inf:
+        raise ValueError("the N range must be finite and satisfy 0 <= start <= stop")
     return np.linspace(args.n_start, args.n_stop, args.n_steps)
 
 
 def _bounds_text(spec: ChannelSpec, grid: np.ndarray, args: argparse.Namespace) -> str:
     """Every bound of one channel at each grid point, rendered as CSV or JSON."""
-    results = [
-        evaluate_bounds(spec, float(n), units=args.units, coherent_second_arg=args.coherent_arg)
-        for n in grid
-    ]
+    results = evaluate_bounds(spec, grid, units=args.units, coherent_second_arg=args.coherent_arg)
     if args.fmt == "csv":
-        rows = [
-            (r.input_photon, r.holevo, r.maximal, r.upper, r.lower_approx, r.coherent_info, r.coherent_lower)
-            for r in results
-        ]
-        return render_csv(BOUNDS_COLUMNS, rows)
+        return render_csv(BOUNDS_COLUMNS, [(r.input_photon, *(getattr(r, c) for c in BOUNDS_COLUMNS[1:])) for r in results])
     return json.dumps([dataclasses.asdict(r) for r in results], indent=2) + "\n"
 
 
@@ -205,6 +196,7 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=None)  # built once per process: main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausscap",
@@ -237,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-r", type=float, default=1.5, help="upper bound for sampled squeezing")
     verify.add_argument(
         "--workers", type=int, default=1,
-        help="threads for the trial chunks (at most one per chunk); the report is thread-count independent",
+        help="accepted for compatibility (>= 1); trial chunks run serially and the report does not depend on it",
     )
     verify.add_argument("--out", default=None)
 

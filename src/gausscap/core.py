@@ -18,6 +18,8 @@ SYMMETRY_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
 PAIR_ATOL = 1e-8
 SYMPLECTIC_ATOL = 1e-10
+# Matrices per stacked pass (campaign trials, bound-grid points): memory does not grow with the count.
+_CHUNK = 512
 
 # Phase-space action of complex conjugation (q -> q, p -> -p).
 PHASE_FLIP = np.diag([1.0, -1.0])
@@ -204,8 +206,8 @@ def vacuum_state(n_modes: int = 1) -> CovarianceMatrix:
 
 def thermal_state(mean_photon: float) -> CovarianceMatrix:
     """Single-mode thermal state: (2N + 1) * I, so det = (2N + 1)^2."""
-    if mean_photon < 0:
-        raise ValueError("mean photon number must be nonnegative")
+    if not 0 <= mean_photon < np.inf:
+        raise ValueError("mean photon number must be finite and nonnegative")
     return CovarianceMatrix((2.0 * mean_photon + 1.0) * np.eye(2))
 
 
@@ -214,10 +216,10 @@ def squeezed_thermal_state(thermal_photon: float, squeeze: float) -> CovarianceM
 
     The determinant (2N + 1)^2 is independent of the squeezing r.
     """
-    if thermal_photon < 0:
-        raise ValueError("mean photon number must be nonnegative")
-    if squeeze < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
+    if not 0 <= thermal_photon < np.inf:
+        raise ValueError("mean photon number must be finite and nonnegative")
+    if not 0 <= squeeze < np.inf:
+        raise ValueError("squeezing parameter must be finite and nonnegative")
     diag = (2.0 * thermal_photon + 1.0) * np.array(
         [np.exp(-2.0 * squeeze), np.exp(2.0 * squeeze)]
     )
@@ -341,15 +343,18 @@ def thermal_entropy(mean_photon):
     head = np.log1p(safe)
     tail = np.where(safe < 1.0, head - np.log(safe), np.log1p(1.0 / np.maximum(safe, 1.0)))
     value = np.where(x > 0, head + safe * tail, 0.0)
-    if np.ndim(mean_photon) == 0:
-        return float(value)
-    return value
+    return float(value) if np.ndim(mean_photon) == 0 else value
 
 
 def _spectral_entropy(spectrum: NDArray[np.float64]) -> NDArray[np.float64]:
     """Entropy in nats of each symplectic spectrum along the last axis, values below 1 counted as 1."""
     nu = np.where(spectrum < 1.0, 1.0, spectrum)
     return thermal_entropy((nu - 1.0) / 2.0).sum(axis=-1)
+
+
+def _stack_entropy(matrices: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Entropy of each matrix of a stack, after validating it."""
+    return _spectral_entropy(_validated(matrices)[1])
 
 
 def entropy(state: CovarianceMatrix) -> float:

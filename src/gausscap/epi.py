@@ -12,8 +12,8 @@ input, output, conditioner and marginal in the stack is validated like a
 ``CovarianceMatrix``.  A ``check_*`` call is a stack of one.  Campaign
 results are reproducible: trial i draws all of its randomness from a
 generator seeded with (seed, i), the trials are evaluated in fixed-size
-chunks, and the mean is an exactly rounded sum in trial order, so serial
-and threaded runs aggregate identically.
+chunks, and the mean is an exactly rounded sum in trial order, so every
+chunking aggregates identically.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ import numpy as np
 from .capacities import _thermal_photon
 from .channels import ChannelKind, ChannelSpec, _complementary_map, channel_map, coupling
 from .core import (
+    _CHUNK,
     CovarianceMatrix,
     _check_sampling_bounds,
     _gaussian_state_stack,
     _spectral_entropy,
+    _stack_entropy,
     _state_draw_count,
     _two_mode_squeezed_stack,
     _validated,
@@ -39,8 +41,6 @@ from .core import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
-# Trials per kernel call: a campaign's memory does not grow with its trial count.
-_CHUNK = 512
 
 
 class Inequality(Enum):
@@ -100,17 +100,12 @@ def _rhs(kind: ChannelKind, parameter: np.ndarray, s1: np.ndarray, s2: np.ndarra
     return k / (2.0 * k - 1.0) * s1 + (k - 1.0) / (2.0 * k - 1.0) * s2 + np.log(2.0 * k - 1.0)
 
 
-def _entropy(matrices: np.ndarray) -> np.ndarray:
-    """Entropy of each matrix of a stack, after validating it."""
-    return _spectral_entropy(_validated(matrices)[1])
-
-
 def _plain_kernel(kind: ChannelKind, parameter: np.ndarray, x1, x2) -> tuple[np.ndarray, np.ndarray]:
     """Plain EPI on stacks of validated single-mode inputs x_i = (data, spectra).
 
     lhs = S(B) with B the channel map of (X1, X2); rhs from S(X1), S(X2).
     """
-    lhs = _entropy(channel_map(kind, parameter[:, None, None], x1[0], x2[0]))
+    lhs = _stack_entropy(channel_map(kind, parameter[:, None, None], x1[0], x2[0]))
     return lhs, _rhs(kind, parameter, _spectral_entropy(x1[1]), _spectral_entropy(x2[1]))
 
 
@@ -134,9 +129,9 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) 
     out[:, 2:, :2] = out[:, :2, 2:].swapaxes(-1, -2)
     out[:, 2:4, 2:4] = g1[:, 2:, 2:]
     out[:, 4:, 4:] = g2[:, 2:, 2:]
-    lhs = _entropy(out) - _entropy(out[:, 2:, 2:])
-    c1 = _spectral_entropy(pair1[1]) - _entropy(g1[:, 2:, 2:])
-    c2 = _spectral_entropy(pair2[1]) - _entropy(g2[:, 2:, 2:])
+    lhs = _stack_entropy(out) - _stack_entropy(out[:, 2:, 2:])
+    c1 = _spectral_entropy(pair1[1]) - _stack_entropy(g1[:, 2:, 2:])
+    c2 = _spectral_entropy(pair2[1]) - _stack_entropy(g2[:, 2:, 2:])
     return lhs, _rhs(kind, parameter, c1, c2)
 
 
@@ -149,7 +144,7 @@ def _chain_kernel(inequality: Inequality, transmissivity: np.ndarray, env, state
     """
     rhs = (1.0 - transmissivity) * thermal_entropy(_thermal_photon(env[0]))
     output = channel_map if inequality is Inequality.MOE_CHAIN_BS else _complementary_map
-    lhs = _entropy(output(ChannelKind.BEAM_SPLITTER, transmissivity[:, None, None], state[0], env[0]))
+    lhs = _stack_entropy(output(ChannelKind.BEAM_SPLITTER, transmissivity[:, None, None], state[0], env[0]))
     return lhs, rhs
 
 
@@ -359,11 +354,10 @@ def monte_carlo_verify(
 ) -> EpiReport:
     """Run ``trials`` random instances of one inequality family.
 
-    Deterministic for a fixed seed.  The trials are evaluated in chunks of
-    a fixed size; with ``workers`` > 1 the chunks run on at most
-    min(workers, chunks) threads, and the report is identical to the
-    single-threaded one because each trial owns a sub-seeded generator and
-    the mean is an exactly rounded sum in trial order.
+    Deterministic for a fixed seed: each trial owns a sub-seeded generator,
+    the trials are evaluated serially in chunks of a fixed size, and the
+    mean is an exactly rounded sum in trial order.  ``workers`` must be at
+    least 1 and changes neither the speed nor the report.
     """
     inequality = Inequality(inequality) if not isinstance(inequality, Inequality) else inequality
     if trials < 1:
@@ -382,16 +376,8 @@ def monte_carlo_verify(
         raise ValueError("parameter_range must be finite")
     campaign = _Campaign(inequality, seed, max_photon, max_squeeze, tuple(prange), env_photon)
 
-    chunks = [range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK)]
-    if workers == 1 or len(chunks) == 1:
-        parts = [campaign.slacks(chunk) for chunk in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only here: its import is not free
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(campaign.slacks, chunks))
-
-    slacks = np.concatenate(parts)
+    chunks = (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
+    slacks = np.concatenate([campaign.slacks(chunk) for chunk in chunks])
     return EpiReport(
         inequality=inequality.value,
         trials=trials,

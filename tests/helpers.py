@@ -2,13 +2,29 @@
 
 Everything here is computed from first principles (stdlib math, mpmath
 and raw numpy eigensolvers) so the expectations do not reuse the library's
-own code paths.
+own code paths.  The one exception is the per-point bounds chain at the
+end, which reuses the library's per-matrix API on purpose: it is the
+reference the stacked bound grids must reproduce bit for bit.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from gausscap import (
+    ChannelSpec,
+    apply_channel,
+    complementary,
+    entropy,
+    equivalent_thermal_photon,
+    holevo_capacity,
+    maximal_capacity,
+    moe_sum_lower,
+    private_capacity_lower_approx,
+    private_capacity_upper_general,
+    thermal_state,
+)
 
 
 def g_direct(x: float) -> float:
@@ -262,3 +278,37 @@ def coherent_information_mp(kind: str, parameter, n_in, n_env) -> float:
         lo = prod / hi
         s_fc = g_mp((hi - 1) / 2) + g_mp((lo - 1) / 2)
         return float(g_mp((nu_b - 1) / 2) - s_fc)
+
+
+# ---------------------------------------------------------------------------
+# per-point bounds chain
+# ---------------------------------------------------------------------------
+
+def coherent_information_per_point(spec: ChannelSpec, n_in: float) -> float:
+    """S(B) - S(F, C) for one thermal input, one validated ``CovarianceMatrix``
+    per step: ``thermal_state`` -> ``apply_channel`` / ``complementary`` -> ``entropy``."""
+    state = thermal_state(n_in)
+    return entropy(apply_channel(state, spec)) - entropy(complementary(state, spec))
+
+
+def bounds_per_point(spec: ChannelSpec, n_in: float, second_argument: str = "square") -> tuple[float, ...]:
+    """The numeric fields of ``evaluate_bounds`` at one N, in ``BoundResult`` order
+    (N, holevo, maximal, moe_sum_lower, upper, lower_approx, coherent_info,
+    coherent_lower), in nats: the closed forms called with a scalar N on the
+    environment's own thermal occupation (else N*), and the per-point chain."""
+    g = spec.environment.data
+    thermal = abs(g[0, 1]) <= 1e-12 and abs(g[0, 0] - g[1, 1]) <= 1e-12
+    ne = (g[0, 0] - 1.0) / 2.0 if thermal else equivalent_thermal_photon(spec.environment)
+    formula = ChannelSpec(spec.kind, spec.parameter, thermal_state(ne))
+    other = n_in * n_in if second_argument == "square" else n_in / 2.0
+    info = coherent_information_per_point(spec, n_in)
+    return (
+        n_in,
+        holevo_capacity(formula, n_in),
+        maximal_capacity(formula, n_in),
+        moe_sum_lower(formula),
+        private_capacity_upper_general(spec, n_in),
+        private_capacity_lower_approx(formula, n_in),
+        info,
+        info - coherent_information_per_point(spec, other),
+    )

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from gausscap import (
     BoundResult,
     ChannelSpec,
+    PhysicalityError,
     coherent_information,
     coherent_lower_bound,
     equivalent_thermal_photon,
@@ -20,7 +23,8 @@ from gausscap import (
     thermal_state,
     vacuum_state,
 )
-from helpers import coherent_information_mp, fc_entropy_thermal_bs, g_direct
+from gausscap.core import _CHUNK
+from helpers import bounds_per_point, coherent_information_mp, coherent_information_per_point, fc_entropy_thermal_bs, g_direct
 
 
 def bs(tau, ne):
@@ -309,3 +313,112 @@ class TestEvaluateBounds:
     def test_invalid_units(self):
         with pytest.raises(ValueError):
             evaluate_bounds(bs(0.85, 1), 2, units="dits")
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _fields(result):
+    return _bits(dataclasses.astuple(result)[1:9])
+
+
+_ENVIRONMENTS = {
+    "thermal": thermal_state(1.0),
+    "squeezed": squeezed_thermal_state(0.7, 0.8),
+    "vacuum": vacuum_state(),
+}
+_CHANNELS = [("bs", t) for t in (0.3, 0.85, 1.0)] + [("amp", k) for k in (1.0, 5.0, 1e6)]
+
+
+def _spec(kind, parameter, environment):
+    build = ChannelSpec.beam_splitter if kind == "bs" else ChannelSpec.amplifier
+    return build(parameter, _ENVIRONMENTS[environment])
+
+
+class TestStackedBoundGrid:
+    """A bound grid is one stacked pass; a scalar N is a grid of one."""
+
+    @pytest.mark.parametrize("second", ["square", "half"])
+    @pytest.mark.parametrize("environment", sorted(_ENVIRONMENTS))
+    @pytest.mark.parametrize("kind,parameter", _CHANNELS)
+    def test_grid_matches_points_and_per_point_chain_bit_for_bit(self, kind, parameter, environment, second):
+        spec = _spec(kind, parameter, environment)
+        grid = np.linspace(0.0, 10.0, 21)
+        results = evaluate_bounds(spec, grid, coherent_second_arg=second)
+        assert len(results) == len(grid)
+        for n, result in zip(grid.tolist(), results):
+            assert result == evaluate_bounds(spec, n, coherent_second_arg=second)
+            assert _fields(result) == _bits(bounds_per_point(spec, n, second))
+
+    @pytest.mark.parametrize("points", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_chunk_boundaries_match_per_point_chain(self, points):
+        spec = _spec("amp", 5.0, "squeezed")
+        grid = np.linspace(0.0, 50.0, points)
+        nats = evaluate_bounds(spec, grid)
+        assert [_fields(r) for r in nats] == [_bits(bounds_per_point(spec, n)) for n in grid.tolist()]
+        assert evaluate_bounds(spec, grid, units="bits") == [r.as_units("bits") for r in nats]
+
+    def test_coherent_columns_take_arrays(self):
+        spec = _spec("bs", 0.85, "squeezed")
+        grid = np.linspace(0.0, 30.0, 2 * _CHUNK + 3)
+        info = coherent_information(spec, grid)
+        assert info.shape == grid.shape
+        assert _bits(info) == _bits(coherent_information_per_point(spec, n) for n in grid.tolist())
+        lower = coherent_lower_bound(spec, grid, second_argument="half")
+        assert _bits(lower) == _bits(coherent_lower_bound(spec, n, second_argument="half") for n in grid.tolist())
+        assert isinstance(coherent_information(spec, 2.0), float)
+        assert isinstance(coherent_lower_bound(spec, 2.0), float)
+
+    def test_closed_forms_take_arrays(self):
+        spec = bs(0.85, 1)
+        grid = np.linspace(0.0, 10.0, 11)
+        for form in (holevo_capacity, maximal_capacity, private_capacity_upper,
+                     private_capacity_upper_general, private_capacity_lower_approx):
+            assert _bits(form(spec, grid)) == _bits(form(spec, n) for n in grid.tolist())
+
+    def test_empty_grid(self):
+        assert evaluate_bounds(bs(0.85, 1), np.array([])) == []
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        spec = _spec("amp", 5.0, "squeezed")
+
+        def transient_peak(points):
+            grid = np.linspace(0.0, 10.0, points)
+            tracemalloc.start()
+            try:
+                results = evaluate_bounds(spec, grid)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(results) == points
+            return peak - current  # what the pass needed beyond the results it returns
+
+        evaluate_bounds(spec, np.linspace(0.0, 10.0, 3))  # warm caches outside the measurement
+        assert transient_peak(20_001) <= 2 * transient_peak(513)
+
+    def test_unphysical_point_raises_physicality_error(self):
+        # N^2 = 1e18 leaves the (F, C) output numerically indefinite
+        with pytest.raises(PhysicalityError):
+            evaluate_bounds(bs(0.5, 1), np.array([0.0, 5e8, 1e9]))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_closed_forms_and_coherent_information(self, value):
+        spec = bs(0.85, 1)
+        for call in (
+            lambda: holevo_capacity(spec, value),
+            lambda: private_capacity_upper_general(spec, value),
+            lambda: coherent_information(spec, value),
+            lambda: coherent_lower_bound(spec, value),
+            lambda: evaluate_bounds(spec, value),
+            lambda: evaluate_bounds(spec, np.array([1.0, value])),
+        ):
+            with pytest.raises(ValueError, match="finite") as caught:
+                call()
+            assert caught.type is ValueError
+
+    def test_grid_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            evaluate_bounds(bs(0.85, 1), np.ones((2, 2)))

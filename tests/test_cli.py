@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -312,3 +313,45 @@ class TestVerifyEpiErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.search(message, captured.err)
+
+
+class TestBoundsErrors:
+    @pytest.mark.parametrize("command", ["bounds", "fig2"])
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--n-start", "nan"], r"the N range must be finite"),
+            (["--n-stop", "nan"], r"the N range must be finite"),
+            (["--n-stop", "inf"], r"the N range must be finite"),
+            (["--ne", "nan"], r"mean photon number must be finite and nonnegative"),
+            (["--ne", "inf"], r"mean photon number must be finite and nonnegative"),
+            (["--squeeze", "nan"], r"squeezing parameter must be finite and nonnegative"),
+        ],
+    )
+    def test_non_finite_argument_is_config_error(self, tmp_path, capsys, command, extra, message):
+        base = ["bounds", "--channel", "bs", "--tau", "0.5"] if command == "bounds" else ["fig2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the message
+            rc = main(base + ["--out", str(tmp_path / "out")] + extra)
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search("configuration error: " + message, captured.err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "n_stop,message",
+        [
+            ("1e9", "physicality error: "),  # N^2 = 1e18: the (F, C) output is numerically indefinite
+            ("1e154", "numerical error: overflow"),  # the input 2 N^2 + 1 overflows
+            ("1e300", "numerical error: overflow"),  # N^2 itself overflows
+        ],
+    )
+    def test_unevaluable_second_point_is_numerical_error(self, capsys, n_stop, message):
+        argv = ["bounds", "--channel", "bs", "--tau", "0.5", "--ne", "1", "--n-start", "0", "--n-stop", n_stop, "--n-steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)

@@ -66,6 +66,22 @@ class TestConstructors:
         with pytest.raises(ValueError):
             squeezed_thermal_state(1, -0.5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: thermal_state(math.nan),
+            lambda: thermal_state(math.inf),
+            lambda: squeezed_thermal_state(math.nan, 0.5),
+            lambda: squeezed_thermal_state(math.inf, 0.5),
+            lambda: squeezed_thermal_state(1, math.nan),
+            lambda: squeezed_thermal_state(1, math.inf),
+        ],
+    )
+    def test_non_finite_arguments_rejected(self, build):
+        with pytest.raises(ValueError, match="must be finite and nonnegative") as caught:
+            build()
+        assert caught.type is ValueError
+
     def test_asymmetric_matrix_rejected(self):
         bad = np.array([[1.0, 1e-6], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):

@@ -268,22 +268,6 @@ class TestBatchedCampaigns:
         reports = [monte_carlo_verify(family, trials, seed=21, workers=w) for w in (1, 2, 3)]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_threads_are_bounded_by_chunks(self, monkeypatch):
-        import concurrent.futures
-
-        requested = []
-
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                requested.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-        monte_carlo_verify("qepi-bs", _CHUNK, seed=1, workers=8)
-        assert requested == []
-        monte_carlo_verify("qepi-bs", _CHUNK + 1, seed=1, workers=8)
-        assert requested == [2]
-
     @pytest.mark.parametrize("workers", [1, 3])
     def test_first_failing_trial_keeps_its_class(self, workers):
         # t drawn from [0, 1.001): the first trial with t > 1 fails, past the first chunk
