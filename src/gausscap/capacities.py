@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, _complementary_map, channel_map
-from .core import _CHUNK, CovarianceMatrix, _everywhere, _stack_entropy, _validated, thermal_entropy, thermal_state
+from .channels import ChannelKind, ChannelSpec, coupling
+from .core import _CHUNK, PHYSICALITY_ATOL, CovarianceMatrix, PhysicalityError, _everywhere, thermal_entropy, thermal_state
 
 _THERMAL_ATOL = 1e-12
 
@@ -175,20 +175,61 @@ def private_capacity_lower_approx(spec: ChannelSpec, input_photon: float) -> flo
     return 2.0 * holevo_capacity(spec, input_photon)
 
 
+def _rounded_pure(excess: float) -> float:
+    """det - 1 or tr / 2 - 1 of a validated environment: a value within the
+    1e-9 uncertainty tolerance below 0 is roundoff of a pure state and counts as 0."""
+    return 0.0 if -2.0 * PHYSICALITY_ATOL <= excess < 0.0 else excess
+
+
 def coherent_information(spec: ChannelSpec, input_photon):
     """S(channel output) - S(complementary output) for a thermal input of energy N.
 
-    ``input_photon`` is a scalar (a stack of one) or a 1-D array.  The thermal
-    inputs (2N + 1) I, their channel outputs and their (F, C) complementary
-    outputs are validated stacks of at most ``_CHUNK`` matrices.
+    ``input_photon`` is a scalar or a 1-D array.  The spectra come in closed
+    form from a = 2N + 1, the environment's trace tr and determinant det, and
+    (p, q) of ``coupling``, with s = -1 for the beam splitter and +1 for the
+    amplifier.  Every sum below has nonnegative terms, so nothing cancels:
+
+        nu_B^2 - 1 = p^2 (a^2 - 1) + w,   w = q^2 (det - 1) + 2 p q (a tr / 2 + s)
+        S = nu_+^2 + nu_-^2 - 2 = q^2 (a^2 - 1) + w
+        K = (nu_+^2 - 1)(nu_-^2 - 1) = q^2 (a^2 - 1)(det - 1)
+
+    where nu_+ and nu_- are the (F, C) output's symplectic eigenvalues, from
+    the invariants of Serafini, Illuminati and De Siena, J. Phys. B 37, L21
+    (2004).  x_+ = nu_+^2 - 1 is the larger root of x^2 - S x + K and
+    x_- = K / x_+, so a degenerate pair loses no digits in the entropy sum.
+    A factor with x = nu^2 - 1 has photon number (nu - 1) / 2 = x / (2 + 2 sqrt(1 + x)).
+    Overflow raises ``FloatingPointError``; K < 0, S < 0 or nu_B < 1 - 1e-9
+    raises ``PhysicalityError`` naming the input photon number.
     """
     n = _validated_photon(input_photon)
     grid = np.atleast_1d(n)
-    info = np.empty(len(grid))
-    for start in range(0, len(grid), _CHUNK):
-        inputs = _validated((2.0 * grid[start:start + _CHUNK] + 1.0)[:, None, None] * np.eye(2))[0]
-        args = spec.kind, spec.parameter, inputs, spec.environment.data
-        info[start:start + _CHUNK] = _stack_entropy(channel_map(*args)) - _stack_entropy(_complementary_map(*args))
+    p, q, _ = coupling(spec.kind, spec.parameter)
+    g = spec.environment.data
+    half_trace = 0.5 * (g[0, 0] + g[1, 1])
+    det_excess = _rounded_pure(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] - 1.0)
+    # a tr / 2 + s = N tr + (tr / 2 + s), whose constant is >= 0 for s = -1 because tr / 2 >= sqrt(det) >= 1
+    offset = _rounded_pure(half_trace - 1.0) if spec.kind is ChannelKind.BEAM_SPLITTER else half_trace + 1.0
+    with np.errstate(over="raise"):
+        squares = 4.0 * grid * (grid + 1.0)  # a^2 - 1
+        w = q * q * det_excess + 2.0 * p * q * (2.0 * half_trace * grid + offset)
+        xs = np.zeros((3, len(grid)))  # nu^2 - 1 of B, then of the (F, C) pair
+        xs[0] = p * p * squares + w
+        total = q * q * squares + w
+        product = q * q * det_excess * squares
+    ok = (product >= 0.0) & (total >= 0.0) & (xs[0] >= (1.0 - PHYSICALITY_ATOL) ** 2 - 1.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise PhysicalityError(
+            f"uncertainty condition violated at input photon number {grid[i]:.17g}: "
+            f"K = {product[i]:.6g}, S = {total[i]:.6g}, nu_B^2 - 1 = {xs[0, i]:.6g}"
+        )
+    root = np.sqrt(product)
+    # sqrt(S^2 - 4K) as a product of two roots and x_+ as a sum of halves, so nothing overflows
+    xs[1] = 0.5 * total + 0.5 * (np.sqrt(np.maximum(total - 2.0 * root, 0.0)) * np.sqrt(total + 2.0 * root))
+    np.divide(product, xs[1], out=xs[2], where=xs[1] > 0.0)
+    np.maximum(xs, 0.0, out=xs)  # nu within the tolerance below 1 counts as 1
+    entropies = thermal_entropy(xs / (2.0 + 2.0 * np.sqrt(1.0 + xs)))
+    info = entropies[0] - (entropies[1] + entropies[2])
     return float(info[0]) if np.ndim(n) == 0 else info
 
 
@@ -197,11 +238,12 @@ _SECOND_POINTS = {"square": lambda n: n * n, "half": lambda n: n / 2.0}
 
 def _coherent_columns(spec: ChannelSpec, grid: np.ndarray, second_argument: str):
     """I_c(N) and I_c(N) - I_c(N') over a 1-D grid, from one coherent_information call on every N and N'.
-    An N' or an input (2N + 1) I beyond the float range raises ``FloatingPointError``."""
+    An N' beyond the float range, or an N or N' whose closed form overflows, raises ``FloatingPointError``."""
     if second_argument not in _SECOND_POINTS:
         raise ValueError("second_argument must be 'square' or 'half'")
     with np.errstate(over="raise"):
-        info = coherent_information(spec, np.concatenate([grid, _SECOND_POINTS[second_argument](grid)]))
+        second = _SECOND_POINTS[second_argument](grid)
+    info = coherent_information(spec, np.concatenate([grid, second]))
     return info[:len(grid)], info[:len(grid)] - info[len(grid):]
 
 
@@ -220,11 +262,11 @@ def evaluate_bounds(spec: ChannelSpec, input_photon, units: str = "nats", cohere
     """Evaluate every bound at one N, or at each N of a 1-D array (a list of results).
 
     Formula-based quantities use the environment's equivalent thermal photon
-    number when the noise is not thermal; the coherent-information columns go
-    through the channel maps with the actual environment.  The grid runs in
-    slices of ``_CHUNK`` points, each one call of every closed form and one
-    of ``coherent_information``, so memory does not grow with the grid; a
-    scalar N is a grid of one.
+    number when the noise is not thermal; the coherent-information columns
+    take the actual environment.  The grid runs in slices of ``_CHUNK``
+    points, each one call of every closed form and one of
+    ``coherent_information``, so memory does not grow with the grid; a scalar
+    N is a grid of one.
     """
     n = _validated_photon(input_photon)
     label, ne = _formula_environment(spec)

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from functools import lru_cache
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacities import evaluate_bounds
+from .capacities import BoundResult, evaluate_bounds
 from .channels import ChannelSpec
 from .core import (
     PhysicalityError,
@@ -37,6 +38,8 @@ EXIT_NUMERICAL = 3
 EXIT_VIOLATION = 4
 
 BOUNDS_COLUMNS = ("N", "holevo", "maximal", "upper", "lower_approx", "coherent_info", "coherent_lower")
+_BOUND_FIELDS = tuple(field.name for field in dataclasses.fields(BoundResult))
+_CSV_ROW = operator.attrgetter("input_photon", *BOUNDS_COLUMNS[1:])
 
 _OMISSION_NOTE = (
     "note: externally published enhanced lower-bound curves are not computed here; "
@@ -50,7 +53,8 @@ def format_float(value: float) -> str:
 
 
 def render_csv(header: tuple[str, ...], rows: list[tuple[float, ...]]) -> str:
-    return "\n".join([",".join(header)] + [",".join(format_float(v) for v in row) for row in rows]) + "\n"
+    line = ",".join(["%.17g"] * len(header))  # format_float's rendering, one % per row
+    return "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -90,8 +94,9 @@ def _bounds_text(spec: ChannelSpec, grid: np.ndarray, args: argparse.Namespace) 
     """Every bound of one channel at each grid point, rendered as CSV or JSON."""
     results = evaluate_bounds(spec, grid, units=args.units, coherent_second_arg=args.coherent_arg)
     if args.fmt == "csv":
-        return render_csv(BOUNDS_COLUMNS, [(r.input_photon, *(getattr(r, c) for c in BOUNDS_COLUMNS[1:])) for r in results])
-    return json.dumps([dataclasses.asdict(r) for r in results], indent=2) + "\n"
+        return render_csv(BOUNDS_COLUMNS, [_CSV_ROW(r) for r in results])
+    # a shallow dict per row: dataclasses.asdict would deep-copy every float
+    return json.dumps([{name: getattr(r, name) for name in _BOUND_FIELDS} for r in results], indent=2) + "\n"
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

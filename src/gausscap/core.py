@@ -7,6 +7,8 @@ number N has covariance (2N + 1) * I.  All entropies are in nats.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -17,7 +19,8 @@ from numpy.typing import NDArray
 SYMMETRY_ATOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
 PAIR_ATOL = 1e-8
-SYMPLECTIC_ATOL = 1e-10
+# S Omega S.T = Omega entry by entry to this fraction of max(1, (|S| |Omega| |S.T|)_ij), the scale of its roundoff.
+SYMPLECTIC_RTOL = 1e-12
 # Matrices per stacked pass (campaign trials, bound-grid points): memory does not grow with the count.
 _CHUNK = 512
 
@@ -45,6 +48,19 @@ def symplectic_residual(matrix: NDArray[np.float64]) -> float:
     matrix = np.asarray(matrix, dtype=float)
     omega = symplectic_form(matrix.shape[0] // 2)
     return float(np.max(np.abs(matrix @ omega @ matrix.T - omega)))
+
+
+def _symplectic_excess(matrix: NDArray[np.float64]) -> float:
+    """Largest |S Omega S.T - Omega|_ij / max(1, (|S| |Omega| |S.T|)_ij).
+
+    The denominator bounds the roundoff of entry (i, j) of the product, so
+    each entry gets room for its own roundoff, while the deviation 2 eps Omega
+    of a uniform rescale (1 + eps) S, which does not grow with |S|, is held to
+    the same scale.
+    """
+    omega = symplectic_form(matrix.shape[0] // 2)
+    scale = np.abs(matrix) @ np.abs(omega) @ np.abs(matrix.T)
+    return float(np.max(np.abs(matrix @ omega @ matrix.T - omega) / np.maximum(scale, 1.0)))
 
 
 def _everywhere(mask) -> bool:
@@ -118,13 +134,23 @@ class CovarianceMatrix:
             raise ValueError("covariance matrix must be square")
         if data.shape[0] == 0 or data.shape[0] % 2 != 0:
             raise ValueError("covariance matrix must be 2n x 2n with n >= 1")
-        data, spectrum = _validated(data)
+        self._store(*_validated(data))
+
+    def _store(self, data: NDArray[np.float64], spectrum: NDArray[np.float64]) -> None:
         data.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "data", data)
         # The matrix is immutable, so the spectrum computed for validation
         # can be reused by symplectic_eigenvalues/entropy.
         object.__setattr__(self, "_spectrum", spectrum)
+
+    @classmethod
+    def _physical(cls, data: NDArray[np.float64], spectrum: NDArray[np.float64]) -> "CovarianceMatrix":
+        """A matrix that is symmetric and physical by construction, with its exact
+        spectrum (one value >= 1 per mode, descending): stored without the eigensolver checks."""
+        state = object.__new__(cls)
+        state._store(data, spectrum)
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -136,7 +162,8 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class SymplecticMatrix:
-    """Gaussian unitary in phase space: S Omega S.T = Omega to 1e-10 * max(1, max|S|^2) (roundoff grows with |S|^2)."""
+    """Gaussian unitary in phase space: S Omega S.T = Omega entry by entry, to
+    1e-12 of max(1, (|S| |Omega| |S.T|)_ij), the scale of that entry's roundoff."""
 
     data: NDArray[np.float64]
 
@@ -144,9 +171,8 @@ class SymplecticMatrix:
         data = np.array(self.data, dtype=float)
         if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] % 2 != 0:
             raise ValueError("symplectic matrix must be 2n x 2n")
-        residual = symplectic_residual(data)
-        if residual > SYMPLECTIC_ATOL * max(1.0, float(np.max(np.abs(data))) ** 2):
-            raise ValueError(f"matrix is not symplectic (residual {residual:.3e})")
+        if _symplectic_excess(data) > SYMPLECTIC_RTOL:
+            raise ValueError(f"matrix is not symplectic (residual {symplectic_residual(data):.3e})")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -205,25 +231,31 @@ def vacuum_state(n_modes: int = 1) -> CovarianceMatrix:
 
 
 def thermal_state(mean_photon: float) -> CovarianceMatrix:
-    """Single-mode thermal state: (2N + 1) * I, so det = (2N + 1)^2."""
-    if not 0 <= mean_photon < np.inf:
-        raise ValueError("mean photon number must be finite and nonnegative")
-    return CovarianceMatrix((2.0 * mean_photon + 1.0) * np.eye(2))
+    """Single-mode thermal state: (2N + 1) * I, so det = (2N + 1)^2 (the squeezed thermal state at r = 0)."""
+    return squeezed_thermal_state(mean_photon, 0.0)
 
 
 def squeezed_thermal_state(thermal_photon: float, squeeze: float) -> CovarianceMatrix:
     """Single-mode squeezed thermal state (2N + 1) * diag(e^{-2r}, e^{2r}).
 
-    The determinant (2N + 1)^2 is independent of the squeezing r.
+    Its symplectic eigenvalue is 2N + 1 >= 1 whatever r is, so no
+    eigensolver runs.  The squeezing must keep (2N + 1) e^{2r} finite:
+    r <= (ln(float max) - ln(2N + 1)) / 2, about 354.9 at N = 0.
     """
     if not 0 <= thermal_photon < np.inf:
         raise ValueError("mean photon number must be finite and nonnegative")
     if not 0 <= squeeze < np.inf:
         raise ValueError("squeezing parameter must be finite and nonnegative")
-    diag = (2.0 * thermal_photon + 1.0) * np.array(
-        [np.exp(-2.0 * squeeze), np.exp(2.0 * squeeze)]
-    )
-    return CovarianceMatrix(np.diag(diag))
+    scale = 2.0 * thermal_photon + 1.0
+    with np.errstate(over="ignore"):
+        diag = scale * np.array([np.exp(-2.0 * squeeze), np.exp(2.0 * squeeze)])
+    if not diag[1] < np.inf:
+        limit = 0.5 * (math.log(sys.float_info.max) - math.log(scale))
+        raise ValueError(
+            f"(2N + 1) e^(2r) overflows at N = {thermal_photon:.6g}, r = {squeeze:.6g}: "
+            f"the squeezing parameter must stay at or below {limit:.6g}"
+        )
+    return CovarianceMatrix._physical(np.diag(diag), np.array([scale]))
 
 
 def _two_mode_squeezed_stack(photons: NDArray[np.float64], squeezes: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -337,7 +369,7 @@ def thermal_entropy(mean_photon):
     overflow.  Accepts scalars or arrays.
     """
     x = np.asarray(mean_photon, dtype=float)
-    if np.any(x < 0):
+    if not (x >= 0).all():  # also rejects NaN
         raise ValueError("mean photon number must be nonnegative")
     safe = np.where(x > 0, x, 1.0)
     head = np.log1p(safe)

@@ -3,8 +3,9 @@
 Everything here is computed from first principles (stdlib math, mpmath
 and raw numpy eigensolvers) so the expectations do not reuse the library's
 own code paths.  The one exception is the per-point bounds chain at the
-end, which reuses the library's per-matrix API on purpose: it is the
-reference the stacked bound grids must reproduce bit for bit.
+end, which reuses the library's per-matrix API on purpose: the bound grids'
+closed forms must reproduce it bit for bit, and their closed-form coherent
+information must reproduce it to a stated tolerance.
 """
 
 import math
@@ -258,26 +259,52 @@ def g_mp(x):
     return mp.mpf(0) if x <= 0 else (x + 1) * mp.log(x + 1) - x * mp.log(x)
 
 
-def coherent_information_mp(kind: str, parameter, n_in, n_env) -> float:
-    """S(B) - S(F, C) in 50-digit arithmetic for a thermal input and environment.
+def coherent_information_mp(kind: str, parameter, n_in, n_env, squeeze=0.0) -> float:
+    """S(B) - S(F, C) for a thermal input of N photons, from matrix entries in
+    at least 50-digit arithmetic.
 
-    S(B) is g of the output photon number; (F, C) is [[f I, d Z], [d Z, nu_e I]]
-    with f and d as in ``fc_entropy_thermal_bs`` / ``fc_entropy_thermal_amp``.
-    Its symplectic eigenvalues satisfy nu+^2 + nu-^2 = f^2 + nu_e^2 - 2 d^2 and
-    nu+ nu- = f nu_e - d^2.
+    The environment (2 N_e + 1) diag(e^{-2r}, e^{2r}) is purified with a
+    reference C: the thermal factor becomes the two-mode squeezed block
+    [[nu I, c Z], [c Z, nu I]], c = sqrt(nu^2 - 1), and the squeezer
+    diag(e^{-r}, e^{r}) then acts on E.  The channel symplectic of
+    ``raw_channel_symplectic`` conjugates the (A, E, C) covariance entry by
+    entry; B is the first 2x2 block and (F, C) the trailing 4x4 block.  Each
+    spectrum is the moduli of the eigenvalues of Omega @ Gamma.  The precision
+    grows with log10 N, so the entries' size does not eat the 50 digits.
     """
-    with mp.workdps(50):
-        p, nu_a, nu_e = mp.mpf(parameter), 2 * mp.mpf(n_in) + 1, 2 * mp.mpf(n_env) + 1
+    dps = 50 + 2 * int(mp.log10(1 + mp.mpf(n_in)))
+    with mp.workdps(dps):
+        a, nu, r = 2 * mp.mpf(n_in) + 1, 2 * mp.mpf(n_env) + 1, mp.mpf(squeeze)
+        c = mp.sqrt(nu * nu - 1)
+        joint = mp.zeros(6, 6)
+        joint[0, 0] = joint[1, 1] = a
+        for i in range(2, 6):
+            joint[i, i] = nu
+        joint[2, 4] = joint[4, 2] = c
+        joint[3, 5] = joint[5, 3] = -c
+        squeezer = mp.eye(6)
+        squeezer[2, 2], squeezer[3, 3] = mp.exp(-r), mp.exp(r)
+        p = mp.mpf(parameter)
+        # signs of the A-E and E-A blocks: [[I, I], [-I, I]] or [[I, Z], [Z, I]]
         if kind == "bs":
-            nu_b, f = p * nu_a + (1 - p) * nu_e, (1 - p) * nu_a + p * nu_e
+            root_q, upper, lower = mp.sqrt(1 - p), (1, 1), (-1, -1)
         else:
-            nu_b, f = p * nu_a + (p - 1) * nu_e, (p - 1) * nu_a + p * nu_e
-        d2 = p * (nu_e * nu_e - 1)
-        delta, prod = f * f + nu_e * nu_e - 2 * d2, f * nu_e - d2
-        hi = mp.sqrt((delta + mp.sqrt(delta * delta - 4 * prod * prod)) / 2)
-        lo = prod / hi
-        s_fc = g_mp((hi - 1) / 2) + g_mp((lo - 1) / 2)
-        return float(g_mp((nu_b - 1) / 2) - s_fc)
+            root_q, upper, lower = mp.sqrt(p - 1), (1, -1), (1, -1)
+        channel = mp.eye(6)
+        for i in range(2):
+            channel[i, i] = channel[i + 2, i + 2] = mp.sqrt(p)
+            channel[i, i + 2], channel[i + 2, i] = root_q * upper[i], root_q * lower[i]
+        out = channel * squeezer * joint * squeezer.T * channel.T
+
+        def entropy_of(block):
+            modes = block.rows // 2
+            omega = mp.zeros(2 * modes, 2 * modes)
+            for m in range(modes):
+                omega[2 * m, 2 * m + 1], omega[2 * m + 1, 2 * m] = 1, -1
+            mags = sorted(abs(v) for v in mp.eig(omega * block, left=False, right=False))
+            return sum(g_mp((mags[2 * m] + mags[2 * m + 1]) / 4 - mp.mpf(1) / 2) for m in range(modes))
+
+        return float(entropy_of(out[0:2, 0:2]) - entropy_of(out[2:6, 2:6]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausscap import (
     BoundResult,
     ChannelSpec,
+    CovarianceMatrix,
     PhysicalityError,
     coherent_information,
     coherent_lower_bound,
@@ -23,6 +26,7 @@ from gausscap import (
     thermal_state,
     vacuum_state,
 )
+from gausscap.channels import MAX_GAIN
 from gausscap.core import _CHUNK
 from helpers import bounds_per_point, coherent_information_mp, coherent_information_per_point, fc_entropy_thermal_bs, g_direct
 
@@ -231,9 +235,21 @@ class TestCoherentInformation:
         s_ba = entropy(partial_trace(transformed, ModePartition.keeping([0, 1], 4)))
         assert coherent_information(spec, n) == pytest.approx(s_b - s_ba, abs=1e-8)
 
+    def test_unphysical_environment_names_the_input(self):
+        # an environment that skipped validation: det = 1/16 < 1
+        environment = CovarianceMatrix._physical(0.25 * np.eye(2), np.array([0.25]))
+        spec = ChannelSpec.beam_splitter(0.5, environment)
+        with pytest.raises(PhysicalityError, match="uncertainty condition violated at input photon number 2(:|$)"):
+            coherent_information(spec, np.array([2.0, 3.0]))
+
+
+def _within(got, want, rtol=1e-12):
+    return abs(got - want) <= rtol * max(1.0, abs(want))
+
 
 class TestCoherentInformationAtLargeInput:
-    """The complementary output stays accurate when the input dwarfs the environment."""
+    """The closed form stays accurate when the input dwarfs the environment:
+    against the 50-digit matrix oracle up to N = 1e18."""
 
     @pytest.mark.parametrize("n", [1e6, 1e10, 1e14])
     def test_beam_splitter_against_mpmath(self, n):
@@ -249,6 +265,70 @@ class TestCoherentInformationAtLargeInput:
         for n in (0.5, 10.0, 1e6):
             expected = coherent_information_mp("amp", kappa, n, 1)
             assert coherent_information(amp(kappa, 1), n) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [0.0, 1e-300, 0.5, 1e3, 1e9, 1e12, 1e15, 1e18])
+    @pytest.mark.parametrize(
+        "kind,parameter,ne,squeeze",
+        [("bs", 0.5, 1.0, 0.0), ("bs", 0.85, 0.3, 1.2), ("bs", 1e-6, 2.0, 0.5), ("amp", 5.0, 1.0, 0.0),
+         ("amp", 1.0 + 1e-9, 0.0, 0.7), ("amp", 1e6, 1.0, 0.0)],
+    )
+    def test_against_mpmath(self, kind, parameter, ne, squeeze, n):
+        build = ChannelSpec.beam_splitter if kind == "bs" else ChannelSpec.amplifier
+        spec = build(parameter, squeezed_thermal_state(ne, squeeze))
+        assert _within(coherent_information(spec, n), coherent_information_mp(kind, parameter, n, ne, squeeze))
+
+    def test_amplifier_at_maximum_gain_and_large_input(self):
+        spec = amp(1e6, 1)
+        result = evaluate_bounds(spec, 1e6)
+        info = coherent_information_mp("amp", 1e6, 1e6, 1)
+        assert _within(result.coherent_info, info)
+        assert _within(result.coherent_lower, info - coherent_information_mp("amp", 1e6, 1e12, 1))
+
+    def test_degenerate_pair_keeps_its_digits(self):
+        # t = 1/2 and N = N_e: the (F, C) output has nu_+ = nu_-
+        assert _within(coherent_information(bs(0.5, 1), 1.0), coherent_information_mp("bs", 0.5, 1.0, 1.0), 1e-15)
+
+
+PHOTONS = st.floats(0.0, 1e6)
+ENVIRONMENT_PHOTONS = st.floats(0.0, 10.0)
+SQUEEZES = st.floats(0.0, 2.0)
+TRANSMISSIVITIES = st.floats(0.0, 1.0)
+GAINS = st.floats(1.0, MAX_GAIN)
+
+
+class TestDomainProperties:
+    """Properties over the documented domain: t in [0, 1], k in [1, MAX_GAIN], N <= 1e6 with N' = N^2."""
+
+    @staticmethod
+    def _check_coherent_columns(kind, parameter, n, ne, squeeze):
+        build = ChannelSpec.beam_splitter if kind == "bs" else ChannelSpec.amplifier
+        result = evaluate_bounds(build(parameter, squeezed_thermal_state(ne, squeeze)), n)
+        info = coherent_information_mp(kind, parameter, n, ne, squeeze)
+        assert _within(result.coherent_info, info)
+        assert _within(result.coherent_lower, info - coherent_information_mp(kind, parameter, n * n, ne, squeeze))
+
+    @settings(deadline=None, max_examples=40)
+    @given(t=TRANSMISSIVITIES, n=PHOTONS, ne=ENVIRONMENT_PHOTONS, squeeze=SQUEEZES)
+    def test_beam_splitter_against_mpmath(self, t, n, ne, squeeze):
+        self._check_coherent_columns("bs", t, n, ne, squeeze)
+
+    @settings(deadline=None, max_examples=40)
+    @given(k=GAINS, n=PHOTONS, ne=ENVIRONMENT_PHOTONS, squeeze=SQUEEZES)
+    def test_amplifier_against_mpmath(self, k, n, ne, squeeze):
+        self._check_coherent_columns("amp", k, n, ne, squeeze)
+
+    @settings(deadline=None, max_examples=100)
+    @given(t=TRANSMISSIVITIES, k=GAINS, n=PHOTONS, ne=ENVIRONMENT_PHOTONS, squeeze=SQUEEZES)
+    def test_general_bound_is_squeezing_invariant(self, t, k, n, ne, squeeze):
+        for build, parameter in ((ChannelSpec.beam_splitter, t), (ChannelSpec.amplifier, k)):
+            squeezed = private_capacity_upper_general(build(parameter, squeezed_thermal_state(ne, squeeze)), n)
+            assert _within(squeezed, private_capacity_upper(build(parameter, thermal_state(ne)), n))
+
+    @settings(deadline=None, max_examples=100)
+    @given(t=TRANSMISSIVITIES, n=PHOTONS)
+    def test_beam_splitter_upper_is_lower_approx_without_noise(self, t, n):
+        result = evaluate_bounds(bs(t, 0.0), n)
+        assert result.upper == result.lower_approx
 
 
 class TestCoherentLowerBound:
@@ -323,6 +403,18 @@ def _fields(result):
     return _bits(dataclasses.astuple(result)[1:9])
 
 
+# The coherent columns are a closed form; the per-point chain takes eigenvalues
+# of validated matrices.  Over the grids below they differ by at most 1.7e-14.
+CHAIN_RTOL = 1e-12
+
+
+def _assert_matches_chain(result, expected):
+    """Closed-form fields bit for bit, the coherent columns to CHAIN_RTOL * max(1, |value|)."""
+    assert _fields(result)[:6] == _bits(expected[:6])
+    for got, want in zip((result.coherent_info, result.coherent_lower), expected[6:]):
+        assert abs(got - want) <= CHAIN_RTOL * max(1.0, abs(want))
+
+
 _ENVIRONMENTS = {
     "thermal": thermal_state(1.0),
     "squeezed": squeezed_thermal_state(0.7, 0.8),
@@ -342,21 +434,23 @@ class TestStackedBoundGrid:
     @pytest.mark.parametrize("second", ["square", "half"])
     @pytest.mark.parametrize("environment", sorted(_ENVIRONMENTS))
     @pytest.mark.parametrize("kind,parameter", _CHANNELS)
-    def test_grid_matches_points_and_per_point_chain_bit_for_bit(self, kind, parameter, environment, second):
+    def test_grid_matches_points_and_per_point_chain(self, kind, parameter, environment, second):
         spec = _spec(kind, parameter, environment)
         grid = np.linspace(0.0, 10.0, 21)
         results = evaluate_bounds(spec, grid, coherent_second_arg=second)
         assert len(results) == len(grid)
         for n, result in zip(grid.tolist(), results):
             assert result == evaluate_bounds(spec, n, coherent_second_arg=second)
-            assert _fields(result) == _bits(bounds_per_point(spec, n, second))
+            _assert_matches_chain(result, bounds_per_point(spec, n, second))
 
     @pytest.mark.parametrize("points", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
     def test_chunk_boundaries_match_per_point_chain(self, points):
         spec = _spec("amp", 5.0, "squeezed")
         grid = np.linspace(0.0, 50.0, points)
         nats = evaluate_bounds(spec, grid)
-        assert [_fields(r) for r in nats] == [_bits(bounds_per_point(spec, n)) for n in grid.tolist()]
+        for n, result in zip(grid.tolist(), nats):
+            _assert_matches_chain(result, bounds_per_point(spec, n))
+        assert nats[-1] == evaluate_bounds(spec, grid[-1])
         assert evaluate_bounds(spec, grid, units="bits") == [r.as_units("bits") for r in nats]
 
     def test_coherent_columns_take_arrays(self):
@@ -364,7 +458,9 @@ class TestStackedBoundGrid:
         grid = np.linspace(0.0, 30.0, 2 * _CHUNK + 3)
         info = coherent_information(spec, grid)
         assert info.shape == grid.shape
-        assert _bits(info) == _bits(coherent_information_per_point(spec, n) for n in grid.tolist())
+        assert _bits(info) == _bits(coherent_information(spec, n) for n in grid.tolist())
+        chain = np.array([coherent_information_per_point(spec, n) for n in grid.tolist()])
+        assert np.all(np.abs(info - chain) <= CHAIN_RTOL * np.maximum(1.0, np.abs(chain)))
         lower = coherent_lower_bound(spec, grid, second_argument="half")
         assert _bits(lower) == _bits(coherent_lower_bound(spec, n, second_argument="half") for n in grid.tolist())
         assert isinstance(coherent_information(spec, 2.0), float)
@@ -397,10 +493,25 @@ class TestStackedBoundGrid:
         evaluate_bounds(spec, np.linspace(0.0, 10.0, 3))  # warm caches outside the measurement
         assert transient_peak(20_001) <= 2 * transient_peak(513)
 
-    def test_unphysical_point_raises_physicality_error(self):
-        # N^2 = 1e18 leaves the (F, C) output numerically indefinite
-        with pytest.raises(PhysicalityError):
-            evaluate_bounds(bs(0.5, 1), np.array([0.0, 5e8, 1e9]))
+    def test_large_second_point_matches_mpmath(self):
+        # N^2 = 1e18 made the old eigenvalue path's (F, C) output numerically indefinite
+        results = evaluate_bounds(bs(0.5, 1), np.array([0.0, 5e8, 1e9]))
+        for result in results:
+            n = result.input_photon
+            info = coherent_information_mp("bs", 0.5, n, 1)
+            lower = info - coherent_information_mp("bs", 0.5, n * n, 1)
+            assert abs(result.coherent_info - info) <= 1e-12 * max(1.0, abs(info))
+            assert abs(result.coherent_lower - lower) <= 1e-12 * max(1.0, abs(lower))
+
+    def test_no_eigensolver_runs(self, monkeypatch):
+        spec = _spec("amp", 5.0, "squeezed")  # built before counting: the environment is validated once
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        for coherent_arg in ("square", "half"):
+            assert len(evaluate_bounds(spec, np.linspace(0.0, 10.0, 101), coherent_second_arg=coherent_arg)) == 101
+        assert calls == []
 
 
 class TestNonFiniteInputs:

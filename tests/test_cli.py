@@ -342,8 +342,7 @@ class TestBoundsErrors:
     @pytest.mark.parametrize(
         "n_stop,message",
         [
-            ("1e9", "physicality error: "),  # N^2 = 1e18: the (F, C) output is numerically indefinite
-            ("1e154", "numerical error: overflow"),  # the input 2 N^2 + 1 overflows
+            ("1e154", "numerical error: overflow"),  # (2 N^2 + 1)^2 overflows
             ("1e300", "numerical error: overflow"),  # N^2 itself overflows
         ],
     )
@@ -355,3 +354,25 @@ class TestBoundsErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message)
+
+    def test_large_second_point_matches_mpmath(self, capsys):
+        # N^2 = 1e18 made the old eigenvalue path's (F, C) output numerically indefinite (exit 3)
+        argv = ["bounds", "--channel", "bs", "--tau", "0.5", "--ne", "1", "--n-start", "0", "--n-stop", "1e9", "--n-steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        header, rows = parse_csv(capsys.readouterr().out)
+        for row in rows:
+            n = row[header.index("N")]
+            info = coherent_information_mp("bs", 0.5, n, 1)
+            lower = info - coherent_information_mp("bs", 0.5, n * n, 1)
+            assert abs(row[header.index("coherent_info")] - info) <= 1e-12 * max(1.0, abs(info))
+            assert abs(row[header.index("coherent_lower")] - lower) <= 1e-12 * max(1.0, abs(lower))
+
+    def test_overflowing_squeeze_is_config_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning from exp(2r)
+            assert main(["bounds", "--channel", "bs", "--tau", "0.5", "--squeeze", "400"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(r"configuration error: .*overflows.* at or below 354\.34", captured.err)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -31,7 +32,7 @@ from gausscap import (
     vacuum_state,
     williamson,
 )
-from gausscap.core import _validated, symplectic_residual
+from gausscap.core import _validated, amplifier_block, symplectic_residual
 from helpers import g_direct, g_mp, raw_symplectic_eigenvalues, reference_gaussian_state
 
 
@@ -59,6 +60,26 @@ class TestConstructors:
         for r in np.linspace(0, 2, 9):
             det = np.linalg.det(squeezed_thermal_state(1.3, r).data)
             assert det == pytest.approx((2 * 1.3 + 1) ** 2, rel=1e-10)
+
+    @pytest.mark.parametrize("n,r", [(0.0, 1e-3), (1.0, 0.0), (0.7, 0.8), (3.0, 20.0), (0.0, 354.0)])
+    def test_squeezed_thermal_spectrum_is_exact(self, n, r):
+        # built without an eigensolver: the symplectic eigenvalue is 2N + 1 by construction
+        state = squeezed_thermal_state(n, r)
+        assert symplectic_eigenvalues(state).tolist() == [2.0 * n + 1.0]
+        with mpmath.workdps(50):
+            d = [mpmath.mpf(float(v)) for v in state.data.diagonal()]
+            assert float(mpmath.sqrt(d[0] * d[1])) == pytest.approx(2.0 * n + 1.0, rel=1e-13)
+        if r <= 20.0:
+            assert raw_symplectic_eigenvalues(state.data)[0] == pytest.approx(2.0 * n + 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n,limit", [(0.0, 354.891), (1.0, 354.342)])
+    def test_overflowing_squeeze_is_rejected_with_its_domain(self, n, limit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning from exp(2r)
+            squeezed_thermal_state(n, limit - 1e-3)
+            with pytest.raises(ValueError, match=f"at or below {limit}") as caught:
+                squeezed_thermal_state(n, limit + 1e-3)
+        assert caught.type is ValueError
 
     def test_squeezed_thermal_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -143,6 +164,12 @@ class TestThermalEntropy:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             thermal_entropy(-1e-9)
+
+    @pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])])
+    def test_rejects_nan(self, x):
+        # NaN fails both x < 0 and x > 0, so it used to come back as a zero entropy
+        with pytest.raises(ValueError, match="nonnegative"):
+            thermal_entropy(x)
 
     @pytest.mark.parametrize("x", [1e8, 1e12, 1e15])
     def test_large_argument_against_mpmath(self, x):
@@ -383,6 +410,19 @@ class TestSymplecticTolerance:
         s[1, 1] *= 1.0 + 1e-3
         with pytest.raises(ValueError, match="symplectic"):
             SymplecticMatrix(s)
+
+    @pytest.mark.parametrize("scale", [1.0 + 4e-5, 1.0 - 4e-5, 1.0 + 1e-4])
+    def test_uniform_rescale_of_large_matrix_rejected(self, scale):
+        # (1 + eps) S deviates by 2 eps Omega, which does not grow with |S|
+        with pytest.raises(ValueError, match="symplectic"):
+            SymplecticMatrix(amplifier_block(1e6) * scale)
+
+    def test_roundoff_of_exact_symplectics_accepted(self):
+        SymplecticMatrix(amplifier_block(1e6))
+        for seed in range(20):
+            random_symplectic(4, max_squeeze=3.0, seed=seed)
+        for seed in range(5):
+            williamson(random_gaussian_state(16, 5.0, 1.5, seed))
 
 
 class TestBatchedValidation:
