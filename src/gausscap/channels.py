@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     PHASE_FLIP,
+    PURE_ATOL,
     CovarianceMatrix,
     SymplecticMatrix,
     _everywhere,
@@ -26,8 +27,6 @@ from .core import (
 )
 
 MAX_GAIN = 1e6
-# Symplectic eigenvalues within this of 1 count as pure, as in core.purify.
-_PURE_ATOL = 1e-12
 _IDENTITY = np.eye(2)
 _IDENTITY.setflags(write=False)
 
@@ -142,9 +141,9 @@ def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_
     # sqrt of a 2x2 positive matrix M with det M = 1 is (M + I) / sqrt(tr M + 2).
     m = gamma_e / nu
     root = (m + _IDENTITY) / np.sqrt(m[..., 0:1, 0:1] + m[..., 1:2, 1:2] + 2.0)
-    # environments within _PURE_ATOL of nu = 1 are pure and couple nothing to C
+    # environments within PURE_ATOL of nu = 1 are pure and couple nothing to C
     excess = nu - 1.0
-    excess = np.where(excess > _PURE_ATOL, excess * (nu + 1.0), 0.0)
+    excess = np.where(excess > PURE_ATOL, excess * (nu + 1.0), 0.0)
     # adding 0.0 turns the -0.0 entries of an uncoupled block into +0.0
     cross = np.sqrt(excess * coupling(kind, parameter)[0]) * (root @ PHASE_FLIP) + 0.0
     out[..., :2, 2:] = cross

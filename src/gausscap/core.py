@@ -21,6 +21,8 @@ PHYSICALITY_ATOL = 1e-9
 PAIR_ATOL = 1e-8
 # S Omega S.T = Omega entry by entry to this fraction of max(1, (|S| |Omega| |S.T|)_ij), the scale of its roundoff.
 SYMPLECTIC_RTOL = 1e-12
+# Symplectic eigenvalues within this of 1 count as pure (nothing couples to a purifying mode).
+PURE_ATOL = 1e-12
 # Matrices per stacked pass (campaign trials, bound-grid points): memory does not grow with the count.
 _CHUNK = 512
 
@@ -171,6 +173,8 @@ class SymplecticMatrix:
         data = np.array(self.data, dtype=float)
         if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] % 2 != 0:
             raise ValueError("symplectic matrix must be 2n x 2n")
+        if not np.isfinite(data).all():  # NaN would pass the tolerance comparison below
+            raise ValueError("symplectic matrix must be finite")
         if _symplectic_excess(data) > SYMPLECTIC_RTOL:
             raise ValueError(f"matrix is not symplectic (residual {symplectic_residual(data):.3e})")
         data.setflags(write=False)
@@ -442,34 +446,29 @@ def williamson(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.fl
     (S, d):
         ``S`` is the symplectic factor and ``d`` the diagonal of D, i.e.
         each symplectic eigenvalue repeated twice, sorted descending.
-    """
-    from scipy.linalg import schur  # the only scipy use; imported here to keep it off the import path
 
+    The positive eigenvalues b = 1 / nu of the Hermitian i Gamma^(-1/2) Omega
+    Gamma^(-1/2) come ascending, so nu descending; an eigenvector x + iy of b
+    gives the columns (sqrt2 y, sqrt2 x) of the orthogonal Q in
+    S = Gamma^(1/2) Q D^(-1/2).  Each eigenvector's free phase is set so that
+    Q's 2x2 block on its heaviest mode is symmetric with trace >= 0, which
+    makes a single-mode S the symmetric sqrt(Gamma / nu).
+    """
     data = state.data
     n = state.n_modes
     evals, evecs = np.linalg.eigh(data)
-    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    inv_root = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
+    root = (evecs * np.sqrt(evals)) @ evecs.T
+    inv_root = (evecs / np.sqrt(evals)) @ evecs.T
     skew = inv_root @ symplectic_form(n) @ inv_root
-    skew = 0.5 * (skew - skew.T)
-    t, q = schur(skew, output="real")
-    # Canonicalise each 2x2 Schur block to [[0, b], [-b, 0]] with b > 0.
-    flip = np.eye(2 * n)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for j in range(n):
-        if t[2 * j, 2 * j + 1] < 0.0:
-            flip[2 * j:2 * j + 2, 2 * j:2 * j + 2] = swap
-    q = q @ flip
-    t = flip @ t @ flip
-    nu = np.array([1.0 / t[2 * j, 2 * j + 1] for j in range(n)])
-    order = np.argsort(-nu)
-    perm = np.zeros((2 * n, 2 * n))
-    for new, old in enumerate(order):
-        perm[2 * old:2 * old + 2, 2 * new:2 * new + 2] = np.eye(2)
-    q = q @ perm
-    d = np.repeat(nu[order], 2)
-    s = root @ q @ np.diag(1.0 / np.sqrt(d))
-    return SymplecticMatrix(s), d
+    b, v = np.linalg.eigh(0.5j * (skew - skew.T))
+    b, v = b[n:], v[:, n:]
+    # Q's block on mode m has rotation part ~ v_p - i v_q: make it real and >= 0 on the heaviest mode
+    heaviest = np.argmax(np.abs(v[0::2]) ** 2 + np.abs(v[1::2]) ** 2, axis=0)
+    phase = (v[1::2] - 1j * v[0::2])[heaviest, np.arange(n)]
+    v = v * (np.conj(phase) / np.abs(phase))
+    q = math.sqrt(2.0) * np.stack([v.imag, v.real], axis=-1).reshape(2 * n, 2 * n)
+    d = np.repeat(1.0 / b, 2)
+    return SymplecticMatrix(root @ q / np.sqrt(d)), d
 
 
 def purify(state: CovarianceMatrix) -> CovarianceMatrix:
@@ -484,7 +483,7 @@ def purify(state: CovarianceMatrix) -> CovarianceMatrix:
     nu = d[0::2]
     # nu within roundoff of 1 means a pure factor: couple nothing to the
     # reference so pure environments purify to exact products.
-    excess = np.where(nu - 1.0 > 1e-12, nu - 1.0, 0.0)
+    excess = np.where(nu - 1.0 > PURE_ATOL, nu - 1.0, 0.0)
     cross = np.kron(np.diag(np.sqrt(excess * (nu + 1.0))), PHASE_FLIP)
     big = np.block([[np.diag(d), cross], [cross, np.diag(d)]])
     widen = _block_diag(s.data, np.eye(2 * n))

@@ -235,27 +235,50 @@ class TestMeanPhoton:
             mean_photon_number(vacuum_state(2))
 
 
+_THERMAL_PRODUCT = direct_sum(thermal_state(1), thermal_state(1), thermal_state(0.5))
+# Random states of 1-16 modes plus products with repeated symplectic eigenvalues.
+_WILLIAMSON_STATES = [
+    *(pytest.param(random_gaussian_state(seed % 3 + 1, 3.0, 1.2, seed), id=f"seed{seed}") for seed in range(0, 100, 7)),
+    *(
+        pytest.param(random_gaussian_state(n_modes, 5.0, 1.5, seed), id=f"{n_modes}modes-seed{seed}")
+        for n_modes in (1, 2, 3, 4, 6, 8, 12, 16)
+        for seed in (0, 7, 19)
+    ),
+    pytest.param(vacuum_state(3), id="vacuum3"),
+    pytest.param(_THERMAL_PRODUCT, id="thermal-1-1-0.5"),
+]
+
+
 class TestWilliamson:
     def test_vacuum(self):
         s, d = williamson(vacuum_state())
         np.testing.assert_allclose(d, [1.0, 1.0])
         np.testing.assert_allclose(s.data @ s.data.T, np.eye(2), atol=1e-12)
 
-    def test_squeezed_thermal_factorisation(self):
-        state = squeezed_thermal_state(1, 0.6)
+    @pytest.mark.parametrize(
+        "state",
+        [vacuum_state(), thermal_state(1), squeezed_thermal_state(1, 0.6), squeezed_thermal_state(0, 2.0)]
+        + [random_gaussian_state(1, 5.0, 1.5, seed) for seed in range(5)],
+    )
+    def test_single_mode_factor_is_symmetric_root(self, state):
+        # S = sqrt(Gamma / nu), the factor channels._complementary_map uses to purify an environment
         s, d = williamson(state)
-        np.testing.assert_allclose(d, [3.0, 3.0], rtol=1e-12)
-        # S S^T = Gamma / nu is fixed even though S itself is unique only up
-        # to a rotation.
-        np.testing.assert_allclose(s.data @ s.data.T, state.data / 3.0, atol=1e-12)
+        nu = math.sqrt(np.linalg.det(state.data))
+        np.testing.assert_allclose(d, [nu, nu], rtol=1e-12)
+        # symmetric square root of a 2x2 positive matrix M with det 1: (M + I) / sqrt(tr M + 2)
+        m = state.data / nu
+        root = (m + np.eye(2)) / math.sqrt(np.trace(m) + 2.0)
+        assert np.max(np.abs(s.data - root)) <= 1e-12 * max(1.0, np.max(np.abs(root)))
 
-    @pytest.mark.parametrize("seed", range(0, 100, 7))
-    def test_reconstruction_small_batches(self, seed):
-        n_modes = seed % 3 + 1
-        state = random_gaussian_state(n_modes, 3.0, 1.2, seed)
+    @pytest.mark.parametrize("state", _WILLIAMSON_STATES)
+    def test_decomposition(self, state):
         s, d = williamson(state)
-        residual = np.max(np.abs(s.data @ np.diag(d) @ s.data.T - state.data))
-        assert residual < 1e-8
+        assert isinstance(s, SymplecticMatrix)
+        gamma = state.data
+        assert np.max(np.abs((s.data * d) @ s.data.T - gamma)) <= 1e-12 * max(1.0, np.max(np.abs(gamma)))
+        np.testing.assert_array_equal(d[0::2], d[1::2])
+        assert np.all(np.diff(d[0::2]) <= 0.0)
+        np.testing.assert_allclose(d[0::2], symplectic_eigenvalues(state), rtol=1e-12)
 
     def test_reconstruction_hundred_states(self):
         worst = 0.0
@@ -265,10 +288,17 @@ class TestWilliamson:
             worst = max(worst, float(np.max(np.abs(s.data @ np.diag(d) @ s.data.T - state.data))))
         assert worst < 1e-8
 
-    def test_diagonal_sorted_descending(self):
-        state = direct_sum(thermal_state(0.5), thermal_state(4))
+    @pytest.mark.parametrize(
+        ("state", "expected"),
+        [
+            (direct_sum(thermal_state(0.5), thermal_state(4)), [9.0, 9.0, 2.0, 2.0]),
+            (_THERMAL_PRODUCT, [3.0, 3.0, 3.0, 3.0, 2.0, 2.0]),
+            (vacuum_state(3), [1.0] * 6),
+        ],
+    )
+    def test_diagonal_sorted_descending(self, state, expected):
         _, d = williamson(state)
-        np.testing.assert_allclose(d, [9.0, 9.0, 2.0, 2.0], rtol=1e-12)
+        np.testing.assert_allclose(d, expected, rtol=1e-12)
 
 
 class TestPurify:
@@ -416,6 +446,11 @@ class TestSymplecticTolerance:
         # (1 + eps) S deviates by 2 eps Omega, which does not grow with |S|
         with pytest.raises(ValueError, match="symplectic"):
             SymplecticMatrix(amplifier_block(1e6) * scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SymplecticMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_roundoff_of_exact_symplectics_accepted(self):
         SymplecticMatrix(amplifier_block(1e6))
