@@ -1,7 +1,9 @@
 """Closed-form capacity bounds for beam-splitter and amplifier channels.
 
-All quantities are in nats unless converted.  Formulas that assume a
-thermal environment accept general Gaussian noise through its
+All quantities are in nats unless converted.  The closed forms are written
+in the per-family constants (p, q, d, v) of ``channels.coupling``, with
+g(x) = ``thermal_entropy``, and do not branch on the family.  Formulas that
+assume a thermal environment accept general Gaussian noise through its
 entropy-equivalent photon number N* = (sqrt(det Gamma) - 1) / 2, which
 reduces to the thermal occupation when the environment is thermal.
 """
@@ -13,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, coupling
-from .core import _CHUNK, PHYSICALITY_ATOL, CovarianceMatrix, PhysicalityError, _everywhere, thermal_entropy, thermal_state
+from .channels import ChannelKind, ChannelSpec, _factor_entropies, _invariant_spectra, _rounded_pure, coupling, epi_rhs
+from .core import _CHUNK, CovarianceMatrix, _det2, _everywhere, thermal_entropy, thermal_state
 
 _THERMAL_ATOL = 1e-12
 
@@ -30,14 +32,15 @@ def equivalent_thermal_photon(environment: CovarianceMatrix) -> float:
 
 def _thermal_photon(gamma: np.ndarray):
     """Mean photon number N of thermal covariances (2N + 1) I, one 2x2 matrix or a
-    stack (..., 2, 2); error for other noise."""
+    stack (..., 2, 2); error for other noise.  A matrix within 1e-12 of thermal
+    (say a squeezed vacuum of r ~ 1e-13) takes N = (tr / 2 - 1) / 2 >= 0."""
     thermal = (abs(gamma[..., 0, 1]) <= _THERMAL_ATOL) & (abs(gamma[..., 0, 0] - gamma[..., 1, 1]) <= _THERMAL_ATOL)
     if not _everywhere(thermal):
         raise ValueError(
             "this formula assumes a thermal environment; "
             "use private_capacity_upper_general for general Gaussian noise"
         )
-    return (gamma[..., 0, 0] - 1.0) / 2.0
+    return _rounded_pure(0.5 * (gamma[..., 0, 0] + gamma[..., 1, 1]) - 1.0) / 2.0
 
 
 def thermal_environment_photon(spec: ChannelSpec) -> float:
@@ -52,10 +55,6 @@ def _formula_environment(spec: ChannelSpec) -> tuple[str, float]:
         return "thermal_photon", thermal_environment_photon(spec)
     except ValueError:
         return "equivalent_photon", equivalent_thermal_photon(spec.environment)
-
-
-def _with_thermal_environment(spec: ChannelSpec, photon: float) -> ChannelSpec:
-    return ChannelSpec(spec.kind, spec.parameter, thermal_state(photon))
 
 
 def _validated_photon(input_photon):
@@ -95,64 +94,31 @@ class BoundResult:
 
 
 def holevo_capacity(spec: ChannelSpec, input_photon: float) -> float:
-    """Holevo capacity of the thermal-noise channel at input energy N.
-
-    Beam splitter: g(tN + (1-t)Ne) - g((1-t)Ne).
-    Amplifier:     g(kN + (k-1)Ne) - g((k-1)Ne / (2k-1)).
-    """
+    """Holevo capacity of the thermal-noise channel at input energy N: g(pN + q Ne) - g(q Ne / d)."""
     n = _validated_photon(input_photon)
     ne = thermal_environment_photon(spec)
-    if spec.kind is ChannelKind.BEAM_SPLITTER:
-        t = spec.parameter
-        return thermal_entropy(t * n + (1.0 - t) * ne) - thermal_entropy((1.0 - t) * ne)
-    k = spec.parameter
-    return thermal_entropy(k * n + (k - 1.0) * ne) - thermal_entropy((k - 1.0) * ne / (2.0 * k - 1.0))
+    p, q, _, d, _ = coupling(spec.kind, spec.parameter)
+    return thermal_entropy(p * n + q * ne) - thermal_entropy(q * ne / d)
 
 
 def maximal_capacity(spec: ChannelSpec, input_photon: float) -> float:
-    """Twice the maximum output entropy at fixed input energy.
-
-    Beam splitter: 2 g(tN + (1-t)Ne); amplifier: 2 g(kN + (k-1)(Ne+1)).
-    """
+    """Twice the maximum output entropy at fixed input energy: 2 g(pN + q (Ne + v))."""
     n = _validated_photon(input_photon)
     ne = thermal_environment_photon(spec)
-    if spec.kind is ChannelKind.BEAM_SPLITTER:
-        t = spec.parameter
-        return 2.0 * thermal_entropy(t * n + (1.0 - t) * ne)
-    k = spec.parameter
-    return 2.0 * thermal_entropy(k * n + (k - 1.0) * (ne + 1.0))
+    p, q, _, _, v = coupling(spec.kind, spec.parameter)
+    return 2.0 * thermal_entropy(p * n + q * (ne + v))
 
 
 def moe_sum_lower(spec: ChannelSpec) -> float:
-    """Lower bound on the summed minimum output entropies of channel and complement.
-
-    Beam splitter: 2 (1-t) g(Ne).  For the amplifier the subtracted terms of
-    the upper bound are exposed in the same role: 2 (k-1)/(2k-1) g(Ne) + 2 ln(2k-1).
-    """
-    ne = thermal_environment_photon(spec)
-    if spec.kind is ChannelKind.BEAM_SPLITTER:
-        return 2.0 * (1.0 - spec.parameter) * thermal_entropy(ne)
-    k = spec.parameter
-    return 2.0 * (k - 1.0) / (2.0 * k - 1.0) * thermal_entropy(ne) + 2.0 * math.log(2.0 * k - 1.0)
+    """Lower bound on the summed minimum output entropies of channel and complement:
+    twice the entropy floor ``epi_rhs``(0, g(Ne)) = q/d g(Ne) + ln d of a thermal environment."""
+    return 2.0 * epi_rhs(spec.kind, spec.parameter, 0.0, thermal_entropy(thermal_environment_photon(spec)))
 
 
 def private_capacity_upper(spec: ChannelSpec, input_photon: float) -> float:
-    """Upper bound on the private capacity for a thermal environment.
-
-    Beam splitter: 2 [g(tN + (1-t)Ne) - (1-t) g(Ne)].
-    Amplifier:     2 [g(kN + (k-1)(Ne+1)) - (k-1)/(2k-1) g(Ne) - ln(2k-1)].
-    """
-    n = _validated_photon(input_photon)
-    ne = thermal_environment_photon(spec)
-    if spec.kind is ChannelKind.BEAM_SPLITTER:
-        t = spec.parameter
-        return 2.0 * (thermal_entropy(t * n + (1.0 - t) * ne) - (1.0 - t) * thermal_entropy(ne))
-    k = spec.parameter
-    return 2.0 * (
-        thermal_entropy(k * n + (k - 1.0) * (ne + 1.0))
-        - (k - 1.0) / (2.0 * k - 1.0) * thermal_entropy(ne)
-        - math.log(2.0 * k - 1.0)
-    )
+    """Upper bound on the private capacity for a thermal environment:
+    maximal - moe_sum_lower = 2 [g(pN + q (Ne + v)) - q/d g(Ne) - ln d]."""
+    return maximal_capacity(spec, input_photon) - moe_sum_lower(spec)
 
 
 def private_capacity_upper_general(spec: ChannelSpec, input_photon: float) -> float:
@@ -163,72 +129,35 @@ def private_capacity_upper_general(spec: ChannelSpec, input_photon: float) -> fl
     (hence not on squeezing).
     """
     ne_star = equivalent_thermal_photon(spec.environment)
-    return private_capacity_upper(_with_thermal_environment(spec, ne_star), input_photon)
+    return private_capacity_upper(ChannelSpec(spec.kind, spec.parameter, thermal_state(ne_star)), input_photon)
 
 
 def private_capacity_lower_approx(spec: ChannelSpec, input_photon: float) -> float:
-    """Rough lower bound obtained by keeping the full g of the leaked energy.
-
-    Beam splitter: 2 [g(tN + (1-t)Ne) - g((1-t)Ne)]; amplifier analogous.
-    Coincides with twice the Holevo capacity.
-    """
+    """Rough lower bound obtained by keeping the full g of the leaked energy: twice the Holevo capacity."""
     return 2.0 * holevo_capacity(spec, input_photon)
-
-
-def _rounded_pure(excess: float) -> float:
-    """det - 1 or tr / 2 - 1 of a validated environment: a value within the
-    1e-9 uncertainty tolerance below 0 is roundoff of a pure state and counts as 0."""
-    return 0.0 if -2.0 * PHYSICALITY_ATOL <= excess < 0.0 else excess
 
 
 def coherent_information(spec: ChannelSpec, input_photon):
     """S(channel output) - S(complementary output) for a thermal input of energy N.
 
-    ``input_photon`` is a scalar or a 1-D array.  The spectra come in closed
-    form from a = 2N + 1, the environment's trace tr and determinant det, and
-    (p, q) of ``coupling``, with s = -1 for the beam splitter and +1 for the
-    amplifier.  Every sum below has nonnegative terms, so nothing cancels:
-
-        nu_B^2 - 1 = p^2 (a^2 - 1) + w,   w = q^2 (det - 1) + 2 p q (a tr / 2 + s)
-        S = nu_+^2 + nu_-^2 - 2 = q^2 (a^2 - 1) + w
-        K = (nu_+^2 - 1)(nu_-^2 - 1) = q^2 (a^2 - 1)(det - 1)
-
-    where nu_+ and nu_- are the (F, C) output's symplectic eigenvalues, from
-    the invariants of Serafini, Illuminati and De Siena, J. Phys. B 37, L21
-    (2004).  x_+ = nu_+^2 - 1 is the larger root of x^2 - S x + K and
-    x_- = K / x_+, so a degenerate pair loses no digits in the entropy sum.
-    A factor with x = nu^2 - 1 has photon number (nu - 1) / 2 = x / (2 + 2 sqrt(1 + x)).
-    Overflow raises ``FloatingPointError``; K < 0, S < 0 or nu_B < 1 - 1e-9
-    raises ``PhysicalityError`` naming the input photon number.
+    ``input_photon`` is a scalar or a 1-D array.  The thermal case of
+    ``channels._invariant_spectra``, with the invariants passed directly: the
+    input a I, a = 2N + 1, has det - 1 = 4N(N + 1), and against an environment
+    of trace tr, cross = a tr / 2 + 2v - 1 = N tr + (tr / 2 + 2v - 1), whose
+    constant is >= 0 because tr / 2 >= sqrt(det) >= 1.  A failing check names
+    the input photon number.
     """
     n = _validated_photon(input_photon)
     grid = np.atleast_1d(n)
-    p, q, _ = coupling(spec.kind, spec.parameter)
+    v = coupling(spec.kind, spec.parameter)[4]
     g = spec.environment.data
     half_trace = 0.5 * (g[0, 0] + g[1, 1])
-    det_excess = _rounded_pure(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] - 1.0)
-    # a tr / 2 + s = N tr + (tr / 2 + s), whose constant is >= 0 for s = -1 because tr / 2 >= sqrt(det) >= 1
-    offset = _rounded_pure(half_trace - 1.0) if spec.kind is ChannelKind.BEAM_SPLITTER else half_trace + 1.0
     with np.errstate(over="raise"):
         squares = 4.0 * grid * (grid + 1.0)  # a^2 - 1
-        w = q * q * det_excess + 2.0 * p * q * (2.0 * half_trace * grid + offset)
-        xs = np.zeros((3, len(grid)))  # nu^2 - 1 of B, then of the (F, C) pair
-        xs[0] = p * p * squares + w
-        total = q * q * squares + w
-        product = q * q * det_excess * squares
-    ok = (product >= 0.0) & (total >= 0.0) & (xs[0] >= (1.0 - PHYSICALITY_ATOL) ** 2 - 1.0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise PhysicalityError(
-            f"uncertainty condition violated at input photon number {grid[i]:.17g}: "
-            f"K = {product[i]:.6g}, S = {total[i]:.6g}, nu_B^2 - 1 = {xs[0, i]:.6g}"
-        )
-    root = np.sqrt(product)
-    # sqrt(S^2 - 4K) as a product of two roots and x_+ as a sum of halves, so nothing overflows
-    xs[1] = 0.5 * total + 0.5 * (np.sqrt(np.maximum(total - 2.0 * root, 0.0)) * np.sqrt(total + 2.0 * root))
-    np.divide(product, xs[1], out=xs[2], where=xs[1] > 0.0)
-    np.maximum(xs, 0.0, out=xs)  # nu within the tolerance below 1 counts as 1
-    entropies = thermal_entropy(xs / (2.0 + 2.0 * np.sqrt(1.0 + xs)))
+        cross = 2.0 * half_trace * grid + _rounded_pure(half_trace + (2.0 * v - 1.0))
+    xs = _invariant_spectra(spec.kind, spec.parameter, squares, _rounded_pure(_det2(g) - 1.0), cross,
+                            lambda i: f"input photon number {grid[i]:.17g}")
+    entropies = _factor_entropies(xs)
     info = entropies[0] - (entropies[1] + entropies[2])
     return float(info[0]) if np.ndim(n) == 0 else info
 
@@ -270,10 +199,9 @@ def evaluate_bounds(spec: ChannelSpec, input_photon, units: str = "nats", cohere
     """
     n = _validated_photon(input_photon)
     label, ne = _formula_environment(spec)
-    formula_spec = _with_thermal_environment(spec, ne)
-    kind = "beam_splitter" if spec.kind is ChannelKind.BEAM_SPLITTER else "amplifier"
+    formula_spec = ChannelSpec(spec.kind, spec.parameter, thermal_state(ne))
     knob = "transmissivity" if spec.kind is ChannelKind.BEAM_SPLITTER else "gain"
-    channel = f"{kind}({knob}={spec.parameter:.12g}, {label}={ne:.12g})"
+    channel = f"{spec.kind.value}({knob}={spec.parameter:.12g}, {label}={ne:.12g})"
     grid, results = np.atleast_1d(n), []
     for start in range(0, len(grid), _CHUNK):
         chunk = grid[start:start + _CHUNK]

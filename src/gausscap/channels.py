@@ -6,6 +6,8 @@ the channel, tracing the other gives the weak-complementary map.  Both are
 one affine map, ``channel_map``, with input and environment exchanged.  The
 complementary map first purifies a mixed environment with a reference
 mode, so its output covers two modes (environment output F, reference C).
+``coupling`` holds every per-family constant, and the output spectra of a
+single-mode input come in closed form from ``_invariant_spectra``.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ import numpy as np
 
 from .core import (
     PHASE_FLIP,
+    PHYSICALITY_ATOL,
     PURE_ATOL,
     CovarianceMatrix,
+    PhysicalityError,
     SymplecticMatrix,
+    _det2,
     _everywhere,
     amplifier_block,
-    entropy,
     mixing_symplectic,
+    thermal_entropy,
 )
 
 MAX_GAIN = 1e6
@@ -40,8 +45,8 @@ class ChannelKind(Enum):
 class ChannelSpec:
     """Channel family, mixing parameter, and single-mode environment state.
 
-    Beam splitters take a transmissivity in [0, 1]; amplifiers a gain in
-    [1, MAX_GAIN], where gain 1 degenerates to the identity channel.
+    The parameter lies in the family's range of ``coupling``, with gains
+    capped at MAX_GAIN; gain 1 degenerates to the identity channel.
     """
 
     kind: ChannelKind
@@ -51,14 +56,9 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         if self.environment.n_modes != 1:
             raise ValueError("environment must be a single-mode state")
-        if self.kind is ChannelKind.BEAM_SPLITTER:
-            if not 0.0 <= self.parameter <= 1.0:
-                raise ValueError("beam-splitter transmissivity must lie in [0, 1]")
-        elif self.kind is ChannelKind.AMPLIFIER:
-            if not 1.0 <= self.parameter <= MAX_GAIN:
-                raise ValueError(f"amplifier gain must lie in [1, {MAX_GAIN:g}]")
-        else:
-            raise ValueError(f"unknown channel kind: {self.kind!r}")
+        coupling(self.kind, self.parameter)  # raises outside the family's range
+        if self.parameter > MAX_GAIN:
+            raise ValueError(f"gain must lie in [1, {MAX_GAIN:g}]")
 
     @classmethod
     def beam_splitter(cls, transmissivity: float, environment: CovarianceMatrix) -> "ChannelSpec":
@@ -96,20 +96,34 @@ def channel_symplectic(spec: ChannelSpec) -> SymplecticMatrix:
 
 
 def coupling(kind: ChannelKind, parameter) -> tuple:
-    """(p, q, M) of the output mode B = sqrt(p) A + sqrt(q) M E.
+    """The per-family constants (p, q, M, d, v), the one place they are written:
 
-    (t, 1-t, I) for a beam splitter with t in [0, 1], (k, k-1, Z) for an
-    amplifier with k >= 1.  No upper gain cap applies here.  ``parameter``
-    may be an array of per-matrix values shaped to broadcast against a stack
-    of matrices, e.g. (T, 1, 1); then p and q are arrays too.
+        family          p       q       M    d         v
+        beam splitter   t       1 - t   I    1         0
+        amplifier       k       k - 1   Z    2k - 1    1
+
+    B = sqrt(p) A + sqrt(q) M E is the output mode, d the normaliser of the
+    entropy power inequality (``epi_rhs``) and v the vacuum noise: a vacuum
+    input and environment leave q v photons in B.  t must lie in [0, 1] and
+    k >= 1 (no gain cap here).  ``parameter`` may be an array shaped to
+    broadcast against a stack of matrices, e.g. (T, 1, 1).
     """
     if kind is ChannelKind.BEAM_SPLITTER:
         if not _everywhere((parameter >= 0.0) & (parameter <= 1.0)):
             raise ValueError("transmissivity must lie in [0, 1]")
-        return parameter, 1.0 - parameter, _IDENTITY
+        return parameter, 1.0 - parameter, _IDENTITY, 1.0, 0.0
+    if kind is not ChannelKind.AMPLIFIER:
+        raise ValueError(f"unknown channel kind: {kind!r}")
     if not _everywhere(parameter >= 1.0):
         raise ValueError("gain must be >= 1")
-    return parameter, parameter - 1.0, PHASE_FLIP
+    return parameter, parameter - 1.0, PHASE_FLIP, 2.0 * parameter - 1.0, 1.0
+
+
+def epi_rhs(kind: ChannelKind, parameter, s1, s2):
+    """Entropy power bound (p s1 + q s2) / d + ln d on S(B) for inputs of entropies s1 and s2,
+    evaluated as p/d s1 + q/d s2 + ln d; at (0, g(Ne)) the output-entropy floor of a thermal environment."""
+    p, q, _, d, _ = coupling(kind, parameter)
+    return p / d * s1 + q / d * s2 + np.log(d)
 
 
 def channel_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
@@ -118,7 +132,7 @@ def channel_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.n
     Takes one pair of 2x2 covariances or stacks of them, shape (..., 2, 2),
     with ``parameter`` as in ``coupling``.
     """
-    p, q, m = coupling(kind, parameter)
+    p, q, m, _, _ = coupling(kind, parameter)
     return p * gamma_a + q * (m @ gamma_e @ m)
 
 
@@ -133,8 +147,7 @@ def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_
     Takes 2x2 covariances or stacks that broadcast together, shape (..., 2, 2),
     with ``parameter`` as in ``coupling``; returns shape (..., 4, 4).
     """
-    g = gamma_e
-    nu = np.sqrt(g[..., 0:1, 0:1] * g[..., 1:2, 1:2] - g[..., 0:1, 1:2] * g[..., 1:2, 0:1])
+    nu = np.sqrt(_det2(gamma_e))[..., None, None]
     out = np.zeros(np.broadcast_shapes(gamma_a.shape, gamma_e.shape)[:-2] + (4, 4))
     out[..., :2, :2] = channel_map(kind, parameter, gamma_e, gamma_a)
     out[..., 2:, 2:] = nu * _IDENTITY
@@ -149,6 +162,73 @@ def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_
     out[..., :2, 2:] = cross
     out[..., 2:, :2] = cross.swapaxes(-1, -2)
     return out
+
+
+def _rounded_pure(excess):
+    """An excess over a pure state's value (det - 1, tr / 2 - 1), scalar or array: a value
+    within the 1e-9 uncertainty tolerance below 0 is roundoff of a pure state and counts as 0."""
+    return np.where((excess < 0.0) & (excess >= -2.0 * PHYSICALITY_ATOL), 0.0, excess)
+
+
+def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, label) -> np.ndarray:
+    """nu^2 - 1 of the channel output B, then of the complementary pair (F, C), stacked on axis 0.
+
+    The arguments are invariants of a single-mode input A and environment E,
+    scalars or arrays that broadcast together: a_excess = det G_A - 1,
+    e_excess = det G_E - 1 and cross = tr(G_A J M G_E M J.T) / 2 + 2v - 1,
+    with J the single-mode symplectic form and (p, q, M, v) of ``coupling``.
+    The trace is >= 2 sqrt(det G_A det G_E) >= 2, so every term below is
+    nonnegative and nothing cancels:
+
+        nu_B^2 - 1 = p^2 a_excess + w,   w = q^2 e_excess + 2 p q cross
+        S = nu_+^2 + nu_-^2 - 2 = q^2 a_excess + w
+        K = (nu_+^2 - 1)(nu_-^2 - 1) = q^2 a_excess e_excess
+
+    where nu_+ and nu_- are the (F, C) output's symplectic eigenvalues, from
+    the invariants of Serafini, Illuminati and De Siena, J. Phys. B 37, L21
+    (2004); x_+ = nu_+^2 - 1 is the larger root of x^2 - S x + K and
+    x_- = K / x_+: a near-degenerate pair is split only to about sqrt(eps),
+    but its product, and its entropy sum to second order, keep their digits.
+    Overflow raises ``FloatingPointError``; K < 0, S < 0 or nu_B < 1 - 1e-9
+    raises ``PhysicalityError`` naming ``label(i)``.
+    """
+    p, q, _, _, _ = coupling(kind, parameter)
+    with np.errstate(over="raise"):
+        w = q * q * e_excess + 2.0 * p * q * cross
+        b = p * p * a_excess + w
+        total = q * q * a_excess + w
+        product = q * q * e_excess * a_excess
+    ok = (product >= 0.0) & (total >= 0.0) & (b >= (1.0 - PHYSICALITY_ATOL) ** 2 - 1.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise PhysicalityError(
+            f"uncertainty condition violated at {label(i)}: "
+            f"K = {product[i]:.6g}, S = {total[i]:.6g}, nu_B^2 - 1 = {b[i]:.6g}"
+        )
+    root = np.sqrt(product)
+    xs = np.zeros((3,) + np.shape(b))
+    xs[0] = b
+    # sqrt(S^2 - 4K) as a product of two roots and x_+ as a sum of halves, so nothing overflows
+    xs[1] = 0.5 * total + 0.5 * (np.sqrt(np.maximum(total - 2.0 * root, 0.0)) * np.sqrt(total + 2.0 * root))
+    np.divide(product, xs[1], out=xs[2], where=xs[1] > 0.0)
+    return np.maximum(xs, 0.0, out=xs)  # nu within the tolerance below 1 counts as 1
+
+
+def _channel_spectra(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
+    """``_invariant_spectra`` of stacks of validated single-mode covariances, shape (T, 2, 2), with
+    ``parameter`` a scalar or shape (T,).  J Y J.T is the adjugate [[y11, -y01], [-y01, y00]] of Y = M G_E M."""
+    _, _, m, _, v = coupling(kind, parameter)
+    a, y = gamma_a, m @ gamma_e @ m
+    trace = a[..., 0, 0] * y[..., 1, 1] + a[..., 1, 1] * y[..., 0, 0] - 2.0 * a[..., 0, 1] * y[..., 0, 1]
+    a_excess, e_excess = (_rounded_pure(_det2(g) - 1.0) for g in (gamma_a, gamma_e))
+    return _invariant_spectra(kind, parameter, a_excess, e_excess, _rounded_pure(0.5 * trace + (2.0 * v - 1.0)),
+                              lambda i: f"matrix {i} of the stack")
+
+
+def _factor_entropies(xs: np.ndarray) -> np.ndarray:
+    """Entropies of symplectic factors given as x = nu^2 - 1, whose photon number
+    (nu - 1) / 2 is x / (2 + 2 sqrt(1 + x)): one ``thermal_entropy`` call for a whole stack."""
+    return thermal_entropy(xs / (2.0 + 2.0 * np.sqrt(1.0 + xs)))
 
 
 def _single_mode_data(state: CovarianceMatrix) -> np.ndarray:
@@ -187,6 +267,9 @@ def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_compleme
 
 
 def output_entropies(state: CovarianceMatrix, spec: ChannelSpec) -> tuple[float, float, float]:
-    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats."""
-    outs = channel_outputs(state, spec)
-    return entropy(outs.output), entropy(outs.weak_complement), entropy(outs.complement)
+    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from ``_channel_spectra``
+    of (A, E) and, for F, of (E, A); no output is built or diagonalised."""
+    a, e = _single_mode_data(state)[None], spec.environment.data[None]
+    pair, swapped = (_channel_spectra(spec.kind, spec.parameter, *inputs) for inputs in ((a, e), (e, a)))
+    s_b, s_plus, s_minus, s_f = _factor_entropies(np.concatenate([pair, swapped[:1]]))[:, 0].tolist()
+    return s_b, s_f, s_plus + s_minus

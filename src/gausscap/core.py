@@ -88,31 +88,47 @@ def _reject(failed, error: type[Exception], reason) -> None:
         raise error(f"matrix {label} of the stack: {reason(index)}")
 
 
+def _det2(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Determinant of each 2x2 matrix of a stack (..., 2, 2)."""
+    return gamma[..., 0, 0] * gamma[..., 1, 1] - gamma[..., 0, 1] * gamma[..., 1, 0]
+
+
 def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Validate one covariance matrix or a stack of them, shape (..., 2n, 2n).
 
-    Checks symmetry (to 1e-12, ``ValueError``), positive definiteness and the
-    uncertainty condition (every symplectic eigenvalue >= 1 - 1e-9,
-    ``PhysicalityError``), and that |eig(Omega @ Gamma)| splits into +/- pairs
-    (``ArithmeticError``).  A stack reports its first failing matrix.  Returns
-    the symmetrised data and the symplectic eigenvalues per matrix, one per
-    +/- pair, descending.
+    Checks finite entries and symmetry (to 1e-12, ``ValueError``), positive
+    definiteness and the uncertainty condition (every symplectic eigenvalue
+    >= 1 - 1e-9, ``PhysicalityError``), and that |eig(Omega @ Gamma)| splits
+    into +/- pairs (``ArithmeticError``).  One mode runs no eigensolver: it is
+    positive definite iff Gamma_00 > 0 and det > 0, with spectrum sqrt(det).
+    A stack reports its first failing matrix.  Returns the symmetrised data
+    and the symplectic eigenvalues per matrix, one per +/- pair, descending.
     """
+    _reject(~np.isfinite(data).all(axis=(-2, -1)), ValueError, lambda i: "covariance matrix must be finite")
     asymmetry = np.abs(data - data.swapaxes(-1, -2)).max(axis=(-2, -1))
     _reject(asymmetry > SYMMETRY_ATOL, ValueError,
             lambda i: f"covariance matrix is not symmetric (max asymmetry {asymmetry[i]:.3e})")
     data = 0.5 * (data + data.swapaxes(-1, -2))
-    _reject(np.linalg.eigvalsh(data)[..., 0] <= 0.0, PhysicalityError,
-            lambda i: "covariance matrix is not positive definite")
-    omega = symplectic_form(data.shape[-1] // 2)
-    mags = np.abs(np.linalg.eigvals(omega @ data))
-    mags.sort(axis=-1)
-    pairs = mags[..., ::-1].reshape(mags.shape[:-1] + (-1, 2))
-    big, small = pairs[..., 0], pairs[..., 1]
-    _reject((big - small > PAIR_ATOL * np.maximum(big, 1.0)).any(axis=-1), ArithmeticError,
-            lambda i: "spectrum of Omega @ Gamma does not split into +/- pairs")
-    # the mean of each pair, summed and halved exactly as np.mean does
-    spectrum = (big + small) * 0.5
+    if data.shape[-1] == 2:
+        # det / s^2 for a power of two s near sqrt(Gamma_00 Gamma_11): the bits of det, scaled so it cannot overflow
+        scale = np.ldexp(1.0, (np.frexp(data[..., 0, 0])[1] + np.frexp(data[..., 1, 1])[1]) // 2)
+        unit = data / scale[..., None, None]
+        det = _det2(unit)
+        _reject(~((unit[..., 0, 0] > 0.0) & (det > 0.0)), PhysicalityError,
+                lambda i: "covariance matrix is not positive definite")
+        spectrum = (np.sqrt(det) * scale)[..., None]
+    else:
+        _reject(np.linalg.eigvalsh(data)[..., 0] <= 0.0, PhysicalityError,
+                lambda i: "covariance matrix is not positive definite")
+        omega = symplectic_form(data.shape[-1] // 2)
+        mags = np.abs(np.linalg.eigvals(omega @ data))
+        mags.sort(axis=-1)
+        pairs = mags[..., ::-1].reshape(mags.shape[:-1] + (-1, 2))
+        big, small = pairs[..., 0], pairs[..., 1]
+        _reject((big - small > PAIR_ATOL * np.maximum(big, 1.0)).any(axis=-1), ArithmeticError,
+                lambda i: "spectrum of Omega @ Gamma does not split into +/- pairs")
+        # the mean of each pair, summed and halved exactly as np.mean does
+        spectrum = (big + small) * 0.5
     nu_min = spectrum[..., -1]
     _reject(nu_min < 1.0 - PHYSICALITY_ATOL, PhysicalityError,
             lambda i: f"uncertainty condition violated: min symplectic eigenvalue {nu_min[i]:.12g} < 1")
@@ -262,21 +278,26 @@ def squeezed_thermal_state(thermal_photon: float, squeeze: float) -> CovarianceM
     return CovarianceMatrix._physical(np.diag(diag), np.array([scale]))
 
 
-def _two_mode_squeezed_stack(photons: NDArray[np.float64], squeezes: NDArray[np.float64]) -> NDArray[np.float64]:
-    """(2n + 1) times the two-mode squeezed vacuum of squeezing r, shape (T, 4, 4)
-    and not yet validated, for arrays of n and r of length T."""
+def _two_mode_squeezed_stack(photons: NDArray[np.float64], squeezes: NDArray[np.float64]):
+    """(2n + 1) times the two-mode squeezed vacuum of squeezing r for arrays of n and r of length T: the
+    (T, 4, 4) stack and its exact spectra (2n + 1, 2n + 1), physical by construction, as ``_validated`` returns them."""
     scale = 2.0 * photons + 1.0
     ch, sh = scale * np.cosh(2.0 * squeezes), scale * np.sinh(2.0 * squeezes)
     out = np.zeros((len(scale), 4, 4))
     out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = out[:, 3, 3] = ch
     out[:, 0, 2] = out[:, 2, 0] = sh
     out[:, 1, 3] = out[:, 3, 1] = -sh
-    return out
+    return out, np.repeat(scale[:, None], 2, axis=1)
 
 
 def two_mode_squeezed_state(squeeze: float) -> CovarianceMatrix:
-    """Two-mode squeezed vacuum; pure, with thermal marginals of sinh(r)^2 photons."""
-    return CovarianceMatrix(_two_mode_squeezed_stack(np.zeros(1), np.array([squeeze], dtype=float))[0])
+    """Two-mode squeezed vacuum; pure, with thermal marginals of sinh(r)^2 photons.
+    Stored with its exact spectrum (1, 1); r >= 0 must keep cosh(2r) finite (r up to about 355)."""
+    with np.errstate(over="ignore"):
+        data, spectrum = _two_mode_squeezed_stack(np.zeros(1), np.array([squeeze], dtype=float))
+    if not (squeeze >= 0 and np.isfinite(data).all()):
+        raise ValueError("squeezing parameter must be nonnegative and keep cosh(2r) finite")
+    return CovarianceMatrix._physical(data[0], spectrum[0])
 
 
 def _block_diag(*blocks: NDArray[np.float64]) -> NDArray[np.float64]:

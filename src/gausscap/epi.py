@@ -7,13 +7,16 @@ k -> 1 the slack itself shrinks to the scale of k - 1, so checks pinned
 there should use a correspondingly wider band.
 
 Every family is evaluated by one kernel over stacks of covariance matrices
-(``_plain_kernel``, ``_conditional_kernel``, ``_chain_kernel``), and every
-input, output, conditioner and marginal in the stack is validated like a
-``CovarianceMatrix``.  A ``check_*`` call is a stack of one.  Campaign
-results are reproducible: trial i draws all of its randomness from a
-generator seeded with (seed, i), the trials are evaluated in fixed-size
-chunks, and the mean is an exactly rounded sum in trial order, so every
-chunking aggregates identically.
+(``_plain_kernel``, ``_conditional_kernel``, ``_chain_kernel``).  Sampled
+single-mode inputs, the Z marginals and the conditional (B, Z1, Z2) output
+are validated like a ``CovarianceMatrix``; the sampled two-mode squeezed
+inputs carry their exact spectra; the output of a single-mode input comes
+from the closed-form spectra of ``channels``, checked in invariant form.
+The right-hand sides are ``channels.epi_rhs``.  A ``check_*`` call is a
+stack of one.  Campaign results are reproducible: trial i draws all of its
+randomness from a generator seeded with (seed, i), the trials are evaluated
+in fixed-size chunks, and the mean is an exactly rounded sum in trial
+order, so every chunking aggregates identically.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .capacities import _thermal_photon
-from .channels import ChannelKind, ChannelSpec, _complementary_map, channel_map, coupling
+from .channels import ChannelKind, ChannelSpec, _channel_spectra, _factor_entropies, channel_map, coupling, epi_rhs
 from .core import (
     _CHUNK,
     CovarianceMatrix,
@@ -92,21 +95,11 @@ _AMPLIFIER = (Inequality.QEPI_AMP, Inequality.CQEPI_AMP)
 # kernels: stacks of validated matrices in, lhs and rhs arrays out
 # ---------------------------------------------------------------------------
 
-def _rhs(kind: ChannelKind, parameter: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """t s1 + (1-t) s2 for the beam splitter; k/(2k-1) s1 + (k-1)/(2k-1) s2 + ln(2k-1) for the amplifier."""
-    if kind is ChannelKind.BEAM_SPLITTER:
-        return parameter * s1 + (1.0 - parameter) * s2
-    k = parameter
-    return k / (2.0 * k - 1.0) * s1 + (k - 1.0) / (2.0 * k - 1.0) * s2 + np.log(2.0 * k - 1.0)
-
-
 def _plain_kernel(kind: ChannelKind, parameter: np.ndarray, x1, x2) -> tuple[np.ndarray, np.ndarray]:
-    """Plain EPI on stacks of validated single-mode inputs x_i = (data, spectra).
-
-    lhs = S(B) with B the channel map of (X1, X2); rhs from S(X1), S(X2).
-    """
-    lhs = _stack_entropy(channel_map(kind, parameter[:, None, None], x1[0], x2[0]))
-    return lhs, _rhs(kind, parameter, _spectral_entropy(x1[1]), _spectral_entropy(x2[1]))
+    """Plain EPI on stacks of validated single-mode inputs x_i = (data, spectra): lhs = S(B) for B the
+    channel map of (X1, X2), from its closed-form spectrum; rhs = ``epi_rhs``(S(X1), S(X2))."""
+    lhs = _factor_entropies(_channel_spectra(kind, parameter, x1[0], x2[0])[0])
+    return lhs, epi_rhs(kind, parameter, _spectral_entropy(x1[1]), _spectral_entropy(x2[1]))
 
 
 def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) -> tuple[np.ndarray, np.ndarray]:
@@ -115,12 +108,12 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) 
     lhs = S(B | Z1 Z2) for B = sqrt(p) X1 + sqrt(q) M X2.  The (B, Z1, Z2)
     covariance is built in closed form: the B block is the channel map of
     (X1, X2), B couples to Z1 through sqrt(p) C1 and to Z2 through
-    sqrt(q) M C2 (C_i the X_i-Z_i block), and Z1, Z2 stay uncorrelated.  The
-    conditioner (Z1, Z2) is its trailing 4x4 block.  rhs combines the
-    conditional entropies S(X_i | Z_i) = S(X_i Z_i) - S(Z_i).
+    sqrt(q) M C2 (C_i the X_i-Z_i block), and Z1, Z2 stay uncorrelated, so the
+    conditioner's entropy is S(Z1) + S(Z2) of the single-mode marginals.  rhs
+    = ``epi_rhs`` of the conditional entropies S(X_i | Z_i) = S(X_i Z_i) - S(Z_i).
     """
     column = parameter[:, None, None]
-    p, q, m = coupling(kind, column)
+    p, q, m, _, _ = coupling(kind, column)
     g1, g2 = pair1[0], pair2[0]
     out = np.zeros((len(g1), 6, 6))
     out[:, :2, :2] = channel_map(kind, column, g1[:, :2, :2], g2[:, :2, :2])
@@ -129,23 +122,22 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) 
     out[:, 2:, :2] = out[:, :2, 2:].swapaxes(-1, -2)
     out[:, 2:4, 2:4] = g1[:, 2:, 2:]
     out[:, 4:, 4:] = g2[:, 2:, 2:]
-    lhs = _stack_entropy(out) - _stack_entropy(out[:, 2:, 2:])
-    c1 = _spectral_entropy(pair1[1]) - _stack_entropy(g1[:, 2:, 2:])
-    c2 = _spectral_entropy(pair2[1]) - _stack_entropy(g2[:, 2:, 2:])
-    return lhs, _rhs(kind, parameter, c1, c2)
+    z1, z2 = _stack_entropy(g1[:, 2:, 2:]), _stack_entropy(g2[:, 2:, 2:])
+    lhs = _stack_entropy(out) - (z1 + z2)
+    return lhs, epi_rhs(kind, parameter, _spectral_entropy(pair1[1]) - z1, _spectral_entropy(pair2[1]) - z2)
 
 
 def _chain_kernel(inequality: Inequality, transmissivity: np.ndarray, env, state) -> tuple[np.ndarray, np.ndarray]:
     """Chain inequality on stacks of validated thermal environments and single-mode inputs.
 
     lhs = S(output) of the beam splitter (channel output for moe, (F, C)
-    complementary output for wc); rhs = (1-t) g(Ne), the floor of a thermal
-    environment with Ne photons.
+    complementary output for wc), from its closed-form spectrum; rhs =
+    ``epi_rhs``(0, g(Ne)) = (1-t) g(Ne), the floor of a thermal environment.
     """
-    rhs = (1.0 - transmissivity) * thermal_entropy(_thermal_photon(env[0]))
-    output = channel_map if inequality is Inequality.MOE_CHAIN_BS else _complementary_map
-    lhs = _stack_entropy(output(ChannelKind.BEAM_SPLITTER, transmissivity[:, None, None], state[0], env[0]))
-    return lhs, rhs
+    kind = _kind(inequality)
+    rhs = epi_rhs(kind, transmissivity, 0.0, thermal_entropy(_thermal_photon(env[0])))
+    entropies = _factor_entropies(_channel_spectra(kind, transmissivity, state[0], env[0]))
+    return (entropies[0] if inequality is Inequality.MOE_CHAIN_BS else entropies[1] + entropies[2]), rhs
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +159,8 @@ def _trial(inequality: Inequality, parameter: float, inputs: tuple[CovarianceMat
 
 def _pair_trial(inequality: Inequality, first: CovarianceMatrix, second: CovarianceMatrix, parameter: float) -> EpiTrial:
     """A qepi or cqepi check: its family's kernel on stacks of one."""
-    if inequality in _PLAIN:
-        _require_single_mode(first, second)
-        kernel = _plain_kernel
-    else:
-        _require_two_mode(first, second)
-        kernel = _conditional_kernel
+    kernel, n_modes = (_plain_kernel, 1) if inequality in _PLAIN else (_conditional_kernel, 2)
+    _require_modes(n_modes, first, second)
     stacks = _stack_of_one(first), _stack_of_one(second)
     return _trial(inequality, parameter, (first, second), kernel(_kind(inequality), np.array([parameter], dtype=float), *stacks))
 
@@ -181,43 +169,29 @@ def _chain_trial(inequality: Inequality, state: CovarianceMatrix, spec: ChannelS
     """A chain check: the chain kernel on stacks of one."""
     if spec.kind is not ChannelKind.BEAM_SPLITTER:
         raise ValueError("chain inequalities are checked for the beam splitter")
-    _require_single_mode(state)
+    _require_modes(1, state)
     transmissivity = np.array([spec.parameter], dtype=float)
     lhs_rhs = _chain_kernel(inequality, transmissivity, _stack_of_one(spec.environment), _stack_of_one(state))
     return _trial(inequality, spec.parameter, (state,), lhs_rhs)
 
 
 def check_qepi_bs(state1: CovarianceMatrix, state2: CovarianceMatrix, transmissivity: float) -> EpiTrial:
-    """Beam-splitter entropy power inequality on two single-mode inputs.
-
-    lhs = S(t G1 + (1-t) G2), rhs = t S(G1) + (1-t) S(G2).
-    """
+    """Beam-splitter entropy power inequality on two single-mode inputs: S(B) >= ``epi_rhs``(S(G1), S(G2))."""
     return _pair_trial(Inequality.QEPI_BS, state1, state2, transmissivity)
 
 
 def check_qepi_amp(state1: CovarianceMatrix, state2: CovarianceMatrix, gain: float) -> EpiTrial:
-    """Amplifier entropy power inequality on two single-mode inputs.
-
-    lhs = S(k G1 + (k-1) Z G2 Z),
-    rhs = k/(2k-1) S(G1) + (k-1)/(2k-1) S(G2) + ln(2k-1).
-    """
+    """Amplifier entropy power inequality on two single-mode inputs: S(B) >= ``epi_rhs``(S(G1), S(G2))."""
     return _pair_trial(Inequality.QEPI_AMP, state1, state2, gain)
 
 
 def check_cqepi_bs(pair1: CovarianceMatrix, pair2: CovarianceMatrix, transmissivity: float) -> EpiTrial:
-    """Conditional beam-splitter EPI on two-mode inputs (X_i, Z_i).
-
-    lhs = S(out | Z1 Z2), rhs = t S(X1|Z1) + (1-t) S(X2|Z2).
-    """
+    """Conditional beam-splitter EPI on two-mode inputs (X_i, Z_i): S(B | Z1 Z2) >= ``epi_rhs``(S(X1|Z1), S(X2|Z2))."""
     return _pair_trial(Inequality.CQEPI_BS, pair1, pair2, transmissivity)
 
 
 def check_cqepi_amp(pair1: CovarianceMatrix, pair2: CovarianceMatrix, gain: float) -> EpiTrial:
-    """Conditional amplifier EPI on two-mode inputs (X_i, Z_i).
-
-    lhs = S(out | Z1 Z2),
-    rhs = k/(2k-1) S(X1|Z1) + (k-1)/(2k-1) S(X2|Z2) + ln(2k-1).
-    """
+    """Conditional amplifier EPI on two-mode inputs (X_i, Z_i): S(B | Z1 Z2) >= ``epi_rhs``(S(X1|Z1), S(X2|Z2))."""
     return _pair_trial(Inequality.CQEPI_AMP, pair1, pair2, gain)
 
 
@@ -231,14 +205,9 @@ def check_wc_chain(state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
     return _chain_trial(Inequality.WC_CHAIN_BS, state, spec)
 
 
-def _require_single_mode(*states: CovarianceMatrix) -> None:
-    if any(s.n_modes != 1 for s in states):
-        raise ValueError("expected single-mode input states")
-
-
-def _require_two_mode(*states: CovarianceMatrix) -> None:
-    if any(s.n_modes != 2 for s in states):
-        raise ValueError("expected two-mode (X, Z) input states")
+def _require_modes(n_modes: int, *states: CovarianceMatrix) -> None:
+    if any(s.n_modes != n_modes for s in states):
+        raise ValueError("expected single-mode input states" if n_modes == 1 else "expected two-mode (X, Z) input states")
 
 
 def fock_entropy_oracle(mean_photon: float, cutoff: int) -> float:
@@ -316,8 +285,7 @@ class _Campaign:
             return _plain_kernel(kind, parameter, self._state(first), self._state(second))
         if inequality in _CONDITIONAL:
             pair1, pair2 = (
-                _validated(_two_mode_squeezed_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]))
-                for d in (first, second)
+                _two_mode_squeezed_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]) for d in (first, second)
             )
             return _conditional_kernel(kind, parameter, pair1, pair2)
         photons = self.max_photon * first[:, 0] if self.env_photon is None else np.full(len(indices), self.env_photon)

@@ -259,8 +259,48 @@ def g_mp(x):
     return mp.mpf(0) if x <= 0 else (x + 1) * mp.log(x + 1) - x * mp.log(x)
 
 
-def coherent_information_mp(kind: str, parameter, n_in, n_env, squeeze=0.0) -> float:
-    """S(B) - S(F, C) for a thermal input of N photons, from matrix entries in
+def _output_entropies_mp(kind: str, parameter, n_in, n_env, squeeze):
+    """(S_B, S_F, S_FC) as mpf at the caller's working precision; see ``output_entropies_mp``."""
+    a, nu, r = 2 * mp.mpf(n_in) + 1, 2 * mp.mpf(n_env) + 1, mp.mpf(squeeze)
+    c = mp.sqrt(nu * nu - 1)
+    joint = mp.zeros(6, 6)
+    joint[0, 0] = joint[1, 1] = a
+    for i in range(2, 6):
+        joint[i, i] = nu
+    joint[2, 4] = joint[4, 2] = c
+    joint[3, 5] = joint[5, 3] = -c
+    squeezer = mp.eye(6)
+    squeezer[2, 2], squeezer[3, 3] = mp.exp(-r), mp.exp(r)
+    p = mp.mpf(parameter)
+    # signs of the A-E and E-A blocks: [[I, I], [-I, I]] or [[I, Z], [Z, I]]
+    if kind == "bs":
+        root_q, upper, lower = mp.sqrt(1 - p), (1, 1), (-1, -1)
+    else:
+        root_q, upper, lower = mp.sqrt(p - 1), (1, -1), (1, -1)
+    channel = mp.eye(6)
+    for i in range(2):
+        channel[i, i] = channel[i + 2, i + 2] = mp.sqrt(p)
+        channel[i, i + 2], channel[i + 2, i] = root_q * upper[i], root_q * lower[i]
+    out = channel * squeezer * joint * squeezer.T * channel.T
+
+    def entropy_of(block):
+        modes = block.rows // 2
+        omega = mp.zeros(2 * modes, 2 * modes)
+        for m in range(modes):
+            omega[2 * m, 2 * m + 1], omega[2 * m + 1, 2 * m] = 1, -1
+        mags = sorted(abs(v) for v in mp.eig(omega * block, left=False, right=False))
+        return sum(g_mp((mags[2 * m] + mags[2 * m + 1]) / 4 - mp.mpf(1) / 2) for m in range(modes))
+
+    return entropy_of(out[0:2, 0:2]), entropy_of(out[2:4, 2:4]), entropy_of(out[2:6, 2:6])
+
+
+def _oracle_digits(n_in, squeeze) -> int:
+    """50 digits plus what the entries' size eats: log10 N twice, and the e^(+-2r) of the squeezed environment."""
+    return 50 + 2 * int(mp.log10(1 + mp.mpf(n_in))) + int(4 * abs(squeeze) / math.log(10))
+
+
+def output_entropies_mp(kind: str, parameter, n_in, n_env, squeeze=0.0) -> tuple[float, float, float]:
+    """(S_B, S_F, S_FC) for a thermal input of N photons, from matrix entries in
     at least 50-digit arithmetic.
 
     The environment (2 N_e + 1) diag(e^{-2r}, e^{2r}) is purified with a
@@ -268,43 +308,33 @@ def coherent_information_mp(kind: str, parameter, n_in, n_env, squeeze=0.0) -> f
     [[nu I, c Z], [c Z, nu I]], c = sqrt(nu^2 - 1), and the squeezer
     diag(e^{-r}, e^{r}) then acts on E.  The channel symplectic of
     ``raw_channel_symplectic`` conjugates the (A, E, C) covariance entry by
-    entry; B is the first 2x2 block and (F, C) the trailing 4x4 block.  Each
-    spectrum is the moduli of the eigenvalues of Omega @ Gamma.  The precision
-    grows with log10 N, so the entries' size does not eat the 50 digits.
+    entry; B is the first 2x2 block, F the second and (F, C) the trailing 4x4
+    block.  Each spectrum is the moduli of the eigenvalues of Omega @ Gamma.
+    The precision grows with log10 N and with r, so the entries' size does
+    not eat the 50 digits.
     """
-    dps = 50 + 2 * int(mp.log10(1 + mp.mpf(n_in)))
-    with mp.workdps(dps):
-        a, nu, r = 2 * mp.mpf(n_in) + 1, 2 * mp.mpf(n_env) + 1, mp.mpf(squeeze)
-        c = mp.sqrt(nu * nu - 1)
-        joint = mp.zeros(6, 6)
-        joint[0, 0] = joint[1, 1] = a
-        for i in range(2, 6):
-            joint[i, i] = nu
-        joint[2, 4] = joint[4, 2] = c
-        joint[3, 5] = joint[5, 3] = -c
-        squeezer = mp.eye(6)
-        squeezer[2, 2], squeezer[3, 3] = mp.exp(-r), mp.exp(r)
-        p = mp.mpf(parameter)
-        # signs of the A-E and E-A blocks: [[I, I], [-I, I]] or [[I, Z], [Z, I]]
-        if kind == "bs":
-            root_q, upper, lower = mp.sqrt(1 - p), (1, 1), (-1, -1)
-        else:
-            root_q, upper, lower = mp.sqrt(p - 1), (1, -1), (1, -1)
-        channel = mp.eye(6)
-        for i in range(2):
-            channel[i, i] = channel[i + 2, i + 2] = mp.sqrt(p)
-            channel[i, i + 2], channel[i + 2, i] = root_q * upper[i], root_q * lower[i]
-        out = channel * squeezer * joint * squeezer.T * channel.T
+    with mp.workdps(_oracle_digits(n_in, squeeze)):
+        return tuple(float(s) for s in _output_entropies_mp(kind, parameter, n_in, n_env, squeeze))
 
-        def entropy_of(block):
-            modes = block.rows // 2
-            omega = mp.zeros(2 * modes, 2 * modes)
-            for m in range(modes):
-                omega[2 * m, 2 * m + 1], omega[2 * m + 1, 2 * m] = 1, -1
-            mags = sorted(abs(v) for v in mp.eig(omega * block, left=False, right=False))
-            return sum(g_mp((mags[2 * m] + mags[2 * m + 1]) / 4 - mp.mpf(1) / 2) for m in range(modes))
 
-        return float(entropy_of(out[0:2, 0:2]) - entropy_of(out[2:6, 2:6]))
+def coherent_information_mp(kind: str, parameter, n_in, n_env, squeeze=0.0) -> float:
+    """S(B) - S(F, C) for a thermal input of N photons, from the entropies of ``output_entropies_mp``."""
+    with mp.workdps(_oracle_digits(n_in, squeeze)):
+        s_b, _, s_fc = _output_entropies_mp(kind, parameter, n_in, n_env, squeeze)
+        return float(s_b - s_fc)
+
+
+def eigensolver_calls(monkeypatch) -> list:
+    """Record (name, shape of the matrix argument) of every ``np.linalg`` eigensolver call from now on."""
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+
+        def counted(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +355,7 @@ def bounds_per_point(spec: ChannelSpec, n_in: float, second_argument: str = "squ
     environment's own thermal occupation (else N*), and the per-point chain."""
     g = spec.environment.data
     thermal = abs(g[0, 1]) <= 1e-12 and abs(g[0, 0] - g[1, 1]) <= 1e-12
-    ne = (g[0, 0] - 1.0) / 2.0 if thermal else equivalent_thermal_photon(spec.environment)
+    ne = max(0.5 * (g[0, 0] + g[1, 1]) - 1.0, 0.0) / 2.0 if thermal else equivalent_thermal_photon(spec.environment)
     formula = ChannelSpec(spec.kind, spec.parameter, thermal_state(ne))
     other = n_in * n_in if second_argument == "square" else n_in / 2.0
     info = coherent_information_per_point(spec, n_in)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gausscap import (
@@ -28,7 +28,14 @@ from gausscap import (
 )
 from gausscap.channels import MAX_GAIN
 from gausscap.core import _CHUNK
-from helpers import bounds_per_point, coherent_information_mp, coherent_information_per_point, fc_entropy_thermal_bs, g_direct
+from helpers import (
+    bounds_per_point,
+    coherent_information_mp,
+    coherent_information_per_point,
+    eigensolver_calls,
+    fc_entropy_thermal_bs,
+    g_direct,
+)
 
 
 def bs(tau, ne):
@@ -294,6 +301,8 @@ ENVIRONMENT_PHOTONS = st.floats(0.0, 10.0)
 SQUEEZES = st.floats(0.0, 2.0)
 TRANSMISSIVITIES = st.floats(0.0, 1.0)
 GAINS = st.floats(1.0, MAX_GAIN)
+# a squeezed vacuum this close to thermal once gave the thermal formulas N_e = (Gamma_00 - 1) / 2 < 0
+NEAR_THERMAL_SQUEEZE = 4.639315145733146e-14
 
 
 class TestDomainProperties:
@@ -309,11 +318,14 @@ class TestDomainProperties:
 
     @settings(deadline=None, max_examples=40)
     @given(t=TRANSMISSIVITIES, n=PHOTONS, ne=ENVIRONMENT_PHOTONS, squeeze=SQUEEZES)
+    @example(t=0.0, n=0.0, ne=0.0, squeeze=NEAR_THERMAL_SQUEEZE)
     def test_beam_splitter_against_mpmath(self, t, n, ne, squeeze):
         self._check_coherent_columns("bs", t, n, ne, squeeze)
 
     @settings(deadline=None, max_examples=40)
     @given(k=GAINS, n=PHOTONS, ne=ENVIRONMENT_PHOTONS, squeeze=SQUEEZES)
+    @example(k=1.0, n=0.0, ne=0.0, squeeze=NEAR_THERMAL_SQUEEZE)
+    @example(k=5.0, n=2.0, ne=0.0, squeeze=NEAR_THERMAL_SQUEEZE)
     def test_amplifier_against_mpmath(self, k, n, ne, squeeze):
         self._check_coherent_columns("amp", k, n, ne, squeeze)
 
@@ -505,10 +517,7 @@ class TestStackedBoundGrid:
 
     def test_no_eigensolver_runs(self, monkeypatch):
         spec = _spec("amp", 5.0, "squeezed")  # built before counting: the environment is validated once
-        calls = []
-        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        calls = eigensolver_calls(monkeypatch)
         for coherent_arg in ("square", "half"):
             assert len(evaluate_bounds(spec, np.linspace(0.0, 10.0, 101), coherent_second_arg=coherent_arg)) == 101
         assert calls == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausscap import (
     ChannelKind,
@@ -25,9 +27,18 @@ from gausscap import (
     vacuum_state,
     weak_complementary,
 )
-from gausscap.channels import MAX_GAIN
-from gausscap.core import PHASE_FLIP, symplectic_residual
-from helpers import conjugate_and_trace, embed_two_mode, fc_entropy_thermal_amp, fc_entropy_thermal_bs, g_direct
+from gausscap.channels import MAX_GAIN, _channel_spectra, _complementary_map, channel_map
+from gausscap.core import PHASE_FLIP, rotation_symplectic, symplectic_residual
+from helpers import (
+    conjugate_and_trace,
+    eigensolver_calls,
+    embed_two_mode,
+    fc_entropy_thermal_amp,
+    fc_entropy_thermal_bs,
+    g_direct,
+    output_entropies_mp,
+    raw_symplectic_eigenvalues,
+)
 
 
 def _random_spec(seed: int) -> ChannelSpec:
@@ -291,3 +302,51 @@ class TestSymplecticsAtMaximumGain:
         assert s[0, 0] == pytest.approx(1e3, rel=1e-15)
         spec = ChannelSpec.amplifier(MAX_GAIN, thermal_state(1))
         np.testing.assert_array_equal(channel_symplectic(spec).data, s)
+
+
+def _rotated_squeezed(photon, squeeze, angle):
+    rotation = rotation_symplectic(angle)
+    gamma = rotation @ squeezed_thermal_state(photon, squeeze).data @ rotation.T
+    return 0.5 * (gamma + gamma.T)
+
+
+KINDS = {"bs": ChannelKind.BEAM_SPLITTER, "amp": ChannelKind.AMPLIFIER}
+STATES = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi))
+
+
+class TestClosedFormSpectra:
+    """Spectra of the outputs of a single-mode input, in closed form from the
+    invariants of its input and environment, against raw eigenvalues and mpmath."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(kind=st.sampled_from(sorted(KINDS)), u=st.floats(0.0, 1.0), a=STATES, e=STATES)
+    def test_match_raw_eigenvalues_of_the_output_maps(self, kind, u, a, e):
+        parameter = u if kind == "bs" else 1.0 + 9.0 * u
+        gamma_a, gamma_e = _rotated_squeezed(*a), _rotated_squeezed(*e)
+        x_b, x_plus, x_minus = _channel_spectra(KINDS[kind], parameter, gamma_a[None], gamma_e[None])[:, 0]
+        x_f = _channel_spectra(KINDS[kind], parameter, gamma_e[None], gamma_a[None])[0, 0]
+        nu_b, nu_plus, nu_minus, nu_f = np.sqrt(1.0 + np.array([x_b, x_plus, x_minus, x_f]))
+        raw_b = raw_symplectic_eigenvalues(channel_map(KINDS[kind], parameter, gamma_a, gamma_e))[0]
+        raw_f = raw_symplectic_eigenvalues(channel_map(KINDS[kind], parameter, gamma_e, gamma_a))[0]
+        raw_minus, raw_plus = raw_symplectic_eigenvalues(_complementary_map(KINDS[kind], parameter, gamma_a, gamma_e))
+        np.testing.assert_allclose([nu_b, nu_f], [raw_b, raw_f], rtol=1e-11)
+        # A near-degenerate (F, C) pair is split only to about sqrt(eps); its sum and product, and with
+        # them the pair's entropy (to second order in the split), keep their digits.  The raw side
+        # diagonalises the rounded (F, C) matrix, whose purification entries carry their own roundoff:
+        # up to 6e-11 relative over 20,000 random pairs.
+        np.testing.assert_allclose(
+            [nu_plus + nu_minus, nu_plus * nu_minus], [raw_plus + raw_minus, raw_plus * raw_minus], rtol=1e-9
+        )
+        np.testing.assert_allclose([nu_plus, nu_minus], [raw_plus, raw_minus], rtol=1e-6)
+
+    @pytest.mark.parametrize("squeeze", [19.0, 30.0, 100.0, 300.0])
+    @pytest.mark.parametrize("kind,parameter", [("bs", 0.5), ("amp", 3.0)])
+    def test_output_entropies_of_strongly_squeezed_environments(self, monkeypatch, kind, parameter, squeeze):
+        # validating the (F, C) output, whose condition number grows like e^(4r), failed from r ~ 18.86
+        build = ChannelSpec.beam_splitter if kind == "bs" else ChannelSpec.amplifier
+        spec, state = build(parameter, squeezed_thermal_state(1.0, squeeze)), thermal_state(1.0)
+        calls = eigensolver_calls(monkeypatch)
+        got = output_entropies(state, spec)
+        assert calls == []
+        for value, expected in zip(got, output_entropies_mp(kind, parameter, 1.0, 1.0, squeeze)):
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))

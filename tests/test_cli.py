@@ -87,6 +87,16 @@ class TestBounds:
                 t_row[header.index("upper")], rel=1e-12
             )
 
+    def test_near_thermal_environment_matches_thermal(self, capsys):
+        # a squeezed vacuum with r ~ 5e-14 counts as thermal; its N_e once came out as (Gamma_00 - 1) / 2 < 0 (exit 2)
+        args = ["bounds", "--channel", "bs", "--tau", "0.5", "--ne", "0", "--n-stop", "4", "--n-steps", "5"]
+        assert main(args) == 0
+        _, thermal_rows = parse_csv(capsys.readouterr().out)
+        assert main(args + ["--squeeze", "4.6e-14"]) == 0
+        _, squeezed_rows = parse_csv(capsys.readouterr().out)
+        for t_row, s_row in zip(thermal_rows, squeezed_rows):
+            assert s_row == pytest.approx(t_row, rel=1e-12, abs=1e-12)
+
     def test_csv_round_trip_is_byte_identical(self, capsys):
         rc = main([
             "bounds", "--channel", "amp", "--kappa", "5", "--ne", "1",

@@ -16,7 +16,7 @@ from gausscap import (
     two_mode_squeezed_state,
 )
 from gausscap.core import _two_mode_squeezed_stack
-from helpers import conditional_conjugate_and_trace, raw_entropy
+from helpers import conditional_conjugate_and_trace, raw_entropy, raw_symplectic_eigenvalues
 from test_epi import tms_thermal
 
 CHECKS = {"bs": check_cqepi_bs, "amp": check_cqepi_amp}
@@ -48,9 +48,10 @@ class TestConditionalOutputOracle:
     def test_sampler_matches_two_mode_squeezed_thermal(self, seed):
         drawn = np.random.default_rng(seed)
         n, r = drawn.uniform(0.0, 5.0), drawn.uniform(0.0, 1.5)
-        sampled = _two_mode_squeezed_stack(np.array([n]), np.array([r]))[0]
+        sampled, spectrum = _two_mode_squeezed_stack(np.array([n]), np.array([r]))
         expected = tms_thermal(n, r).data
-        np.testing.assert_allclose(sampled, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(sampled[0], expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(spectrum[0], raw_symplectic_eigenvalues(expected), rtol=1e-12)
 
 
 def _general_pairs(seed: int):

@@ -345,6 +345,16 @@ class TestPartialTrace:
         np.testing.assert_allclose(marginal.data, math.cosh(2 * r) * np.eye(2), rtol=1e-12)
         assert mean_photon_number(marginal) == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [4.5, 10.0, 20.0])
+    def test_two_mode_squeezed_state_at_large_squeezing(self, r):
+        # validating |eig(Omega Gamma)| rejected these pure states from r ~ 4.44; the exact spectrum is stored
+        state = two_mode_squeezed_state(r)
+        assert entropy(state) == 0.0
+        with mpmath.workdps(50):
+            expected = float(g_mp(mpmath.sinh(r) ** 2))
+        for mode in (0, 1):
+            assert entropy(partial_trace(state, ModePartition.keeping([mode], 2))) == pytest.approx(expected, rel=1e-12)
+
     def test_kept_order_reorders_modes(self):
         state = direct_sum(thermal_state(1), thermal_state(2))
         swapped = partial_trace(state, ModePartition(kept=(1, 0), traced=()))

@@ -25,7 +25,7 @@ from gausscap import (
 )
 from gausscap.core import CovarianceMatrix, PhysicalityError
 from gausscap.epi import _CHUNK
-from helpers import g_direct, reference_trial, two_mode_squeezing_symplectic
+from helpers import eigensolver_calls, g_direct, reference_trial, two_mode_squeezing_symplectic
 
 
 def tms_thermal(n, r):
@@ -267,6 +267,16 @@ class TestBatchedCampaigns:
     def test_reports_do_not_depend_on_workers(self, family, trials):
         reports = [monte_carlo_verify(family, trials, seed=21, workers=w) for w in (1, 2, 3)]
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_eigensolver_runs_only_on_the_conditional_output(self, monkeypatch, family):
+        # outputs of single-mode inputs and single-mode marginals have closed-form spectra
+        calls = eigensolver_calls(monkeypatch)
+        assert monte_carlo_verify(family, 50, seed=5).violations == 0
+        if family.startswith("cqepi"):
+            assert calls and all(shape == (50, 6, 6) for _, shape in calls)
+        else:
+            assert calls == []
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_first_failing_trial_keeps_its_class(self, workers):
