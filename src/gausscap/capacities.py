@@ -4,8 +4,8 @@ All quantities are in nats unless converted.  The closed forms are written
 in the per-family constants (p, q, d, v) of ``channels.coupling``, with
 g(x) = ``thermal_entropy``, and do not branch on the family.  Formulas that
 assume a thermal environment accept general Gaussian noise through its
-entropy-equivalent photon number N* = (sqrt(det Gamma) - 1) / 2, which
-reduces to the thermal occupation when the environment is thermal.
+entropy-equivalent photon number N* = (nu - 1) / 2, nu = sqrt(det Gamma) its
+symplectic eigenvalue, which is the occupation of a thermal environment.
 """
 
 from __future__ import annotations
@@ -16,45 +16,29 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec, _factor_entropies, _invariant_spectra, _rounded_pure, coupling, epi_rhs
-from .core import _CHUNK, CovarianceMatrix, _det2, _everywhere, thermal_entropy, thermal_state
+from .core import _CHUNK, CovarianceMatrix, _det2, _everywhere, symplectic_eigenvalues, thermal_entropy, thermal_state
 
 _THERMAL_ATOL = 1e-12
 
 
 def equivalent_thermal_photon(environment: CovarianceMatrix) -> float:
-    """Photon number of the thermal state with the same entropy: (sqrt(det) - 1) / 2."""
+    """Photon number (nu - 1) / 2 of the equal-entropy thermal state, nu >= 1 the stored symplectic eigenvalue."""
     if environment.n_modes != 1:
         raise ValueError("expected a single-mode environment state")
-    value = (math.sqrt(float(np.linalg.det(environment.data))) - 1.0) / 2.0
-    # det >= 1 for physical states; only determinant roundoff can push this below 0
-    return value if value > 0.0 else 0.0
+    return float(symplectic_eigenvalues(environment)[0] - 1.0) / 2.0
 
 
-def _thermal_photon(gamma: np.ndarray):
-    """Mean photon number N of thermal covariances (2N + 1) I, one 2x2 matrix or a
-    stack (..., 2, 2); error for other noise.  A matrix within 1e-12 of thermal
-    (say a squeezed vacuum of r ~ 1e-13) takes N = (tr / 2 - 1) / 2 >= 0."""
-    thermal = (abs(gamma[..., 0, 1]) <= _THERMAL_ATOL) & (abs(gamma[..., 0, 0] - gamma[..., 1, 1]) <= _THERMAL_ATOL)
-    if not _everywhere(thermal):
-        raise ValueError(
-            "this formula assumes a thermal environment; "
-            "use private_capacity_upper_general for general Gaussian noise"
-        )
-    return _rounded_pure(0.5 * (gamma[..., 0, 0] + gamma[..., 1, 1]) - 1.0) / 2.0
+def _is_thermal(g) -> bool:
+    """Whether one 2x2 covariance, or every matrix of a stack (..., 2, 2), is (2N + 1) I to 1e-12."""
+    return _everywhere((abs(g[..., 0, 1]) <= _THERMAL_ATOL) & (abs(g[..., 0, 0] - g[..., 1, 1]) <= _THERMAL_ATOL))
 
 
 def thermal_environment_photon(spec: ChannelSpec) -> float:
-    """Mean photon number N of a thermal environment (2N + 1) I; error for other noise."""
-    return float(_thermal_photon(spec.environment.data))
-
-
-def _formula_environment(spec: ChannelSpec) -> tuple[str, float]:
-    """Label and photon number of the thermal environment the closed forms use:
-    the environment's own occupation if it is thermal, else N*."""
-    try:
-        return "thermal_photon", thermal_environment_photon(spec)
-    except ValueError:
-        return "equivalent_photon", equivalent_thermal_photon(spec.environment)
+    """Mean photon number (nu - 1) / 2 of a thermal environment, or one within 1e-12 of it; error for other noise."""
+    if not _is_thermal(spec.environment.data):
+        raise ValueError("this formula assumes a thermal environment; "
+                         "use private_capacity_upper_general for general Gaussian noise")
+    return equivalent_thermal_photon(spec.environment)
 
 
 def _validated_photon(input_photon):
@@ -63,6 +47,13 @@ def _validated_photon(input_photon):
     if n.ndim > 1 or not _everywhere((n >= 0.0) & (n < math.inf)):
         raise ValueError("input mean photon number must be a finite, nonnegative scalar or 1-D array")
     return float(n) if n.ndim == 0 else n
+
+
+def _nats_per(units: str) -> float:
+    """Nats in one unit of ``units``, which must be ``nats`` or ``bits``."""
+    if units not in ("nats", "bits"):
+        raise ValueError("units must be 'nats' or 'bits'")
+    return math.log(2.0) if units == "bits" else 1.0
 
 
 @dataclass(frozen=True)
@@ -84,11 +75,9 @@ class BoundResult:
 
     def as_units(self, units: str) -> "BoundResult":
         """Return the result converted to ``nats`` or ``bits``."""
-        if units not in ("nats", "bits"):
-            raise ValueError("units must be 'nats' or 'bits'")
+        factor = _nats_per(units) / _nats_per(self.units)
         if units == self.units:
             return self
-        factor = math.log(2.0) if units == "bits" else 1.0 / math.log(2.0)
         converted = {name: getattr(self, name) / factor for name in self._ENTROPY_FIELDS}
         return replace(self, units=units, **converted)
 
@@ -112,7 +101,7 @@ def maximal_capacity(spec: ChannelSpec, input_photon: float) -> float:
 def moe_sum_lower(spec: ChannelSpec) -> float:
     """Lower bound on the summed minimum output entropies of channel and complement:
     twice the entropy floor ``epi_rhs``(0, g(Ne)) = q/d g(Ne) + ln d of a thermal environment."""
-    return 2.0 * epi_rhs(spec.kind, spec.parameter, 0.0, thermal_entropy(thermal_environment_photon(spec)))
+    return float(2.0 * epi_rhs(spec.kind, spec.parameter, 0.0, thermal_entropy(thermal_environment_photon(spec))))
 
 
 def private_capacity_upper(spec: ChannelSpec, input_photon: float) -> float:
@@ -124,9 +113,10 @@ def private_capacity_upper(spec: ChannelSpec, input_photon: float) -> float:
 def private_capacity_upper_general(spec: ChannelSpec, input_photon: float) -> float:
     """Upper bound for a general Gaussian environment via its equivalent photon number.
 
-    Substitutes N* = (sqrt(det Gamma_env) - 1) / 2 into the thermal formulas,
-    so the bound depends on the environment only through its determinant
-    (hence not on squeezing).
+    Substitutes N* = (nu - 1) / 2 of ``equivalent_thermal_photon`` into the
+    thermal formulas, so the bound depends on the environment only through
+    its symplectic eigenvalue nu: it is ``private_capacity_upper`` bit for bit
+    on thermal noise, and does not depend on squeezing.
     """
     ne_star = equivalent_thermal_photon(spec.environment)
     return private_capacity_upper(ChannelSpec(spec.kind, spec.parameter, thermal_state(ne_star)), input_photon)
@@ -177,10 +167,12 @@ def _coherent_columns(spec: ChannelSpec, grid: np.ndarray, second_argument: str)
 
 
 def coherent_lower_bound(spec: ChannelSpec, input_photon, second_argument: str = "square"):
-    """Coherent-information lower bound I_c(N) - I_c(N') with N' = N^2.
+    """Coherent-information difference I_c(N) - I_c(N') with N' = N^2.
 
-    ``second_argument`` switches N' to N/2 for sensitivity exploration.
-    ``input_photon`` is a scalar (a grid of one) or a 1-D array.
+    Not a lower bound on the private capacity, which is 0 where it is positive
+    at gain 5 with one environment photon (an entanglement-breaking channel,
+    every N > 1).  ``second_argument`` switches N' to N/2 for sensitivity
+    exploration.  ``input_photon`` is a scalar (a grid of one) or a 1-D array.
     """
     n = _validated_photon(input_photon)
     lower = _coherent_columns(spec, np.atleast_1d(n), second_argument)[1]
@@ -190,29 +182,27 @@ def coherent_lower_bound(spec: ChannelSpec, input_photon, second_argument: str =
 def evaluate_bounds(spec: ChannelSpec, input_photon, units: str = "nats", coherent_second_arg: str = "square"):
     """Evaluate every bound at one N, or at each N of a 1-D array (a list of results).
 
-    Formula-based quantities use the environment's equivalent thermal photon
-    number when the noise is not thermal; the coherent-information columns
-    take the actual environment.  The grid runs in slices of ``_CHUNK``
-    points, each one call of every closed form and one of
-    ``coherent_information``, so memory does not grow with the grid; a scalar
-    N is a grid of one.
+    The closed forms take a thermal environment of ``equivalent_thermal_photon``
+    photons, the coherent-information columns the actual environment.  The grid
+    runs in slices of ``_CHUNK`` points, so memory does not grow with it: one
+    call each of ``holevo_capacity``, ``maximal_capacity`` and
+    ``coherent_information`` per slice, with upper = maximal - moe_sum_lower
+    (once per grid) and lower_approx = 2 holevo.  A scalar N is a grid of one.
     """
     n = _validated_photon(input_photon)
-    label, ne = _formula_environment(spec)
+    unit = _nats_per(units)
+    ne = equivalent_thermal_photon(spec.environment)
     formula_spec = ChannelSpec(spec.kind, spec.parameter, thermal_state(ne))
+    label = "thermal_photon" if _is_thermal(spec.environment.data) else "equivalent_photon"
     knob = "transmissivity" if spec.kind is ChannelKind.BEAM_SPLITTER else "gain"
     channel = f"{spec.kind.value}({knob}={spec.parameter:.12g}, {label}={ne:.12g})"
+    moe = moe_sum_lower(formula_spec)
     grid, results = np.atleast_1d(n), []
     for start in range(0, len(grid), _CHUNK):
         chunk = grid[start:start + _CHUNK]
-        columns = (
-            chunk,
-            holevo_capacity(formula_spec, chunk),
-            maximal_capacity(formula_spec, chunk),
-            np.full(len(chunk), moe_sum_lower(formula_spec)),
-            private_capacity_upper_general(spec, chunk),
-            private_capacity_lower_approx(formula_spec, chunk),
-            *_coherent_columns(spec, chunk, coherent_second_arg),
-        )
-        results += [BoundResult(channel, *row).as_units(units) for row in zip(*(c.tolist() for c in columns))]
+        holevo, maximal = holevo_capacity(formula_spec, chunk), maximal_capacity(formula_spec, chunk)
+        coherent = _coherent_columns(spec, chunk, coherent_second_arg)
+        # the BoundResult entropy fields in order, converted per column
+        columns = np.stack([holevo, maximal, np.full(len(chunk), moe), maximal - moe, 2 * holevo, *coherent]) / unit
+        results += [BoundResult(channel, *row, units=units) for row in zip(chunk.tolist(), *columns.tolist())]
     return results[0] if np.ndim(n) == 0 else results

@@ -43,7 +43,8 @@ _CSV_ROW = operator.attrgetter("input_photon", *BOUNDS_COLUMNS[1:])
 
 _OMISSION_NOTE = (
     "note: externally published enhanced lower-bound curves are not computed here; "
-    "the datasets carry the closed-form bounds plus the coherent-information lower bound."
+    "the datasets carry the closed-form bounds plus the coherent-information difference "
+    "I_c(N) - I_c(N'), which is not a lower bound on the private capacity."
 )
 
 
@@ -197,7 +198,7 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
         "--coherent-arg",
         choices=("square", "half"),
         default="square",
-        help="second argument of the coherent-information lower bound: N^2 or N/2",
+        help="second point N' of the coherent-information difference I_c(N) - I_c(N'): N^2 or N/2",
     )
 
 

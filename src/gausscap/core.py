@@ -266,15 +266,15 @@ def squeezed_thermal_state(thermal_photon: float, squeeze: float) -> CovarianceM
         raise ValueError("mean photon number must be finite and nonnegative")
     if not 0 <= squeeze < np.inf:
         raise ValueError("squeezing parameter must be finite and nonnegative")
-    scale = 2.0 * thermal_photon + 1.0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 2.0 * thermal_photon + 1.0
         diag = scale * np.array([np.exp(-2.0 * squeeze), np.exp(2.0 * squeeze)])
     if not diag[1] < np.inf:
-        limit = 0.5 * (math.log(sys.float_info.max) - math.log(scale))
-        raise ValueError(
-            f"(2N + 1) e^(2r) overflows at N = {thermal_photon:.6g}, r = {squeeze:.6g}: "
-            f"the squeezing parameter must stay at or below {limit:.6g}"
-        )
+        # ln(2N + 1) as ln 2 + ln(N + 1/2), which cannot overflow; past N ~ 9e307 no r fits
+        limit = 0.5 * (math.log(sys.float_info.max) - math.log(2.0) - math.log(thermal_photon + 0.5))
+        bound = (f"the squeezing parameter must stay at or below {limit:.6g}" if limit >= 0.0 else
+                 f"the photon number must stay below {0.5 * sys.float_info.max * math.exp(-squeeze) ** 2:.6g}")
+        raise ValueError(f"(2N + 1) e^(2r) overflows at N = {thermal_photon:.6g}, r = {squeeze:.6g}: {bound}")
     return CovarianceMatrix._physical(np.diag(diag), np.array([scale]))
 
 
@@ -570,16 +570,20 @@ def _gaussian_state_stack(
     return 0.5 * (gamma + gamma.swapaxes(-1, -2))
 
 
-def _check_sampling_bounds(*bounds: float) -> None:
-    if not all(0.0 <= b < np.inf for b in bounds):
+def _check_sampling_bounds(max_photon: float, max_squeeze: float) -> None:
+    if not all(0.0 <= b < np.inf for b in (max_photon, max_squeeze)):
         raise ValueError("sampling bounds must be finite and nonnegative")
+    # a draw's covariance entries reach (2N + 1) e^(2r) = 2 e^(2r + ln(N + 1/2)), below 6e307 while
+    # r + ln(N + 1/2) / 2 <= 354; past that, squeezed_thermal_state checks the product exactly
+    if max_squeeze + 0.5 * math.log(max_photon + 0.5) > 354.0:
+        squeezed_thermal_state(max_photon, max_squeeze)  # raises, naming the largest r that fits
 
 
 def random_symplectic(n_modes: int, max_squeeze: float = 1.0, seed=None) -> SymplecticMatrix:
     """Random symplectic built from per-mode rotations/squeezers and pair mixers."""
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
-    _check_sampling_bounds(max_squeeze)
+    _check_sampling_bounds(0.0, max_squeeze)
     draws = _as_generator(seed).random(_symplectic_draw_count(n_modes))
     return SymplecticMatrix(_symplectic_stack(draws[None], n_modes, max_squeeze)[0])
 

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .capacities import _thermal_photon
+from .capacities import _is_thermal
 from .channels import ChannelKind, ChannelSpec, _channel_spectra, _factor_entropies, channel_map, coupling, epi_rhs
 from .core import (
     _CHUNK,
@@ -40,7 +40,6 @@ from .core import (
     _two_mode_squeezed_stack,
     _validated,
     symplectic_eigenvalues,
-    thermal_entropy,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -132,10 +131,13 @@ def _chain_kernel(inequality: Inequality, transmissivity: np.ndarray, env, state
 
     lhs = S(output) of the beam splitter (channel output for moe, (F, C)
     complementary output for wc), from its closed-form spectrum; rhs =
-    ``epi_rhs``(0, g(Ne)) = (1-t) g(Ne), the floor of a thermal environment.
+    ``epi_rhs``(0, g(Ne)) = (1-t) g(Ne), the floor of a thermal environment,
+    with g(Ne) the entropy of the validated spectrum, Ne = (nu - 1) / 2.
     """
+    if not _is_thermal(env[0]):
+        raise ValueError(f"the chain inequality {inequality.value} assumes a thermal environment (2N + 1) I")
     kind = _kind(inequality)
-    rhs = epi_rhs(kind, transmissivity, 0.0, thermal_entropy(_thermal_photon(env[0])))
+    rhs = epi_rhs(kind, transmissivity, 0.0, _spectral_entropy(env[1]))
     entropies = _factor_entropies(_channel_spectra(kind, transmissivity, state[0], env[0]))
     return (entropies[0] if inequality is Inequality.MOE_CHAIN_BS else entropies[1] + entropies[2]), rhs
 

@@ -8,6 +8,7 @@ closed forms must reproduce it bit for bit, and their closed-form coherent
 information must reproduce it to a stated tolerance.
 """
 
+import inspect
 import math
 
 import mpmath as mp
@@ -324,10 +325,11 @@ def coherent_information_mp(kind: str, parameter, n_in, n_env, squeeze=0.0) -> f
         return float(s_b - s_fc)
 
 
-def eigensolver_calls(monkeypatch) -> list:
-    """Record (name, shape of the matrix argument) of every ``np.linalg`` eigensolver call from now on."""
+def eigensolver_calls(monkeypatch, names=("eig", "eigh", "eigvals", "eigvalsh")) -> list:
+    """Record (name, shape of the matrix argument) of every call of the ``np.linalg`` functions
+    ``names``, by default the eigensolvers, from now on."""
     calls = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+    for name in names:
 
         def counted(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
             calls.append((_name, np.shape(a)))
@@ -335,6 +337,12 @@ def eigensolver_calls(monkeypatch) -> list:
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def linalg_calls(monkeypatch) -> list:
+    """``eigensolver_calls`` of every function ``np.linalg`` exports, ``det`` and ``solve`` included."""
+    functions = [name for name in np.linalg.__all__ if not inspect.isclass(getattr(np.linalg, name))]
+    return eigensolver_calls(monkeypatch, functions)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +360,8 @@ def bounds_per_point(spec: ChannelSpec, n_in: float, second_argument: str = "squ
     """The numeric fields of ``evaluate_bounds`` at one N, in ``BoundResult`` order
     (N, holevo, maximal, moe_sum_lower, upper, lower_approx, coherent_info,
     coherent_lower), in nats: the closed forms called with a scalar N on the
-    environment's own thermal occupation (else N*), and the per-point chain."""
-    g = spec.environment.data
-    thermal = abs(g[0, 1]) <= 1e-12 and abs(g[0, 0] - g[1, 1]) <= 1e-12
-    ne = max(0.5 * (g[0, 0] + g[1, 1]) - 1.0, 0.0) / 2.0 if thermal else equivalent_thermal_photon(spec.environment)
-    formula = ChannelSpec(spec.kind, spec.parameter, thermal_state(ne))
+    thermal environment of N* = (nu - 1) / 2, and the per-point chain."""
+    formula = ChannelSpec(spec.kind, spec.parameter, thermal_state(equivalent_thermal_photon(spec.environment)))
     other = n_in * n_in if second_argument == "square" else n_in / 2.0
     info = coherent_information_per_point(spec, n_in)
     return (

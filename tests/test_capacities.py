@@ -32,9 +32,9 @@ from helpers import (
     bounds_per_point,
     coherent_information_mp,
     coherent_information_per_point,
-    eigensolver_calls,
     fc_entropy_thermal_bs,
     g_direct,
+    linalg_calls,
 )
 
 
@@ -151,6 +151,15 @@ class TestPrivateUpperGeneral:
         general = ChannelSpec.beam_splitter(0.85, squeezed_thermal_state(0, 1.1))
         assert equivalent_thermal_photon(general.environment) == pytest.approx(0.0, abs=1e-12)
         assert private_capacity_upper_general(general, 2) == pytest.approx(2 * g_direct(1.7), rel=1e-12)
+
+    @pytest.mark.parametrize("build,parameter", [(ChannelSpec.beam_splitter, 0.85), (ChannelSpec.amplifier, 5.0)])
+    def test_equals_thermal_bound_bit_for_bit(self, build, parameter):
+        # N_e is (nu - 1) / 2 of the stored symplectic eigenvalue on every path, so
+        # neither a thermal environment nor squeezing moves the bound by a bit
+        for ne in np.linspace(0.0, 5.0, 51).tolist():
+            thermal = private_capacity_upper(build(parameter, thermal_state(ne)), 2)
+            assert private_capacity_upper_general(build(parameter, thermal_state(ne)), 2) == thermal
+            assert private_capacity_upper_general(build(parameter, squeezed_thermal_state(ne, 0.8)), 2) == thermal
 
     def test_equivalent_photon_from_determinant(self):
         assert equivalent_thermal_photon(squeezed_thermal_state(1.25, 0.9)) == pytest.approx(1.25, rel=1e-12)
@@ -484,6 +493,8 @@ class TestStackedBoundGrid:
         for form in (holevo_capacity, maximal_capacity, private_capacity_upper,
                      private_capacity_upper_general, private_capacity_lower_approx):
             assert _bits(form(spec, grid)) == _bits(form(spec, n) for n in grid.tolist())
+            assert type(form(spec, 2.0)) is float  # not numpy.float64, which isinstance(..., float) accepts
+        assert type(moe_sum_lower(spec)) is float
 
     def test_empty_grid(self):
         assert evaluate_bounds(bs(0.85, 1), np.array([])) == []
@@ -517,7 +528,7 @@ class TestStackedBoundGrid:
 
     def test_no_eigensolver_runs(self, monkeypatch):
         spec = _spec("amp", 5.0, "squeezed")  # built before counting: the environment is validated once
-        calls = eigensolver_calls(monkeypatch)
+        calls = linalg_calls(monkeypatch)  # det included
         for coherent_arg in ("square", "half"):
             assert len(evaluate_bounds(spec, np.linspace(0.0, 10.0, 101), coherent_second_arg=coherent_arg)) == 101
         assert calls == []

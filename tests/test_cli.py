@@ -324,6 +324,20 @@ class TestVerifyEpiErrors:
         assert captured.out == ""
         assert re.search(message, captured.err)
 
+    @pytest.mark.parametrize("extra", [["--max-r", "1000"], ["--max-n", "1e308"]])
+    @pytest.mark.parametrize(
+        "family", ["qepi-bs", "qepi-amp", "cqepi-bs", "cqepi-amp", "moe-chain-bs", "wc-chain-bs"]
+    )
+    def test_overflowing_sampling_bounds_are_config_errors(self, capsys, family, extra):
+        # (2N + 1) e^(2r) past the float range: rejected up front, before any state is drawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the message
+            assert main(["verify-epi", "--family", family, "--trials", "5"] + extra) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = r"the (squeezing parameter|photon number) must stay"
+        assert re.match(r"configuration error: \(2N \+ 1\) e\^\(2r\) overflows at N = .*: " + limit, captured.err)
+
 
 class TestBoundsErrors:
     @pytest.mark.parametrize("command", ["bounds", "fig2"])

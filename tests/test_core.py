@@ -79,6 +79,9 @@ class TestConstructors:
             squeezed_thermal_state(n, limit - 1e-3)
             with pytest.raises(ValueError, match=f"at or below {limit}") as caught:
                 squeezed_thermal_state(n, limit + 1e-3)
+            assert caught.type is ValueError
+            with pytest.raises(ValueError, match=f"at or below {limit}") as caught:
+                random_gaussian_state(1, n, limit + 1e-3, seed=0)
         assert caught.type is ValueError
 
     def test_squeezed_thermal_rejects_negative(self):

@@ -146,12 +146,12 @@ class TestChains:
 
     def test_requires_thermal_beam_splitter(self):
         amp_spec = ChannelSpec.amplifier(2.0, thermal_state(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="checked for the beam splitter"):
             check_moe_chain(vacuum_state(), amp_spec)
         from gausscap import squeezed_thermal_state
 
         sq_spec = ChannelSpec.beam_splitter(0.5, squeezed_thermal_state(1, 0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="chain inequality wc-chain-bs assumes a thermal environment"):
             check_wc_chain(vacuum_state(), sq_spec)
 
 
