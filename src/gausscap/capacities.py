@@ -15,8 +15,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec, _factor_entropies, _invariant_spectra, _rounded_pure, coupling, epi_rhs
-from .core import _CHUNK, CovarianceMatrix, _det2, _everywhere, symplectic_eigenvalues, thermal_entropy, thermal_state
+from .channels import (
+    ChannelKind,
+    ChannelSpec,
+    _det_excess,
+    _factor_entropies,
+    _invariant_spectra,
+    _rounded_pure,
+    coupling,
+    epi_rhs,
+)
+from .core import _CHUNK, CovarianceMatrix, _everywhere, symplectic_eigenvalues, thermal_entropy, thermal_state
 
 _THERMAL_ATOL = 1e-12
 
@@ -145,7 +154,8 @@ def coherent_information(spec: ChannelSpec, input_photon):
     with np.errstate(over="raise"):
         squares = 4.0 * grid * (grid + 1.0)  # a^2 - 1
         cross = 2.0 * half_trace * grid + _rounded_pure(half_trace + (2.0 * v - 1.0))
-    xs = _invariant_spectra(spec.kind, spec.parameter, squares, _rounded_pure(_det2(g) - 1.0), cross,
+        env_excess = _det_excess(g)
+    xs = _invariant_spectra(spec.kind, spec.parameter, squares, env_excess, cross,
                             lambda i: f"input photon number {grid[i]:.17g}")
     entropies = _factor_entropies(xs)
     info = entropies[0] - (entropies[1] + entropies[2])

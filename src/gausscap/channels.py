@@ -147,7 +147,8 @@ def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_
     Takes 2x2 covariances or stacks that broadcast together, shape (..., 2, 2),
     with ``parameter`` as in ``coupling``; returns shape (..., 4, 4).
     """
-    nu = np.sqrt(_det2(gamma_e))[..., None, None]
+    det, scale = _det2(gamma_e)
+    nu = (np.sqrt(det) * scale)[..., None, None]
     out = np.zeros(np.broadcast_shapes(gamma_a.shape, gamma_e.shape)[:-2] + (4, 4))
     out[..., :2, :2] = channel_map(kind, parameter, gamma_e, gamma_a)
     out[..., 2:, 2:] = nu * _IDENTITY
@@ -168,6 +169,13 @@ def _rounded_pure(excess):
     """An excess over a pure state's value (det - 1, tr / 2 - 1), scalar or array: a value
     within the 1e-9 uncertainty tolerance below 0 is roundoff of a pure state and counts as 0."""
     return np.where((excess < 0.0) & (excess >= -2.0 * PHYSICALITY_ATOL), 0.0, excess)
+
+
+def _det_excess(gamma: np.ndarray) -> np.ndarray:
+    """``_rounded_pure``(det - 1) of each 2x2 covariance of a stack, from the scaled ``_det2``.  Call it
+    under ``np.errstate(over="raise")``: a determinant beyond the float range raises ``FloatingPointError``."""
+    det, scale = _det2(gamma)
+    return _rounded_pure(det * scale * scale - 1.0)
 
 
 def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, label) -> np.ndarray:
@@ -216,11 +224,13 @@ def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, 
 
 def _channel_spectra(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
     """``_invariant_spectra`` of stacks of validated single-mode covariances, shape (T, 2, 2), with
-    ``parameter`` a scalar or shape (T,).  J Y J.T is the adjugate [[y11, -y01], [-y01, y00]] of Y = M G_E M."""
+    ``parameter`` a scalar or shape (T,).  J Y J.T is the adjugate [[y11, -y01], [-y01, y00]] of Y = M G_E M.
+    A determinant or trace beyond the float range raises ``FloatingPointError``."""
     _, _, m, _, v = coupling(kind, parameter)
     a, y = gamma_a, m @ gamma_e @ m
-    trace = a[..., 0, 0] * y[..., 1, 1] + a[..., 1, 1] * y[..., 0, 0] - 2.0 * a[..., 0, 1] * y[..., 0, 1]
-    a_excess, e_excess = (_rounded_pure(_det2(g) - 1.0) for g in (gamma_a, gamma_e))
+    with np.errstate(over="raise"):
+        trace = a[..., 0, 0] * y[..., 1, 1] + a[..., 1, 1] * y[..., 0, 0] - 2.0 * a[..., 0, 1] * y[..., 0, 1]
+        a_excess, e_excess = _det_excess(gamma_a), _det_excess(gamma_e)
     return _invariant_spectra(kind, parameter, a_excess, e_excess, _rounded_pure(0.5 * trace + (2.0 * v - 1.0)),
                               lambda i: f"matrix {i} of the stack")
 

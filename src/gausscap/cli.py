@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("qepi-bs", "qepi-amp", "cqepi-bs", "cqepi-amp", "moe-chain-bs", "wc-chain-bs"),
         default="qepi-bs",
     )
-    verify.add_argument("--trials", type=int, default=10000)
+    verify.add_argument("--trials", type=int, default=10000, help="1 to 2^32 trials (each index is one seed word)")
     verify.add_argument("--seed", type=int, default=None, help="defaults to $GAUSSCAP_SEED or 0")
     verify.add_argument("--tolerance", type=float, default=1e-9)
     verify.add_argument("--tau", type=float, default=None, help="fix the transmissivity instead of sampling")

@@ -88,9 +88,13 @@ def _reject(failed, error: type[Exception], reason) -> None:
         raise error(f"matrix {label} of the stack: {reason(index)}")
 
 
-def _det2(gamma: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Determinant of each 2x2 matrix of a stack (..., 2, 2)."""
-    return gamma[..., 0, 0] * gamma[..., 1, 1] - gamma[..., 0, 1] * gamma[..., 1, 0]
+def _det2(gamma: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Determinant of each 2x2 matrix of a stack (..., 2, 2) as (det / s^2, s), for a power of two s
+    near sqrt(Gamma_00 Gamma_11): no product overflows, and (det / s^2) s s is the bits of the plain
+    determinant wherever that is finite and normal."""
+    scale = np.ldexp(1.0, (np.frexp(gamma[..., 0, 0])[1] + np.frexp(gamma[..., 1, 1])[1]) // 2)
+    unit = gamma / scale[..., None, None]
+    return unit[..., 0, 0] * unit[..., 1, 1] - unit[..., 0, 1] * unit[..., 1, 0], scale
 
 
 def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -110,11 +114,8 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
             lambda i: f"covariance matrix is not symmetric (max asymmetry {asymmetry[i]:.3e})")
     data = 0.5 * (data + data.swapaxes(-1, -2))
     if data.shape[-1] == 2:
-        # det / s^2 for a power of two s near sqrt(Gamma_00 Gamma_11): the bits of det, scaled so it cannot overflow
-        scale = np.ldexp(1.0, (np.frexp(data[..., 0, 0])[1] + np.frexp(data[..., 1, 1])[1]) // 2)
-        unit = data / scale[..., None, None]
-        det = _det2(unit)
-        _reject(~((unit[..., 0, 0] > 0.0) & (det > 0.0)), PhysicalityError,
+        det, scale = _det2(data)
+        _reject(~((data[..., 0, 0] > 0.0) & (det > 0.0)), PhysicalityError,
                 lambda i: "covariance matrix is not positive definite")
         spectrum = (np.sqrt(det) * scale)[..., None]
     else:

@@ -13,17 +13,21 @@ are validated like a ``CovarianceMatrix``; the sampled two-mode squeezed
 inputs carry their exact spectra; the output of a single-mode input comes
 from the closed-form spectra of ``channels``, checked in invariant form.
 The right-hand sides are ``channels.epi_rhs``.  A ``check_*`` call is a
-stack of one.  Campaign results are reproducible: trial i draws all of its
-randomness from a generator seeded with (seed, i), the trials are evaluated
-in fixed-size chunks, and the mean is an exactly rounded sum in trial
-order, so every chunking aggregates identically.
+stack of one.  Campaign results are reproducible: trial i's uniform draws
+are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
+for a whole chunk at once as array arithmetic (``_uniform_draws``); the
+trials are evaluated in fixed-size chunks, and the mean is an exactly
+rounded sum in trial order, so every chunking aggregates identically.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -230,6 +234,132 @@ def fock_entropy_oracle(mean_photon: float, cutoff: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-trial streams: default_rng((seed, i)).random(k) for a chunk of i at once
+# ---------------------------------------------------------------------------
+
+# A campaign's trial indices are single uint32 entropy words.
+MAX_TRIALS = 2**32
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants (a pool of 4 words) and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_keys(init: int, mult: int, count: int) -> list[int]:
+    """The count + 1 keys h, h mult, h mult^2, ... (mod 2^32) a SeedSequence hash from h = init steps through."""
+    keys = [init]
+    for _ in range(count):
+        keys.append(keys[-1] * mult & _MASK32)
+    return keys
+
+
+def _columns(keys: list[int], steps) -> tuple[np.ndarray, np.ndarray]:
+    """(h_in, h_out) uint32 columns that hash row r with step steps[r]."""
+    return tuple(np.array([keys[s + shift] for s in steps], dtype=np.uint32)[:, None] for shift in (0, 1))
+
+
+@lru_cache(maxsize=None)
+def _seed_keys(n_words: int):
+    """SeedSequence's hash keys on an entropy of ``n_words`` words, as ``_columns`` per pass over its pool
+    of 4: the fill (steps 0-3), the cross-mix of each source word into the other three (steps 4 + 3 src
+    onwards; the source's own row repeats the first step and its result is discarded), one pass per word
+    past the pool (4 steps each), and the 8 words of ``generate_state(4, np.uint64)``."""
+    keys = _hash_keys(_INIT_A, _MULT_A, 16 + 4 * max(n_words - 4, 0))
+    cross = []
+    for src in range(4):
+        steps = [4 + 3 * src + n for n in range(3)]
+        steps.insert(src, steps[0])
+        cross.append(_columns(keys, steps))
+    tail = [_columns(keys, range(16 + 4 * n, 20 + 4 * n)) for n in range(max(n_words - 4, 0))]
+    return _columns(keys, range(4)), cross, tail, _columns(_hash_keys(_INIT_B, _MULT_B, 8), range(8))
+
+
+def _hashmix(values, keys):
+    """SeedSequence's hashmix of uint32 rows (or one word) with ``_columns`` keys, wrapping mod 2^32."""
+    mixed = (values ^ keys[0]) * keys[1]
+    return mixed ^ (mixed >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of y into x, wrapping mod 2^32."""
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> 16)
+
+
+@lru_cache(maxsize=None)
+def _jump_keys(count: int) -> tuple[np.ndarray, ...]:
+    """P_j = M^(j+2) and Q_j = 1 + M + ... + M^(j+1) mod 2^128 for j < count, stacked as rows (2, 1, count)
+    of their uint64 limbs hi and lo, then of the 32-bit halves of lo.
+
+    Seeding PCG64 with (initstate, initseq) sets inc = 2 initseq + 1 and the
+    state M (inc + initstate) + inc; output j is the XSL-RR of that state after
+    j + 1 more steps s -> M s + inc, which is P_j (inc + initstate) + Q_j inc.
+    """
+    powers, sums = [], []
+    power, total = _PCG_MULT, 1
+    for _ in range(count):
+        power, total = power * _PCG_MULT % 2**128, (total * _PCG_MULT + 1) % 2**128
+        powers.append(power)
+        sums.append(total)
+    fields = ((64, 2**64 - 1), (0, 2**64 - 1), (32, _MASK32), (0, _MASK32))
+    return tuple(np.array([[[v >> shift & mask for v in values]] for values in (powers, sums)], dtype=np.uint64)
+                 for shift, mask in fields)
+
+
+def _times(hi: np.ndarray, lo: np.ndarray, limbs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) uint64 limbs of x c mod 2^128 for x in limbs ``hi``, ``lo`` and c from ``_jump_keys``, broadcast."""
+    c_hi, c_lo, c1, c0 = limbs
+    x0, x1 = lo & _MASK32, lo >> 32
+    p01, p10 = x0 * c1, x1 * c0
+    middle = ((x0 * c0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = x1 * c1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)  # the high limb of lo * c_lo
+    return carry + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _uniform_draws(seed: int, indices: range, count: int) -> np.ndarray:
+    """Row r is ``np.random.default_rng((seed, indices[r])).random(count)``, bit for bit, shape (T, count).
+
+    The entropy is the seed's uint32 words, least significant first, then
+    the index.  SeedSequence fills a pool of 4 words from it (zeros past its
+    end), cross-mixes the pool, mixes in the words past the pool, and hashes
+    it into PCG64's (initstate, initseq); each of these is a fixed uint32
+    circuit whose keys do not depend on the data, so it runs on all indices
+    at once.  Every output then comes from one jump-ahead (``_jump_keys``)
+    instead of a step at a time, and ``random()`` is (XSL-RR >> 11) 2^-53.
+    Indices must lie below ``MAX_TRIALS``.  Array arithmetic on uint32 and
+    uint64 wraps silently, as the hash and the generator require.
+    """
+    seed = operator.index(seed)  # a numpy integer too, as SeedSequence accepts it
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = words + [np.arange(indices.start, indices.stop, dtype=np.int64).astype(np.uint32)]
+    fill, cross, tail, generate = _seed_keys(len(entropy))
+    pool = np.zeros((4, len(indices)), dtype=np.uint32)
+    for row, word in enumerate(entropy[:4]):
+        pool[row] = word
+    pool = _hashmix(pool, fill)
+    for src, keys in enumerate(cross):
+        mixed = _mix(pool, _hashmix(pool[src], keys))
+        mixed[src] = pool[src]
+        pool = mixed
+    for word, keys in zip(entropy[4:], tail):
+        pool = _mix(pool, _hashmix(word, keys))
+    state = _hashmix(np.concatenate([pool, pool]), generate).astype(np.uint64)
+    # little-endian word pairs: initstate = (s0 | s1 << 32) << 64 | (s2 | s3 << 32), initseq likewise
+    init_hi, init_lo, seq_hi, seq_lo = (state[0::2] | (state[1::2] << 32))[:, :, None]
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    x_lo = inc_lo + init_lo
+    x_hi = inc_hi + init_hi + (x_lo < inc_lo)
+    # (inc + initstate) P_j and inc Q_j in one pass, stacked on axis 0
+    hi, lo = _times(np.stack([x_hi, inc_hi]), np.stack([x_lo, inc_lo]), _jump_keys(count))
+    out_lo = lo[0] + lo[1]
+    out_hi = hi[0] + hi[1] + (out_lo < lo[0])
+    rotation, folded = out_hi >> 58, out_hi ^ out_lo
+    out = (folded >> rotation) | (folded << ((64 - rotation) & 63))
+    return (out >> 11) * (1.0 / 9007199254740992.0)
+
+
+# ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
 
@@ -254,18 +384,10 @@ class _Campaign:
     parameter_range: tuple[float, float]
     env_photon: float | None
 
-    def _draws(self, indices: range) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The trials' uniform [0, 1) draws, in each trial's draw order.
-
-        Trial i takes, from a generator seeded with (seed, i): the mixing
-        parameter (unless the range is a single value), then per family
-        both single-mode states (qepi), the (photon, squeeze) pair of both
-        two-mode states (cqepi), or the environment photon number (unless
-        fixed) and the input state (chains).  Returns the parameters and
-        the remaining draws split per input.
-        """
-        lo, hi = self.parameter_range
-        varied = lo != hi
+    def _widths(self) -> list[int]:
+        """Draws per trial, in draw order: the mixing parameter (unless the range is a single value),
+        then per family both single-mode states (qepi), the (photon, squeeze) pair of both two-mode
+        states (cqepi), or the environment photon number (unless fixed) and the input state (chains)."""
         state = _state_draw_count(1, self.max_photon)
         if self.inequality in _PLAIN:
             widths = [state, state]
@@ -273,15 +395,17 @@ class _Campaign:
             widths = [2, 2]
         else:
             widths = [int(self.env_photon is None), state]
-        draws = np.array([np.random.default_rng((self.seed, i)).random(varied + sum(widths)) for i in indices])
-        parameter = lo + (hi - lo) * draws[:, 0] if varied else np.full(len(indices), float(lo))
-        return parameter, np.split(draws[:, int(varied):], np.cumsum(widths)[:-1], axis=1)
+        lo, hi = self.parameter_range
+        return [int(lo != hi)] + widths
 
     def _state(self, draws: np.ndarray):
         return _validated(_gaussian_state_stack(draws, 1, self.max_photon, self.max_squeeze))
 
-    def lhs_rhs(self, indices: range) -> tuple[np.ndarray, np.ndarray]:
-        parameter, (first, second) = self._draws(indices)
+    def lhs_rhs(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lhs and rhs of the trials whose uniform draws are the rows of ``draws``, split as ``_widths``."""
+        varied, first, second = np.split(draws, np.cumsum(self._widths())[:-1], axis=1)
+        lo, hi = self.parameter_range
+        parameter = lo + (hi - lo) * varied[:, 0] if varied.shape[1] else np.full(len(draws), float(lo))
         inequality, kind = self.inequality, _kind(self.inequality)
         if inequality in _PLAIN:
             return _plain_kernel(kind, parameter, self._state(first), self._state(second))
@@ -290,22 +414,24 @@ class _Campaign:
                 _two_mode_squeezed_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]) for d in (first, second)
             )
             return _conditional_kernel(kind, parameter, pair1, pair2)
-        photons = self.max_photon * first[:, 0] if self.env_photon is None else np.full(len(indices), self.env_photon)
+        photons = self.max_photon * first[:, 0] if self.env_photon is None else np.full(len(draws), self.env_photon)
         env = _validated((2.0 * photons + 1.0)[:, None, None] * np.eye(2))
         return _chain_kernel(inequality, parameter, env, self._state(second))
 
     def slacks(self, indices: range) -> np.ndarray:
         """Slacks of the trials ``indices``.  A failing trial raises its own
         error class, naming the first failing trial in index order."""
+        draws = _uniform_draws(self.seed, indices, sum(self._widths()))
         try:
-            lhs, rhs = self.lhs_rhs(indices)
-        except (ValueError, ArithmeticError) as exc:
-            if len(indices) == 1:
-                raise type(exc)(
-                    f"trial {indices[0]} of {self.inequality.value} failed (seed={self.seed}): {exc}"
-                ) from exc
-            for i in indices:  # find the first failing trial, one trial at a time
-                self.slacks(range(i, i + 1))
+            lhs, rhs = self.lhs_rhs(draws)
+        except (ValueError, ArithmeticError):
+            for row, i in enumerate(indices):  # find the first failing trial, one row of the draws at a time
+                try:
+                    self.lhs_rhs(draws[row:row + 1])
+                except (ValueError, ArithmeticError) as exc:
+                    raise type(exc)(
+                        f"trial {i} of {self.inequality.value} failed (seed={self.seed}): {exc}"
+                    ) from exc
             raise
         return lhs - rhs
 
@@ -324,14 +450,18 @@ def monte_carlo_verify(
 ) -> EpiReport:
     """Run ``trials`` random instances of one inequality family.
 
-    Deterministic for a fixed seed: each trial owns a sub-seeded generator,
-    the trials are evaluated serially in chunks of a fixed size, and the
-    mean is an exactly rounded sum in trial order.  ``workers`` must be at
-    least 1 and changes neither the speed nor the report.
+    Deterministic for a fixed seed: trial i draws the uniform stream of
+    ``numpy.random.default_rng((seed, i))``, computed per chunk as array
+    arithmetic, the trials are evaluated serially in chunks of a fixed size,
+    and the mean is an exactly rounded sum in trial order.  ``trials`` must
+    lie in [1, 2^32] (each index is one uint32 seed word).  ``workers`` must
+    be at least 1 and changes neither the speed nor the report.
     """
     inequality = Inequality(inequality) if not isinstance(inequality, Inequality) else inequality
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must stay at or below 2^32 = {MAX_TRIALS}: each trial index is one uint32 seed word")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if workers < 1:
@@ -341,6 +471,8 @@ def monte_carlo_verify(
         raise ValueError("tolerance must be finite")
     if env_photon is not None and not 0.0 <= env_photon < math.inf:
         raise ValueError("env_photon must be finite and nonnegative")
+    if env_photon is not None and not 2.0 * env_photon + 1.0 < math.inf:
+        raise ValueError(f"env_photon must keep 2N + 1 finite: N = {env_photon:.6g} is above {sys.float_info.max / 2:.6g}")
     prange = parameter_range if parameter_range is not None else _DEFAULT_RANGES[inequality]
     if not all(math.isfinite(v) for v in prange):
         raise ValueError("parameter_range must be finite")

@@ -29,8 +29,14 @@ from gausscap import (
 )
 
 
+# Past this x the two terms of g_direct cancel beyond about 2e-12 relative (3.8e-9 absolute at 1.2e8, 0.0 at 5.9e16).
+G_DIRECT_MAX = 1e4
+
+
 def g_direct(x: float) -> float:
-    """(x+1) ln(x+1) - x ln x evaluated directly with stdlib math."""
+    """(x+1) ln(x+1) - x ln x evaluated directly with stdlib math, for x <= G_DIRECT_MAX; larger x raises."""
+    if x > G_DIRECT_MAX:
+        raise ValueError(f"g_direct cancels above x = {G_DIRECT_MAX:g} (got x = {x:.6g}): use g_mp")
     if x == 0:
         return 0.0
     return (x + 1.0) * math.log(x + 1.0) - x * math.log(x)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -264,6 +265,36 @@ class TestVerifyEpi:
         assert "violation" in captured.err
 
 
+# (min_slack, mean_slack) of `verify-epi --seed 42 --trials 10000`, as printed when every trial
+# built its own numpy.random.default_rng((42, i)): the per-chunk stream must keep them to the byte
+GOLDEN_REPORTS = {
+    "qepi-bs": ("8.398428660161272e-05", "0.539112881565692"),
+    "qepi-amp": ("0.002764301899059518", "0.6734030973899553"),
+    "cqepi-bs": ("1.0436497066557138e-07", "0.15077312096919818"),
+    "cqepi-amp": ("8.342785254538201e-06", "0.20022264960020542"),
+    "moe-chain-bs": ("0.00029866392241495454", "1.2522473089888968"),
+    "wc-chain-bs": ("0.01480334292601194", "2.0891677515364555"),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("family", sorted(GOLDEN_REPORTS))
+    def test_seed_42_report_is_byte_identical(self, capsys, family):
+        assert main(["verify-epi", "--family", family, "--seed", "42", "--trials", "10000"]) == 0
+        min_slack, mean_slack = GOLDEN_REPORTS[family]
+        assert capsys.readouterr().out == (
+            "{\n"
+            f'  "inequality": "{family}",\n'
+            '  "trials": 10000,\n'
+            '  "violations": 0,\n'
+            f'  "min_slack": {min_slack},\n'
+            f'  "mean_slack": {mean_slack},\n'
+            '  "seed": 42,\n'
+            '  "tolerance": 1e-09\n'
+            "}\n"
+        )
+
+
 class TestEntropyCommand:
     def test_identity_matrix(self, capsys):
         rc = main(["entropy", "--matrix", "[1, 0, 0, 1]"])
@@ -337,6 +368,44 @@ class TestVerifyEpiErrors:
         assert captured.out == ""
         limit = r"the (squeezing parameter|photon number) must stay"
         assert re.match(r"configuration error: \(2N \+ 1\) e\^\(2r\) overflows at N = .*: " + limit, captured.err)
+
+
+    @pytest.mark.parametrize("family", ["moe-chain-bs", "wc-chain-bs"])
+    def test_overflowing_chain_environment_is_config_error(self, capsys, family):
+        # 2N + 1 past the float range: rejected before an environment is built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify-epi", "--family", family, "--trials", "5", "--ne", "1e308"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: env_photon must keep 2N + 1 finite: N = 1e+308 is above 8.98847e+307\n"
+
+    @pytest.mark.parametrize("family", ["moe-chain-bs", "wc-chain-bs"])
+    @pytest.mark.parametrize("extra", [["--max-r", "353.6"], ["--ne", "1e200"]])
+    def test_overflowing_determinant_is_numerical_error(self, capsys, family, extra):
+        # entries near 1e307 (or nu_E near 2e200) put det Gamma past the float range: the scaled determinant
+        # overflows only when multiplied back, and that raises instead of warning and returning NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify-epi", "--family", family, "--trials", "50"] + extra) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"numerical error: trial \d+ of {family} failed \(seed=0\): overflow encountered in \w+\n",
+                            captured.err)
+
+    def test_trials_past_the_index_words_are_config_error(self, capsys):
+        # trial indices are single uint32 seed words; the run is refused before any array is allocated
+        tracemalloc.start()
+        try:
+            code = main(["verify-epi", "--trials", str(2**32 + 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert peak < 2**20
+        assert capsys.readouterr().err == (
+            "configuration error: trials must stay at or below 2^32 = 4294967296: each trial index is one uint32 seed word\n"
+        )
 
 
 class TestBoundsErrors:

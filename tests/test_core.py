@@ -33,7 +33,7 @@ from gausscap import (
     williamson,
 )
 from gausscap.core import _validated, amplifier_block, symplectic_residual
-from helpers import g_direct, g_mp, raw_symplectic_eigenvalues, reference_gaussian_state
+from helpers import G_DIRECT_MAX, g_direct, g_mp, raw_symplectic_eigenvalues, reference_gaussian_state
 
 
 class TestConstructors:
@@ -173,6 +173,12 @@ class TestThermalEntropy:
         # NaN fails both x < 0 and x > 0, so it used to come back as a zero entropy
         with pytest.raises(ValueError, match="nonnegative"):
             thermal_entropy(x)
+
+    def test_direct_oracle_refuses_to_cancel(self):
+        # (x+1) ln(x+1) - x ln x cancels at large x: past G_DIRECT_MAX the oracle raises instead
+        assert g_direct(G_DIRECT_MAX) == pytest.approx(thermal_entropy(G_DIRECT_MAX), rel=1e-11)
+        with pytest.raises(ValueError, match="use g_mp"):
+            g_direct(math.sinh(10) ** 2)
 
     @pytest.mark.parametrize("x", [1e8, 1e12, 1e15])
     def test_large_argument_against_mpmath(self, x):

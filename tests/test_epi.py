@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausscap import (
     ChannelSpec,
@@ -15,6 +17,7 @@ from gausscap import (
     check_qepi_bs,
     check_wc_chain,
     direct_sum,
+    epi,
     fock_entropy_oracle,
     monte_carlo_verify,
     random_gaussian_state,
@@ -24,7 +27,7 @@ from gausscap import (
     vacuum_state,
 )
 from gausscap.core import CovarianceMatrix, PhysicalityError
-from gausscap.epi import _CHUNK
+from gausscap.epi import _CHUNK, MAX_TRIALS, _uniform_draws
 from helpers import eigensolver_calls, g_direct, reference_trial, two_mode_squeezing_symplectic
 
 
@@ -309,3 +312,63 @@ class TestBatchedCampaigns:
         with pytest.raises(ValueError) as caught:
             monte_carlo_verify(family, 5, seed=1, **kwargs)
         assert caught.type is ValueError
+
+
+def _default_rng_rows(seed, indices, count):
+    return np.array([np.random.default_rng((seed, i)).random(count) for i in indices])
+
+
+# one to five uint32 seed words, each boundary of the word count included
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**96, 2**128 + 5]
+WINDOW_STARTS = [0, 2**31, MAX_TRIALS - 1]
+
+
+class TestUniformStream:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("start", WINDOW_STARTS)
+    def test_word_count_corners_equal_default_rng(self, seed, start):
+        indices = range(start, min(start + 3, MAX_TRIALS))
+        assert np.array_equal(_uniform_draws(seed, indices, 9), _default_rng_rows(seed, indices, 9))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        seed=st.sampled_from(STREAM_SEEDS) | st.integers(0, 2**200),
+        start=st.sampled_from(WINDOW_STARTS) | st.integers(0, MAX_TRIALS - 1),
+        length=st.integers(1, 4),
+        count=st.integers(1, 9),
+    )
+    def test_rows_equal_default_rng_bit_for_bit(self, seed, start, length, count):
+        indices = range(start, min(start + length, MAX_TRIALS))
+        assert np.array_equal(_uniform_draws(seed, indices, count), _default_rng_rows(seed, indices, count))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_campaigns_build_no_generator(self, monkeypatch, family):
+        built = []
+        for name in ("default_rng", "Generator", "SeedSequence", "PCG64"):
+
+            def counted(*args, _original=getattr(np.random, name), _name=name, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counted)
+        assert monte_carlo_verify(family, _CHUNK + 7, seed=5).violations == 0
+        assert built == []
+
+    def test_first_failing_trial_is_found_in_the_drawn_rows(self, monkeypatch):
+        calls = []
+
+        def counted(seed, indices, count, _original=epi._uniform_draws):
+            calls.append(indices)
+            return _original(seed, indices, count)
+
+        monkeypatch.setattr(epi, "_uniform_draws", counted)
+        with pytest.raises(ValueError, match=r"^trial 0 of qepi-bs failed \(seed=1\)"):
+            monte_carlo_verify("qepi-bs", 5, parameter_range=(-0.5, -0.5), seed=1)
+        assert calls == [range(0, 5)]
+
+    def test_numpy_integer_seed_draws_the_same_stream(self):
+        assert monte_carlo_verify("cqepi-bs", 20, seed=np.uint64(2**63)) == monte_carlo_verify("cqepi-bs", 20, seed=2**63)
+
+    def test_trials_past_the_index_words_are_rejected(self):
+        with pytest.raises(ValueError, match=r"trials must stay at or below 2\^32 = 4294967296"):
+            monte_carlo_verify("qepi-bs", MAX_TRIALS + 1)
