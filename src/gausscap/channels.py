@@ -172,21 +172,36 @@ def _rounded_pure(excess):
 
 
 def _det_excess(gamma: np.ndarray) -> np.ndarray:
-    """``_rounded_pure``(det - 1) of each 2x2 covariance of a stack, from the scaled ``_det2``.  Call it
-    under ``np.errstate(over="raise")``: a determinant beyond the float range raises ``FloatingPointError``."""
+    """``_rounded_pure``(det - 1) of each 2x2 covariance of a stack, from the scaled ``_det2``.  A determinant
+    beyond the float range is inf, or raises ``FloatingPointError`` under ``np.errstate(over="raise")``."""
     det, scale = _det2(gamma)
     return _rounded_pure(det * scale * scale - 1.0)
+
+
+_INVARIANTS = ("det G_A - 1", "det G_E - 1", "the cross term")
+
+
+def _require_finite(arrays, label, detail, names=_INVARIANTS) -> None:
+    """Raise ``FloatingPointError`` for the first of ``arrays``, by default the invariants (det G_A - 1,
+    det G_E - 1, cross) of ``_invariant_spectra``, that left the float range, naming it, ``label(i)`` of its
+    first non-finite entry and ``detail(k, i)``, the size of what array k comes from."""
+    for k, values in enumerate(arrays):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FloatingPointError(f"overflow at {label(i)}: {names[k]} leaves the float range ({detail(k, i)})")
 
 
 def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, label) -> np.ndarray:
     """nu^2 - 1 of the channel output B, then of the complementary pair (F, C), stacked on axis 0.
 
-    The arguments are invariants of a single-mode input A and environment E,
-    scalars or arrays that broadcast together: a_excess = det G_A - 1,
-    e_excess = det G_E - 1 and cross = tr(G_A J M G_E M J.T) / 2 + 2v - 1,
-    with J the single-mode symplectic form and (p, q, M, v) of ``coupling``.
-    The trace is >= 2 sqrt(det G_A det G_E) >= 2, so every term below is
-    nonnegative and nothing cancels:
+    The arguments are finite invariants of a single-mode input A and
+    environment E, scalars or 1-D arrays that broadcast together:
+    a_excess = det G_A - 1, e_excess = det G_E - 1 and
+    cross = tr(G_A J M G_E M J.T) / 2 + 2v - 1, with J the single-mode
+    symplectic form and (p, q, M, v) of ``coupling``.  The trace is
+    >= 2 sqrt(det G_A det G_E) >= 2, so every term below is nonnegative and
+    nothing cancels:
 
         nu_B^2 - 1 = p^2 a_excess + w,   w = q^2 e_excess + 2 p q cross
         S = nu_+^2 + nu_-^2 - 2 = q^2 a_excess + w
@@ -197,15 +212,21 @@ def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, 
     (2004); x_+ = nu_+^2 - 1 is the larger root of x^2 - S x + K and
     x_- = K / x_+: a near-degenerate pair is split only to about sqrt(eps),
     but its product, and its entropy sum to second order, keep their digits.
-    Overflow raises ``FloatingPointError``; K < 0, S < 0 or nu_B < 1 - 1e-9
-    raises ``PhysicalityError`` naming ``label(i)``.
+    nu_B^2 - 1, S or K beyond the float range raises ``FloatingPointError``;
+    K < 0, S < 0 or nu_B < 1 - 1e-9 raises ``PhysicalityError``; both name
+    ``label(i)``.
     """
     p, q, _, _, _ = coupling(kind, parameter)
-    with np.errstate(over="raise"):
+    with np.errstate(over="ignore", invalid="ignore"):
         w = q * q * e_excess + 2.0 * p * q * cross
-        b = p * p * a_excess + w
-        total = q * q * a_excess + w
-        product = q * q * e_excess * a_excess
+        terms = (p * p * a_excess + w, q * q * a_excess + w, q * q * e_excess * a_excess)
+    b, total, product = terms
+
+    def invariants(k, i):
+        a, e, c = (np.broadcast_to(v, np.shape(b))[i] for v in (a_excess, e_excess, cross))
+        return f"det G_A - 1 = {a:.6g}, det G_E - 1 = {e:.6g}, cross term {c:.6g}"
+
+    _require_finite(terms, label, invariants, ("nu_B^2 - 1", "S", "K"))
     ok = (product >= 0.0) & (total >= 0.0) & (b >= (1.0 - PHYSICALITY_ATOL) ** 2 - 1.0)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -222,17 +243,27 @@ def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, 
     return np.maximum(xs, 0.0, out=xs)  # nu within the tolerance below 1 counts as 1
 
 
-def _channel_spectra(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
-    """``_invariant_spectra`` of stacks of validated single-mode covariances, shape (T, 2, 2), with
-    ``parameter`` a scalar or shape (T,).  J Y J.T is the adjugate [[y11, -y01], [-y01, y00]] of Y = M G_E M.
-    A determinant or trace beyond the float range raises ``FloatingPointError``."""
+def _matrix_invariants(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray, label) -> tuple:
+    """The invariants (det G_A - 1, det G_E - 1, cross) of ``_invariant_spectra`` for stacks of validated
+    single-mode covariances, shape (T, 2, 2), with ``parameter`` a scalar or shape (T,).  J Y J.T is the
+    adjugate [[y11, -y01], [-y01, y00]] of Y = M G_E M.  An invariant beyond the float range raises
+    ``FloatingPointError`` naming it, ``label(i)`` and the largest entry of the matrices it comes from."""
     _, _, m, _, v = coupling(kind, parameter)
     a, y = gamma_a, m @ gamma_e @ m
-    with np.errstate(over="raise"):
+    with np.errstate(over="ignore", invalid="ignore"):
         trace = a[..., 0, 0] * y[..., 1, 1] + a[..., 1, 1] * y[..., 0, 0] - 2.0 * a[..., 0, 1] * y[..., 0, 1]
-        a_excess, e_excess = _det_excess(gamma_a), _det_excess(gamma_e)
-    return _invariant_spectra(kind, parameter, a_excess, e_excess, _rounded_pure(0.5 * trace + (2.0 * v - 1.0)),
-                              lambda i: f"matrix {i} of the stack")
+        invariants = _det_excess(gamma_a), _det_excess(gamma_e), _rounded_pure(0.5 * trace + (2.0 * v - 1.0))
+    sources = ((("G_A", gamma_a),), (("G_E", gamma_e),), (("G_A", gamma_a), ("G_E", gamma_e)))
+    _require_finite(invariants, label, lambda k, i: ", ".join(
+        f"entries of {name} up to {np.abs(g[i]).max():.3g}" for name, g in sources[k]))
+    return invariants
+
+
+def _channel_spectra(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
+    """``_invariant_spectra`` of stacks of validated single-mode covariances, shape (T, 2, 2), with
+    ``parameter`` a scalar or shape (T,), from their ``_matrix_invariants``."""
+    label = lambda i: f"matrix {i} of the stack"  # noqa: E731
+    return _invariant_spectra(kind, parameter, *_matrix_invariants(kind, parameter, gamma_a, gamma_e, label), label)
 
 
 def _factor_entropies(xs: np.ndarray) -> np.ndarray:

@@ -23,6 +23,9 @@ PAIR_ATOL = 1e-8
 SYMPLECTIC_RTOL = 1e-12
 # Symplectic eigenvalues within this of 1 count as pure (nothing couples to a purifying mode).
 PURE_ATOL = 1e-12
+# Rounding unit of float arithmetic, and the decimal digits it carries.
+_EPS = float(np.finfo(float).eps)
+_DIGITS = -math.log10(_EPS)
 # Matrices per stacked pass (campaign trials, bound-grid points): memory does not grow with the count.
 _CHUNK = 512
 
@@ -97,14 +100,28 @@ def _det2(gamma: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.f
     return unit[..., 0, 0] * unit[..., 1, 1] - unit[..., 0, 1] * unit[..., 1, 0], scale
 
 
+def _factorable(matrix: NDArray[np.float64]) -> bool:
+    """Whether one matrix has a Cholesky factor, i.e. is numerically positive definite."""
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Validate one covariance matrix or a stack of them, shape (..., 2n, 2n).
 
     Checks finite entries and symmetry (to 1e-12, ``ValueError``), positive
     definiteness and the uncertainty condition (every symplectic eigenvalue
-    >= 1 - 1e-9, ``PhysicalityError``), and that |eig(Omega @ Gamma)| splits
-    into +/- pairs (``ArithmeticError``).  One mode runs no eigensolver: it is
+    >= 1 - 1e-9, ``PhysicalityError``).  One mode runs no eigensolver: it is
     positive definite iff Gamma_00 > 0 and det > 0, with spectrum sqrt(det).
+    A det whose rounding, eps (|Gamma_00 Gamma_11| + Gamma_01^2), exceeds 1e-9
+    of it fixes neither the sign nor the spectrum (``ArithmeticError``), unless
+    it is negative beyond that rounding (not positive definite).  From two
+    modes on, the Cholesky factor Gamma = L L.T is the positive-definiteness
+    check, and i L.T Omega L, similar to i Omega Gamma, is Hermitian with
+    eigenvalues +/- nu; they must split into +/- pairs (``ArithmeticError``).
     A stack reports its first failing matrix.  Returns the symmetrised data
     and the symplectic eigenvalues per matrix, one per +/- pair, descending.
     """
@@ -112,22 +129,35 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     asymmetry = np.abs(data - data.swapaxes(-1, -2)).max(axis=(-2, -1))
     _reject(asymmetry > SYMMETRY_ATOL, ValueError,
             lambda i: f"covariance matrix is not symmetric (max asymmetry {asymmetry[i]:.3e})")
-    data = 0.5 * (data + data.swapaxes(-1, -2))
+    data = 0.5 * data + 0.5 * data.swapaxes(-1, -2)  # halves first: entries near the float maximum stay finite
     if data.shape[-1] == 2:
         det, scale = _det2(data)
-        _reject(~((data[..., 0, 0] > 0.0) & (det > 0.0)), PhysicalityError,
+        unit = data / scale[..., None, None]
+        # u00 u11 - u01^2 rounds by up to about eps (|u00 u11| + u01^2): only a det below that is surely negative
+        magnitude = np.abs(unit[..., 0, 0] * unit[..., 1, 1]) + unit[..., 0, 1] * unit[..., 0, 1]
+        _reject(~(data[..., 0, 0] > 0.0) | (det <= -_EPS * magnitude), PhysicalityError,
                 lambda i: "covariance matrix is not positive definite")
+        lost = lambda i: min(_DIGITS, math.log10(magnitude[i] / abs(det[i]))) if det[i] else _DIGITS  # noqa: E731
+        _reject(_EPS * magnitude > PHYSICALITY_ATOL * det, ArithmeticError,
+                lambda i: f"det Gamma = Gamma_00 Gamma_11 - Gamma_01^2 cancels {lost(i):.1f} of its {_DIGITS:.1f} "
+                          f"digits, so the entries do not fix the symplectic eigenvalue to {PHYSICALITY_ATOL:g}")
         spectrum = (np.sqrt(det) * scale)[..., None]
     else:
-        _reject(np.linalg.eigvalsh(data)[..., 0] <= 0.0, PhysicalityError,
-                lambda i: "covariance matrix is not positive definite")
-        omega = symplectic_form(data.shape[-1] // 2)
-        mags = np.abs(np.linalg.eigvals(omega @ data))
-        mags.sort(axis=-1)
-        pairs = mags[..., ::-1].reshape(mags.shape[:-1] + (-1, 2))
-        big, small = pairs[..., 0], pairs[..., 1]
-        _reject((big - small > PAIR_ATOL * np.maximum(big, 1.0)).any(axis=-1), ArithmeticError,
-                lambda i: "spectrum of Omega @ Gamma does not split into +/- pairs")
+        try:
+            factor = np.linalg.cholesky(data)
+        except np.linalg.LinAlgError:
+            # only a failing stack searches for its first failing matrix
+            failed = np.array([not _factorable(m) for m in data.reshape((-1,) + data.shape[-2:])])
+            _reject(failed.reshape(data.shape[:-2]), PhysicalityError, lambda i: "covariance matrix is not positive definite")
+            raise
+        n = data.shape[-1] // 2
+        # ascending: -nu_1 <= ... <= -nu_n <= nu_n <= ... <= nu_1
+        values = np.linalg.eigvalsh(1j * (factor.swapaxes(-1, -2) @ symplectic_form(n) @ factor))
+        big, small = values[..., :n - 1:-1], -values[..., :n]
+        split = (np.abs(big - small) / np.maximum(big, 1.0)).max(axis=-1)
+        _reject(split > PAIR_ATOL, ArithmeticError,
+                lambda i: f"eigenvalues of i L.T Omega L do not split into +/- pairs: they differ by {split[i]:.3g} "
+                          f"of max(nu, 1), more than {PAIR_ATOL:g}")
         # the mean of each pair, summed and halved exactly as np.mean does
         spectrum = (big + small) * 0.5
     nu_min = spectrum[..., -1]

@@ -6,14 +6,20 @@ below -tolerance (default 1e-9).  Near the degenerate amplifier gain
 k -> 1 the slack itself shrinks to the scale of k - 1, so checks pinned
 there should use a correspondingly wider band.
 
-Every family is evaluated by one kernel over stacks of covariance matrices
-(``_plain_kernel``, ``_conditional_kernel``, ``_chain_kernel``).  Sampled
-single-mode inputs, the Z marginals and the conditional (B, Z1, Z2) output
-are validated like a ``CovarianceMatrix``; the sampled two-mode squeezed
-inputs carry their exact spectra; the output of a single-mode input comes
-from the closed-form spectra of ``channels``, checked in invariant form.
-The right-hand sides are ``channels.epi_rhs``.  A ``check_*`` call is a
-stack of one.  Campaign results are reproducible: trial i's uniform draws
+The qepi and chain families have single-mode inputs A and E, and their
+kernel (``_single_mode_kernel``) takes the invariants det G_A - 1,
+det G_E - 1 and the cross term of ``channels._invariant_spectra``, whose
+closed-form output spectra are checked in invariant form there.  A campaign
+takes these invariants straight from each trial's drawn photon numbers,
+squeezings and angles (``_drawn_invariants``), as sums of nonnegative terms,
+so no matrix is built and no determinant cancels at any squeezing; a
+``check_*`` call turns its validated matrices into the same invariants once
+(``channels._matrix_invariants``).  The cqepi kernel
+(``_conditional_kernel``) builds the (B, Z1, Z2) output of two-mode inputs
+and validates it and the Z marginals like a ``CovarianceMatrix``; sampled
+two-mode squeezed inputs carry their exact spectra, and a ``check_*`` call
+is a stack of one.  The right-hand sides are ``channels.epi_rhs``.
+Campaign results are reproducible: trial i's uniform draws
 are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
 for a whole chunk at once as array arithmetic (``_uniform_draws``); the
 trials are evaluated in fixed-size chunks, and the mean is an exactly
@@ -32,18 +38,28 @@ from functools import lru_cache
 import numpy as np
 
 from .capacities import _is_thermal
-from .channels import ChannelKind, ChannelSpec, _channel_spectra, _factor_entropies, channel_map, coupling, epi_rhs
+from .channels import (
+    ChannelKind,
+    ChannelSpec,
+    _factor_entropies,
+    _invariant_spectra,
+    _matrix_invariants,
+    _require_finite,
+    channel_map,
+    coupling,
+    epi_rhs,
+)
 from .core import (
     _CHUNK,
     CovarianceMatrix,
     _check_sampling_bounds,
-    _gaussian_state_stack,
     _spectral_entropy,
     _stack_entropy,
     _state_draw_count,
     _two_mode_squeezed_stack,
-    _validated,
+    entropy,
     symplectic_eigenvalues,
+    thermal_entropy,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -95,14 +111,18 @@ _AMPLIFIER = (Inequality.QEPI_AMP, Inequality.CQEPI_AMP)
 
 
 # ---------------------------------------------------------------------------
-# kernels: stacks of validated matrices in, lhs and rhs arrays out
+# kernels: invariants or stacks of validated matrices in, lhs and rhs arrays out
 # ---------------------------------------------------------------------------
 
-def _plain_kernel(kind: ChannelKind, parameter: np.ndarray, x1, x2) -> tuple[np.ndarray, np.ndarray]:
-    """Plain EPI on stacks of validated single-mode inputs x_i = (data, spectra): lhs = S(B) for B the
-    channel map of (X1, X2), from its closed-form spectrum; rhs = ``epi_rhs``(S(X1), S(X2))."""
-    lhs = _factor_entropies(_channel_spectra(kind, parameter, x1[0], x2[0])[0])
-    return lhs, epi_rhs(kind, parameter, _spectral_entropy(x1[1]), _spectral_entropy(x2[1]))
+def _single_mode_kernel(inequality: Inequality, parameter, invariants, s1, s2, label) -> tuple[np.ndarray, np.ndarray]:
+    """qepi and chain inequalities on the invariants (det G_A - 1, det G_E - 1, cross) of single-mode inputs A
+    and E, as ``channels._invariant_spectra`` takes them: lhs = S(B), from its closed-form spectrum, or for
+    wc-chain-bs S(F, C) of the complementary output; rhs = ``epi_rhs``(s1, s2), with s1 and s2 the inputs'
+    entropies (qepi) or (0, g(Ne)) (chains), the output-entropy floor of a thermal environment."""
+    kind = _kind(inequality)
+    xs = _invariant_spectra(kind, parameter, *invariants, label)
+    lhs = _factor_entropies(xs[1:]).sum(axis=0) if inequality is Inequality.WC_CHAIN_BS else _factor_entropies(xs[0])
+    return lhs, epi_rhs(kind, parameter, s1, s2)
 
 
 def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) -> tuple[np.ndarray, np.ndarray]:
@@ -130,32 +150,17 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) 
     return lhs, epi_rhs(kind, parameter, _spectral_entropy(pair1[1]) - z1, _spectral_entropy(pair2[1]) - z2)
 
 
-def _chain_kernel(inequality: Inequality, transmissivity: np.ndarray, env, state) -> tuple[np.ndarray, np.ndarray]:
-    """Chain inequality on stacks of validated thermal environments and single-mode inputs.
-
-    lhs = S(output) of the beam splitter (channel output for moe, (F, C)
-    complementary output for wc), from its closed-form spectrum; rhs =
-    ``epi_rhs``(0, g(Ne)) = (1-t) g(Ne), the floor of a thermal environment,
-    with g(Ne) the entropy of the validated spectrum, Ne = (nu - 1) / 2.
-    """
-    if not _is_thermal(env[0]):
-        raise ValueError(f"the chain inequality {inequality.value} assumes a thermal environment (2N + 1) I")
-    kind = _kind(inequality)
-    rhs = epi_rhs(kind, transmissivity, 0.0, _spectral_entropy(env[1]))
-    entropies = _factor_entropies(_channel_spectra(kind, transmissivity, state[0], env[0]))
-    return (entropies[0] if inequality is Inequality.MOE_CHAIN_BS else entropies[1] + entropies[2]), rhs
-
-
 # ---------------------------------------------------------------------------
-# single checks: a stack of one
+# single checks: user matrices turned into invariants, or a stack of one
 # ---------------------------------------------------------------------------
 
 def _kind(inequality: Inequality) -> ChannelKind:
     return ChannelKind.AMPLIFIER if inequality in _AMPLIFIER else ChannelKind.BEAM_SPLITTER
 
 
-def _stack_of_one(state: CovarianceMatrix):
-    return state.data[None], symplectic_eigenvalues(state)[None]
+def _matrix_label(i: int) -> str:
+    """Where the invariants of a check's input matrices fail."""
+    return "the input matrices"
 
 
 def _trial(inequality: Inequality, parameter: float, inputs: tuple[CovarianceMatrix, ...], lhs_rhs) -> EpiTrial:
@@ -163,22 +168,34 @@ def _trial(inequality: Inequality, parameter: float, inputs: tuple[CovarianceMat
     return EpiTrial(inequality, parameter, inputs, float(lhs[0]), float(rhs[0]))
 
 
+def _single_mode_trial(inequality: Inequality, parameter: float, a: CovarianceMatrix, e: CovarianceMatrix, s1, s2,
+                       inputs: tuple[CovarianceMatrix, ...]) -> EpiTrial:
+    """``_single_mode_kernel`` on the invariants of the validated input A and environment E, computed once."""
+    parameter_array = np.array([parameter], dtype=float)
+    invariants = _matrix_invariants(_kind(inequality), parameter_array, a.data[None], e.data[None], _matrix_label)
+    lhs_rhs = _single_mode_kernel(inequality, parameter_array, invariants, s1, s2, _matrix_label)
+    return _trial(inequality, parameter, inputs, lhs_rhs)
+
+
 def _pair_trial(inequality: Inequality, first: CovarianceMatrix, second: CovarianceMatrix, parameter: float) -> EpiTrial:
-    """A qepi or cqepi check: its family's kernel on stacks of one."""
-    kernel, n_modes = (_plain_kernel, 1) if inequality in _PLAIN else (_conditional_kernel, 2)
-    _require_modes(n_modes, first, second)
-    stacks = _stack_of_one(first), _stack_of_one(second)
-    return _trial(inequality, parameter, (first, second), kernel(_kind(inequality), np.array([parameter], dtype=float), *stacks))
+    """A qepi check on the invariants of its inputs, or a cqepi check: its kernel on stacks of one."""
+    if inequality in _PLAIN:
+        _require_modes(1, first, second)
+        return _single_mode_trial(inequality, parameter, first, second, entropy(first), entropy(second), (first, second))
+    _require_modes(2, first, second)
+    stacks = ((s.data[None], symplectic_eigenvalues(s)[None]) for s in (first, second))
+    return _trial(inequality, parameter, (first, second),
+                  _conditional_kernel(_kind(inequality), np.array([parameter], dtype=float), *stacks))
 
 
 def _chain_trial(inequality: Inequality, state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
-    """A chain check: the chain kernel on stacks of one."""
+    """A chain check on the invariants of the input and its thermal environment."""
     if spec.kind is not ChannelKind.BEAM_SPLITTER:
         raise ValueError("chain inequalities are checked for the beam splitter")
     _require_modes(1, state)
-    transmissivity = np.array([spec.parameter], dtype=float)
-    lhs_rhs = _chain_kernel(inequality, transmissivity, _stack_of_one(spec.environment), _stack_of_one(state))
-    return _trial(inequality, spec.parameter, (state,), lhs_rhs)
+    if not _is_thermal(spec.environment.data):
+        raise ValueError(f"the chain inequality {inequality.value} assumes a thermal environment (2N + 1) I")
+    return _single_mode_trial(inequality, spec.parameter, state, spec.environment, 0.0, entropy(spec.environment), (state,))
 
 
 def check_qepi_bs(state1: CovarianceMatrix, state2: CovarianceMatrix, transmissivity: float) -> EpiTrial:
@@ -363,6 +380,44 @@ def _uniform_draws(seed: int, indices: range, count: int) -> np.ndarray:
 # campaigns
 # ---------------------------------------------------------------------------
 
+def _drawn_label(i: int) -> str:
+    """Where a campaign's drawn invariants fail; the campaign names the trial."""
+    return "the drawn states"
+
+
+def _drawn_invariants(kind: ChannelKind, parameter: np.ndarray, a, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The invariants (det G_A - 1, det G_E - 1, cross) of ``channels._invariant_spectra`` straight from the
+    draws of single-mode states G = (2n + 1) R(2 pi u) diag(e^(-2r), e^(2r)) R(2 pi u).T, with a and e
+    the (n, r, u) of A and E, arrays or scalars that broadcast together:
+
+        det G - 1 = 4 n (n + 1)
+        cross = nu_A nu_E X + 2v - 1 = (nu_A nu_E - 1) X + (X - 1) + 2v
+        X = cos^2 D cosh 2(r_A - r_E) + sin^2 D cosh 2(r_A + r_E)
+        X - 1 = 2 cos^2 D sinh^2 (r_A - r_E) + 2 sin^2 D sinh^2 (r_A + r_E)
+
+    with nu = 2n + 1, nu_A nu_E - 1 = 2 (n_A + n_E + 2 n_A n_E), and
+    D = 2 pi (s u_E - u_A) the angle between A and M G_E M, where M = diag(1, s)
+    of ``coupling`` turns the rotation of E by 2 pi u_E into one by 2 pi s u_E.
+    Every term is nonnegative, so nothing cancels, whatever the squeezing.  An
+    invariant beyond the float range raises ``FloatingPointError`` naming it
+    and the draws it comes from.
+    """
+    _, _, m, _, v = coupling(kind, parameter)
+    (n_a, r_a, u_a), (n_e, r_e, u_e) = a, e
+    with np.errstate(over="ignore", invalid="ignore"):
+        angle = 2.0 * np.pi * (m[1, 1] * u_e - u_a)
+        x_excess = 2.0 * (np.cos(angle) ** 2 * np.sinh(r_a - r_e) ** 2 + np.sin(angle) ** 2 * np.sinh(r_a + r_e) ** 2)
+        cross = 2.0 * (n_a + n_e + 2.0 * n_a * n_e) * (1.0 + x_excess) + x_excess + 2.0 * v
+        invariants = 4.0 * n_a * (n_a + 1.0), 4.0 * n_e * (n_e + 1.0), cross
+
+    def draws(k, i):
+        na, ne, ra, re = (float(np.broadcast_to(x, np.shape(cross))[i]) for x in (n_a, n_e, r_a, r_e))
+        return (f"n_A = {na:.6g}", f"n_E = {ne:.6g}", f"r_A = {ra:.6g}, r_E = {re:.6g}, n_A = {na:.6g}, n_E = {ne:.6g}")[k]
+
+    _require_finite(invariants, _drawn_label, draws)
+    return invariants
+
+
 _DEFAULT_RANGES = {
     Inequality.QEPI_BS: (0.0, 1.0),
     Inequality.CQEPI_BS: (0.0, 1.0),
@@ -398,8 +453,15 @@ class _Campaign:
         lo, hi = self.parameter_range
         return [int(lo != hi)] + widths
 
-    def _state(self, draws: np.ndarray):
-        return _validated(_gaussian_state_stack(draws, 1, self.max_photon, self.max_squeeze))
+    def _modes(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, r, u) of the single-mode states drawn as rows of ``core._state_draw_count``(1, max_photon)
+        draws: the photon number (if max_photon > 0), then the rotation draw u of the angle 2 pi u and the
+        squeezing; the sampler's last rotation acts on a thermal state and drops out."""
+        if self.max_photon > 0:
+            photons, draws = self.max_photon * draws[:, 0], draws[:, 1:]
+        else:
+            photons = np.zeros(len(draws))
+        return photons, self.max_squeeze * draws[:, 1], draws[:, 0]
 
     def lhs_rhs(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """lhs and rhs of the trials whose uniform draws are the rows of ``draws``, split as ``_widths``."""
@@ -407,16 +469,20 @@ class _Campaign:
         lo, hi = self.parameter_range
         parameter = lo + (hi - lo) * varied[:, 0] if varied.shape[1] else np.full(len(draws), float(lo))
         inequality, kind = self.inequality, _kind(self.inequality)
-        if inequality in _PLAIN:
-            return _plain_kernel(kind, parameter, self._state(first), self._state(second))
         if inequality in _CONDITIONAL:
             pair1, pair2 = (
                 _two_mode_squeezed_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]) for d in (first, second)
             )
             return _conditional_kernel(kind, parameter, pair1, pair2)
-        photons = self.max_photon * first[:, 0] if self.env_photon is None else np.full(len(draws), self.env_photon)
-        env = _validated((2.0 * photons + 1.0)[:, None, None] * np.eye(2))
-        return _chain_kernel(inequality, parameter, env, self._state(second))
+        if inequality in _PLAIN:
+            a, e = self._modes(first), self._modes(second)
+            s1, s2 = thermal_entropy(np.stack([a[0], e[0]]))
+        else:  # a chain: the input against a thermal environment, r = 0
+            photons = self.max_photon * first[:, 0] if self.env_photon is None else np.full(len(draws), self.env_photon)
+            a, e = self._modes(second), (photons, 0.0, 0.0)
+            s1, s2 = 0.0, thermal_entropy(photons)
+        invariants = _drawn_invariants(kind, parameter, a, e)
+        return _single_mode_kernel(inequality, parameter, invariants, s1, s2, _drawn_label)
 
     def slacks(self, indices: range) -> np.ndarray:
         """Slacks of the trials ``indices``.  A failing trial raises its own

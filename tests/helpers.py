@@ -122,6 +122,14 @@ def raw_single_mode_purification(gamma_e: np.ndarray) -> np.ndarray:
     return widen @ thermal @ widen.T
 
 
+def rotated_squeezed(photon: float, squeeze: float, angle: float) -> np.ndarray:
+    """(2N + 1) R diag(e^(-2r), e^(2r)) R.T with R = [[cos, sin], [-sin, cos]] of the angle, symmetrised."""
+    c, s = math.cos(angle), math.sin(angle)
+    rotation = np.array([[c, s], [-s, c]])
+    gamma = rotation @ np.diag((2.0 * photon + 1.0) * np.exp([-2.0 * squeeze, 2.0 * squeeze])) @ rotation.T
+    return 0.5 * (gamma + gamma.T)
+
+
 def two_mode_squeezing_symplectic(squeeze: float) -> np.ndarray:
     """Two-mode squeezer [[cosh(r) I, sinh(r) Z], [sinh(r) Z, cosh(r) I]]."""
     ch = np.cosh(squeeze) * np.eye(2)
@@ -266,6 +274,20 @@ def g_mp(x):
     return mp.mpf(0) if x <= 0 else (x + 1) * mp.log(x + 1) - x * mp.log(x)
 
 
+def _mp_channel_symplectic(kind: str, p):
+    """``raw_channel_symplectic`` on modes (A, E) of (A, E, C) in mpmath, the identity on C."""
+    # signs of the A-E and E-A blocks: [[I, I], [-I, I]] or [[I, Z], [Z, I]]
+    if kind == "bs":
+        root_q, upper, lower = mp.sqrt(1 - p), (1, 1), (-1, -1)
+    else:
+        root_q, upper, lower = mp.sqrt(p - 1), (1, -1), (1, -1)
+    channel = mp.eye(6)
+    for i in range(2):
+        channel[i, i] = channel[i + 2, i + 2] = mp.sqrt(p)
+        channel[i, i + 2], channel[i + 2, i] = root_q * upper[i], root_q * lower[i]
+    return channel
+
+
 def _output_entropies_mp(kind: str, parameter, n_in, n_env, squeeze):
     """(S_B, S_F, S_FC) as mpf at the caller's working precision; see ``output_entropies_mp``."""
     a, nu, r = 2 * mp.mpf(n_in) + 1, 2 * mp.mpf(n_env) + 1, mp.mpf(squeeze)
@@ -278,16 +300,7 @@ def _output_entropies_mp(kind: str, parameter, n_in, n_env, squeeze):
     joint[3, 5] = joint[5, 3] = -c
     squeezer = mp.eye(6)
     squeezer[2, 2], squeezer[3, 3] = mp.exp(-r), mp.exp(r)
-    p = mp.mpf(parameter)
-    # signs of the A-E and E-A blocks: [[I, I], [-I, I]] or [[I, Z], [Z, I]]
-    if kind == "bs":
-        root_q, upper, lower = mp.sqrt(1 - p), (1, 1), (-1, -1)
-    else:
-        root_q, upper, lower = mp.sqrt(p - 1), (1, -1), (1, -1)
-    channel = mp.eye(6)
-    for i in range(2):
-        channel[i, i] = channel[i + 2, i + 2] = mp.sqrt(p)
-        channel[i, i + 2], channel[i + 2, i] = root_q * upper[i], root_q * lower[i]
+    channel = _mp_channel_symplectic(kind, mp.mpf(parameter))
     out = channel * squeezer * joint * squeezer.T * channel.T
 
     def entropy_of(block):
@@ -329,6 +342,76 @@ def coherent_information_mp(kind: str, parameter, n_in, n_env, squeeze=0.0) -> f
     with mp.workdps(_oracle_digits(n_in, squeeze)):
         s_b, _, s_fc = _output_entropies_mp(kind, parameter, n_in, n_env, squeeze)
         return float(s_b - s_fc)
+
+
+def _mp_rotated_squeezed(nu, r, angle):
+    """nu R(angle) diag(e^(-2r), e^(2r)) R(angle).T as an mpmath matrix, R = [[cos, sin], [-sin, cos]]."""
+    c, s = mp.cos(angle), mp.sin(angle)
+    rotation = mp.matrix([[c, s], [-s, c]])
+    return nu * rotation * mp.diag([mp.exp(-2 * r), mp.exp(2 * r)]) * rotation.T
+
+
+def _mp_pair_spectrum(gamma):
+    """(nu_+, nu_-) of a two-mode covariance from its invariants det and Delta = det A + det B + 2 det C."""
+    delta = mp.det(gamma[0:2, 0:2]) + mp.det(gamma[2:4, 2:4]) + 2 * mp.det(gamma[0:2, 2:4])
+    root = mp.sqrt(delta * delta - 4 * mp.det(gamma))
+    return mp.sqrt((delta + root) / 2), mp.sqrt((delta - root) / 2)
+
+
+def drawn_trial_slack_mp(family: str, seed: int, index: int, max_photon: float, max_squeeze: float,
+                         parameter_range: tuple[float, float], env_photon=None) -> float:
+    """lhs - rhs of trial ``index`` of a qepi or chain campaign, from its (seed, index) draws in at least
+    50-digit arithmetic.
+
+    The draws come in the campaign's documented order and give the scalars
+    it documents: the mixing parameter (unless the range is one value), then
+    per single-mode state a photon number n (if max_photon > 0), a rotation
+    angle 2 pi u, a squeezing r and a second angle, which acts on a thermal
+    state and drops out (chains draw the environment photon number first,
+    unless fixed).  Each state (2n + 1) R diag(e^(-2r), e^(2r)) R.T is built
+    entry by entry with the angle 2 pi u taken exactly, conjugated with the
+    channel symplectic, and for wc-chain-bs its thermal environment is first
+    purified with a reference C; spectra come from determinants.  The
+    precision grows with the squeezing, so the e^(4r) the determinants cancel
+    does not eat the 50 digits.
+    """
+    rng = np.random.default_rng((seed, index))
+    lo, hi = parameter_range
+    parameter = lo if lo == hi else rng.uniform(lo, hi)
+    kind = "amp" if family.endswith("amp") else "bs"
+
+    def draw_state():
+        n = rng.uniform(0.0, max_photon) if max_photon > 0 else 0.0
+        u, r = rng.random(), rng.uniform(0.0, max_squeeze)
+        rng.random()
+        return n, r, u
+
+    if family.startswith("qepi"):
+        states = [draw_state(), draw_state()]
+    else:
+        ne = rng.uniform(0.0, max_photon) if env_photon is None else env_photon
+        states = [draw_state(), (ne, 0.0, 0.0)]
+    with mp.workdps(50 + int(8 * max_squeeze / math.log(10)) + 2 * int(math.log10(1.0 + max_photon))):
+        gammas = [_mp_rotated_squeezed(2 * mp.mpf(n) + 1, mp.mpf(r), 2 * mp.pi * mp.mpf(u)) for n, r, u in states]
+        entropies = [g_mp(mp.mpf(n)) for n, _, _ in states]
+        p = mp.mpf(parameter)
+        q, d = (1 - p, mp.mpf(1)) if kind == "bs" else (p - 1, 2 * p - 1)
+        joint = mp.zeros(6, 6)
+        joint[0:2, 0:2], joint[2:4, 2:4] = gammas
+        # C purifies E as a thermal state, which only the wc chain reads, and its E is thermal
+        nu_e = 2 * mp.mpf(states[1][0]) + 1
+        c = mp.sqrt(nu_e * nu_e - 1)
+        joint[4, 4] = joint[5, 5] = nu_e
+        joint[2, 4] = joint[4, 2] = c
+        joint[3, 5] = joint[5, 3] = -c
+        channel = _mp_channel_symplectic(kind, p)
+        out = channel * joint * channel.T
+        if family == "wc-chain-bs":
+            lhs = sum(g_mp((nu - 1) / 2) for nu in _mp_pair_spectrum(out[2:6, 2:6]))
+        else:
+            lhs = g_mp((mp.sqrt(mp.det(out[0:2, 0:2])) - 1) / 2)
+        s1, s2 = (0, entropies[1]) if family.endswith("chain-bs") else entropies
+        return float(lhs - ((p * s1 + q * s2) / d + mp.log(d)))
 
 
 def eigensolver_calls(monkeypatch, names=("eig", "eigh", "eigvals", "eigvalsh")) -> list:

@@ -28,7 +28,7 @@ from gausscap import (
     weak_complementary,
 )
 from gausscap.channels import MAX_GAIN, _channel_spectra, _complementary_map, channel_map
-from gausscap.core import PHASE_FLIP, rotation_symplectic, symplectic_residual
+from gausscap.core import PHASE_FLIP, symplectic_residual
 from helpers import (
     conjugate_and_trace,
     eigensolver_calls,
@@ -38,6 +38,7 @@ from helpers import (
     g_direct,
     output_entropies_mp,
     raw_symplectic_eigenvalues,
+    rotated_squeezed,
 )
 
 
@@ -304,12 +305,6 @@ class TestSymplecticsAtMaximumGain:
         np.testing.assert_array_equal(channel_symplectic(spec).data, s)
 
 
-def _rotated_squeezed(photon, squeeze, angle):
-    rotation = rotation_symplectic(angle)
-    gamma = rotation @ squeezed_thermal_state(photon, squeeze).data @ rotation.T
-    return 0.5 * (gamma + gamma.T)
-
-
 KINDS = {"bs": ChannelKind.BEAM_SPLITTER, "amp": ChannelKind.AMPLIFIER}
 STATES = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi))
 
@@ -322,7 +317,7 @@ class TestClosedFormSpectra:
     @given(kind=st.sampled_from(sorted(KINDS)), u=st.floats(0.0, 1.0), a=STATES, e=STATES)
     def test_match_raw_eigenvalues_of_the_output_maps(self, kind, u, a, e):
         parameter = u if kind == "bs" else 1.0 + 9.0 * u
-        gamma_a, gamma_e = _rotated_squeezed(*a), _rotated_squeezed(*e)
+        gamma_a, gamma_e = rotated_squeezed(*a), rotated_squeezed(*e)
         x_b, x_plus, x_minus = _channel_spectra(KINDS[kind], parameter, gamma_a[None], gamma_e[None])[:, 0]
         x_f = _channel_spectra(KINDS[kind], parameter, gamma_e[None], gamma_a[None])[0, 0]
         nu_b, nu_plus, nu_minus, nu_f = np.sqrt(1.0 + np.array([x_b, x_plus, x_minus, x_f]))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gausscap.cli import BOUNDS_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, format_float, main
-from helpers import coherent_information_mp, g_direct, g_mp
+from helpers import coherent_information_mp, g_direct, g_mp, rotated_squeezed
 
 
 def parse_csv(text):
@@ -265,13 +265,15 @@ class TestVerifyEpi:
         assert "violation" in captured.err
 
 
-# (min_slack, mean_slack) of `verify-epi --seed 42 --trials 10000`, as printed when every trial
-# built its own numpy.random.default_rng((42, i)): the per-chunk stream must keep them to the byte
+# (min_slack, mean_slack) of `verify-epi --seed 42 --trials 10000`.  The qepi and chain values were
+# printed when every trial built its own numpy.random.default_rng((42, i)) and validated its sampled
+# matrices; the per-chunk stream and the drawn invariants keep them to the byte.  The cqepi values are
+# those of the Cholesky spectrum of the (B, Z1, Z2) output, within 4e-15 of the old eig(Omega Gamma) ones.
 GOLDEN_REPORTS = {
     "qepi-bs": ("8.398428660161272e-05", "0.539112881565692"),
     "qepi-amp": ("0.002764301899059518", "0.6734030973899553"),
-    "cqepi-bs": ("1.0436497066557138e-07", "0.15077312096919818"),
-    "cqepi-amp": ("8.342785254538201e-06", "0.20022264960020542"),
+    "cqepi-bs": ("1.0436497421828506e-07", "0.150773120969198"),
+    "cqepi-amp": ("8.342785256314558e-06", "0.20022264960020528"),
     "moe-chain-bs": ("0.00029866392241495454", "1.2522473089888968"),
     "wc-chain-bs": ("0.01480334292601194", "2.0891677515364555"),
 }
@@ -325,6 +327,17 @@ class TestEntropyCommand:
         assert rc == EXIT_NUMERICAL
         assert "physicality" in capsys.readouterr().err
 
+    def test_lost_determinant_is_numerical_error(self, capsys):
+        # N = 1, r = 180 rotated by 0.3 rad: the rounded entries once reported nu = 2.557e148 instead of 3
+        matrix = json.dumps(rotated_squeezed(1.0, 180.0, 0.3).tolist())
+        assert main(["entropy", "--matrix", matrix]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical error: det Gamma = Gamma_00 Gamma_11 - Gamma_01^2 cancels 15.7 of its 15.7 digits, "
+            "so the entries do not fix the symplectic eigenvalue to 1e-09\n"
+        )
+
     def test_matrix_file(self, tmp_path, capsys):
         path = tmp_path / "state.json"
         path.write_text('{"n_modes": 1, "data": [3, 0, 0, 3]}')
@@ -343,7 +356,9 @@ class TestVerifyEpiErrors:
         [
             (["--family", "qepi-amp", "--kappa", "nan"], EXIT_CONFIG, "parameter_range must be finite"),
             (["--tau", "1.5"], EXIT_CONFIG, r"trial 0 of qepi-bs failed \(seed=1\): transmissivity must lie in \[0, 1\]"),
-            (["--max-r", "50"], EXIT_NUMERICAL, r"trial 0 of qepi-bs failed \(seed=1\): covariance matrix is not positive definite"),
+            # the 6x6 (B, Z1, Z2) output of two draws squeezed by up to r = 50 is not numerically positive definite
+            (["--family", "cqepi-bs", "--max-r", "50"], EXIT_NUMERICAL,
+             r"trial 0 of cqepi-bs failed \(seed=1\): covariance matrix is not positive definite"),
             (["--tolerance", "nan"], EXIT_CONFIG, "tolerance must be finite"),
             (["--max-n", "nan"], EXIT_CONFIG, "sampling bounds must be finite"),
             (["--family", "wc-chain-bs", "--ne", "inf"], EXIT_CONFIG, "env_photon must be finite"),
@@ -381,17 +396,32 @@ class TestVerifyEpiErrors:
         assert captured.err == "configuration error: env_photon must keep 2N + 1 finite: N = 1e+308 is above 8.98847e+307\n"
 
     @pytest.mark.parametrize("family", ["moe-chain-bs", "wc-chain-bs"])
-    @pytest.mark.parametrize("extra", [["--max-r", "353.6"], ["--ne", "1e200"]])
-    def test_overflowing_determinant_is_numerical_error(self, capsys, family, extra):
-        # entries near 1e307 (or nu_E near 2e200) put det Gamma past the float range: the scaled determinant
-        # overflows only when multiplied back, and that raises instead of warning and returning NaN
+    @pytest.mark.parametrize(
+        "extra,overflow",
+        [
+            (["--max-r", "353.6"], r"the cross term leaves the float range \(r_A = 353\.\d+, r_E = 0, n_A = \S+, n_E = \S+\)"),
+            (["--ne", "1e200"], r"det G_E - 1 leaves the float range \(n_E = 1e\+200\)"),
+        ],
+        ids=["extra0", "extra1"],
+    )
+    def test_overflowing_determinant_is_numerical_error(self, capsys, family, extra, overflow):
+        # nu_A nu_E cosh 2r_A past the float range (r_A near 353.6, first at trial 5141), or
+        # det G_E - 1 = 4 n (n + 1) at n = 1e200: the message names the invariant and its draws, with no numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["verify-epi", "--family", family, "--trials", "50"] + extra) == EXIT_NUMERICAL
+            assert main(["verify-epi", "--family", family, "--trials", "10000"] + extra) == EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(rf"numerical error: trial \d+ of {family} failed \(seed=0\): overflow encountered in \w+\n",
+        assert re.fullmatch(rf"numerical error: trial \d+ of {family} failed \(seed=0\): overflow at the drawn states: {overflow}\n",
                             captured.err)
+
+    def test_large_squeezing_is_evaluated(self, capsys):
+        # the 2x2 matrices of these draws lost their determinant to rounding, and were rejected, from r ~ 9-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify-epi", "--family", "qepi-bs", "--trials", "200", "--seed", "1", "--max-r", "50"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == 0 and report["min_slack"] > 0.0
 
     def test_trials_past_the_index_words_are_config_error(self, capsys):
         # trial indices are single uint32 seed words; the run is refused before any array is allocated

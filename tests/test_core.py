@@ -33,7 +33,7 @@ from gausscap import (
     williamson,
 )
 from gausscap.core import _validated, amplifier_block, symplectic_residual
-from helpers import G_DIRECT_MAX, g_direct, g_mp, raw_symplectic_eigenvalues, reference_gaussian_state
+from helpers import G_DIRECT_MAX, g_direct, g_mp, raw_symplectic_eigenvalues, reference_gaussian_state, rotated_squeezed
 
 
 class TestConstructors:
@@ -506,11 +506,57 @@ class TestBatchedValidation:
             _validated(stack)
         assert caught.type is error
 
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    @pytest.mark.parametrize("kind", ["negative", "indefinite"])
+    def test_matrix_without_cholesky_factor_in_a_stack_is_named(self, n_modes, kind):
+        stack = np.array([3.0 * np.eye(2 * n_modes)] * 7)
+        if kind == "negative":
+            stack[3, 1, 1] = -1.0
+        else:  # eigenvalues 3 +/- 4 on the outer pair of quadratures
+            stack[3, 0, -1] = stack[3, -1, 0] = 4.0
+        with pytest.raises(PhysicalityError, match=r"^matrix 3 of the stack: covariance matrix is not positive definite$"):
+            _validated(stack)
+        with pytest.raises(PhysicalityError, match=r"^covariance matrix is not positive definite$"):
+            _validated(stack[3])
+
     def test_single_matrix_messages_name_no_index(self):
         with pytest.raises(PhysicalityError, match="^uncertainty condition violated"):
             _validated(0.5 * np.eye(2))
         with pytest.raises(PhysicalityError, match="^covariance matrix is not positive definite"):
             _validated(-np.eye(2)[None])
+
+
+class TestSingleModeCancellation:
+    def test_lost_determinant_is_a_numerical_error(self):
+        # entries up to 6e156 whose determinant is 9: the rounded matrix once validated with nu = 2.557e148
+        gamma = rotated_squeezed(1.0, 180.0, 0.3)
+        message = r"cancels 15\.7 of its 15\.7 digits, so the entries do not fix the symplectic eigenvalue to 1e-09$"
+        with pytest.raises(ArithmeticError, match=r"^det Gamma = Gamma_00 Gamma_11 - Gamma_01\^2 " + message):
+            CovarianceMatrix(gamma)
+        stack = np.array([thermal_state(1.0).data] * 4)
+        stack[2] = gamma
+        with pytest.raises(ArithmeticError, match=r"^matrix 2 of the stack: det Gamma"):
+            _validated(stack)
+
+    @pytest.mark.parametrize("squeeze,valid", [(2.0, True), (3.9, True), (4.1, False), (20.0, False)])
+    def test_cancellation_bound_at_45_degrees(self, squeeze, valid):
+        # |Gamma_00 Gamma_11| + Gamma_01^2 = det cosh 4r: eps times it passes 1e-9 det at r = 4.003
+        gamma = rotated_squeezed(1.0, squeeze, math.pi / 4)
+        if valid:
+            assert symplectic_eigenvalues(CovarianceMatrix(gamma))[0] == pytest.approx(3.0, rel=1e-9)
+        else:
+            with pytest.raises(ArithmeticError, match="digits"):
+                CovarianceMatrix(gamma)
+
+    @pytest.mark.parametrize("photon,squeeze", [(1.0, 354.0), (0.0, 354.8), (0.0, 1.0), (5.0, 100.0)])
+    def test_diagonal_squeezed_states_validate_to_the_float_limit(self, photon, squeeze):
+        # a diagonal matrix cancels nothing; halving before the symmetrising sum keeps 9e307 entries finite
+        state = squeezed_thermal_state(photon, squeeze)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rebuilt = CovarianceMatrix(state.data)
+            assert deserialize_covariance(serialize_covariance(state)).data.tobytes() == state.data.tobytes()
+        assert symplectic_eigenvalues(rebuilt).tobytes() == np.array([2.0 * photon + 1.0]).tobytes()
 
 
 class TestSamplerDrawOrder:

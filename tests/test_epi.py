@@ -16,19 +16,28 @@ from gausscap import (
     check_qepi_amp,
     check_qepi_bs,
     check_wc_chain,
+    core,
     direct_sum,
     epi,
     fock_entropy_oracle,
     monte_carlo_verify,
     random_gaussian_state,
+    squeezed_thermal_state,
     thermal_entropy,
     thermal_state,
     two_mode_squeezed_state,
     vacuum_state,
 )
 from gausscap.core import CovarianceMatrix, PhysicalityError
-from gausscap.epi import _CHUNK, MAX_TRIALS, _uniform_draws
-from helpers import eigensolver_calls, g_direct, reference_trial, two_mode_squeezing_symplectic
+from gausscap.epi import _CHUNK, MAX_TRIALS, _Campaign, _uniform_draws
+from helpers import (
+    drawn_trial_slack_mp,
+    g_direct,
+    linalg_calls,
+    reference_trial,
+    rotated_squeezed,
+    two_mode_squeezing_symplectic,
+)
 
 
 def tms_thermal(n, r):
@@ -229,6 +238,7 @@ class TestMonteCarlo:
 
 
 FAMILIES = ["qepi-bs", "qepi-amp", "cqepi-bs", "cqepi-amp", "moe-chain-bs", "wc-chain-bs"]
+SINGLE_MODE_FAMILIES = ["qepi-bs", "qepi-amp", "moe-chain-bs", "wc-chain-bs"]
 
 
 def _oracle_report(family, trials, seed, max_photon=5.0, max_squeeze=1.5, parameter_range=None, env_photon=None):
@@ -273,13 +283,26 @@ class TestBatchedCampaigns:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_eigensolver_runs_only_on_the_conditional_output(self, monkeypatch, family):
-        # outputs of single-mode inputs and single-mode marginals have closed-form spectra
-        calls = eigensolver_calls(monkeypatch)
+        # qepi and chain trials are arithmetic on their draws, and single-mode marginals have closed-form
+        # spectra: only the (B, Z1, Z2) output is factored, once per chunk
+        calls = linalg_calls(monkeypatch)
         assert monte_carlo_verify(family, 50, seed=5).violations == 0
         if family.startswith("cqepi"):
-            assert calls and all(shape == (50, 6, 6) for _, shape in calls)
+            assert calls == [("cholesky", (50, 6, 6)), ("eigvalsh", (50, 6, 6))]
         else:
             assert calls == []
+
+    @pytest.mark.parametrize("family", SINGLE_MODE_FAMILIES)
+    def test_single_mode_campaigns_build_no_matrix(self, monkeypatch, family):
+        # their invariants come straight from the draws: nothing is sampled as a matrix or validated
+        calls = []
+        for module in (core, epi):
+            for name in ("_validated", "_gaussian_state_stack", "_two_mode_squeezed_stack"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+        monkeypatch.setattr(CovarianceMatrix, "__post_init__", lambda self: calls.append("CovarianceMatrix"))
+        assert monte_carlo_verify(family, _CHUNK + 7, seed=5).violations == 0
+        assert calls == []
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_first_failing_trial_keeps_its_class(self, workers):
@@ -312,6 +335,53 @@ class TestBatchedCampaigns:
         with pytest.raises(ValueError) as caught:
             monte_carlo_verify(family, 5, seed=1, **kwargs)
         assert caught.type is ValueError
+
+
+class TestLargeSqueezing:
+    @pytest.mark.parametrize("family", SINGLE_MODE_FAMILIES)
+    @pytest.mark.parametrize("max_squeeze", [8.0, 9.0, 50.0])
+    def test_slacks_match_the_drawn_oracle(self, family, max_squeeze):
+        # 2x2 matrices of these draws lost their determinant to rounding (slacks off by 2e-3 at r = 8) and
+        # were rejected from r ~ 9-12; every 8th of 200 trials, and the worst, against 50-digit mpmath
+        prange = (1.0, 10.0) if family.endswith("amp") else (0.0, 1.0)
+        campaign = _Campaign(Inequality(family), 7, 5.0, max_squeeze, prange, None)
+        slacks = campaign.slacks(range(200))
+        assert np.all(slacks > 0.0)
+        for i in sorted({*range(0, 200, 8), int(np.argmin(slacks))}):
+            expected = drawn_trial_slack_mp(family, 7, i, 5.0, max_squeeze, prange)
+            assert abs(slacks[i] - expected) <= 1e-12 * max(1.0, abs(expected)), i
+
+    def test_drawn_overflow_names_the_invariant(self):
+        with pytest.raises(FloatingPointError, match=r"^trial \d+ of qepi-amp failed \(seed=1\): overflow at the drawn "
+                           r"states: the cross term leaves the float range \(r_A = \S+, r_E = \S+, n_A = \S+, n_E = \S+\)$"):
+            monte_carlo_verify("qepi-amp", 20, seed=1, max_squeeze=353.0)
+
+
+class TestMatrixBoundary:
+    def test_lost_determinant_never_reaches_a_check(self):
+        # N = 1, r = 180 rotated by 0.3 rad once validated with nu = 2.557e148 and gave lhs = 341.3
+        spec = ChannelSpec.beam_splitter(0.85, thermal_state(1.0))
+        with pytest.raises(ArithmeticError, match=r"^det Gamma = Gamma_00 Gamma_11 - Gamma_01\^2 cancels 15\.7 of"):
+            check_moe_chain(CovarianceMatrix(rotated_squeezed(1.0, 180.0, 0.3)), spec)
+
+    @pytest.mark.parametrize(
+        "check,message",
+        [
+            (lambda: check_moe_chain(squeezed_thermal_state(1.0, 354.0), ChannelSpec.beam_splitter(0.5, thermal_state(1.0))),
+             r"the cross term leaves the float range \(entries of G_A up to 9\.07e\+307, entries of G_E up to 3\)"),
+            (lambda: check_qepi_bs(thermal_state(1.0), thermal_state(1e200), 0.5),
+             r"det G_E - 1 leaves the float range \(entries of G_E up to 2e\+200\)"),
+            (lambda: check_qepi_amp(thermal_state(1e200), thermal_state(1.0), 2.0),
+             r"det G_A - 1 leaves the float range \(entries of G_A up to 2e\+200\)"),
+            # finite invariants, but p^2 (det G_A - 1) at gain 1e200 (EPI checks cap no gain)
+            (lambda: check_qepi_amp(thermal_state(1.0), thermal_state(1.0), 1e200),
+             r"nu_B\^2 - 1 leaves the float range \(det G_A - 1 = 8, det G_E - 1 = 8, cross term 10\)"),
+        ],
+        ids=["cross-term", "det-e", "det-a", "output"],
+    )
+    def test_matrix_overflow_names_the_invariant(self, check, message):
+        with pytest.raises(FloatingPointError, match=r"^overflow at the input matrices: " + message + "$"):
+            check()
 
 
 def _default_rng_rows(seed, indices, count):
