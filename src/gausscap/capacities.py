@@ -21,6 +21,7 @@ from .channels import (
     _det_excess,
     _factor_entropies,
     _invariant_spectra,
+    _require_finite,
     _rounded_pure,
     coupling,
     epi_rhs,
@@ -144,19 +145,21 @@ def coherent_information(spec: ChannelSpec, input_photon):
     input a I, a = 2N + 1, has det - 1 = 4N(N + 1), and against an environment
     of trace tr, cross = a tr / 2 + 2v - 1 = N tr + (tr / 2 + 2v - 1), whose
     constant is >= 0 because tr / 2 >= sqrt(det) >= 1.  A failing check names
-    the input photon number.
+    the first failing input photon number; an overflow also names the invariant.
     """
     n = _validated_photon(input_photon)
     grid = np.atleast_1d(n)
     v = coupling(spec.kind, spec.parameter)[4]
     g = spec.environment.data
-    half_trace = 0.5 * (g[0, 0] + g[1, 1])
-    with np.errstate(over="raise"):
+    half_trace = 0.5 * g[0, 0] + 0.5 * g[1, 1]  # halves first: a trace beyond the float maximum stays finite
+    with np.errstate(over="ignore", invalid="ignore"):
         squares = 4.0 * grid * (grid + 1.0)  # a^2 - 1
         cross = 2.0 * half_trace * grid + _rounded_pure(half_trace + (2.0 * v - 1.0))
-        env_excess = _det_excess(g)
-    xs = _invariant_spectra(spec.kind, spec.parameter, squares, env_excess, cross,
-                            lambda i: f"input photon number {grid[i]:.17g}")
+        env_excess = np.full_like(grid, _det_excess(g))  # one per N, so an overflow names an N
+    label = lambda i: f"input photon number {grid[i]:.17g}"  # noqa: E731
+    _require_finite((squares, env_excess, cross), label, lambda k, i: (
+        "4N(N + 1)", f"entries of G_E up to {np.abs(g).max():.3g}", f"N tr G_E, tr G_E / 2 = {half_trace:.6g}")[k])
+    xs = _invariant_spectra(spec.kind, spec.parameter, squares, env_excess, cross, label)
     entropies = _factor_entropies(xs)
     info = entropies[0] - (entropies[1] + entropies[2])
     return float(info[0]) if np.ndim(n) == 0 else info
@@ -167,11 +170,14 @@ _SECOND_POINTS = {"square": lambda n: n * n, "half": lambda n: n / 2.0}
 
 def _coherent_columns(spec: ChannelSpec, grid: np.ndarray, second_argument: str):
     """I_c(N) and I_c(N) - I_c(N') over a 1-D grid, from one coherent_information call on every N and N'.
-    An N' beyond the float range, or an N or N' whose closed form overflows, raises ``FloatingPointError``."""
+    An N' beyond the float range, or an N or N' whose closed form overflows, raises ``FloatingPointError``
+    naming the input photon number (N for N') and what left the range."""
     if second_argument not in _SECOND_POINTS:
         raise ValueError("second_argument must be 'square' or 'half'")
-    with np.errstate(over="raise"):
+    with np.errstate(over="ignore"):
         second = _SECOND_POINTS[second_argument](grid)
+    _require_finite((second,), lambda i: f"input photon number {grid[i]:.17g}",
+                    lambda k, i: f"the {second_argument} of N", ("N'",))
     info = coherent_information(spec, np.concatenate([grid, second]))
     return info[:len(grid)], info[:len(grid)] - info[len(grid):]
 

@@ -26,6 +26,7 @@ from .core import (
     SymplecticMatrix,
     _det2,
     _everywhere,
+    _reject,
     amplifier_block,
     mixing_symplectic,
     thermal_entropy,
@@ -172,8 +173,8 @@ def _rounded_pure(excess):
 
 
 def _det_excess(gamma: np.ndarray) -> np.ndarray:
-    """``_rounded_pure``(det - 1) of each 2x2 covariance of a stack, from the scaled ``_det2``.  A determinant
-    beyond the float range is inf, or raises ``FloatingPointError`` under ``np.errstate(over="raise")``."""
+    """``_rounded_pure``(det - 1) of each 2x2 covariance of a stack, from the scaled ``_det2``; inf for a
+    determinant beyond the float range, so call it under ``np.errstate(over="ignore")``."""
     det, scale = _det2(gamma)
     return _rounded_pure(det * scale * scale - 1.0)
 
@@ -182,14 +183,12 @@ _INVARIANTS = ("det G_A - 1", "det G_E - 1", "the cross term")
 
 
 def _require_finite(arrays, label, detail, names=_INVARIANTS) -> None:
-    """Raise ``FloatingPointError`` for the first of ``arrays``, by default the invariants (det G_A - 1,
+    """``_reject`` with ``FloatingPointError`` for the first of ``arrays``, by default the invariants (det G_A - 1,
     det G_E - 1, cross) of ``_invariant_spectra``, that left the float range, naming it, ``label(i)`` of its
     first non-finite entry and ``detail(k, i)``, the size of what array k comes from."""
     for k, values in enumerate(arrays):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise FloatingPointError(f"overflow at {label(i)}: {names[k]} leaves the float range ({detail(k, i)})")
+        _reject(~np.isfinite(values), FloatingPointError,
+                lambda i: f"overflow at {label(i)}: {names[k]} leaves the float range ({detail(k, i)})")
 
 
 def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, label) -> np.ndarray:
@@ -213,8 +212,8 @@ def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, 
     x_- = K / x_+: a near-degenerate pair is split only to about sqrt(eps),
     but its product, and its entropy sum to second order, keep their digits.
     nu_B^2 - 1, S or K beyond the float range raises ``FloatingPointError``;
-    K < 0, S < 0 or nu_B < 1 - 1e-9 raises ``PhysicalityError``; both name
-    ``label(i)``.
+    K < 0, S < 0 or nu_B < 1 - 1e-9 raises ``PhysicalityError``; both go
+    through ``core._reject`` and name ``label(i)`` of the first failing i.
     """
     p, q, _, _, _ = coupling(kind, parameter)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,12 +227,8 @@ def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, 
 
     _require_finite(terms, label, invariants, ("nu_B^2 - 1", "S", "K"))
     ok = (product >= 0.0) & (total >= 0.0) & (b >= (1.0 - PHYSICALITY_ATOL) ** 2 - 1.0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise PhysicalityError(
-            f"uncertainty condition violated at {label(i)}: "
-            f"K = {product[i]:.6g}, S = {total[i]:.6g}, nu_B^2 - 1 = {b[i]:.6g}"
-        )
+    _reject(~ok, PhysicalityError, lambda i: f"uncertainty condition violated at {label(i)}: "
+                                             f"K = {product[i]:.6g}, S = {total[i]:.6g}, nu_B^2 - 1 = {b[i]:.6g}")
     root = np.sqrt(product)
     xs = np.zeros((3,) + np.shape(b))
     xs[0] = b
@@ -257,13 +252,6 @@ def _matrix_invariants(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_
     _require_finite(invariants, label, lambda k, i: ", ".join(
         f"entries of {name} up to {np.abs(g[i]).max():.3g}" for name, g in sources[k]))
     return invariants
-
-
-def _channel_spectra(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
-    """``_invariant_spectra`` of stacks of validated single-mode covariances, shape (T, 2, 2), with
-    ``parameter`` a scalar or shape (T,), from their ``_matrix_invariants``."""
-    label = lambda i: f"matrix {i} of the stack"  # noqa: E731
-    return _invariant_spectra(kind, parameter, *_matrix_invariants(kind, parameter, gamma_a, gamma_e, label), label)
 
 
 def _factor_entropies(xs: np.ndarray) -> np.ndarray:
@@ -308,9 +296,11 @@ def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_compleme
 
 
 def output_entropies(state: CovarianceMatrix, spec: ChannelSpec) -> tuple[float, float, float]:
-    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from ``_channel_spectra``
-    of (A, E) and, for F, of (E, A); no output is built or diagonalised."""
+    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_invariant_spectra`` of (A, E)
+    and, for F, of (E, A), failing at "the input and environment"; no output is built or diagonalised."""
     a, e = _single_mode_data(state)[None], spec.environment.data[None]
-    pair, swapped = (_channel_spectra(spec.kind, spec.parameter, *inputs) for inputs in ((a, e), (e, a)))
+    kind, parameter, label = spec.kind, spec.parameter, lambda i: "the input and environment"
+    pair, swapped = (_invariant_spectra(kind, parameter, *_matrix_invariants(kind, parameter, *inputs, label), label)
+                     for inputs in ((a, e), (e, a)))
     s_b, s_plus, s_minus, s_f = _factor_entropies(np.concatenate([pair, swapped[:1]]))[:, 0].tolist()
     return s_b, s_f, s_plus + s_minus

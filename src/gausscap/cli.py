@@ -48,13 +48,8 @@ _OMISSION_NOTE = (
 )
 
 
-def format_float(value: float) -> str:
-    """Fixed 17-significant-digit rendering; round-trips float64 exactly."""
-    return format(float(value), ".17g")
-
-
 def render_csv(header: tuple[str, ...], rows: list[tuple[float, ...]]) -> str:
-    line = ",".join(["%.17g"] * len(header))  # format_float's rendering, one % per row
+    line = ",".join(["%.17g"] * len(header))  # 17 significant digits round-trip float64 exactly
     return "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
 
 

@@ -74,21 +74,14 @@ def _everywhere(mask) -> bool:
 
 
 def _reject(failed, error: type[Exception], reason) -> None:
-    """Raise ``error(reason(index))`` for the first index where ``failed`` holds.
-
-    ``failed`` is a boolean per matrix: 0-d for one matrix, or one entry per
-    matrix of a stack, in which case the message names the matrix (unless
-    the stack holds only one).
-    """
-    if failed.ndim == 0:  # one matrix: a numpy bool, whose truth test is cheaper than .any()
+    """Raise ``error(reason(index))`` for the first index where ``failed`` holds: ``failed`` is 0-d for one
+    item (index ``()``) or has one entry per item of a stack (an index tuple).  The message does not name the
+    index; a caller that evaluates a stack names the failing item itself (a campaign names the trial)."""
+    if failed.ndim == 0:  # one item: a numpy bool, whose truth test is cheaper than .any()
         if failed:
             raise error(reason(()))
     elif failed.any():
-        index = np.unravel_index(int(np.argmax(failed)), failed.shape)
-        if failed.size == 1:
-            raise error(reason(index))
-        label = index[0] if len(index) == 1 else index
-        raise error(f"matrix {label} of the stack: {reason(index)}")
+        raise error(reason(np.unravel_index(int(np.argmax(failed)), failed.shape)))
 
 
 def _det2(gamma: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -98,15 +91,6 @@ def _det2(gamma: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.f
     scale = np.ldexp(1.0, (np.frexp(gamma[..., 0, 0])[1] + np.frexp(gamma[..., 1, 1])[1]) // 2)
     unit = gamma / scale[..., None, None]
     return unit[..., 0, 0] * unit[..., 1, 1] - unit[..., 0, 1] * unit[..., 1, 0], scale
-
-
-def _factorable(matrix: NDArray[np.float64]) -> bool:
-    """Whether one matrix has a Cholesky factor, i.e. is numerically positive definite."""
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -122,7 +106,10 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     modes on, the Cholesky factor Gamma = L L.T is the positive-definiteness
     check, and i L.T Omega L, similar to i Omega Gamma, is Hermitian with
     eigenvalues +/- nu; they must split into +/- pairs (``ArithmeticError``).
-    A stack reports its first failing matrix.  Returns the symmetrised data
+    A min nu short of 1 by more than 1e-9 but no more than its roundoff bound
+    eps (max diag L / min diag L)^2 is roundoff too (``ArithmeticError``).
+    Every check raises through ``_reject`` and names no index: a caller that
+    validates a stack locates the failing item.  Returns the symmetrised data
     and the symplectic eigenvalues per matrix, one per +/- pair, descending.
     """
     _reject(~np.isfinite(data).all(axis=(-2, -1)), ValueError, lambda i: "covariance matrix must be finite")
@@ -146,10 +133,7 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
         try:
             factor = np.linalg.cholesky(data)
         except np.linalg.LinAlgError:
-            # only a failing stack searches for its first failing matrix
-            failed = np.array([not _factorable(m) for m in data.reshape((-1,) + data.shape[-2:])])
-            _reject(failed.reshape(data.shape[:-2]), PhysicalityError, lambda i: "covariance matrix is not positive definite")
-            raise
+            raise PhysicalityError("covariance matrix is not positive definite") from None
         n = data.shape[-1] // 2
         # ascending: -nu_1 <= ... <= -nu_n <= nu_n <= ... <= nu_1
         values = np.linalg.eigvalsh(1j * (factor.swapaxes(-1, -2) @ symplectic_form(n) @ factor))
@@ -161,7 +145,15 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
         # the mean of each pair, summed and halved exactly as np.mean does
         spectrum = (big + small) * 0.5
     nu_min = spectrum[..., -1]
-    _reject(nu_min < 1.0 - PHYSICALITY_ATOL, PhysicalityError,
+    short = nu_min < 1.0 - PHYSICALITY_ATOL
+    if data.shape[-1] > 2 and short.any():  # only a failing matrix estimates the roundoff of its spectrum
+        diagonal = np.diagonal(factor, axis1=-2, axis2=-1)
+        bound = _EPS * (diagonal.max(axis=-1) / diagonal.min(axis=-1)) ** 2
+        _reject(short & (1.0 - nu_min <= bound), ArithmeticError,
+                lambda i: f"min symplectic eigenvalue {nu_min[i]:.12g} is short of 1 by {1.0 - nu_min[i]:.3g}, within "
+                          f"its roundoff bound eps kappa = {bound[i]:.3g} (kappa = (max diag L / min diag L)^2 of the "
+                          f"Cholesky factor L), so the entries do not fix it to {PHYSICALITY_ATOL:g}")
+    _reject(short, PhysicalityError,
             lambda i: f"uncertainty condition violated: min symplectic eigenvalue {nu_min[i]:.12g} < 1")
     return data, spectrum
 

@@ -158,7 +158,7 @@ def _kind(inequality: Inequality) -> ChannelKind:
     return ChannelKind.AMPLIFIER if inequality in _AMPLIFIER else ChannelKind.BEAM_SPLITTER
 
 
-def _matrix_label(i: int) -> str:
+def _matrix_label(i: tuple) -> str:
     """Where the invariants of a check's input matrices fail."""
     return "the input matrices"
 
@@ -380,7 +380,7 @@ def _uniform_draws(seed: int, indices: range, count: int) -> np.ndarray:
 # campaigns
 # ---------------------------------------------------------------------------
 
-def _drawn_label(i: int) -> str:
+def _drawn_label(i: tuple) -> str:
     """Where a campaign's drawn invariants fail; the campaign names the trial."""
     return "the drawn states"
 

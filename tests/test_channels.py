@@ -27,7 +27,7 @@ from gausscap import (
     vacuum_state,
     weak_complementary,
 )
-from gausscap.channels import MAX_GAIN, _channel_spectra, _complementary_map, channel_map
+from gausscap.channels import MAX_GAIN, _complementary_map, _invariant_spectra, _matrix_invariants, channel_map
 from gausscap.core import PHASE_FLIP, symplectic_residual
 from helpers import (
     conjugate_and_trace,
@@ -260,6 +260,11 @@ class TestOutputEntropies:
         lean = channel_outputs(thermal_state(1), spec, include_complement=False)
         assert lean.complement is None
 
+    def test_overflow_names_the_input_and_environment(self):
+        spec = ChannelSpec.amplifier(1e6, squeezed_thermal_state(1e300, 0.0))
+        with pytest.raises(FloatingPointError, match=r"^overflow at the input and environment: det G_A - 1 leaves"):
+            output_entropies(squeezed_thermal_state(1e307, 0.1), spec)
+
 
 def _oracle_cases():
     """(id, spec, input) triples: random specs plus squeezed, pure and high-gain environments."""
@@ -309,6 +314,13 @@ KINDS = {"bs": ChannelKind.BEAM_SPLITTER, "amp": ChannelKind.AMPLIFIER}
 STATES = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi))
 
 
+def _spectra(kind, parameter, gamma_a, gamma_e):
+    """x = nu^2 - 1 of B, then of the (F, C) pair, for one single-mode input and environment."""
+    label = lambda i: "the test matrices"  # noqa: E731
+    invariants = _matrix_invariants(kind, parameter, gamma_a[None], gamma_e[None], label)
+    return _invariant_spectra(kind, parameter, *invariants, label)[:, 0]
+
+
 class TestClosedFormSpectra:
     """Spectra of the outputs of a single-mode input, in closed form from the
     invariants of its input and environment, against raw eigenvalues and mpmath."""
@@ -318,8 +330,8 @@ class TestClosedFormSpectra:
     def test_match_raw_eigenvalues_of_the_output_maps(self, kind, u, a, e):
         parameter = u if kind == "bs" else 1.0 + 9.0 * u
         gamma_a, gamma_e = rotated_squeezed(*a), rotated_squeezed(*e)
-        x_b, x_plus, x_minus = _channel_spectra(KINDS[kind], parameter, gamma_a[None], gamma_e[None])[:, 0]
-        x_f = _channel_spectra(KINDS[kind], parameter, gamma_e[None], gamma_a[None])[0, 0]
+        x_b, x_plus, x_minus = _spectra(KINDS[kind], parameter, gamma_a, gamma_e)
+        x_f = _spectra(KINDS[kind], parameter, gamma_e, gamma_a)[0]
         nu_b, nu_plus, nu_minus, nu_f = np.sqrt(1.0 + np.array([x_b, x_plus, x_minus, x_f]))
         raw_b = raw_symplectic_eigenvalues(channel_map(KINDS[kind], parameter, gamma_a, gamma_e))[0]
         raw_f = raw_symplectic_eigenvalues(channel_map(KINDS[kind], parameter, gamma_e, gamma_a))[0]

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gausscap.cli import BOUNDS_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, format_float, main
+from gausscap.cli import BOUNDS_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, main
 from helpers import coherent_information_mp, g_direct, g_mp, rotated_squeezed
 
 
@@ -107,7 +107,7 @@ class TestBounds:
         text = capsys.readouterr().out
         header, rows = parse_csv(text)
         rebuilt = ",".join(header) + "\n"
-        rebuilt += "\n".join(",".join(format_float(v) for v in row) for row in rows) + "\n"
+        rebuilt += "\n".join(",".join(format(v, ".17g") for v in row) for row in rows) + "\n"
         assert rebuilt == text
 
     def test_bits_are_nats_over_ln2(self, capsys):
@@ -465,8 +465,10 @@ class TestBoundsErrors:
     @pytest.mark.parametrize(
         "n_stop,message",
         [
-            ("1e154", "numerical error: overflow"),  # (2 N^2 + 1)^2 overflows
-            ("1e300", "numerical error: overflow"),  # N^2 itself overflows
+            # det G_A - 1 = 4N(N + 1) overflows at N = 1e154 itself
+            ("1e154", "numerical error: overflow at input photon number 1e+154: det G_A - 1 leaves the float range"),
+            # N' = N^2 itself overflows at the second grid point
+            ("1e300", "numerical error: overflow at input photon number 5.0000000000000003e+299: N' leaves the float range"),
         ],
     )
     def test_unevaluable_second_point_is_numerical_error(self, capsys, n_stop, message):
@@ -477,6 +479,17 @@ class TestBoundsErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message)
+
+    def test_environment_beyond_the_float_range_is_numerical_error(self, capsys):
+        # the trace of (2N + 1) I overflows at N = 8e307 unless it is halved first
+        argv = ["bounds", "--channel", "bs", "--tau", "0.5", "--ne", "8e307", "--n-stop", "1", "--n-steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical error: overflow at input photon number 0: det G_E - 1 leaves the float range "
+                                "(entries of G_E up to 1.6e+308)\n")
 
     def test_large_second_point_matches_mpmath(self, capsys):
         # N^2 = 1e18 made the old eigenvalue path's (F, C) output numerically indefinite (exit 3)
