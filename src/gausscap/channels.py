@@ -276,14 +276,25 @@ def weak_complementary(state: CovarianceMatrix, spec: ChannelSpec) -> Covariance
     return CovarianceMatrix(channel_map(spec.kind, spec.parameter, spec.environment.data, _single_mode_data(state)))
 
 
+def _output_spectra(spec: ChannelSpec, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
+    """x = nu^2 - 1 of B, then of the (F, C) pair, for one single-mode input and environment: ``_invariant_spectra``
+    of their ``_matrix_invariants``, failing at "the input and environment"."""
+    kind, parameter, label = spec.kind, spec.parameter, lambda i: "the input and environment"
+    invariants = _matrix_invariants(kind, parameter, gamma_a[None], gamma_e[None], label)
+    return _invariant_spectra(kind, parameter, *invariants, label)[:, 0]
+
+
 def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
     """Two-mode complementary output on (F, C), where C purifies the environment.
 
-    The closed form is ``_complementary_map``.  Tracing out C recovers the
+    The closed form is ``_complementary_map``, stored with the spectrum sqrt(1 + x_+/-) of ``_output_spectra``
+    (the matrix's condition number grows like e^(4r) with the squeezing).  Tracing out C recovers the
     weak-complementary output; the two maps coincide whenever the
     environment is pure.
     """
-    return CovarianceMatrix(_complementary_map(spec.kind, spec.parameter, _single_mode_data(state), spec.environment.data))
+    gamma_a, gamma_e = _single_mode_data(state), spec.environment.data
+    spectrum = np.sqrt(1.0 + _output_spectra(spec, gamma_a, gamma_e)[1:])
+    return CovarianceMatrix._physical(_complementary_map(spec.kind, spec.parameter, gamma_a, gamma_e), spectrum)
 
 
 def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_complement: bool = True) -> ChannelOutput:
@@ -296,11 +307,9 @@ def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_compleme
 
 
 def output_entropies(state: CovarianceMatrix, spec: ChannelSpec) -> tuple[float, float, float]:
-    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_invariant_spectra`` of (A, E)
-    and, for F, of (E, A), failing at "the input and environment"; no output is built or diagonalised."""
-    a, e = _single_mode_data(state)[None], spec.environment.data[None]
-    kind, parameter, label = spec.kind, spec.parameter, lambda i: "the input and environment"
-    pair, swapped = (_invariant_spectra(kind, parameter, *_matrix_invariants(kind, parameter, *inputs, label), label)
-                     for inputs in ((a, e), (e, a)))
-    s_b, s_plus, s_minus, s_f = _factor_entropies(np.concatenate([pair, swapped[:1]]))[:, 0].tolist()
+    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_output_spectra`` of (A, E)
+    and, for F, of (E, A); no output is built or diagonalised."""
+    a, e = _single_mode_data(state), spec.environment.data
+    pair, swapped = _output_spectra(spec, a, e), _output_spectra(spec, e, a)
+    s_b, s_plus, s_minus, s_f = _factor_entropies(np.append(pair, swapped[0])).tolist()
     return s_b, s_f, s_plus + s_minus

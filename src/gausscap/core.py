@@ -48,13 +48,6 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
     return form
 
 
-def symplectic_residual(matrix: NDArray[np.float64]) -> float:
-    """Max-abs deviation of S @ Omega @ S.T from Omega."""
-    matrix = np.asarray(matrix, dtype=float)
-    omega = symplectic_form(matrix.shape[0] // 2)
-    return float(np.max(np.abs(matrix @ omega @ matrix.T - omega)))
-
-
 def _symplectic_excess(matrix: NDArray[np.float64]) -> float:
     """Largest |S Omega S.T - Omega|_ij / max(1, (|S| |Omega| |S.T|)_ij).
 
@@ -93,6 +86,12 @@ def _det2(gamma: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.f
     return unit[..., 0, 0] * unit[..., 1, 1] - unit[..., 0, 1] * unit[..., 1, 0], scale
 
 
+def _hermitian_form(factor: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """i L.T Omega L for a Cholesky factor Gamma = L L.T, or a stack of them: Hermitian and similar to
+    i Omega Gamma, so its eigenvalues are +/- each symplectic eigenvalue nu."""
+    return 1j * (factor.swapaxes(-1, -2) @ symplectic_form(factor.shape[-1] // 2) @ factor)
+
+
 def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Validate one covariance matrix or a stack of them, shape (..., 2n, 2n).
 
@@ -104,8 +103,9 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     of it fixes neither the sign nor the spectrum (``ArithmeticError``), unless
     it is negative beyond that rounding (not positive definite).  From two
     modes on, the Cholesky factor Gamma = L L.T is the positive-definiteness
-    check, and i L.T Omega L, similar to i Omega Gamma, is Hermitian with
-    eigenvalues +/- nu; they must split into +/- pairs (``ArithmeticError``).
+    check, and the eigenvalues +/- nu of ``_hermitian_form``(L) = i L.T Omega L,
+    the matrix ``williamson`` diagonalises, must split into +/- pairs
+    (``ArithmeticError``).
     A min nu short of 1 by more than 1e-9 but no more than its roundoff bound
     eps (max diag L / min diag L)^2 is roundoff too (``ArithmeticError``).
     Every check raises through ``_reject`` and names no index: a caller that
@@ -136,7 +136,7 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
             raise PhysicalityError("covariance matrix is not positive definite") from None
         n = data.shape[-1] // 2
         # ascending: -nu_1 <= ... <= -nu_n <= nu_n <= ... <= nu_1
-        values = np.linalg.eigvalsh(1j * (factor.swapaxes(-1, -2) @ symplectic_form(n) @ factor))
+        values = np.linalg.eigvalsh(_hermitian_form(factor))
         big, small = values[..., :n - 1:-1], -values[..., :n]
         split = (np.abs(big - small) / np.maximum(big, 1.0)).max(axis=-1)
         _reject(split > PAIR_ATOL, ArithmeticError,
@@ -214,8 +214,9 @@ class SymplecticMatrix:
             raise ValueError("symplectic matrix must be 2n x 2n")
         if not np.isfinite(data).all():  # NaN would pass the tolerance comparison below
             raise ValueError("symplectic matrix must be finite")
-        if _symplectic_excess(data) > SYMPLECTIC_RTOL:
-            raise ValueError(f"matrix is not symplectic (residual {symplectic_residual(data):.3e})")
+        if (excess := _symplectic_excess(data)) > SYMPLECTIC_RTOL:
+            raise ValueError(f"matrix is not symplectic: S Omega S.T - Omega reaches {excess:.3e} of its roundoff "
+                             f"scale max(1, (|S| |Omega| |S.T|)_ij), more than {SYMPLECTIC_RTOL:g}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -323,20 +324,16 @@ def two_mode_squeezed_state(squeeze: float) -> CovarianceMatrix:
     return CovarianceMatrix._physical(data[0], spectrum[0])
 
 
-def _block_diag(*blocks: NDArray[np.float64]) -> NDArray[np.float64]:
-    out = np.zeros((sum(len(b) for b in blocks),) * 2)
-    start = 0
-    for b in blocks:
-        out[start:start + len(b), start:start + len(b)] = b
-        start += len(b)
-    return out
-
-
 def direct_sum(*states: CovarianceMatrix) -> CovarianceMatrix:
     """Covariance of the product state, modes concatenated in argument order."""
     if not states:
         raise ValueError("direct_sum needs at least one state")
-    return CovarianceMatrix(_block_diag(*(s.data for s in states)))
+    out = np.zeros((sum(len(s.data) for s in states),) * 2)
+    start = 0
+    for s in states:
+        out[start:start + len(s.data), start:start + len(s.data)] = s.data
+        start += len(s.data)
+    return CovarianceMatrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -483,56 +480,56 @@ def conditional_entropy(state: CovarianceMatrix, partition: ModePartition) -> fl
 # ---------------------------------------------------------------------------
 
 def williamson(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.float64]]:
-    """Decompose Gamma = S D S.T with S symplectic and D diagonal.
+    """Decompose Gamma = S D S.T with S symplectic and D diagonal: returns ``(S, d)``, d the diagonal of D,
+    each symplectic eigenvalue nu twice, descending.
 
-    Returns
-    -------
-    (S, d):
-        ``S`` is the symplectic factor and ``d`` the diagonal of D, i.e.
-        each symplectic eigenvalue repeated twice, sorted descending.
-
-    The positive eigenvalues b = 1 / nu of the Hermitian i Gamma^(-1/2) Omega
-    Gamma^(-1/2) come ascending, so nu descending; an eigenvector x + iy of b
+    From validation's Cholesky factor Gamma = L L.T, the positive eigenvalues
+    of ``_hermitian_form``(L) = i L.T Omega L are nu; an eigenvector x + iy
     gives the columns (sqrt2 y, sqrt2 x) of the orthogonal Q in
-    S = Gamma^(1/2) Q D^(-1/2).  Each eigenvector's free phase is set so that
-    Q's 2x2 block on its heaviest mode is symmetric with trace >= 0, which
-    makes a single-mode S the symmetric sqrt(Gamma / nu).
+    S = L Q D^(-1/2).  Its phase makes S's 2x2 block on the mode carrying most
+    of w = L (x + iy) symmetric with trace >= 0, so a single-mode S is the
+    symmetric sqrt(Gamma / nu).  Entries with no Cholesky factor, or whose nu
+    miss the state's spectrum (validation's, or the exact one stored at
+    construction) by more than 1e-9 of it, fix no decomposition
+    (``ArithmeticError``): the rounded entries of ``two_mode_squeezed_state``
+    from r ~ 5, for example, whose nu fall below 1 or rise above it.
     """
-    data = state.data
     n = state.n_modes
-    evals, evecs = np.linalg.eigh(data)
-    root = (evecs * np.sqrt(evals)) @ evecs.T
-    inv_root = (evecs / np.sqrt(evals)) @ evecs.T
-    skew = inv_root @ symplectic_form(n) @ inv_root
-    b, v = np.linalg.eigh(0.5j * (skew - skew.T))
-    b, v = b[n:], v[:, n:]
-    # Q's block on mode m has rotation part ~ v_p - i v_q: make it real and >= 0 on the heaviest mode
-    heaviest = np.argmax(np.abs(v[0::2]) ** 2 + np.abs(v[1::2]) ** 2, axis=0)
-    phase = (v[1::2] - 1j * v[0::2])[heaviest, np.arange(n)]
-    v = v * (np.conj(phase) / np.abs(phase))
-    q = math.sqrt(2.0) * np.stack([v.imag, v.real], axis=-1).reshape(2 * n, 2 * n)
-    d = np.repeat(1.0 / b, 2)
-    return SymplecticMatrix(root @ q / np.sqrt(d)), d
+    try:
+        factor = np.linalg.cholesky(state.data)
+    except np.linalg.LinAlgError:
+        raise ArithmeticError("williamson: the stored covariance entries have no Cholesky factor") from None
+    nu, v = np.linalg.eigh(_hermitian_form(factor))
+    nu, v = nu[:n - 1:-1], v[:, :n - 1:-1]
+    miss = np.abs(nu - state._spectrum) / state._spectrum
+    _reject(miss > PHYSICALITY_ATOL, ArithmeticError,
+            lambda k: f"williamson: the stored covariance entries give symplectic eigenvalue {nu[k]:.12g} for the "
+                      f"state's {state._spectrum[k]:.12g}, off by {miss[k]:.3g} of it, more than {PHYSICALITY_ATOL:g}")
+    w = factor @ v
+    # S's block on mode m has rotation part ~ w_p - i w_q: make it real and >= 0 on the heaviest mode
+    heaviest = np.argmax(np.abs(w[0::2]) ** 2 + np.abs(w[1::2]) ** 2, axis=0)
+    phase = (w[1::2] - 1j * w[0::2])[heaviest, np.arange(n)]
+    w = w * (np.conj(phase) / np.abs(phase))
+    d = np.repeat(nu, 2)
+    s = math.sqrt(2.0) * np.stack([w.imag, w.real], axis=-1).reshape(2 * n, 2 * n) / np.sqrt(d)
+    return SymplecticMatrix(s), d
 
 
 def purify(state: CovarianceMatrix) -> CovarianceMatrix:
-    """Pure 2n-mode extension whose first n modes reduce to ``state``.
+    """Pure 2n-mode extension [[Gamma, S C], [C S.T, D]] of Gamma = S D S.T (``williamson``), with
+    C = direct sum of sqrt((nu - 1)(nu + 1)) Z: each thermal factor nu becomes a two-mode squeezed block.
 
-    Each Williamson thermal factor nu is extended to a two-mode squeezed
-    block [[nu I, c Z], [c Z, nu I]] with c = sqrt(nu^2 - 1); the original
-    symplectic factor then acts on the first n modes only.
+    Its first n modes are ``state``'s entries bit for bit.  It is pure by
+    construction, certified by the check on S, and stored with its exact
+    spectrum (1, ..., 1).  Factors with nu - 1 <= 1e-12 count as pure and
+    couple nothing to their reference mode.
     """
     s, d = williamson(state)
-    n = state.n_modes
     nu = d[0::2]
-    # nu within roundoff of 1 means a pure factor: couple nothing to the
-    # reference so pure environments purify to exact products.
     excess = np.where(nu - 1.0 > PURE_ATOL, nu - 1.0, 0.0)
-    cross = np.kron(np.diag(np.sqrt(excess * (nu + 1.0))), PHASE_FLIP)
-    big = np.block([[np.diag(d), cross], [cross, np.diag(d)]])
-    widen = _block_diag(s.data, np.eye(2 * n))
-    out = widen @ big @ widen.T
-    return CovarianceMatrix(0.5 * (out + out.T))
+    # S C scales column pair m of S by c_m Z
+    cross = s.data * np.kron(np.sqrt(excess * (nu + 1.0)), np.diag(PHASE_FLIP))
+    return CovarianceMatrix._physical(np.block([[state.data, cross], [cross.T, np.diag(d)]]), np.ones(2 * state.n_modes))
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -541,56 +538,33 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _symplectic_draw_count(n_modes: int) -> int:
-    return 3 * n_modes + n_modes * (n_modes - 1) // 2
+def _sampled_symplectic(rng: np.random.Generator, n_modes: int, max_squeeze: float) -> NDArray[np.float64]:
+    """Random 2n x 2n symplectic from the generator's next 3n + n(n-1)/2 ``random()`` draws.
 
-
-def _symplectic_stack(draws: NDArray[np.float64], n_modes: int, max_squeeze: float) -> NDArray[np.float64]:
-    """Random symplectics, shape (T, 2n, 2n), from uniform [0, 1) draws of shape (T, 3n + n(n-1)/2).
-
-    Each row holds, in draw order, (angle, squeezing, angle) per mode and then
-    one transmissivity per mode pair i < j.  Mode m gets the local factor
+    In draw order: (angle, squeezing, angle) per mode, then one
+    transmissivity per mode pair i < j.  Mode m gets the local factor
     R(2 pi u) S(max_squeeze u') R(2 pi u''), and the pair mixers then act on
     the rows of modes i and j in turn.  A generator's ``uniform(0, h)`` is
-    exactly h times its next ``random()``, so scaling a row of ``random()``
-    draws reproduces sampling one scalar at a time.
+    exactly h times its next ``random()``, so scaling ``random()`` draws
+    reproduces sampling one scalar at a time.
     """
-    local = draws[:, :3 * n_modes].reshape(-1, n_modes, 3)
+    draws = rng.random(3 * n_modes + n_modes * (n_modes - 1) // 2)
+    local = draws[:3 * n_modes].reshape(n_modes, 3)
     blocks = (
-        rotation_symplectic(2.0 * np.pi * local[..., 0])
-        @ squeezing_symplectic(max_squeeze * local[..., 1])
-        @ rotation_symplectic(2.0 * np.pi * local[..., 2])
+        rotation_symplectic(2.0 * np.pi * local[:, 0])
+        @ squeezing_symplectic(max_squeeze * local[:, 1])
+        @ rotation_symplectic(2.0 * np.pi * local[:, 2])
     )
-    s = np.zeros((len(draws), 2 * n_modes, 2 * n_modes))
+    s = np.zeros((2 * n_modes, 2 * n_modes))
     for m in range(n_modes):
-        s[:, 2 * m:2 * m + 2, 2 * m:2 * m + 2] = blocks[:, m]
+        s[2 * m:2 * m + 2, 2 * m:2 * m + 2] = blocks[m]
     pairs = [(i, j) for i in range(n_modes) for j in range(i + 1, n_modes)]
-    mixers = mixing_symplectic(draws[:, 3 * n_modes:]) if pairs else None
-    for k, (i, j) in enumerate(pairs):
+    mixers = mixing_symplectic(draws[3 * n_modes:])
+    for mixer, (i, j) in zip(mixers, pairs):
         # the pair mixer changes only the rows of modes i and j
         rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-        s[:, rows] = mixers[:, k] @ s[:, rows]
+        s[rows] = mixer @ s[rows]
     return s
-
-
-def _state_draw_count(n_modes: int, max_photon: float) -> int:
-    """Uniform draws one random state takes: n photon numbers (if max_photon > 0), then its symplectic's."""
-    return (n_modes if max_photon > 0 else 0) + _symplectic_draw_count(n_modes)
-
-
-def _gaussian_state_stack(
-    draws: NDArray[np.float64], n_modes: int, max_photon: float, max_squeeze: float
-) -> NDArray[np.float64]:
-    """Random covariances S D S.T, shape (T, 2n, 2n) and not yet validated, from
-    uniform [0, 1) draws of shape (T, _state_draw_count(n_modes, max_photon))."""
-    if max_photon > 0:
-        photons, draws = max_photon * draws[:, :n_modes], draws[:, n_modes:]
-    else:
-        photons = np.zeros((len(draws), n_modes))
-    s = _symplectic_stack(draws, n_modes, max_squeeze)
-    # scaling the columns equals S @ diag(d) exactly: each entry has a single nonzero term
-    gamma = (s * np.repeat(2.0 * photons + 1.0, 2, axis=-1)[:, None, :]) @ s.swapaxes(-1, -2)
-    return 0.5 * (gamma + gamma.swapaxes(-1, -2))
 
 
 def _check_sampling_bounds(max_photon: float, max_squeeze: float) -> None:
@@ -607,8 +581,7 @@ def random_symplectic(n_modes: int, max_squeeze: float = 1.0, seed=None) -> Symp
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
     _check_sampling_bounds(0.0, max_squeeze)
-    draws = _as_generator(seed).random(_symplectic_draw_count(n_modes))
-    return SymplecticMatrix(_symplectic_stack(draws[None], n_modes, max_squeeze)[0])
+    return SymplecticMatrix(_sampled_symplectic(_as_generator(seed), n_modes, max_squeeze))
 
 
 def random_gaussian_state(
@@ -621,14 +594,19 @@ def random_gaussian_state(
 
     Thermal occupations are uniform in [0, max_photon], squeezing uniform in
     [0, max_squeeze]; ``seed`` may be an int or a ``numpy.random.Generator``
-    (deterministic for a fixed seed).  Parameter ranges are uniform by
-    construction; no Haar-uniformity is claimed.
+    (deterministic for a fixed seed).  Draws n photon numbers (if
+    max_photon > 0), then those of ``_sampled_symplectic``.  Parameter ranges
+    are uniform by construction; no Haar-uniformity is claimed.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
     _check_sampling_bounds(max_photon, max_squeeze)
-    draws = _as_generator(seed).random(_state_draw_count(n_modes, max_photon))
-    return CovarianceMatrix(_gaussian_state_stack(draws[None], n_modes, max_photon, max_squeeze)[0])
+    rng = _as_generator(seed)
+    photons = max_photon * rng.random(n_modes) if max_photon > 0 else np.zeros(n_modes)
+    s = _sampled_symplectic(rng, n_modes, max_squeeze)
+    # scaling the columns equals S @ diag(d) exactly: each entry has a single nonzero term
+    gamma = (s * np.repeat(2.0 * photons + 1.0, 2)) @ s.T
+    return CovarianceMatrix(0.5 * (gamma + gamma.T))
 
 
 # ---------------------------------------------------------------------------

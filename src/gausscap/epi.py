@@ -55,7 +55,6 @@ from .core import (
     _check_sampling_bounds,
     _spectral_entropy,
     _stack_entropy,
-    _state_draw_count,
     _two_mode_squeezed_stack,
     entropy,
     symplectic_eigenvalues,
@@ -443,7 +442,7 @@ class _Campaign:
         """Draws per trial, in draw order: the mixing parameter (unless the range is a single value),
         then per family both single-mode states (qepi), the (photon, squeeze) pair of both two-mode
         states (cqepi), or the environment photon number (unless fixed) and the input state (chains)."""
-        state = _state_draw_count(1, self.max_photon)
+        state = int(self.max_photon > 0) + 3  # one mode: its photon number (if drawn), then (angle, squeeze, angle)
         if self.inequality in _PLAIN:
             widths = [state, state]
         elif self.inequality in _CONDITIONAL:
@@ -454,9 +453,9 @@ class _Campaign:
         return [int(lo != hi)] + widths
 
     def _modes(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n, r, u) of the single-mode states drawn as rows of ``core._state_draw_count``(1, max_photon)
-        draws: the photon number (if max_photon > 0), then the rotation draw u of the angle 2 pi u and the
-        squeezing; the sampler's last rotation acts on a thermal state and drops out."""
+        """(n, r, u) of the single-mode states drawn as rows of ``core.random_gaussian_state``(1)'s draws: the
+        photon number (if max_photon > 0), then the rotation draw u of the angle 2 pi u, the squeezing and
+        the sampler's last rotation, which acts on a thermal state and drops out."""
         if self.max_photon > 0:
             photons, draws = self.max_photon * draws[:, 0], draws[:, 1:]
         else:

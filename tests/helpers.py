@@ -16,6 +16,7 @@ import numpy as np
 
 from gausscap import (
     ChannelSpec,
+    CovarianceMatrix,
     apply_channel,
     complementary,
     entropy,
@@ -25,6 +26,7 @@ from gausscap import (
     moe_sum_lower,
     private_capacity_lower_approx,
     private_capacity_upper_general,
+    symplectic_form,
     thermal_state,
 )
 
@@ -48,6 +50,12 @@ def raw_symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     mags = np.sort(np.abs(np.linalg.eigvals(omega @ matrix)))
     return mags[::2]
+
+
+def symplectic_residual(matrix: np.ndarray) -> float:
+    """Max-abs deviation of S @ Omega @ S.T from Omega, with no allowance for roundoff."""
+    omega = symplectic_form(matrix.shape[0] // 2)
+    return float(np.max(np.abs(matrix @ omega @ matrix.T - omega)))
 
 
 def two_mode_block_sym_eigs(f: float, g: float, d: float) -> tuple[float, float]:
@@ -440,9 +448,11 @@ def linalg_calls(monkeypatch) -> list:
 
 def coherent_information_per_point(spec: ChannelSpec, n_in: float) -> float:
     """S(B) - S(F, C) for one thermal input, one validated ``CovarianceMatrix``
-    per step: ``thermal_state`` -> ``apply_channel`` / ``complementary`` -> ``entropy``."""
+    per step: ``thermal_state`` -> ``apply_channel`` / ``complementary`` -> ``entropy``.
+    The (F, C) matrix is re-validated, so its spectrum is not the closed form that
+    ``complementary`` stores."""
     state = thermal_state(n_in)
-    return entropy(apply_channel(state, spec)) - entropy(complementary(state, spec))
+    return entropy(apply_channel(state, spec)) - entropy(CovarianceMatrix(complementary(state, spec).data))
 
 
 def bounds_per_point(spec: ChannelSpec, n_in: float, second_argument: str = "square") -> tuple[float, ...]:

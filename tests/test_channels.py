@@ -28,7 +28,7 @@ from gausscap import (
     weak_complementary,
 )
 from gausscap.channels import MAX_GAIN, _complementary_map, _invariant_spectra, _matrix_invariants, channel_map
-from gausscap.core import PHASE_FLIP, symplectic_residual
+from gausscap.core import PHASE_FLIP
 from helpers import (
     conjugate_and_trace,
     eigensolver_calls,
@@ -39,6 +39,7 @@ from helpers import (
     output_entropies_mp,
     raw_symplectic_eigenvalues,
     rotated_squeezed,
+    symplectic_residual,
 )
 
 
@@ -194,6 +195,18 @@ class TestComplementary:
         comp = complementary(state, spec)
         reduced = partial_trace(comp, ModePartition.keeping([0], 2))
         np.testing.assert_allclose(reduced.data, weak_complementary(state, spec).data, atol=1e-10)
+
+    @pytest.mark.parametrize("squeeze", [18.0, 19.5, 300.0])
+    def test_strongly_squeezed_environment_stores_its_closed_form_spectrum(self, monkeypatch, squeeze):
+        # validating the (F, C) matrix, whose condition number grows like e^(4r), raised ArithmeticError at
+        # r = 18.0, 18.5, 18.75, 19.25 and 19.5, and PhysicalityError beyond
+        spec, state = ChannelSpec.beam_splitter(0.5, squeezed_thermal_state(1.0, squeeze)), thermal_state(1.0)
+        calls = eigensolver_calls(monkeypatch)
+        comp = complementary(state, spec)
+        assert calls == []
+        expected = output_entropies_mp("bs", 0.5, 1.0, 1.0, squeeze)[2]
+        assert abs(entropy(comp) - expected) <= 1e-12 * expected
+        np.testing.assert_array_equal(comp.data, _complementary_map(spec.kind, 0.5, state.data, spec.environment.data))
 
     def test_pure_input_pure_env_balance(self):
         spec = ChannelSpec.beam_splitter(0.5, vacuum_state())

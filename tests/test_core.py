@@ -32,8 +32,17 @@ from gausscap import (
     vacuum_state,
     williamson,
 )
-from gausscap.core import _validated, amplifier_block, symplectic_residual
-from helpers import G_DIRECT_MAX, g_direct, g_mp, raw_symplectic_eigenvalues, reference_gaussian_state, rotated_squeezed
+from gausscap.core import _validated, amplifier_block
+from helpers import (
+    G_DIRECT_MAX,
+    g_direct,
+    g_mp,
+    linalg_calls,
+    raw_symplectic_eigenvalues,
+    reference_gaussian_state,
+    rotated_squeezed,
+    symplectic_residual,
+)
 
 
 class TestConstructors:
@@ -309,6 +318,30 @@ class TestWilliamson:
         _, d = williamson(state)
         np.testing.assert_allclose(d, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("n_modes", [1, 2, 5])
+    def test_one_cholesky_and_one_eigh(self, monkeypatch, n_modes):
+        # the factorization validation uses: Gamma = L L.T, then i L.T Omega L; purify adds no solver
+        state = random_gaussian_state(n_modes, 2.0, 1.0, seed=n_modes)
+        calls = linalg_calls(monkeypatch)
+        williamson(state)
+        expected = [("cholesky", (2 * n_modes, 2 * n_modes)), ("eigh", (2 * n_modes, 2 * n_modes))]
+        assert calls == expected
+        purify(state)
+        assert calls == expected + expected
+
+    @pytest.mark.parametrize("squeeze", [5.0, 8.0, 9.0, 10.0, 10.5])
+    def test_rounded_entries_of_an_exact_state_raise(self, squeeze):
+        # the state is stored with its exact spectrum (1, 1); its rounded entries fix no decomposition, whether
+        # their nu falls short of 1 (0.999999994 at r = 5, 0.9986 at r = 8), exceeds it (1.049 at r = 9, 8.87 at
+        # r = 10.5) or there is no Cholesky factor (r = 10), and no numpy warning is raised on the way
+        reason = (r"^williamson: the stored covariance entries (have no Cholesky factor|give symplectic eigenvalue "
+                  r"\S+ for the state's 1, off by \S+ of it, more than 1e-09)$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=reason) as caught:
+                williamson(two_mode_squeezed_state(squeeze))
+        assert caught.type is ArithmeticError
+
 
 class TestPurify:
     def test_pure_input_gets_vacuum_reference(self):
@@ -332,6 +365,24 @@ class TestPurify:
             recovered = partial_trace(purified, ModePartition.keeping([0], 2))
             np.testing.assert_allclose(recovered.data, state.data, atol=1e-10)
             assert entropy(purified) < 1e-8
+
+    @pytest.mark.parametrize("state", _WILLIAMSON_STATES)
+    def test_reduces_to_its_input_bit_for_bit(self, state):
+        n = state.n_modes
+        purified = purify(state)
+        assert purified.data[:2 * n, :2 * n].tobytes() == state.data.tobytes()
+        np.testing.assert_array_equal(symplectic_eigenvalues(purified), np.ones(2 * n))
+        # validating the entries afresh, independently of the stored spectrum, finds a pure state too
+        revalidated = CovarianceMatrix(purified.data)
+        assert np.max(np.abs(revalidated._spectrum - 1.0)) <= 1e-9
+
+    def test_state_whose_revalidation_fell_short_of_one(self):
+        # re-validating the old 4n x 4n triple product gave min nu 0.999999998549 < 1 - 1e-9 for this state
+        purified = purify(random_gaussian_state(2, 5.0, 4.0, seed=14))
+        with mpmath.workdps(60):
+            product = mpmath.matrix(symplectic_form(4).tolist()) * mpmath.matrix(purified.data.tolist())
+            spectrum = [abs(mpmath.im(value)) for value in mpmath.eig(product, left=False, right=False)]
+            assert max(float(abs(nu - 1)) for nu in spectrum) <= 1e-9
 
     def test_multimode_purification(self):
         state = random_gaussian_state(2, 2.0, 0.8, seed=5)
@@ -465,6 +516,12 @@ class TestSymplecticTolerance:
         # (1 + eps) S deviates by 2 eps Omega, which does not grow with |S|
         with pytest.raises(ValueError, match="symplectic"):
             SymplecticMatrix(amplifier_block(1e6) * scale)
+
+    def test_message_names_the_checked_excess_and_bound(self):
+        # the raw residual of this matrix is 8e-5; the checked excess, relative to the roundoff scale, is 4e-11
+        with pytest.raises(ValueError, match=r"^matrix is not symplectic: S Omega S\.T - Omega reaches 4\.000e-11 "
+                                             r"of its roundoff scale .*, more than 1e-12$"):
+            SymplecticMatrix(amplifier_block(1e6) * (1.0 + 4e-5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):

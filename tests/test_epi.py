@@ -297,8 +297,8 @@ class TestBatchedCampaigns:
         # their invariants come straight from the draws: nothing is sampled as a matrix or validated
         calls = []
         for module in (core, epi):
-            for name in ("_validated", "_gaussian_state_stack", "_two_mode_squeezed_stack"):
-                if hasattr(module, name):
+            for name in ("_validated", "_sampled_symplectic", "_two_mode_squeezed_stack"):
+                if module is core or hasattr(module, name):  # core defines every one; epi imports some
                     monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
         monkeypatch.setattr(CovarianceMatrix, "__post_init__", lambda self: calls.append("CovarianceMatrix"))
         assert monte_carlo_verify(family, _CHUNK + 7, seed=5).violations == 0
