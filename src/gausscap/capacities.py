@@ -18,15 +18,15 @@ import numpy as np
 from .channels import (
     ChannelKind,
     ChannelSpec,
-    _det_excess,
     _factor_entropies,
     _invariant_spectra,
+    _pair_invariants,
     _require_finite,
-    _rounded_pure,
     coupling,
     epi_rhs,
 )
-from .core import _CHUNK, CovarianceMatrix, _everywhere, symplectic_eigenvalues, thermal_entropy, thermal_state
+from .core import (_CHUNK, CovarianceMatrix, _everywhere, _mode_parameters, symplectic_eigenvalues, thermal_entropy,
+                   thermal_state)
 
 _THERMAL_ATOL = 1e-12
 
@@ -140,27 +140,17 @@ def private_capacity_lower_approx(spec: ChannelSpec, input_photon: float) -> flo
 def coherent_information(spec: ChannelSpec, input_photon):
     """S(channel output) - S(complementary output) for a thermal input of energy N.
 
-    ``input_photon`` is a scalar or a 1-D array.  The thermal case of
-    ``channels._invariant_spectra``, with the invariants passed directly: the
-    input a I, a = 2N + 1, has det - 1 = 4N(N + 1), and against an environment
-    of trace tr, cross = a tr / 2 + 2v - 1 = N tr + (tr / 2 + 2v - 1), whose
-    constant is >= 0 because tr / 2 >= sqrt(det) >= 1.  A failing check names
-    the first failing input photon number; an overflow also names the invariant.
+    ``input_photon`` is a scalar or a 1-D array.  ``channels._invariant_spectra``
+    of the ``_pair_invariants`` of the input (N, r = 0, u = 0) and the
+    environment's ``core._mode_parameters``, for every N at once.  A failing
+    check names the first failing input photon number; an overflow also names
+    the invariant and the (n, r) it comes from.
     """
     n = _validated_photon(input_photon)
     grid = np.atleast_1d(n)
-    v = coupling(spec.kind, spec.parameter)[4]
-    g = spec.environment.data
-    half_trace = 0.5 * g[0, 0] + 0.5 * g[1, 1]  # halves first: a trace beyond the float maximum stays finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = 4.0 * grid * (grid + 1.0)  # a^2 - 1
-        cross = 2.0 * half_trace * grid + _rounded_pure(half_trace + (2.0 * v - 1.0))
-        env_excess = np.full_like(grid, _det_excess(g))  # one per N, so an overflow names an N
     label = lambda i: f"input photon number {grid[i]:.17g}"  # noqa: E731
-    _require_finite((squares, env_excess, cross), label, lambda k, i: (
-        "4N(N + 1)", f"entries of G_E up to {np.abs(g).max():.3g}", f"N tr G_E, tr G_E / 2 = {half_trace:.6g}")[k])
-    xs = _invariant_spectra(spec.kind, spec.parameter, squares, env_excess, cross, label)
-    entropies = _factor_entropies(xs)
+    invariants = _pair_invariants(spec.kind, spec.parameter, (grid, 0.0, 0.0), _mode_parameters(spec.environment), label)
+    entropies = _factor_entropies(_invariant_spectra(spec.kind, spec.parameter, *invariants, label))
     info = entropies[0] - (entropies[1] + entropies[2])
     return float(info[0]) if np.ndim(n) == 0 else info
 

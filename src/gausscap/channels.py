@@ -7,7 +7,9 @@ one affine map, ``channel_map``, with input and environment exchanged.  The
 complementary map first purifies a mixed environment with a reference
 mode, so its output covers two modes (environment output F, reference C).
 ``coupling`` holds every per-family constant, and the output spectra of a
-single-mode input come in closed form from ``_invariant_spectra``.
+single-mode input come in closed form from ``_invariant_spectra`` of the
+``_pair_invariants`` of its and the environment's (n, r, u), the one path
+for sampled draws and for validated matrices (``core._mode_parameters``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .core import (
     SymplecticMatrix,
     _det2,
     _everywhere,
+    _mode_parameters,
     _reject,
     amplifier_block,
     mixing_symplectic,
@@ -166,19 +169,6 @@ def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_
     return out
 
 
-def _rounded_pure(excess):
-    """An excess over a pure state's value (det - 1, tr / 2 - 1), scalar or array: a value
-    within the 1e-9 uncertainty tolerance below 0 is roundoff of a pure state and counts as 0."""
-    return np.where((excess < 0.0) & (excess >= -2.0 * PHYSICALITY_ATOL), 0.0, excess)
-
-
-def _det_excess(gamma: np.ndarray) -> np.ndarray:
-    """``_rounded_pure``(det - 1) of each 2x2 covariance of a stack, from the scaled ``_det2``; inf for a
-    determinant beyond the float range, so call it under ``np.errstate(over="ignore")``."""
-    det, scale = _det2(gamma)
-    return _rounded_pure(det * scale * scale - 1.0)
-
-
 _INVARIANTS = ("det G_A - 1", "det G_E - 1", "the cross term")
 
 
@@ -238,19 +228,36 @@ def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, 
     return np.maximum(xs, 0.0, out=xs)  # nu within the tolerance below 1 counts as 1
 
 
-def _matrix_invariants(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray, label) -> tuple:
-    """The invariants (det G_A - 1, det G_E - 1, cross) of ``_invariant_spectra`` for stacks of validated
-    single-mode covariances, shape (T, 2, 2), with ``parameter`` a scalar or shape (T,).  J Y J.T is the
-    adjugate [[y11, -y01], [-y01, y00]] of Y = M G_E M.  An invariant beyond the float range raises
-    ``FloatingPointError`` naming it, ``label(i)`` and the largest entry of the matrices it comes from."""
+def _pair_invariants(kind: ChannelKind, parameter, a, e, label) -> tuple:
+    """The invariants (det G_A - 1, det G_E - 1, cross) of ``_invariant_spectra`` for single-mode states
+    G = (2n + 1) R(2 pi u) diag(e^(-2r), e^(2r)) R(2 pi u).T, with a and e the (n, r, u) of A and E, arrays or
+    scalars that broadcast together (a campaign's draws, or ``core._mode_parameters`` of a validated matrix):
+
+        det G - 1 = 4 n (n + 1)
+        cross = nu_A nu_E X + 2v - 1 = (nu_A nu_E - 1) X + (X - 1) + 2v
+        X = cos^2 D cosh 2(r_A - r_E) + sin^2 D cosh 2(r_A + r_E)
+        X - 1 = 2 cos^2 D sinh^2 (r_A - r_E) + 2 sin^2 D sinh^2 (r_A + r_E)
+
+    with nu = 2n + 1, nu_A nu_E - 1 = 2 (n_A + n_E + 2 n_A n_E), and
+    D = 2 pi (s u_E - u_A) the angle between A and M G_E M, where M = diag(1, s)
+    of ``coupling`` turns the rotation of E by 2 pi u_E into one by 2 pi s u_E.
+    Every term is nonnegative, so nothing cancels, whatever the squeezing.  An
+    invariant beyond the float range raises ``FloatingPointError`` naming it,
+    ``label(i)`` and the (n, r) it comes from.
+    """
     _, _, m, _, v = coupling(kind, parameter)
-    a, y = gamma_a, m @ gamma_e @ m
+    (n_a, r_a, u_a), (n_e, r_e, u_e) = a, e
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = a[..., 0, 0] * y[..., 1, 1] + a[..., 1, 1] * y[..., 0, 0] - 2.0 * a[..., 0, 1] * y[..., 0, 1]
-        invariants = _det_excess(gamma_a), _det_excess(gamma_e), _rounded_pure(0.5 * trace + (2.0 * v - 1.0))
-    sources = ((("G_A", gamma_a),), (("G_E", gamma_e),), (("G_A", gamma_a), ("G_E", gamma_e)))
-    _require_finite(invariants, label, lambda k, i: ", ".join(
-        f"entries of {name} up to {np.abs(g[i]).max():.3g}" for name, g in sources[k]))
+        angle = 2.0 * np.pi * (m[1, 1] * u_e - u_a)
+        x_excess = 2.0 * (np.cos(angle) ** 2 * np.sinh(r_a - r_e) ** 2 + np.sin(angle) ** 2 * np.sinh(r_a + r_e) ** 2)
+        cross = 2.0 * (n_a + n_e + 2.0 * n_a * n_e) * (1.0 + x_excess) + x_excess + 2.0 * v
+        invariants = 4.0 * n_a * (n_a + 1.0), 4.0 * n_e * (n_e + 1.0), cross
+
+    def draws(k, i):
+        na, ne, ra, re = (float(np.broadcast_to(x, np.shape(cross))[i]) for x in (n_a, n_e, r_a, r_e))
+        return (f"n_A = {na:.6g}", f"n_E = {ne:.6g}", f"r_A = {ra:.6g}, r_E = {re:.6g}, n_A = {na:.6g}, n_E = {ne:.6g}")[k]
+
+    _require_finite(invariants, label, draws)
     return invariants
 
 
@@ -266,6 +273,12 @@ def _single_mode_data(state: CovarianceMatrix) -> np.ndarray:
     return state.data
 
 
+def _input_modes(state: CovarianceMatrix, spec: ChannelSpec) -> tuple:
+    """``core._mode_parameters`` (n, r, u) of the single-mode channel input, then of the environment."""
+    _single_mode_data(state)
+    return _mode_parameters(state), _mode_parameters(spec.environment)
+
+
 def apply_channel(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
     """Channel output (mode B): t G_A + (1-t) G_E, or k G_A + (k-1) Z G_E Z for the amplifier."""
     return CovarianceMatrix(channel_map(spec.kind, spec.parameter, _single_mode_data(state), spec.environment.data))
@@ -276,12 +289,11 @@ def weak_complementary(state: CovarianceMatrix, spec: ChannelSpec) -> Covariance
     return CovarianceMatrix(channel_map(spec.kind, spec.parameter, spec.environment.data, _single_mode_data(state)))
 
 
-def _output_spectra(spec: ChannelSpec, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
-    """x = nu^2 - 1 of B, then of the (F, C) pair, for one single-mode input and environment: ``_invariant_spectra``
-    of their ``_matrix_invariants``, failing at "the input and environment"."""
+def _output_spectra(spec: ChannelSpec, a, e) -> np.ndarray:
+    """x = nu^2 - 1 of B, then of the (F, C) pair, for the (n, r, u) of one single-mode input and environment:
+    ``_invariant_spectra`` of their ``_pair_invariants``, failing at "the input and environment"."""
     kind, parameter, label = spec.kind, spec.parameter, lambda i: "the input and environment"
-    invariants = _matrix_invariants(kind, parameter, gamma_a[None], gamma_e[None], label)
-    return _invariant_spectra(kind, parameter, *invariants, label)[:, 0]
+    return _invariant_spectra(kind, parameter, *_pair_invariants(kind, parameter, a, e, label), label)[:, 0]
 
 
 def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
@@ -292,9 +304,9 @@ def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatri
     weak-complementary output; the two maps coincide whenever the
     environment is pure.
     """
-    gamma_a, gamma_e = _single_mode_data(state), spec.environment.data
-    spectrum = np.sqrt(1.0 + _output_spectra(spec, gamma_a, gamma_e)[1:])
-    return CovarianceMatrix._physical(_complementary_map(spec.kind, spec.parameter, gamma_a, gamma_e), spectrum)
+    spectrum = np.sqrt(1.0 + _output_spectra(spec, *_input_modes(state, spec))[1:])
+    data = _complementary_map(spec.kind, spec.parameter, state.data, spec.environment.data)
+    return CovarianceMatrix._physical(data, spectrum)
 
 
 def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_complement: bool = True) -> ChannelOutput:
@@ -309,7 +321,7 @@ def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_compleme
 def output_entropies(state: CovarianceMatrix, spec: ChannelSpec) -> tuple[float, float, float]:
     """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_output_spectra`` of (A, E)
     and, for F, of (E, A); no output is built or diagonalised."""
-    a, e = _single_mode_data(state), spec.environment.data
+    a, e = _input_modes(state, spec)
     pair, swapped = _output_spectra(spec, a, e), _output_spectra(spec, e, a)
     s_b, s_plus, s_minus, s_f = _factor_entropies(np.append(pair, swapped[0])).tolist()
     return s_b, s_f, s_plus + s_minus

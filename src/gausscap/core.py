@@ -439,6 +439,17 @@ def entropy(state: CovarianceMatrix) -> float:
     return float(_spectral_entropy(state._spectrum))
 
 
+def _mode_parameters(state: CovarianceMatrix) -> tuple[NDArray[np.float64], ...]:
+    """(n, r, u) of a single-mode state G = (2n + 1) R(2 pi u) diag(e^(-2r), e^(2r)) R(2 pi u).T, each an array of
+    one: n = (nu - 1) / 2 of the stored spectrum (0 within 1e-9 below nu = 1, negative for a state stored below
+    that), sinh 2r = |(g11 - g00) / 2, g01| / nu and 4 pi u = atan2(g01, (g11 - g00) / 2)."""
+    (nu,), ((g00, g01), (_, g11)) = state._spectrum.tolist(), state.data.tolist()
+    half_gap = 0.5 * g11 - 0.5 * g00  # halves first: nothing overflows
+    n = 0.0 if 1.0 - PHYSICALITY_ATOL <= nu < 1.0 else 0.5 * (nu - 1.0)
+    r, u = 0.5 * math.asinh(math.hypot(half_gap, g01) / nu), math.atan2(g01, half_gap) / (4.0 * math.pi)
+    return np.array([n]), np.array([r]), np.array([u])
+
+
 def mean_photon_number(state: CovarianceMatrix) -> float:
     """Mean photon number of a single-mode state, (tr Gamma - 2) / 4."""
     if state.n_modes != 1:
@@ -522,13 +533,17 @@ def purify(state: CovarianceMatrix) -> CovarianceMatrix:
     Its first n modes are ``state``'s entries bit for bit.  It is pure by
     construction, certified by the check on S, and stored with its exact
     spectrum (1, ..., 1).  Factors with nu - 1 <= 1e-12 count as pure and
-    couple nothing to their reference mode.
+    couple nothing to their reference mode, so a state whose stored spectrum
+    is all pure becomes [[Gamma, 0], [0, I]] without a decomposition.
     """
-    s, d = williamson(state)
-    nu = d[0::2]
-    excess = np.where(nu - 1.0 > PURE_ATOL, nu - 1.0, 0.0)
-    # S C scales column pair m of S by c_m Z
-    cross = s.data * np.kron(np.sqrt(excess * (nu + 1.0)), np.diag(PHASE_FLIP))
+    if np.any(state._spectrum - 1.0 > PURE_ATOL):
+        s, d = williamson(state)
+        nu = d[0::2]
+        excess = np.where(nu - 1.0 > PURE_ATOL, nu - 1.0, 0.0)
+        # S C scales column pair m of S by c_m Z
+        cross = s.data * np.kron(np.sqrt(excess * (nu + 1.0)), np.diag(PHASE_FLIP))
+    else:
+        cross, d = np.zeros_like(state.data), np.ones(2 * state.n_modes)
     return CovarianceMatrix._physical(np.block([[state.data, cross], [cross.T, np.diag(d)]]), np.ones(2 * state.n_modes))
 
 

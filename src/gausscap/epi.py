@@ -9,12 +9,12 @@ there should use a correspondingly wider band.
 The qepi and chain families have single-mode inputs A and E, and their
 kernel (``_single_mode_kernel``) takes the invariants det G_A - 1,
 det G_E - 1 and the cross term of ``channels._invariant_spectra``, whose
-closed-form output spectra are checked in invariant form there.  A campaign
-takes these invariants straight from each trial's drawn photon numbers,
-squeezings and angles (``_drawn_invariants``), as sums of nonnegative terms,
-so no matrix is built and no determinant cancels at any squeezing; a
-``check_*`` call turns its validated matrices into the same invariants once
-(``channels._matrix_invariants``).  The cqepi kernel
+closed-form output spectra are checked in invariant form there.  Both
+come from ``channels._pair_invariants`` of each state's (n, r, u), as sums
+of nonnegative terms, so no determinant cancels at any squeezing: a
+campaign passes each trial's drawn photon numbers, squeezings and angles
+and builds no matrix, and a ``check_*`` call converts each validated
+matrix once (``core._mode_parameters``).  The cqepi kernel
 (``_conditional_kernel``) builds the (B, Z1, Z2) output of two-mode inputs
 and validates it and the Z marginals like a ``CovarianceMatrix``; sampled
 two-mode squeezed inputs carry their exact spectra, and a ``check_*`` call
@@ -43,8 +43,7 @@ from .channels import (
     ChannelSpec,
     _factor_entropies,
     _invariant_spectra,
-    _matrix_invariants,
-    _require_finite,
+    _pair_invariants,
     channel_map,
     coupling,
     epi_rhs,
@@ -53,6 +52,7 @@ from .core import (
     _CHUNK,
     CovarianceMatrix,
     _check_sampling_bounds,
+    _mode_parameters,
     _spectral_entropy,
     _stack_entropy,
     _two_mode_squeezed_stack,
@@ -170,8 +170,8 @@ def _trial(inequality: Inequality, parameter: float, inputs: tuple[CovarianceMat
 def _single_mode_trial(inequality: Inequality, parameter: float, a: CovarianceMatrix, e: CovarianceMatrix, s1, s2,
                        inputs: tuple[CovarianceMatrix, ...]) -> EpiTrial:
     """``_single_mode_kernel`` on the invariants of the validated input A and environment E, computed once."""
-    parameter_array = np.array([parameter], dtype=float)
-    invariants = _matrix_invariants(_kind(inequality), parameter_array, a.data[None], e.data[None], _matrix_label)
+    kind, parameter_array = _kind(inequality), np.array([parameter], dtype=float)
+    invariants = _pair_invariants(kind, parameter_array, _mode_parameters(a), _mode_parameters(e), _matrix_label)
     lhs_rhs = _single_mode_kernel(inequality, parameter_array, invariants, s1, s2, _matrix_label)
     return _trial(inequality, parameter, inputs, lhs_rhs)
 
@@ -384,39 +384,6 @@ def _drawn_label(i: tuple) -> str:
     return "the drawn states"
 
 
-def _drawn_invariants(kind: ChannelKind, parameter: np.ndarray, a, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The invariants (det G_A - 1, det G_E - 1, cross) of ``channels._invariant_spectra`` straight from the
-    draws of single-mode states G = (2n + 1) R(2 pi u) diag(e^(-2r), e^(2r)) R(2 pi u).T, with a and e
-    the (n, r, u) of A and E, arrays or scalars that broadcast together:
-
-        det G - 1 = 4 n (n + 1)
-        cross = nu_A nu_E X + 2v - 1 = (nu_A nu_E - 1) X + (X - 1) + 2v
-        X = cos^2 D cosh 2(r_A - r_E) + sin^2 D cosh 2(r_A + r_E)
-        X - 1 = 2 cos^2 D sinh^2 (r_A - r_E) + 2 sin^2 D sinh^2 (r_A + r_E)
-
-    with nu = 2n + 1, nu_A nu_E - 1 = 2 (n_A + n_E + 2 n_A n_E), and
-    D = 2 pi (s u_E - u_A) the angle between A and M G_E M, where M = diag(1, s)
-    of ``coupling`` turns the rotation of E by 2 pi u_E into one by 2 pi s u_E.
-    Every term is nonnegative, so nothing cancels, whatever the squeezing.  An
-    invariant beyond the float range raises ``FloatingPointError`` naming it
-    and the draws it comes from.
-    """
-    _, _, m, _, v = coupling(kind, parameter)
-    (n_a, r_a, u_a), (n_e, r_e, u_e) = a, e
-    with np.errstate(over="ignore", invalid="ignore"):
-        angle = 2.0 * np.pi * (m[1, 1] * u_e - u_a)
-        x_excess = 2.0 * (np.cos(angle) ** 2 * np.sinh(r_a - r_e) ** 2 + np.sin(angle) ** 2 * np.sinh(r_a + r_e) ** 2)
-        cross = 2.0 * (n_a + n_e + 2.0 * n_a * n_e) * (1.0 + x_excess) + x_excess + 2.0 * v
-        invariants = 4.0 * n_a * (n_a + 1.0), 4.0 * n_e * (n_e + 1.0), cross
-
-    def draws(k, i):
-        na, ne, ra, re = (float(np.broadcast_to(x, np.shape(cross))[i]) for x in (n_a, n_e, r_a, r_e))
-        return (f"n_A = {na:.6g}", f"n_E = {ne:.6g}", f"r_A = {ra:.6g}, r_E = {re:.6g}, n_A = {na:.6g}, n_E = {ne:.6g}")[k]
-
-    _require_finite(invariants, _drawn_label, draws)
-    return invariants
-
-
 _DEFAULT_RANGES = {
     Inequality.QEPI_BS: (0.0, 1.0),
     Inequality.CQEPI_BS: (0.0, 1.0),
@@ -480,7 +447,7 @@ class _Campaign:
             photons = self.max_photon * first[:, 0] if self.env_photon is None else np.full(len(draws), self.env_photon)
             a, e = self._modes(second), (photons, 0.0, 0.0)
             s1, s2 = 0.0, thermal_entropy(photons)
-        invariants = _drawn_invariants(kind, parameter, a, e)
+        invariants = _pair_invariants(kind, parameter, a, e, _drawn_label)
         return _single_mode_kernel(inequality, parameter, invariants, s1, s2, _drawn_label)
 
     def slacks(self, indices: range) -> np.ndarray:

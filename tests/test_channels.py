@@ -14,6 +14,11 @@ from gausscap import (
     beam_splitter_symplectic,
     channel_outputs,
     channel_symplectic,
+    check_moe_chain,
+    check_qepi_amp,
+    check_qepi_bs,
+    check_wc_chain,
+    coherent_information,
     complementary,
     direct_sum,
     entropy,
@@ -23,12 +28,15 @@ from gausscap import (
     purify,
     random_gaussian_state,
     squeezed_thermal_state,
+    thermal_entropy,
     thermal_state,
     vacuum_state,
     weak_complementary,
 )
-from gausscap.channels import MAX_GAIN, _complementary_map, _invariant_spectra, _matrix_invariants, channel_map
-from gausscap.core import PHASE_FLIP
+from gausscap import capacities, channels, epi
+from gausscap.channels import MAX_GAIN, _complementary_map, _invariant_spectra, _pair_invariants, channel_map
+from gausscap.core import PHASE_FLIP, CovarianceMatrix, _mode_parameters
+from gausscap.epi import Inequality, _Campaign, _single_mode_kernel
 from helpers import (
     conjugate_and_trace,
     eigensolver_calls,
@@ -330,7 +338,8 @@ STATES = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0 
 def _spectra(kind, parameter, gamma_a, gamma_e):
     """x = nu^2 - 1 of B, then of the (F, C) pair, for one single-mode input and environment."""
     label = lambda i: "the test matrices"  # noqa: E731
-    invariants = _matrix_invariants(kind, parameter, gamma_a[None], gamma_e[None], label)
+    a, e = (_mode_parameters(CovarianceMatrix(g)) for g in (gamma_a, gamma_e))
+    invariants = _pair_invariants(kind, parameter, a, e, label)
     return _invariant_spectra(kind, parameter, *invariants, label)[:, 0]
 
 
@@ -370,3 +379,61 @@ class TestClosedFormSpectra:
         assert calls == []
         for value, expected in zip(got, output_entropies_mp(kind, parameter, 1.0, 1.0, squeeze)):
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+CHECKS = {
+    "qepi-bs": check_qepi_bs,
+    "qepi-amp": check_qepi_amp,
+    "moe-chain-bs": check_moe_chain,
+    "wc-chain-bs": check_wc_chain,
+}
+
+
+def _exact_state(photon, squeeze, angle):
+    """``rotated_squeezed`` stored with its exact spectrum 2N + 1, as squeezed_thermal_state stores its own.  A
+    validated spectrum sqrt(det) rounds by about eps cosh^2 2r, which the entropy's log slope near a pure state
+    amplifies (up to 1.8e-12 for ``STATES``) whatever path the entries then take."""
+    return CovarianceMatrix._physical(rotated_squeezed(photon, squeeze, angle), np.array([2.0 * photon + 1.0]))
+
+
+class TestOneConversion:
+    """A check's validated matrices and a campaign's draws reach the same invariants through
+    ``core._mode_parameters`` and ``channels._pair_invariants``."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(family=st.sampled_from(sorted(CHECKS)), u=st.floats(0.0, 1.0), a=STATES, e=STATES)
+    def test_checks_on_matrices_equal_the_kernel_on_their_draws(self, family, u, a, e):
+        amp = family.endswith("amp")
+        parameter = 1.0 + 9.0 * u if amp else u
+        if family.startswith("qepi"):
+            trial = CHECKS[family](_exact_state(*a), _exact_state(*e), parameter)
+            draws, s1 = (e[0], e[1], e[2] / (2.0 * math.pi)), thermal_entropy(a[0])
+        else:
+            trial = CHECKS[family](_exact_state(*a), ChannelSpec.beam_splitter(parameter, thermal_state(e[0])))
+            draws, s1 = (e[0], 0.0, 0.0), 0.0
+        label = lambda i: "the draws"  # noqa: E731
+        kind, column = KINDS["amp" if amp else "bs"], np.array([parameter])
+        invariants = _pair_invariants(kind, column, (a[0], a[1], a[2] / (2.0 * math.pi)), draws, label)
+        lhs, rhs = _single_mode_kernel(Inequality(family), column, invariants, s1, thermal_entropy(e[0]), label)
+        for got, want in ((trial.lhs, lhs[0]), (trial.rhs, rhs[0])):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_each_evaluation_converts_once(self, monkeypatch):
+        calls, original = [], channels._pair_invariants
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        for module in (channels, capacities, epi):  # each module calls the name it imported
+            monkeypatch.setattr(module, "_pair_invariants", counted)
+        spec = ChannelSpec.beam_splitter(0.7, squeezed_thermal_state(1.0, 0.5))
+        for run, expected in (
+            (lambda: check_qepi_bs(thermal_state(1.0), squeezed_thermal_state(0.5, 0.3), 0.4), 1),
+            (lambda: coherent_information(spec, np.linspace(0.0, 10.0, 11)), 1),
+            (lambda: _Campaign(Inequality.QEPI_AMP, 3, 5.0, 1.5, (1.0, 10.0), None).slacks(range(100)), 1),
+            (lambda: output_entropies(thermal_state(2.0), spec), 2),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == expected

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -199,6 +203,16 @@ class TestFig2:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "omit" in captured.err or "not computed" in captured.err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv", [["fig2", "--out", "{tmp}/fig2"], ["verify-epi", "--trials", "200", "--seed", "42"]])
+    def test_python_dash_m_runs_without_numpy_warnings(self, tmp_path, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "gausscap"] + [a.format(tmp=tmp_path) for a in argv]
+        done = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
 
 
 class TestVerifyEpi:
@@ -415,6 +429,20 @@ class TestVerifyEpiErrors:
         assert re.fullmatch(rf"numerical error: trial \d+ of {family} failed \(seed=0\): overflow at the drawn states: {overflow}\n",
                             captured.err)
 
+    @pytest.mark.parametrize("family", ["qepi-bs", "qepi-amp"])
+    def test_qepi_cross_term_overflows_from_half_the_chain_squeezing(self, capsys, family):
+        # X holds cosh 2(r_A + r_E), past the float range once r_A + r_E ~ 354: possible from --max-r ~ 177,
+        # where a chain's thermal environment (r_E = 0) still evaluates --max-r 300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["verify-epi", "--family", family, "--trials", "10", "--seed", "7", "--max-r", "300"]
+            assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"numerical error: trial 4 of {family} failed (seed=7): overflow at the drawn states: "
+                                "the cross term leaves the float range (r_A = 155.34, r_E = 224.009, n_A = 1.44057, "
+                                "n_E = 1.22886)\n")
+
     def test_large_squeezing_is_evaluated(self, capsys):
         # the 2x2 matrices of these draws lost their determinant to rounding, and were rejected, from r ~ 9-12
         with warnings.catch_warnings():
@@ -481,7 +509,7 @@ class TestBoundsErrors:
         assert captured.err.startswith(message)
 
     def test_environment_beyond_the_float_range_is_numerical_error(self, capsys):
-        # the trace of (2N + 1) I overflows at N = 8e307 unless it is halved first
+        # (2N + 1) I is finite at N = 8e307, but det G_E - 1 = 4N(N + 1) is not: the message names N_E
         argv = ["bounds", "--channel", "bs", "--tau", "0.5", "--ne", "8e307", "--n-stop", "1", "--n-steps", "3"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -489,7 +517,7 @@ class TestBoundsErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("numerical error: overflow at input photon number 0: det G_E - 1 leaves the float range "
-                                "(entries of G_E up to 1.6e+308)\n")
+                                "(n_E = 8e+307)\n")
 
     def test_large_second_point_matches_mpmath(self, capsys):
         # N^2 = 1e18 made the old eigenvalue path's (F, C) output numerically indefinite (exit 3)

@@ -32,7 +32,7 @@ from gausscap import (
     vacuum_state,
     williamson,
 )
-from gausscap.core import _validated, amplifier_block
+from gausscap.core import _EPS, _mode_parameters, _validated, amplifier_block
 from helpers import (
     G_DIRECT_MAX,
     g_direct,
@@ -376,6 +376,19 @@ class TestPurify:
         revalidated = CovarianceMatrix(purified.data)
         assert np.max(np.abs(revalidated._spectrum - 1.0)) <= 1e-9
 
+    @pytest.mark.parametrize("squeeze", [5.0, 6.0, 20.0])
+    def test_pure_state_needs_no_decomposition(self, monkeypatch, squeeze):
+        # the rounded entries fix no williamson decomposition from r ~ 5 (ArithmeticError), although every
+        # reference coupling sqrt((nu - 1)(nu + 1)) of the stored spectrum (1, 1) is 0
+        state = two_mode_squeezed_state(squeeze)
+        calls = linalg_calls(monkeypatch)
+        purified = purify(state)
+        assert calls == []
+        assert entropy(purified) == 0.0
+        assert purified.data[:4, :4].tobytes() == state.data.tobytes()
+        np.testing.assert_array_equal(purified.data[4:, 4:], np.eye(4))
+        assert not purified.data[:4, 4:].any()
+
     def test_state_whose_revalidation_fell_short_of_one(self):
         # re-validating the old 4n x 4n triple product gave min nu 0.999999998549 < 1 - 1e-9 for this state
         purified = purify(random_gaussian_state(2, 5.0, 4.0, seed=14))
@@ -391,6 +404,32 @@ class TestPurify:
         recovered = partial_trace(purified, ModePartition.keeping([0, 1], 4))
         np.testing.assert_allclose(recovered.data, state.data, atol=1e-10)
         assert entropy(purified) < 1e-8
+
+
+class TestModeParameters:
+    @settings(deadline=None, max_examples=200)
+    @given(photon=st.floats(0.0, 1e100), squeeze=st.floats(0.0, 300.0))
+    def test_squeezed_thermal_state_round_trips(self, photon, squeeze):
+        try:
+            state = squeezed_thermal_state(photon, squeeze)
+        except ValueError:  # (2N + 1) e^(2r) past the float range
+            return
+        n, r, u = _mode_parameters(state)
+        assert n.shape == r.shape == u.shape == (1,)
+        assert abs(n[0] - photon) <= _EPS * (2.0 * photon + 1.0)
+        assert abs(r[0] - squeeze) <= 2.0 * _EPS * max(1.0, squeeze)
+        assert u[0] == 0.0
+
+    def test_rotated_state_gives_its_angle(self):
+        n, r, u = _mode_parameters(CovarianceMatrix(rotated_squeezed(2.0, 0.75, 0.3)))
+        np.testing.assert_allclose([n[0], r[0], u[0]], [2.0, 0.75, 0.3 / (2.0 * math.pi)], rtol=1e-14)
+
+    def test_spectrum_within_the_tolerance_below_one_is_pure(self):
+        # validation accepts nu down to 1 - 1e-9; a state stored farther below keeps its negative n
+        near = CovarianceMatrix._physical(np.eye(2), np.array([1.0 - 1e-10]))
+        below = CovarianceMatrix._physical(0.25 * np.eye(2), np.array([0.25]))
+        assert _mode_parameters(near)[0][0] == 0.0
+        assert _mode_parameters(below)[0][0] == -0.375
 
 
 class TestPartialTrace:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,8 +339,12 @@ class TestBatchedCampaigns:
 
 
 class TestLargeSqueezing:
-    @pytest.mark.parametrize("family", SINGLE_MODE_FAMILIES)
-    @pytest.mark.parametrize("max_squeeze", [8.0, 9.0, 50.0])
+    @pytest.mark.parametrize(
+        "max_squeeze,family",
+        [(r, family) for r in (8.0, 9.0, 50.0) for family in SINGLE_MODE_FAMILIES]
+        # a chain's thermal environment keeps its cross term finite at r = 300; a qepi pair's overflows (test_cli)
+        + [(300.0, "moe-chain-bs"), (300.0, "wc-chain-bs")],
+    )
     def test_slacks_match_the_drawn_oracle(self, family, max_squeeze):
         # 2x2 matrices of these draws lost their determinant to rounding (slacks off by 2e-3 at r = 8) and
         # were rejected from r ~ 9-12; every 8th of 200 trials, and the worst, against 50-digit mpmath
@@ -367,12 +372,13 @@ class TestMatrixBoundary:
     @pytest.mark.parametrize(
         "check,message",
         [
-            (lambda: check_moe_chain(squeezed_thermal_state(1.0, 354.0), ChannelSpec.beam_splitter(0.5, thermal_state(1.0))),
-             r"the cross term leaves the float range \(entries of G_A up to 9\.07e\+307, entries of G_E up to 3\)"),
+            # nu_A nu_E cosh 2r_A = 21 cosh 708 (the 9 cosh 708 of a thermal N_E = 1 stays finite, below)
+            (lambda: check_moe_chain(squeezed_thermal_state(1.0, 354.0), ChannelSpec.beam_splitter(0.5, thermal_state(3))),
+             r"the cross term leaves the float range \(r_A = 354, r_E = 0, n_A = 1, n_E = 3\)"),
             (lambda: check_qepi_bs(thermal_state(1.0), thermal_state(1e200), 0.5),
-             r"det G_E - 1 leaves the float range \(entries of G_E up to 2e\+200\)"),
+             r"det G_E - 1 leaves the float range \(n_E = 1e\+200\)"),
             (lambda: check_qepi_amp(thermal_state(1e200), thermal_state(1.0), 2.0),
-             r"det G_A - 1 leaves the float range \(entries of G_A up to 2e\+200\)"),
+             r"det G_A - 1 leaves the float range \(n_A = 1e\+200\)"),
             # finite invariants, but p^2 (det G_A - 1) at gain 1e200 (EPI checks cap no gain)
             (lambda: check_qepi_amp(thermal_state(1.0), thermal_state(1.0), 1e200),
              r"nu_B\^2 - 1 leaves the float range \(det G_A - 1 = 8, det G_E - 1 = 8, cross term 10\)"),
@@ -382,6 +388,16 @@ class TestMatrixBoundary:
     def test_matrix_overflow_names_the_invariant(self, check, message):
         with pytest.raises(FloatingPointError, match=r"^overflow at the input matrices: " + message + "$"):
             check()
+
+    def test_largest_squeezing_against_a_vacuum_floor_is_evaluated(self):
+        # the entry products of the 2x2 matrices overflowed here; the cross term 9 cosh 708 - 1 is finite
+        spec = ChannelSpec.beam_splitter(0.5, thermal_state(1.0))
+        trial = check_moe_chain(squeezed_thermal_state(1.0, 354.0), spec)
+        with mpmath.workdps(60):
+            half = mpmath.mpf(3) / 2
+            x = (mpmath.sqrt((half * mpmath.exp(-708) + half) * (half * mpmath.exp(708) + half)) - 1) / 2
+            expected = float(mpmath.log1p(x) + x * mpmath.log1p(1 / x))
+        assert abs(trial.lhs - expected) <= 1e-12 * expected
 
 
 def _default_rng_rows(seed, indices, count):
