@@ -4,8 +4,8 @@ All quantities are in nats unless converted.  The closed forms are written
 in the per-family constants (p, q, d, v) of ``channels.coupling``, with
 g(x) = ``thermal_entropy``, and do not branch on the family.  Formulas that
 assume a thermal environment accept general Gaussian noise through its
-entropy-equivalent photon number N* = (nu - 1) / 2, nu = sqrt(det Gamma) its
-symplectic eigenvalue, which is the occupation of a thermal environment.
+entropy-equivalent photon number N* = (nu - 1) / 2, nu its stored symplectic
+eigenvalue, which is the occupation of a thermal environment.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .channels import (
     ChannelKind,
     ChannelSpec,
     _factor_entropies,
-    _invariant_spectra,
-    _pair_invariants,
+    _pair_spectra,
     _require_finite,
     coupling,
     epi_rhs,
@@ -38,14 +37,15 @@ def equivalent_thermal_photon(environment: CovarianceMatrix) -> float:
     return float(symplectic_eigenvalues(environment)[0] - 1.0) / 2.0
 
 
-def _is_thermal(g) -> bool:
-    """Whether one 2x2 covariance, or every matrix of a stack (..., 2, 2), is (2N + 1) I to 1e-12."""
-    return _everywhere((abs(g[..., 0, 1]) <= _THERMAL_ATOL) & (abs(g[..., 0, 0] - g[..., 1, 1]) <= _THERMAL_ATOL))
+def _is_thermal(state: CovarianceMatrix) -> bool:
+    """Whether a single-mode state is (2N + 1) I up to squeezing sinh 2r <= 1e-12, with r of
+    ``core._mode_parameters``: relative to nu, so rounding of a rotated thermal state's entries never counts."""
+    return bool(np.sinh(2.0 * _mode_parameters(state)[1][0]) <= _THERMAL_ATOL)
 
 
 def thermal_environment_photon(spec: ChannelSpec) -> float:
-    """Mean photon number (nu - 1) / 2 of a thermal environment, or one within 1e-12 of it; error for other noise."""
-    if not _is_thermal(spec.environment.data):
+    """Mean photon number (nu - 1) / 2 of a thermal environment (``_is_thermal``); error for other noise."""
+    if not _is_thermal(spec.environment):
         raise ValueError("this formula assumes a thermal environment; "
                          "use private_capacity_upper_general for general Gaussian noise")
     return equivalent_thermal_photon(spec.environment)
@@ -140,17 +140,17 @@ def private_capacity_lower_approx(spec: ChannelSpec, input_photon: float) -> flo
 def coherent_information(spec: ChannelSpec, input_photon):
     """S(channel output) - S(complementary output) for a thermal input of energy N.
 
-    ``input_photon`` is a scalar or a 1-D array.  ``channels._invariant_spectra``
-    of the ``_pair_invariants`` of the input (N, r = 0, u = 0) and the
-    environment's ``core._mode_parameters``, for every N at once.  A failing
+    ``input_photon`` is a scalar or a 1-D array.  One ``channels._pair_spectra``
+    call on the input (N, r = 0, u = 0) and the environment's
+    ``core._mode_parameters`` gives the spectra for every N at once.  A failing
     check names the first failing input photon number; an overflow also names
-    the invariant and the (n, r) it comes from.
+    what left the float range and the (n, r) or invariants it comes from.
     """
     n = _validated_photon(input_photon)
     grid = np.atleast_1d(n)
     label = lambda i: f"input photon number {grid[i]:.17g}"  # noqa: E731
-    invariants = _pair_invariants(spec.kind, spec.parameter, (grid, 0.0, 0.0), _mode_parameters(spec.environment), label)
-    entropies = _factor_entropies(_invariant_spectra(spec.kind, spec.parameter, *invariants, label))
+    modes = (grid, 0.0, 0.0), _mode_parameters(spec.environment)
+    entropies = _factor_entropies(_pair_spectra(spec.kind, spec.parameter, *modes, label))
     info = entropies[0] - (entropies[1] + entropies[2])
     return float(info[0]) if np.ndim(n) == 0 else info
 
@@ -199,7 +199,7 @@ def evaluate_bounds(spec: ChannelSpec, input_photon, units: str = "nats", cohere
     unit = _nats_per(units)
     ne = equivalent_thermal_photon(spec.environment)
     formula_spec = ChannelSpec(spec.kind, spec.parameter, thermal_state(ne))
-    label = "thermal_photon" if _is_thermal(spec.environment.data) else "equivalent_photon"
+    label = "thermal_photon" if _is_thermal(spec.environment) else "equivalent_photon"
     knob = "transmissivity" if spec.kind is ChannelKind.BEAM_SPLITTER else "gain"
     channel = f"{spec.kind.value}({knob}={spec.parameter:.12g}, {label}={ne:.12g})"
     moe = moe_sum_lower(formula_spec)

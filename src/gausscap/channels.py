@@ -6,10 +6,11 @@ the channel, tracing the other gives the weak-complementary map.  Both are
 one affine map, ``channel_map``, with input and environment exchanged.  The
 complementary map first purifies a mixed environment with a reference
 mode, so its output covers two modes (environment output F, reference C).
-``coupling`` holds every per-family constant, and the output spectra of a
-single-mode input come in closed form from ``_invariant_spectra`` of the
-``_pair_invariants`` of its and the environment's (n, r, u), the one path
-for sampled draws and for validated matrices (``core._mode_parameters``).
+The environment's purification reads its stored symplectic eigenvalue.
+``coupling`` holds every per-family constant, and ``_pair_spectra`` gives
+the output spectra of a single-mode input in closed form from its and the
+environment's (n, r, u), in one call: the one path for sampled draws and
+for validated matrices (``core._mode_parameters``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     CovarianceMatrix,
     PhysicalityError,
     SymplecticMatrix,
-    _det2,
     _everywhere,
     _mode_parameters,
     _reject,
@@ -140,81 +140,93 @@ def channel_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.n
     return p * gamma_a + q * (m @ gamma_e @ m)
 
 
-def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.ndarray) -> np.ndarray:
+def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, environment: CovarianceMatrix) -> np.ndarray:
     """Covariance on (F, C) of the complementary output, where C purifies the environment.
 
-    With nu = sqrt(det G_E), the environment G_E = nu R R.T has the symplectic
-    factor R = sqrt(G_E / nu) (symmetric, det 1) and purifies to
+    With nu the environment's stored symplectic eigenvalue, G_E = nu R R.T has
+    the symplectic factor R = sqrt(G_E / nu) (symmetric, det 1) and purifies to
     [[G_E, c R Z], [c Z R, nu I]], c = sqrt((nu - 1)(nu + 1)).  The channel
     keeps C and scales the E-C block by sqrt(t) or sqrt(k) on the way to F,
     whose own block is ``channel_map`` with input and environment exchanged.
-    Takes 2x2 covariances or stacks that broadcast together, shape (..., 2, 2),
-    with ``parameter`` as in ``coupling``; returns shape (..., 4, 4).
+    Takes one 2x2 input covariance and a scalar ``parameter``; returns the 4x4 matrix.
     """
-    det, scale = _det2(gamma_e)
-    nu = (np.sqrt(det) * scale)[..., None, None]
-    out = np.zeros(np.broadcast_shapes(gamma_a.shape, gamma_e.shape)[:-2] + (4, 4))
-    out[..., :2, :2] = channel_map(kind, parameter, gamma_e, gamma_a)
-    out[..., 2:, 2:] = nu * _IDENTITY
+    gamma_e, nu = environment.data, environment._spectrum[0]
+    out = np.zeros((4, 4))
+    out[:2, :2] = channel_map(kind, parameter, gamma_e, gamma_a)
+    out[2:, 2:] = nu * _IDENTITY
     # sqrt of a 2x2 positive matrix M with det M = 1 is (M + I) / sqrt(tr M + 2).
     m = gamma_e / nu
-    root = (m + _IDENTITY) / np.sqrt(m[..., 0:1, 0:1] + m[..., 1:2, 1:2] + 2.0)
+    root = (m + _IDENTITY) / np.sqrt(m[0, 0] + m[1, 1] + 2.0)
     # environments within PURE_ATOL of nu = 1 are pure and couple nothing to C
-    excess = nu - 1.0
-    excess = np.where(excess > PURE_ATOL, excess * (nu + 1.0), 0.0)
+    excess = (nu - 1.0) * (nu + 1.0) if nu - 1.0 > PURE_ATOL else 0.0
     # adding 0.0 turns the -0.0 entries of an uncoupled block into +0.0
     cross = np.sqrt(excess * coupling(kind, parameter)[0]) * (root @ PHASE_FLIP) + 0.0
-    out[..., :2, 2:] = cross
-    out[..., 2:, :2] = cross.swapaxes(-1, -2)
+    out[:2, 2:] = cross
+    out[2:, :2] = cross.T
     return out
 
 
-_INVARIANTS = ("det G_A - 1", "det G_E - 1", "the cross term")
-
-
-def _require_finite(arrays, label, detail, names=_INVARIANTS) -> None:
-    """``_reject`` with ``FloatingPointError`` for the first of ``arrays``, by default the invariants (det G_A - 1,
-    det G_E - 1, cross) of ``_invariant_spectra``, that left the float range, naming it, ``label(i)`` of its
-    first non-finite entry and ``detail(k, i)``, the size of what array k comes from."""
+def _require_finite(arrays, label, detail, names) -> None:
+    """``_reject`` with ``FloatingPointError`` for the first of ``arrays`` that left the float range, naming
+    ``names[k]``, ``label(i)`` of its first non-finite entry and ``detail(k, i)``, the size of what it comes from."""
     for k, values in enumerate(arrays):
         _reject(~np.isfinite(values), FloatingPointError,
                 lambda i: f"overflow at {label(i)}: {names[k]} leaves the float range ({detail(k, i)})")
 
 
-def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, label) -> np.ndarray:
-    """nu^2 - 1 of the channel output B, then of the complementary pair (F, C), stacked on axis 0.
+def _pair_spectra(kind: ChannelKind, parameter, a, e, label) -> np.ndarray:
+    """x = nu^2 - 1 of the channel output B, then x_+ and x_- of the complementary pair (F, C), stacked on
+    axis 0, for single-mode states G = (2n + 1) R(2 pi u) diag(e^(-2r), e^(2r)) R(2 pi u).T with a and e the
+    (n, r, u) of the input A and the environment E, arrays or scalars that broadcast together (a campaign's
+    draws, or ``core._mode_parameters`` of a validated matrix).
 
-    The arguments are finite invariants of a single-mode input A and
-    environment E, scalars or 1-D arrays that broadcast together:
-    a_excess = det G_A - 1, e_excess = det G_E - 1 and
-    cross = tr(G_A J M G_E M J.T) / 2 + 2v - 1, with J the single-mode
-    symplectic form and (p, q, M, v) of ``coupling``.  The trace is
-    >= 2 sqrt(det G_A det G_E) >= 2, so every term below is nonnegative and
-    nothing cancels:
+    The spectra follow from three invariants, each a sum of nonnegative
+    terms, so nothing cancels, whatever the squeezing:
 
-        nu_B^2 - 1 = p^2 a_excess + w,   w = q^2 e_excess + 2 p q cross
-        S = nu_+^2 + nu_-^2 - 2 = q^2 a_excess + w
-        K = (nu_+^2 - 1)(nu_-^2 - 1) = q^2 a_excess e_excess
+        det G - 1 = 4 n (n + 1)
+        cross = tr(G_A J M G_E M J.T) / 2 + 2v - 1 = (nu_A nu_E - 1) X + (X - 1) + 2v
+        X = cos^2 D cosh 2(r_A - r_E) + sin^2 D cosh 2(r_A + r_E)
+        X - 1 = 2 cos^2 D sinh^2 (r_A - r_E) + 2 sin^2 D sinh^2 (r_A + r_E)
+
+    with J the single-mode symplectic form, (p, q, M, v) of ``coupling``,
+    nu = 2n + 1, nu_A nu_E - 1 = 2 (n_A + n_E + 2 n_A n_E), and
+    D = 2 pi (s u_E - u_A) the angle between A and M G_E M, where M = diag(1, s)
+    turns the rotation of E by 2 pi u_E into one by 2 pi s u_E.  Then
+
+        nu_B^2 - 1 = p^2 (det G_A - 1) + w,   w = q^2 (det G_E - 1) + 2 p q cross
+        S = nu_+^2 + nu_-^2 - 2 = q^2 (det G_A - 1) + w
+        K = (nu_+^2 - 1)(nu_-^2 - 1) = q^2 (det G_A - 1)(det G_E - 1)
 
     where nu_+ and nu_- are the (F, C) output's symplectic eigenvalues, from
     the invariants of Serafini, Illuminati and De Siena, J. Phys. B 37, L21
-    (2004); x_+ = nu_+^2 - 1 is the larger root of x^2 - S x + K and
-    x_- = K / x_+: a near-degenerate pair is split only to about sqrt(eps),
-    but its product, and its entropy sum to second order, keep their digits.
-    nu_B^2 - 1, S or K beyond the float range raises ``FloatingPointError``;
-    K < 0, S < 0 or nu_B < 1 - 1e-9 raises ``PhysicalityError``; both go
-    through ``core._reject`` and name ``label(i)`` of the first failing i.
+    (2004); x_+ is the larger root of x^2 - S x + K and x_- = K / x_+: a
+    near-degenerate pair is split only to about sqrt(eps), but its product,
+    and its entropy sum to second order, keep their digits.  An invariant
+    beyond the float range raises ``FloatingPointError`` naming it and the
+    (n, r) it comes from; nu_B^2 - 1, S or K beyond it, naming the
+    invariants.  K < 0, S < 0 or nu_B < 1 - 1e-9 raises ``PhysicalityError``.
+    Every check goes through ``core._reject`` and names ``label(i)`` of the first failing i.
     """
-    p, q, _, _, _ = coupling(kind, parameter)
+    p, q, m, _, v = coupling(kind, parameter)
+    (n_a, r_a, u_a), (n_e, r_e, u_e) = a, e
     with np.errstate(over="ignore", invalid="ignore"):
+        angle = 2.0 * np.pi * (m[1, 1] * u_e - u_a)
+        x_excess = 2.0 * (np.cos(angle) ** 2 * np.sinh(r_a - r_e) ** 2 + np.sin(angle) ** 2 * np.sinh(r_a + r_e) ** 2)
+        cross = 2.0 * (n_a + n_e + 2.0 * n_a * n_e) * (1.0 + x_excess) + x_excess + 2.0 * v
+        a_excess, e_excess = 4.0 * n_a * (n_a + 1.0), 4.0 * n_e * (n_e + 1.0)
         w = q * q * e_excess + 2.0 * p * q * cross
         terms = (p * p * a_excess + w, q * q * a_excess + w, q * q * e_excess * a_excess)
     b, total, product = terms
 
-    def invariants(k, i):
-        a, e, c = (np.broadcast_to(v, np.shape(b))[i] for v in (a_excess, e_excess, cross))
-        return f"det G_A - 1 = {a:.6g}, det G_E - 1 = {e:.6g}, cross term {c:.6g}"
+    def draws(k, i):
+        na, ne, ra, re = (float(np.broadcast_to(x, np.shape(cross))[i]) for x in (n_a, n_e, r_a, r_e))
+        return (f"n_A = {na:.6g}", f"n_E = {ne:.6g}", f"r_A = {ra:.6g}, r_E = {re:.6g}, n_A = {na:.6g}, n_E = {ne:.6g}")[k]
 
+    def invariants(k, i):
+        x, y, c = (np.broadcast_to(t, np.shape(b))[i] for t in (a_excess, e_excess, cross))
+        return f"det G_A - 1 = {x:.6g}, det G_E - 1 = {y:.6g}, cross term {c:.6g}"
+
+    _require_finite((a_excess, e_excess, cross), label, draws, ("det G_A - 1", "det G_E - 1", "the cross term"))
     _require_finite(terms, label, invariants, ("nu_B^2 - 1", "S", "K"))
     ok = (product >= 0.0) & (total >= 0.0) & (b >= (1.0 - PHYSICALITY_ATOL) ** 2 - 1.0)
     _reject(~ok, PhysicalityError, lambda i: f"uncertainty condition violated at {label(i)}: "
@@ -226,39 +238,6 @@ def _invariant_spectra(kind: ChannelKind, parameter, a_excess, e_excess, cross, 
     xs[1] = 0.5 * total + 0.5 * (np.sqrt(np.maximum(total - 2.0 * root, 0.0)) * np.sqrt(total + 2.0 * root))
     np.divide(product, xs[1], out=xs[2], where=xs[1] > 0.0)
     return np.maximum(xs, 0.0, out=xs)  # nu within the tolerance below 1 counts as 1
-
-
-def _pair_invariants(kind: ChannelKind, parameter, a, e, label) -> tuple:
-    """The invariants (det G_A - 1, det G_E - 1, cross) of ``_invariant_spectra`` for single-mode states
-    G = (2n + 1) R(2 pi u) diag(e^(-2r), e^(2r)) R(2 pi u).T, with a and e the (n, r, u) of A and E, arrays or
-    scalars that broadcast together (a campaign's draws, or ``core._mode_parameters`` of a validated matrix):
-
-        det G - 1 = 4 n (n + 1)
-        cross = nu_A nu_E X + 2v - 1 = (nu_A nu_E - 1) X + (X - 1) + 2v
-        X = cos^2 D cosh 2(r_A - r_E) + sin^2 D cosh 2(r_A + r_E)
-        X - 1 = 2 cos^2 D sinh^2 (r_A - r_E) + 2 sin^2 D sinh^2 (r_A + r_E)
-
-    with nu = 2n + 1, nu_A nu_E - 1 = 2 (n_A + n_E + 2 n_A n_E), and
-    D = 2 pi (s u_E - u_A) the angle between A and M G_E M, where M = diag(1, s)
-    of ``coupling`` turns the rotation of E by 2 pi u_E into one by 2 pi s u_E.
-    Every term is nonnegative, so nothing cancels, whatever the squeezing.  An
-    invariant beyond the float range raises ``FloatingPointError`` naming it,
-    ``label(i)`` and the (n, r) it comes from.
-    """
-    _, _, m, _, v = coupling(kind, parameter)
-    (n_a, r_a, u_a), (n_e, r_e, u_e) = a, e
-    with np.errstate(over="ignore", invalid="ignore"):
-        angle = 2.0 * np.pi * (m[1, 1] * u_e - u_a)
-        x_excess = 2.0 * (np.cos(angle) ** 2 * np.sinh(r_a - r_e) ** 2 + np.sin(angle) ** 2 * np.sinh(r_a + r_e) ** 2)
-        cross = 2.0 * (n_a + n_e + 2.0 * n_a * n_e) * (1.0 + x_excess) + x_excess + 2.0 * v
-        invariants = 4.0 * n_a * (n_a + 1.0), 4.0 * n_e * (n_e + 1.0), cross
-
-    def draws(k, i):
-        na, ne, ra, re = (float(np.broadcast_to(x, np.shape(cross))[i]) for x in (n_a, n_e, r_a, r_e))
-        return (f"n_A = {na:.6g}", f"n_E = {ne:.6g}", f"r_A = {ra:.6g}, r_E = {re:.6g}, n_A = {na:.6g}, n_E = {ne:.6g}")[k]
-
-    _require_finite(invariants, label, draws)
-    return invariants
 
 
 def _factor_entropies(xs: np.ndarray) -> np.ndarray:
@@ -289,23 +268,22 @@ def weak_complementary(state: CovarianceMatrix, spec: ChannelSpec) -> Covariance
     return CovarianceMatrix(channel_map(spec.kind, spec.parameter, spec.environment.data, _single_mode_data(state)))
 
 
-def _output_spectra(spec: ChannelSpec, a, e) -> np.ndarray:
-    """x = nu^2 - 1 of B, then of the (F, C) pair, for the (n, r, u) of one single-mode input and environment:
-    ``_invariant_spectra`` of their ``_pair_invariants``, failing at "the input and environment"."""
-    kind, parameter, label = spec.kind, spec.parameter, lambda i: "the input and environment"
-    return _invariant_spectra(kind, parameter, *_pair_invariants(kind, parameter, a, e, label), label)[:, 0]
+def _input_label(i: tuple) -> str:
+    """Where the spectra of one channel input and its environment fail."""
+    return "the input and environment"
 
 
 def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
     """Two-mode complementary output on (F, C), where C purifies the environment.
 
-    The closed form is ``_complementary_map``, stored with the spectrum sqrt(1 + x_+/-) of ``_output_spectra``
+    The closed form is ``_complementary_map``, stored with the spectrum sqrt(1 + x_+/-) of ``_pair_spectra``
     (the matrix's condition number grows like e^(4r) with the squeezing).  Tracing out C recovers the
     weak-complementary output; the two maps coincide whenever the
     environment is pure.
     """
-    spectrum = np.sqrt(1.0 + _output_spectra(spec, *_input_modes(state, spec))[1:])
-    data = _complementary_map(spec.kind, spec.parameter, state.data, spec.environment.data)
+    a, e = _input_modes(state, spec)
+    spectrum = np.sqrt(1.0 + _pair_spectra(spec.kind, spec.parameter, a, e, _input_label)[1:, 0])
+    data = _complementary_map(spec.kind, spec.parameter, state.data, spec.environment)
     return CovarianceMatrix._physical(data, spectrum)
 
 
@@ -319,9 +297,9 @@ def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_compleme
 
 
 def output_entropies(state: CovarianceMatrix, spec: ChannelSpec) -> tuple[float, float, float]:
-    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_output_spectra`` of (A, E)
+    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_pair_spectra`` of (A, E)
     and, for F, of (E, A); no output is built or diagonalised."""
     a, e = _input_modes(state, spec)
-    pair, swapped = _output_spectra(spec, a, e), _output_spectra(spec, e, a)
+    pair, swapped = (_pair_spectra(spec.kind, spec.parameter, x, y, _input_label) for x, y in ((a, e), (e, a)))
     s_b, s_plus, s_minus, s_f = _factor_entropies(np.append(pair, swapped[0])).tolist()
     return s_b, s_f, s_plus + s_minus

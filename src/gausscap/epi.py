@@ -7,14 +7,12 @@ k -> 1 the slack itself shrinks to the scale of k - 1, so checks pinned
 there should use a correspondingly wider band.
 
 The qepi and chain families have single-mode inputs A and E, and their
-kernel (``_single_mode_kernel``) takes the invariants det G_A - 1,
-det G_E - 1 and the cross term of ``channels._invariant_spectra``, whose
-closed-form output spectra are checked in invariant form there.  Both
-come from ``channels._pair_invariants`` of each state's (n, r, u), as sums
-of nonnegative terms, so no determinant cancels at any squeezing: a
-campaign passes each trial's drawn photon numbers, squeezings and angles
-and builds no matrix, and a ``check_*`` call converts each validated
-matrix once (``core._mode_parameters``).  The cqepi kernel
+kernel (``_single_mode_kernel``) takes each state's (n, r, u): lhs from the
+closed-form output spectra of ``channels._pair_spectra``, which are sums of
+nonnegative terms, so no determinant cancels at any squeezing, and rhs from
+the input entropies g(n).  A campaign passes each trial's drawn photon
+numbers, squeezings and angles and builds no matrix, and a ``check_*`` call
+converts each validated matrix once (``core._mode_parameters``).  The cqepi kernel
 (``_conditional_kernel``) builds the (B, Z1, Z2) output of two-mode inputs
 and validates it and the Z marginals like a ``CovarianceMatrix``; sampled
 two-mode squeezed inputs carry their exact spectra, and a ``check_*`` call
@@ -42,8 +40,7 @@ from .channels import (
     ChannelKind,
     ChannelSpec,
     _factor_entropies,
-    _invariant_spectra,
-    _pair_invariants,
+    _pair_spectra,
     channel_map,
     coupling,
     epi_rhs,
@@ -56,7 +53,6 @@ from .core import (
     _spectral_entropy,
     _stack_entropy,
     _two_mode_squeezed_stack,
-    entropy,
     symplectic_eigenvalues,
     thermal_entropy,
 )
@@ -110,17 +106,18 @@ _AMPLIFIER = (Inequality.QEPI_AMP, Inequality.CQEPI_AMP)
 
 
 # ---------------------------------------------------------------------------
-# kernels: invariants or stacks of validated matrices in, lhs and rhs arrays out
+# kernels: (n, r, u) or stacks of validated matrices in, lhs and rhs arrays out
 # ---------------------------------------------------------------------------
 
-def _single_mode_kernel(inequality: Inequality, parameter, invariants, s1, s2, label) -> tuple[np.ndarray, np.ndarray]:
-    """qepi and chain inequalities on the invariants (det G_A - 1, det G_E - 1, cross) of single-mode inputs A
-    and E, as ``channels._invariant_spectra`` takes them: lhs = S(B), from its closed-form spectrum, or for
-    wc-chain-bs S(F, C) of the complementary output; rhs = ``epi_rhs``(s1, s2), with s1 and s2 the inputs'
-    entropies (qepi) or (0, g(Ne)) (chains), the output-entropy floor of a thermal environment."""
+def _single_mode_kernel(inequality: Inequality, parameter, a, e, label) -> tuple[np.ndarray, np.ndarray]:
+    """qepi and chain inequalities on single-mode inputs A and E given as their (n, r, u), as
+    ``channels._pair_spectra`` takes them: lhs = S(B), from its closed-form spectrum, or for wc-chain-bs
+    S(F, C) of the complementary output; rhs = ``epi_rhs``(s1, s2), with (s1, s2) = (g(n_A), g(n_E)), the
+    inputs' entropies (qepi), or (0, g(n_E)) (chains), the output-entropy floor of a thermal environment."""
     kind = _kind(inequality)
-    xs = _invariant_spectra(kind, parameter, *invariants, label)
+    xs = _pair_spectra(kind, parameter, a, e, label)
     lhs = _factor_entropies(xs[1:]).sum(axis=0) if inequality is Inequality.WC_CHAIN_BS else _factor_entropies(xs[0])
+    s1, s2 = thermal_entropy(np.stack([a[0], e[0]])) if inequality in _PLAIN else (0.0, thermal_entropy(e[0]))
     return lhs, epi_rhs(kind, parameter, s1, s2)
 
 
@@ -150,7 +147,7 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) 
 
 
 # ---------------------------------------------------------------------------
-# single checks: user matrices turned into invariants, or a stack of one
+# single checks: user matrices turned into (n, r, u), or a stack of one
 # ---------------------------------------------------------------------------
 
 def _kind(inequality: Inequality) -> ChannelKind:
@@ -158,7 +155,7 @@ def _kind(inequality: Inequality) -> ChannelKind:
 
 
 def _matrix_label(i: tuple) -> str:
-    """Where the invariants of a check's input matrices fail."""
+    """Where the spectra of a check's input matrices fail."""
     return "the input matrices"
 
 
@@ -167,20 +164,18 @@ def _trial(inequality: Inequality, parameter: float, inputs: tuple[CovarianceMat
     return EpiTrial(inequality, parameter, inputs, float(lhs[0]), float(rhs[0]))
 
 
-def _single_mode_trial(inequality: Inequality, parameter: float, a: CovarianceMatrix, e: CovarianceMatrix, s1, s2,
+def _single_mode_trial(inequality: Inequality, parameter: float, a: CovarianceMatrix, e: CovarianceMatrix,
                        inputs: tuple[CovarianceMatrix, ...]) -> EpiTrial:
-    """``_single_mode_kernel`` on the invariants of the validated input A and environment E, computed once."""
-    kind, parameter_array = _kind(inequality), np.array([parameter], dtype=float)
-    invariants = _pair_invariants(kind, parameter_array, _mode_parameters(a), _mode_parameters(e), _matrix_label)
-    lhs_rhs = _single_mode_kernel(inequality, parameter_array, invariants, s1, s2, _matrix_label)
-    return _trial(inequality, parameter, inputs, lhs_rhs)
+    """``_single_mode_kernel`` on the (n, r, u) of the validated input A and environment E, computed once."""
+    parameter_array, modes = np.array([parameter], dtype=float), (_mode_parameters(a), _mode_parameters(e))
+    return _trial(inequality, parameter, inputs, _single_mode_kernel(inequality, parameter_array, *modes, _matrix_label))
 
 
 def _pair_trial(inequality: Inequality, first: CovarianceMatrix, second: CovarianceMatrix, parameter: float) -> EpiTrial:
-    """A qepi check on the invariants of its inputs, or a cqepi check: its kernel on stacks of one."""
+    """A qepi check on the (n, r, u) of its inputs, or a cqepi check: its kernel on stacks of one."""
     if inequality in _PLAIN:
         _require_modes(1, first, second)
-        return _single_mode_trial(inequality, parameter, first, second, entropy(first), entropy(second), (first, second))
+        return _single_mode_trial(inequality, parameter, first, second, (first, second))
     _require_modes(2, first, second)
     stacks = ((s.data[None], symplectic_eigenvalues(s)[None]) for s in (first, second))
     return _trial(inequality, parameter, (first, second),
@@ -188,13 +183,13 @@ def _pair_trial(inequality: Inequality, first: CovarianceMatrix, second: Covaria
 
 
 def _chain_trial(inequality: Inequality, state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
-    """A chain check on the invariants of the input and its thermal environment."""
+    """A chain check on the (n, r, u) of the input and its thermal environment."""
     if spec.kind is not ChannelKind.BEAM_SPLITTER:
         raise ValueError("chain inequalities are checked for the beam splitter")
     _require_modes(1, state)
-    if not _is_thermal(spec.environment.data):
+    if not _is_thermal(spec.environment):
         raise ValueError(f"the chain inequality {inequality.value} assumes a thermal environment (2N + 1) I")
-    return _single_mode_trial(inequality, spec.parameter, state, spec.environment, 0.0, entropy(spec.environment), (state,))
+    return _single_mode_trial(inequality, spec.parameter, state, spec.environment, (state,))
 
 
 def check_qepi_bs(state1: CovarianceMatrix, state2: CovarianceMatrix, transmissivity: float) -> EpiTrial:
@@ -380,7 +375,7 @@ def _uniform_draws(seed: int, indices: range, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _drawn_label(i: tuple) -> str:
-    """Where a campaign's drawn invariants fail; the campaign names the trial."""
+    """Where the spectra of a campaign's drawn states fail; the campaign names the trial."""
     return "the drawn states"
 
 
@@ -434,21 +429,18 @@ class _Campaign:
         varied, first, second = np.split(draws, np.cumsum(self._widths())[:-1], axis=1)
         lo, hi = self.parameter_range
         parameter = lo + (hi - lo) * varied[:, 0] if varied.shape[1] else np.full(len(draws), float(lo))
-        inequality, kind = self.inequality, _kind(self.inequality)
+        inequality = self.inequality
         if inequality in _CONDITIONAL:
             pair1, pair2 = (
                 _two_mode_squeezed_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]) for d in (first, second)
             )
-            return _conditional_kernel(kind, parameter, pair1, pair2)
+            return _conditional_kernel(_kind(inequality), parameter, pair1, pair2)
         if inequality in _PLAIN:
             a, e = self._modes(first), self._modes(second)
-            s1, s2 = thermal_entropy(np.stack([a[0], e[0]]))
         else:  # a chain: the input against a thermal environment, r = 0
             photons = self.max_photon * first[:, 0] if self.env_photon is None else np.full(len(draws), self.env_photon)
             a, e = self._modes(second), (photons, 0.0, 0.0)
-            s1, s2 = 0.0, thermal_entropy(photons)
-        invariants = _pair_invariants(kind, parameter, a, e, _drawn_label)
-        return _single_mode_kernel(inequality, parameter, invariants, s1, s2, _drawn_label)
+        return _single_mode_kernel(inequality, parameter, a, e, _drawn_label)
 
     def slacks(self, indices: range) -> np.ndarray:
         """Slacks of the trials ``indices``.  A failing trial raises its own

@@ -12,6 +12,7 @@ from gausscap import (
     ChannelSpec,
     CovarianceMatrix,
     PhysicalityError,
+    apply_symplectic,
     coherent_information,
     coherent_lower_bound,
     equivalent_thermal_photon,
@@ -27,7 +28,7 @@ from gausscap import (
     vacuum_state,
 )
 from gausscap.channels import MAX_GAIN
-from gausscap.core import _CHUNK
+from gausscap.core import _CHUNK, rotation_symplectic
 from helpers import (
     bounds_per_point,
     coherent_information_mp,
@@ -66,6 +67,18 @@ class TestHolevo:
     def test_rejects_negative_input_energy(self):
         with pytest.raises(ValueError):
             holevo_capacity(bs(0.5, 1), -1)
+
+
+class TestRotatedThermalEnvironment:
+    """A rotated thermal state is thermal: its entries round off the diagonal by about eps (2N + 1), 3.6e-12 at
+    N = 1e6 and 1.6e-9 at N = 1e9, which an absolute 1e-12 test on the entries took for squeezing."""
+
+    @pytest.mark.parametrize("ne,expected", [(1e6, 21.392157161882075), (1e9, 33.135311982220465)])
+    def test_bounds_equal_the_thermal_ones(self, ne, expected):
+        rotated = ChannelSpec.beam_splitter(0.85, apply_symplectic(rotation_symplectic(0.3), thermal_state(ne)))
+        assert private_capacity_upper(rotated, 2.0) == private_capacity_upper(bs(0.85, ne), 2.0) == expected
+        assert holevo_capacity(rotated, 2.0) == holevo_capacity(bs(0.85, ne), 2.0)
+        assert evaluate_bounds(rotated, 2.0).channel == evaluate_bounds(bs(0.85, ne), 2.0).channel
 
 
 class TestMaximal:

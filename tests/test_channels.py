@@ -28,13 +28,12 @@ from gausscap import (
     purify,
     random_gaussian_state,
     squeezed_thermal_state,
-    thermal_entropy,
     thermal_state,
     vacuum_state,
     weak_complementary,
 )
 from gausscap import capacities, channels, epi
-from gausscap.channels import MAX_GAIN, _complementary_map, _invariant_spectra, _pair_invariants, channel_map
+from gausscap.channels import MAX_GAIN, _complementary_map, _pair_spectra, channel_map
 from gausscap.core import PHASE_FLIP, CovarianceMatrix, _mode_parameters
 from gausscap.epi import Inequality, _Campaign, _single_mode_kernel
 from helpers import (
@@ -204,6 +203,13 @@ class TestComplementary:
         reduced = partial_trace(comp, ModePartition.keeping([0], 2))
         np.testing.assert_allclose(reduced.data, weak_complementary(state, spec).data, atol=1e-10)
 
+    @pytest.mark.parametrize("photon,squeeze", [(1.0, 2.0), (1.3, 0.5), (2.5, 2.0)])
+    def test_reference_block_is_the_stored_symplectic_eigenvalue(self, photon, squeeze):
+        # sqrt(det) of these environments' entries rounds away from their stored nu = 2N + 1 (3 - 4.4e-16 at (1, 2))
+        spec = ChannelSpec.beam_splitter(0.5, squeezed_thermal_state(photon, squeeze))
+        comp = complementary(thermal_state(1.0), spec)
+        np.testing.assert_array_equal(comp.data[2:, 2:], (2.0 * photon + 1.0) * np.eye(2))
+
     @pytest.mark.parametrize("squeeze", [18.0, 19.5, 300.0])
     def test_strongly_squeezed_environment_stores_its_closed_form_spectrum(self, monkeypatch, squeeze):
         # validating the (F, C) matrix, whose condition number grows like e^(4r), raised ArithmeticError at
@@ -214,7 +220,7 @@ class TestComplementary:
         assert calls == []
         expected = output_entropies_mp("bs", 0.5, 1.0, 1.0, squeeze)[2]
         assert abs(entropy(comp) - expected) <= 1e-12 * expected
-        np.testing.assert_array_equal(comp.data, _complementary_map(spec.kind, 0.5, state.data, spec.environment.data))
+        np.testing.assert_array_equal(comp.data, _complementary_map(spec.kind, 0.5, state.data, spec.environment))
 
     def test_pure_input_pure_env_balance(self):
         spec = ChannelSpec.beam_splitter(0.5, vacuum_state())
@@ -339,8 +345,7 @@ def _spectra(kind, parameter, gamma_a, gamma_e):
     """x = nu^2 - 1 of B, then of the (F, C) pair, for one single-mode input and environment."""
     label = lambda i: "the test matrices"  # noqa: E731
     a, e = (_mode_parameters(CovarianceMatrix(g)) for g in (gamma_a, gamma_e))
-    invariants = _pair_invariants(kind, parameter, a, e, label)
-    return _invariant_spectra(kind, parameter, *invariants, label)[:, 0]
+    return _pair_spectra(kind, parameter, a, e, label)[:, 0]
 
 
 class TestClosedFormSpectra:
@@ -357,7 +362,9 @@ class TestClosedFormSpectra:
         nu_b, nu_plus, nu_minus, nu_f = np.sqrt(1.0 + np.array([x_b, x_plus, x_minus, x_f]))
         raw_b = raw_symplectic_eigenvalues(channel_map(KINDS[kind], parameter, gamma_a, gamma_e))[0]
         raw_f = raw_symplectic_eigenvalues(channel_map(KINDS[kind], parameter, gamma_e, gamma_a))[0]
-        raw_minus, raw_plus = raw_symplectic_eigenvalues(_complementary_map(KINDS[kind], parameter, gamma_a, gamma_e))
+        raw_minus, raw_plus = raw_symplectic_eigenvalues(
+            _complementary_map(KINDS[kind], parameter, gamma_a, CovarianceMatrix(gamma_e))
+        )
         np.testing.assert_allclose([nu_b, nu_f], [raw_b, raw_f], rtol=1e-11)
         # A near-degenerate (F, C) pair is split only to about sqrt(eps); its sum and product, and with
         # them the pair's entropy (to second order in the split), keep their digits.  The raw side
@@ -397,8 +404,8 @@ def _exact_state(photon, squeeze, angle):
 
 
 class TestOneConversion:
-    """A check's validated matrices and a campaign's draws reach the same invariants through
-    ``core._mode_parameters`` and ``channels._pair_invariants``."""
+    """A check's validated matrices and a campaign's draws reach the same spectra through
+    ``core._mode_parameters`` and ``channels._pair_spectra``."""
 
     @settings(deadline=None, max_examples=200)
     @given(family=st.sampled_from(sorted(CHECKS)), u=st.floats(0.0, 1.0), a=STATES, e=STATES)
@@ -407,26 +414,25 @@ class TestOneConversion:
         parameter = 1.0 + 9.0 * u if amp else u
         if family.startswith("qepi"):
             trial = CHECKS[family](_exact_state(*a), _exact_state(*e), parameter)
-            draws, s1 = (e[0], e[1], e[2] / (2.0 * math.pi)), thermal_entropy(a[0])
+            draws = (e[0], e[1], e[2] / (2.0 * math.pi))
         else:
             trial = CHECKS[family](_exact_state(*a), ChannelSpec.beam_splitter(parameter, thermal_state(e[0])))
-            draws, s1 = (e[0], 0.0, 0.0), 0.0
+            draws = (e[0], 0.0, 0.0)
         label = lambda i: "the draws"  # noqa: E731
-        kind, column = KINDS["amp" if amp else "bs"], np.array([parameter])
-        invariants = _pair_invariants(kind, column, (a[0], a[1], a[2] / (2.0 * math.pi)), draws, label)
-        lhs, rhs = _single_mode_kernel(Inequality(family), column, invariants, s1, thermal_entropy(e[0]), label)
+        column = np.array([parameter])
+        lhs, rhs = _single_mode_kernel(Inequality(family), column, (a[0], a[1], a[2] / (2.0 * math.pi)), draws, label)
         for got, want in ((trial.lhs, lhs[0]), (trial.rhs, rhs[0])):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_each_evaluation_converts_once(self, monkeypatch):
-        calls, original = [], channels._pair_invariants
+        calls, original = [], channels._pair_spectra
 
         def counted(*args):
             calls.append(args[0])
             return original(*args)
 
         for module in (channels, capacities, epi):  # each module calls the name it imported
-            monkeypatch.setattr(module, "_pair_invariants", counted)
+            monkeypatch.setattr(module, "_pair_spectra", counted)
         spec = ChannelSpec.beam_splitter(0.7, squeezed_thermal_state(1.0, 0.5))
         for run, expected in (
             (lambda: check_qepi_bs(thermal_state(1.0), squeezed_thermal_state(0.5, 0.3), 0.4), 1),

@@ -5,10 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gausscap import (
+    ChannelKind,
     ChannelSpec,
     Inequality,
     check_cqepi_amp,
@@ -19,6 +20,7 @@ from gausscap import (
     check_wc_chain,
     core,
     direct_sum,
+    entropy,
     epi,
     fock_entropy_oracle,
     monte_carlo_verify,
@@ -29,6 +31,7 @@ from gausscap import (
     two_mode_squeezed_state,
     vacuum_state,
 )
+from gausscap.channels import epi_rhs
 from gausscap.core import CovarianceMatrix, PhysicalityError
 from gausscap.epi import _CHUNK, MAX_TRIALS, _Campaign, _uniform_draws
 from helpers import (
@@ -166,6 +169,59 @@ class TestChains:
         sq_spec = ChannelSpec.beam_splitter(0.5, squeezed_thermal_state(1, 0.5))
         with pytest.raises(ValueError, match="chain inequality wc-chain-bs assumes a thermal environment"):
             check_wc_chain(vacuum_state(), sq_spec)
+
+    @pytest.mark.parametrize("ne", [1e6, 1e9])
+    @pytest.mark.parametrize("check", [check_moe_chain, check_wc_chain])
+    def test_rotated_thermal_environment_is_thermal(self, check, ne):
+        # the rotation rounds the entries off the diagonal by about eps (2N + 1), far above an absolute 1e-12,
+        # and its validated nu = sqrt(det) may differ from 2N + 1 in the last bit
+        rotated = core.apply_symplectic(core.rotation_symplectic(0.3), thermal_state(ne))
+        trial = check(thermal_state(2.0), ChannelSpec.beam_splitter(0.85, rotated))
+        thermal = check(thermal_state(2.0), ChannelSpec.beam_splitter(0.85, thermal_state(ne)))
+        assert (trial.lhs, trial.rhs) == pytest.approx((thermal.lhs, thermal.rhs), rel=1e-14)
+
+
+def _near_vacuum(shortfall):
+    """(1 - shortfall) I, stored with nu within the 1e-9 tolerance below 1: entropy 0, photon number 0."""
+    return CovarianceMatrix((1.0 - shortfall) * np.eye(2))
+
+
+NEAR_VACUA = st.floats(0.0, 0.99e-9).map(_near_vacuum)
+SINGLE_MODE_STATES = st.one_of(
+    st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi)).map(
+        lambda s: CovarianceMatrix(rotated_squeezed(*s))
+    ),
+    NEAR_VACUA,
+)
+THERMAL_ENVIRONMENTS = st.one_of(st.floats(0.0, 5.0).map(thermal_state), NEAR_VACUA)
+
+
+class TestRightHandSide:
+    """The single-mode kernel derives its input entropies from each state's photon number n = (nu - 1) / 2:
+    the same bits as ``entropy`` of the validated matrix, 0 within the tolerance below nu = 1 included."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(amp=st.booleans(), u=st.floats(0.0, 1.0), a=SINGLE_MODE_STATES, e=SINGLE_MODE_STATES)
+    @example(amp=False, u=0.3, a=_near_vacuum(0.9e-9), e=thermal_state(1.0))
+    @example(amp=True, u=0.3, a=thermal_state(1.0), e=_near_vacuum(0.9e-9))
+    def test_qepi_rhs_is_epi_rhs_of_the_input_entropies(self, amp, u, a, e):
+        kind, check, parameter = (
+            (ChannelKind.AMPLIFIER, check_qepi_amp, 1.0 + 9.0 * u) if amp else (ChannelKind.BEAM_SPLITTER, check_qepi_bs, u)
+        )
+        assert check(a, e, parameter).rhs == float(epi_rhs(kind, parameter, entropy(a), entropy(e)))
+
+    @settings(deadline=None, max_examples=150)
+    @given(wc=st.booleans(), t=st.floats(0.0, 1.0), a=SINGLE_MODE_STATES, environment=THERMAL_ENVIRONMENTS)
+    @example(wc=False, t=0.3, a=thermal_state(1.0), environment=_near_vacuum(0.9e-9))
+    @example(wc=True, t=0.3, a=_near_vacuum(0.9e-9), environment=_near_vacuum(0.5e-9))
+    def test_chain_rhs_is_epi_rhs_of_the_environment_entropy(self, wc, t, a, environment):
+        trial = (check_wc_chain if wc else check_moe_chain)(a, ChannelSpec.beam_splitter(t, environment))
+        assert trial.rhs == float(epi_rhs(ChannelKind.BEAM_SPLITTER, t, 0.0, entropy(environment)))
+
+    def test_near_vacuum_inputs_have_zero_entropy(self):
+        state = _near_vacuum(0.9e-9)
+        assert state._spectrum[0] < 1.0
+        assert check_qepi_bs(state, state, 0.3).rhs == 0.0
 
 
 class TestFockOracle:

@@ -71,3 +71,47 @@ def test_declared_dependencies_match_imports():
     project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in project["dependencies"]}
     assert third_party == declared == {"numpy"}
+
+
+
+_PACKAGE = sorted((_ROOT / "src" / "gausscap").glob("*.py"))
+_MODULES = [p for p in _PACKAGE if p.name != "__init__.py"]
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Names a tree loads, attributes it reads and names it imports from other modules."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree, imported = _tree(path), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    assert imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} == set()
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    tree = _tree(path)
+    elsewhere = set().union(*(_referenced(_tree(p)) for p in _PACKAGE if p != path))
+    unreferenced = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            # in its own module, a name counts only outside its own definition
+            if node.name not in elsewhere.union(*(_referenced(other) for other in tree.body if other is not node)):
+                unreferenced.append(node.name)
+    assert unreferenced == []
