@@ -24,23 +24,14 @@ from .channels import (
     coupling,
     epi_rhs,
 )
-from .core import (_CHUNK, CovarianceMatrix, _everywhere, _mode_parameters, symplectic_eigenvalues, thermal_entropy,
-                   thermal_state)
-
-_THERMAL_ATOL = 1e-12
+from .core import _CHUNK, CovarianceMatrix, _everywhere, _is_thermal, _mode_parameters, thermal_entropy, thermal_state
 
 
 def equivalent_thermal_photon(environment: CovarianceMatrix) -> float:
-    """Photon number (nu - 1) / 2 of the equal-entropy thermal state, nu >= 1 the stored symplectic eigenvalue."""
+    """Photon number n = (nu - 1) / 2 of the equal-entropy thermal state: the n of ``core._mode_parameters``."""
     if environment.n_modes != 1:
         raise ValueError("expected a single-mode environment state")
-    return float(symplectic_eigenvalues(environment)[0] - 1.0) / 2.0
-
-
-def _is_thermal(state: CovarianceMatrix) -> bool:
-    """Whether a single-mode state is (2N + 1) I up to squeezing sinh 2r <= 1e-12, with r of
-    ``core._mode_parameters``: relative to nu, so rounding of a rotated thermal state's entries never counts."""
-    return bool(np.sinh(2.0 * _mode_parameters(state)[1][0]) <= _THERMAL_ATOL)
+    return float(_mode_parameters(environment)[0][0])
 
 
 def thermal_environment_photon(spec: ChannelSpec) -> float:
@@ -92,12 +83,24 @@ class BoundResult:
         return replace(self, units=units, **converted)
 
 
+def _finite_argument(argument, n, name: str, spec: ChannelSpec, ne: float):
+    """``argument`` of g in a closed form at input photon number(s) n, shaped like n, after
+    ``channels._require_finite`` names the first n at which it left the float range."""
+    grid = np.atleast_1d(n)
+    _require_finite((np.atleast_1d(argument),), lambda i: f"input photon number {grid[i]:.17g}",
+                    lambda k, i: f"{spec.kind.value} parameter {spec.parameter:.6g}, Ne = {ne:.6g}",
+                    (f"the argument {name} of g",))
+    return argument
+
+
 def holevo_capacity(spec: ChannelSpec, input_photon: float) -> float:
     """Holevo capacity of the thermal-noise channel at input energy N: g(pN + q Ne) - g(q Ne / d)."""
     n = _validated_photon(input_photon)
     ne = thermal_environment_photon(spec)
     p, q, _, d, _ = coupling(spec.kind, spec.parameter)
-    return thermal_entropy(p * n + q * ne) - thermal_entropy(q * ne / d)
+    with np.errstate(over="ignore"):
+        output = _finite_argument(p * n + q * ne, n, "pN + q Ne", spec, ne)
+    return thermal_entropy(output) - thermal_entropy(q * ne / d)  # q Ne / d <= pN + q Ne is finite too
 
 
 def maximal_capacity(spec: ChannelSpec, input_photon: float) -> float:
@@ -105,7 +108,9 @@ def maximal_capacity(spec: ChannelSpec, input_photon: float) -> float:
     n = _validated_photon(input_photon)
     ne = thermal_environment_photon(spec)
     p, q, _, _, v = coupling(spec.kind, spec.parameter)
-    return 2.0 * thermal_entropy(p * n + q * (ne + v))
+    with np.errstate(over="ignore"):
+        output = _finite_argument(p * n + q * (ne + v), n, "pN + q (Ne + v)", spec, ne)
+    return 2.0 * thermal_entropy(output)
 
 
 def moe_sum_lower(spec: ChannelSpec) -> float:

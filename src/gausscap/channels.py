@@ -30,7 +30,6 @@ from .core import (
     _everywhere,
     _mode_parameters,
     _reject,
-    amplifier_block,
     mixing_symplectic,
     thermal_entropy,
 )
@@ -88,8 +87,11 @@ def beam_splitter_symplectic(transmissivity: float) -> SymplecticMatrix:
 
 
 def amplifier_symplectic(gain: float) -> SymplecticMatrix:
-    """Two-mode amplifier symplectic [[sqrt(k) I, sqrt(k-1) Z], [sqrt(k-1) Z, sqrt(k) I]]."""
-    return SymplecticMatrix(amplifier_block(gain))
+    """Two-mode amplifier symplectic [[sqrt(p) I, sqrt(q) M], [sqrt(q) M, sqrt(p) I]] with (p, q, M) = (k, k - 1, Z)
+    of ``coupling``, which rejects a gain below 1."""
+    p, q, m, _, _ = coupling(ChannelKind.AMPLIFIER, gain)
+    a, b = np.sqrt(p) * _IDENTITY, np.sqrt(q) * m
+    return SymplecticMatrix(np.block([[a, b], [b, a]]))
 
 
 def channel_symplectic(spec: ChannelSpec) -> SymplecticMatrix:

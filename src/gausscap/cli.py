@@ -19,18 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacities import BoundResult, evaluate_bounds
-from .channels import ChannelSpec
-from .core import (
+from . import (  # the front end reads the package's public names only
+    BoundResult,
+    ChannelSpec,
+    Inequality,
     PhysicalityError,
     deserialize_covariance,
     entropy,
-    mean_photon_number,
+    evaluate_bounds,
+    monte_carlo_verify,
     squeezed_thermal_state,
     symplectic_eigenvalues,
     total_photon_number,
 )
-from .epi import monte_carlo_verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,22 +61,15 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _environment_state(args: argparse.Namespace):
-    ne = 1.0 if args.ne is None else args.ne
-    return squeezed_thermal_state(ne, args.squeeze)
-
-
 def _channel_spec(args: argparse.Namespace) -> ChannelSpec:
-    env = _environment_state(args)
+    env = squeezed_thermal_state(args.ne, args.squeeze)
     if args.channel == "bs":
         if args.tau is None:
             raise ValueError("--tau is required for the beam-splitter channel")
         return ChannelSpec.beam_splitter(args.tau, env)
-    if args.channel == "amp":
-        if args.kappa is None:
-            raise ValueError("--kappa is required for the amplifier channel")
-        return ChannelSpec.amplifier(args.kappa, env)
-    raise ValueError("--channel must be 'bs' or 'amp'")
+    if args.kappa is None:  # argparse admits only bs and amp
+        raise ValueError("--kappa is required for the amplifier channel")
+    return ChannelSpec.amplifier(args.kappa, env)
 
 
 def _photon_grid(args: argparse.Namespace) -> np.ndarray:
@@ -110,7 +104,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     """
     if args.note:
         print(_OMISSION_NOTE, file=sys.stderr)
-    env = _environment_state(args)
+    env = squeezed_thermal_state(args.ne, args.squeeze)
     tau = 0.85 if args.tau is None else args.tau
     kappa = 5.0 if args.kappa is None else args.kappa
     grid = _photon_grid(args)
@@ -129,18 +123,13 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 def cmd_verify_epi(args: argparse.Namespace) -> int:
     """Monte Carlo campaign for one inequality family; exit 4 on any violation."""
-    parameter_range = None
-    if args.family.endswith("amp"):
-        if args.kappa is not None:
-            parameter_range = (args.kappa, args.kappa)
-    elif args.tau is not None:
-        parameter_range = (args.tau, args.tau)
+    fixed = args.kappa if args.family.endswith("amp") else args.tau
     report = monte_carlo_verify(
         args.family,
         args.trials,
         max_photon=args.max_n,
         max_squeeze=args.max_r,
-        parameter_range=parameter_range,
+        parameter_range=None if fixed is None else (fixed, fixed),
         env_photon=args.ne,
         seed=args.seed if args.seed is not None else int(os.environ.get("GAUSSCAP_SEED", 0)),
         tolerance=args.tolerance,
@@ -161,13 +150,12 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     text = args.matrix if args.matrix is not None else Path(args.matrix_file).read_text()
     state = deserialize_covariance(json.loads(text))
     nats = entropy(state)
-    photons = mean_photon_number(state) if state.n_modes == 1 else total_photon_number(state)
     payload = {
         "n_modes": state.n_modes,
         "symplectic_eigenvalues": [float(v) for v in symplectic_eigenvalues(state)],
         "entropy_nats": nats,
         "entropy_bits": nats / math.log(2.0),
-        "mean_photon": photons,
+        "mean_photon": total_photon_number(state),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -178,7 +166,7 @@ def _add_channel_args(parser: argparse.ArgumentParser, with_channel: bool) -> No
         parser.add_argument("--channel", choices=("bs", "amp"), required=True, help="channel family")
     parser.add_argument("--tau", type=float, default=None, help="beam-splitter transmissivity in [0, 1]")
     parser.add_argument("--kappa", type=float, default=None, help="amplifier gain >= 1")
-    parser.add_argument("--ne", type=float, default=None, help="environment thermal photon number")
+    parser.add_argument("--ne", type=float, default=1.0, help="environment thermal photon number")
     parser.add_argument("--squeeze", type=float, default=0.0, help="environment squeezing parameter")
 
 
@@ -217,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify-epi", help="Monte Carlo check of one inequality family")
     verify.add_argument(
         "--family",
-        choices=("qepi-bs", "qepi-amp", "cqepi-bs", "cqepi-amp", "moe-chain-bs", "wc-chain-bs"),
-        default="qepi-bs",
+        choices=tuple(family.value for family in Inequality),
+        default=Inequality.QEPI_BS.value,
     )
     verify.add_argument("--trials", type=int, default=10000, help="1 to 2^32 trials (each index is one seed word)")
     verify.add_argument("--seed", type=int, default=None, help="defaults to $GAUSSCAP_SEED or 0")

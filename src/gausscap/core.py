@@ -23,6 +23,8 @@ PAIR_ATOL = 1e-8
 SYMPLECTIC_RTOL = 1e-12
 # Symplectic eigenvalues within this of 1 count as pure (nothing couples to a purifying mode).
 PURE_ATOL = 1e-12
+# A single-mode state with sinh 2r at most this (r of ``_mode_parameters``) counts as thermal.
+_THERMAL_ATOL = 1e-12
 # Rounding unit of float arithmetic, and the decimal digits it carries.
 _EPS = float(np.finfo(float).eps)
 _DIGITS = -math.log10(_EPS)
@@ -373,15 +375,6 @@ def mixing_symplectic(transmissivity) -> NDArray[np.float64]:
     return out
 
 
-def amplifier_block(gain: float) -> NDArray[np.float64]:
-    """Two-mode amplifier block [[sqrt(k) I, sqrt(k-1) Z], [sqrt(k-1) Z, sqrt(k) I]]."""
-    if gain < 1.0:
-        raise ValueError("amplifier gain must be >= 1")
-    a = np.sqrt(gain) * np.eye(2)
-    b = np.sqrt(gain - 1.0) * PHASE_FLIP
-    return np.block([[a, b], [b, a]])
-
-
 def apply_symplectic(transform: SymplecticMatrix | NDArray[np.float64], state: CovarianceMatrix) -> CovarianceMatrix:
     """Conjugate a covariance matrix: S @ Gamma @ S.T."""
     s = transform.data if isinstance(transform, SymplecticMatrix) else np.asarray(transform, dtype=float)
@@ -414,8 +407,8 @@ def thermal_entropy(mean_photon):
     overflow.  Accepts scalars or arrays.
     """
     x = np.asarray(mean_photon, dtype=float)
-    if not (x >= 0).all():  # also rejects NaN
-        raise ValueError("mean photon number must be nonnegative")
+    if not ((x >= 0) & (x < math.inf)).all():  # also rejects NaN
+        raise ValueError("mean photon number must be finite and nonnegative")
     safe = np.where(x > 0, x, 1.0)
     head = np.log1p(safe)
     tail = np.where(safe < 1.0, head - np.log(safe), np.log1p(1.0 / np.maximum(safe, 1.0)))
@@ -448,6 +441,12 @@ def _mode_parameters(state: CovarianceMatrix) -> tuple[NDArray[np.float64], ...]
     n = 0.0 if 1.0 - PHYSICALITY_ATOL <= nu < 1.0 else 0.5 * (nu - 1.0)
     r, u = 0.5 * math.asinh(math.hypot(half_gap, g01) / nu), math.atan2(g01, half_gap) / (4.0 * math.pi)
     return np.array([n]), np.array([r]), np.array([u])
+
+
+def _is_thermal(state: CovarianceMatrix) -> bool:
+    """Whether a single-mode state is (2N + 1) I up to squeezing sinh 2r <= 1e-12, with r of ``_mode_parameters``:
+    relative to nu, so rounding of a rotated thermal state's entries never counts."""
+    return bool(np.sinh(2.0 * _mode_parameters(state)[1][0]) <= _THERMAL_ATOL)
 
 
 def mean_photon_number(state: CovarianceMatrix) -> float:
@@ -547,12 +546,6 @@ def purify(state: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix._physical(np.block([[state.data, cross], [cross.T, np.diag(d)]]), np.ones(2 * state.n_modes))
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _sampled_symplectic(rng: np.random.Generator, n_modes: int, max_squeeze: float) -> NDArray[np.float64]:
     """Random 2n x 2n symplectic from the generator's next 3n + n(n-1)/2 ``random()`` draws.
 
@@ -596,7 +589,7 @@ def random_symplectic(n_modes: int, max_squeeze: float = 1.0, seed=None) -> Symp
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
     _check_sampling_bounds(0.0, max_squeeze)
-    return SymplecticMatrix(_sampled_symplectic(_as_generator(seed), n_modes, max_squeeze))
+    return SymplecticMatrix(_sampled_symplectic(np.random.default_rng(seed), n_modes, max_squeeze))
 
 
 def random_gaussian_state(
@@ -616,7 +609,7 @@ def random_gaussian_state(
     if n_modes < 1:
         raise ValueError("n_modes must be a positive integer")
     _check_sampling_bounds(max_photon, max_squeeze)
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unaltered
     photons = max_photon * rng.random(n_modes) if max_photon > 0 else np.zeros(n_modes)
     s = _sampled_symplectic(rng, n_modes, max_squeeze)
     # scaling the columns equals S @ diag(d) exactly: each entry has a single nonzero term

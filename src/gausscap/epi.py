@@ -35,7 +35,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .capacities import _is_thermal
 from .channels import (
     ChannelKind,
     ChannelSpec,
@@ -49,6 +48,7 @@ from .core import (
     _CHUNK,
     CovarianceMatrix,
     _check_sampling_bounds,
+    _is_thermal,
     _mode_parameters,
     _spectral_entropy,
     _stack_entropy,
@@ -379,16 +379,6 @@ def _drawn_label(i: tuple) -> str:
     return "the drawn states"
 
 
-_DEFAULT_RANGES = {
-    Inequality.QEPI_BS: (0.0, 1.0),
-    Inequality.CQEPI_BS: (0.0, 1.0),
-    Inequality.MOE_CHAIN_BS: (0.0, 1.0),
-    Inequality.WC_CHAIN_BS: (0.0, 1.0),
-    Inequality.QEPI_AMP: (1.0, 10.0),
-    Inequality.CQEPI_AMP: (1.0, 10.0),
-}
-
-
 @dataclass(frozen=True)
 class _Campaign:
     """Sampling settings of one campaign; ``lhs_rhs`` evaluates a chunk of its trials."""
@@ -497,10 +487,11 @@ def monte_carlo_verify(
         raise ValueError("env_photon must be finite and nonnegative")
     if env_photon is not None and not 2.0 * env_photon + 1.0 < math.inf:
         raise ValueError(f"env_photon must keep 2N + 1 finite: N = {env_photon:.6g} is above {sys.float_info.max / 2:.6g}")
-    prange = parameter_range if parameter_range is not None else _DEFAULT_RANGES[inequality]
-    if not all(math.isfinite(v) for v in prange):
+    if parameter_range is None:
+        parameter_range = (1.0, 10.0) if inequality in _AMPLIFIER else (0.0, 1.0)
+    if not all(math.isfinite(v) for v in parameter_range):
         raise ValueError("parameter_range must be finite")
-    campaign = _Campaign(inequality, seed, max_photon, max_squeeze, tuple(prange), env_photon)
+    campaign = _Campaign(inequality, seed, max_photon, max_squeeze, tuple(parameter_range), env_photon)
 
     chunks = (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
     slacks = np.concatenate([campaign.slacks(chunk) for chunk in chunks])

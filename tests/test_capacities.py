@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gausscap import (
     ChannelSpec,
     CovarianceMatrix,
     PhysicalityError,
+    amplifier_symplectic,
     apply_symplectic,
     coherent_information,
     coherent_lower_bound,
@@ -23,6 +25,7 @@ from gausscap import (
     private_capacity_lower_approx,
     private_capacity_upper,
     private_capacity_upper_general,
+    random_gaussian_state,
     squeezed_thermal_state,
     thermal_state,
     vacuum_state,
@@ -566,3 +569,54 @@ class TestNonFiniteInputs:
     def test_grid_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="1-D"):
             evaluate_bounds(bs(0.85, 1), np.ones((2, 2)))
+
+
+class TestClosedFormOverflow:
+    # at gain 5, k N leaves the float range at N = 1e308: the closed forms returned nan with RuntimeWarnings
+    @pytest.mark.parametrize("form,argument", [
+        (holevo_capacity, r"pN \+ q Ne"),
+        (private_capacity_lower_approx, r"pN \+ q Ne"),
+        (maximal_capacity, r"pN \+ q \(Ne \+ v\)"),
+        (private_capacity_upper, r"pN \+ q \(Ne \+ v\)"),
+    ])
+    @pytest.mark.parametrize("n", [1e308, np.array([0.0, 1e308])], ids=["scalar", "grid"])
+    def test_names_the_input_and_the_argument(self, form, argument, n):
+        message = (rf"^overflow at input photon number 1e\+308: the argument {argument} of g leaves the float range "
+                   r"\(amplifier parameter 5, Ne = 1\)$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=message):
+                form(amp(5, 1), n)
+
+
+class TestOneOwnerPerFact:
+    """The environment's photon number is ``core._mode_parameters``' n, and the amplifier symplectic is
+    built from ``channels.coupling``: each agrees bit for bit with the rule it replaced, written out here."""
+
+    @staticmethod
+    def _environments():
+        for n in (0.0, 1e-13, 0.3, 1.0, 2.5, 7.0, 1e6):
+            for r in (0.0, 1e-14, 0.4, 1.5, 3.0):
+                state = squeezed_thermal_state(n, r)
+                yield state
+                for angle in (0.3, 1.1, 2.9):
+                    yield apply_symplectic(rotation_symplectic(angle), state)
+        for seed in range(40):
+            yield random_gaussian_state(1, 4.0, 2.0, seed=seed)
+        yield CovarianceMatrix(np.eye(2) * (1.0 - 5e-10))  # validated within 1e-9 below nu = 1
+
+    def test_equivalent_photon_matches_the_clamped_eigenvalue_rule(self):
+        for state in self._environments():
+            nu = float(state._spectrum[0])
+            assert equivalent_thermal_photon(state).hex() == ((max(nu, 1.0) - 1.0) / 2.0).hex()
+
+    @pytest.mark.parametrize("gain", [1.0, 1.0 + 1e-15, 1.5, 2.0, 5.0, 37.25, 1e3, MAX_GAIN])
+    def test_amplifier_symplectic_entries(self, gain):
+        a, b = math.sqrt(gain) * np.eye(2), math.sqrt(gain - 1.0) * np.diag([1.0, -1.0])
+        expected = np.block([[a, b], [b, a]])
+        assert amplifier_symplectic(gain).data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("gain", [0.5, 1.0 - 1e-15, math.nan])
+    def test_amplifier_gain_below_one_is_rejected(self, gain):
+        with pytest.raises(ValueError, match="^gain must be >= 1$"):
+            amplifier_symplectic(gain)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -292,6 +293,51 @@ GOLDEN_REPORTS = {
     "wc-chain-bs": ("0.01480334292601194", "2.0891677515364555"),
 }
 
+# SHA-256 of the default fig2 datasets, then the first 8 hex digits of each line's SHA-256, header first, which
+# locate the first line that moved.
+GOLDEN_FIG2 = {
+    "bs": (
+        "85a841bcb082c78ef9643669d0d218511869dca4475e04654b027caf93a52397",
+        "a38cb6e73b3c17a099544ced208e2d64e75dbc3c3091256de73319f17de8c70bcef655a616c10150698e879a79af7077"
+        "c67f9c978f4a391ee4ceec402a150ca1693a9251cd6570ecb589b453ffbd285737ffef6e35382415a006e9d1e5fafb0e"
+        "7674335309b3a3614ccaedb743a9a85f508eb575379c5b7fb6a8ff6da0c309c5e23f12fac92cc63da47539659fae6f74"
+        "6a24b6c033bdc12d43c6229cd6144f30b9125c37900e1782e357daac3524901f6ddd9a5f9bbab3be7699a9ba56ae6b6b"
+        "4d53f539dd35f6ddff4af45f0e11696a4a70006092680a5e7d8080735e5bc039b46b75a3f67e5629edbe4d8bdc6bd6da"
+        "855bc150f5b18274d0d34d2d84a087f87f6c7b09cf23e614095529431bb8fd98a8b60ec14b07a0358adb04adfc6e66b1"
+        "5ddd3213a04896d6249c0d5022c5c44fb79b7ffbcc02526518f871a6220a335ae307925967bb91d283427cea988b33e2"
+        "63aded4240e9837b6f13c8c5fa04c7743f3945e99fa63d3be9a233704fef8a96c1008bbc7e5232fe614e33e2b29041bf"
+        "fa9c5a1dd94df601465d383164f1714329c1a2f4df407966",
+    ),
+    "amp": (
+        "e703986f01afab6237ee12f5058f020ad3802d314598c1a65eaaf156175159a3",
+        "a38cb6e764e1457db9a79330fd33a67e2f2373a859e510e4fae319775defa3a5947655b650aace36e1350a13870bab80"
+        "69a63ab657913de4dec72069c8503cab13ca0b94677c7c2313a1bf4cd22bb7aa9e6cfe453b69f487b22c64aef4160fdf"
+        "c178355de67ff36b9fadf85ecb3044ac26ad59fcf88f044bcc8776e5366cb38d62fb1221857c8a850ca37f5a4c9944b7"
+        "6828a1a49d9416b7c99ef3412cf45c7b597482770692781004c977fa440c7df684e67dbe8685a4114079f049048b7762"
+        "999f14c1eddcf021a249219b52489e177c686ae13d8da5cbe0e26c59dcdb3633ddad41fa42210856aa512d4400f786b0"
+        "4d1cd1df78ad2bd96bf0e8e04d6d837ae70c6d63517270f383bf793034a81813b5dd37f7f54114799d4ca3ffa892c8b3"
+        "ae3383a6046a9f4f39a3646e125a91c81699c9c9b3ada989baedd61fd5378cbb8a5135234fc67e2339d1573055783391"
+        "9a592b03e17e7fcb98e205114fdc058722857e2162677e50d4037738845b43b95eb8be48922d9e7994c41deb6dde5d33"
+        "3643791038801530c9cad2cf19fe416e97ecf8e561289842",
+    ),
+}
+
+
+class TestGoldenFig2:
+    @pytest.mark.parametrize("tag", sorted(GOLDEN_FIG2))
+    def test_default_dataset_is_byte_identical(self, tmp_path, tag):
+        assert main(["fig2", "--out", str(tmp_path / "fig2")]) == 0
+        data = (tmp_path / f"fig2_{tag}.csv").read_bytes()
+        digest, line_digests = GOLDEN_FIG2[tag]
+        if hashlib.sha256(data).hexdigest() != digest:
+            lines = data.decode().splitlines()
+            golden = [line_digests[i:i + 8] for i in range(0, len(line_digests), 8)]
+            digests = [hashlib.sha256(line.encode()).hexdigest()[:8] for line in lines]
+            moved = [i for i, d in enumerate(digests) if i >= len(golden) or d != golden[i]]
+            first = moved[0] if moved else len(lines)
+            pytest.fail(f"fig2_{tag}.csv differs from its golden first at line {first} (0 is the header; "
+                        f"{len(lines)} lines, golden {len(golden)}): {lines[first] if moved else '<missing>'}")
+
 
 class TestGoldenReports:
     @pytest.mark.parametrize("family", sorted(GOLDEN_REPORTS))
@@ -507,6 +553,17 @@ class TestBoundsErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message)
+
+    def test_amplifier_closed_form_overflow_is_numerical_error(self, capsys):
+        # k N leaves the float range at the second grid point: the closed forms returned nan after RuntimeWarnings
+        argv = ["bounds", "--channel", "amp", "--kappa", "5", "--ne", "1", "--n-stop", "1e308", "--n-steps", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical error: overflow at input photon number 5.0000000000000001e+307: the argument "
+                                "pN + q Ne of g leaves the float range (amplifier parameter 5, Ne = 1)\n")
 
     def test_environment_beyond_the_float_range_is_numerical_error(self, capsys):
         # (2N + 1) I is finite at N = 8e307, but det G_E - 1 = 4N(N + 1) is not: the message names N_E

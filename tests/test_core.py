@@ -32,7 +32,8 @@ from gausscap import (
     vacuum_state,
     williamson,
 )
-from gausscap.core import _EPS, _mode_parameters, _validated, amplifier_block
+from gausscap.channels import amplifier_symplectic
+from gausscap.core import _EPS, _mode_parameters, _validated
 from helpers import (
     G_DIRECT_MAX,
     g_direct,
@@ -177,10 +178,10 @@ class TestThermalEntropy:
         with pytest.raises(ValueError):
             thermal_entropy(-1e-9)
 
-    @pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])])
+    @pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan]), math.inf, np.array([1.0, math.inf])])
     def test_rejects_nan(self, x):
-        # NaN fails both x < 0 and x > 0, so it used to come back as a zero entropy
-        with pytest.raises(ValueError, match="nonnegative"):
+        # NaN fails both x < 0 and x > 0, so it used to come back as a zero entropy; infinity came back as NaN
+        with pytest.raises(ValueError, match="^mean photon number must be finite and nonnegative$"):
             thermal_entropy(x)
 
     def test_direct_oracle_refuses_to_cancel(self):
@@ -554,13 +555,13 @@ class TestSymplecticTolerance:
     def test_uniform_rescale_of_large_matrix_rejected(self, scale):
         # (1 + eps) S deviates by 2 eps Omega, which does not grow with |S|
         with pytest.raises(ValueError, match="symplectic"):
-            SymplecticMatrix(amplifier_block(1e6) * scale)
+            SymplecticMatrix(amplifier_symplectic(1e6).data * scale)
 
     def test_message_names_the_checked_excess_and_bound(self):
         # the raw residual of this matrix is 8e-5; the checked excess, relative to the roundoff scale, is 4e-11
         with pytest.raises(ValueError, match=r"^matrix is not symplectic: S Omega S\.T - Omega reaches 4\.000e-11 "
                                              r"of its roundoff scale .*, more than 1e-12$"):
-            SymplecticMatrix(amplifier_block(1e6) * (1.0 + 4e-5))
+            SymplecticMatrix(amplifier_symplectic(1e6).data * (1.0 + 4e-5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):
@@ -568,7 +569,7 @@ class TestSymplecticTolerance:
             SymplecticMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_roundoff_of_exact_symplectics_accepted(self):
-        SymplecticMatrix(amplifier_block(1e6))
+        SymplecticMatrix(amplifier_symplectic(1e6).data)
         for seed in range(20):
             random_symplectic(4, max_squeeze=3.0, seed=seed)
         for seed in range(5):

@@ -115,3 +115,30 @@ def test_every_private_definition_is_referenced(path):
             if node.name not in elsewhere.union(*(_referenced(other) for other in tree.body if other is not node)):
                 unreferenced.append(node.name)
     assert unreferenced == []
+
+
+# Each library layer may import only the layers below it: core < channels < {capacities, epi}.
+_LOWER_LAYERS = {
+    "core.py": set(),
+    "channels.py": {"core"},
+    "capacities.py": {"core", "channels"},
+    "epi.py": {"core", "channels"},
+}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The gausscap modules a module imports, relatively or absolutely, deferred imports included."""
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("gausscap"):
+            names.update([node.module.partition(".")[2]] if "." in node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[2] for alias in node.names if alias.name.startswith("gausscap."))
+    return {name.partition(".")[0] for name in names}
+
+
+@pytest.mark.parametrize("name", sorted(_LOWER_LAYERS))
+def test_layers_import_only_lower_layers(name):
+    assert _package_imports(_ROOT / "src" / "gausscap" / name) <= _LOWER_LAYERS[name]
