@@ -35,11 +35,11 @@ def equivalent_thermal_photon(environment: CovarianceMatrix) -> float:
 
 
 def thermal_environment_photon(spec: ChannelSpec) -> float:
-    """Mean photon number (nu - 1) / 2 of a thermal environment (``_is_thermal``); error for other noise."""
-    if not _is_thermal(spec.environment):
+    """The stored n = (nu - 1) / 2 of a thermal environment (``_is_thermal``); error for other noise."""
+    if not _is_thermal(spec._environment_modes):
         raise ValueError("this formula assumes a thermal environment; "
                          "use private_capacity_upper_general for general Gaussian noise")
-    return equivalent_thermal_photon(spec.environment)
+    return float(spec._environment_modes[0][0])
 
 
 def _validated_photon(input_photon):
@@ -128,12 +128,12 @@ def private_capacity_upper(spec: ChannelSpec, input_photon: float) -> float:
 def private_capacity_upper_general(spec: ChannelSpec, input_photon: float) -> float:
     """Upper bound for a general Gaussian environment via its equivalent photon number.
 
-    Substitutes N* = (nu - 1) / 2 of ``equivalent_thermal_photon`` into the
+    Substitutes N* = (nu - 1) / 2, the n of the spec's stored (n, r, u), into the
     thermal formulas, so the bound depends on the environment only through
     its symplectic eigenvalue nu: it is ``private_capacity_upper`` bit for bit
     on thermal noise, and does not depend on squeezing.
     """
-    ne_star = equivalent_thermal_photon(spec.environment)
+    ne_star = float(spec._environment_modes[0][0])
     return private_capacity_upper(ChannelSpec(spec.kind, spec.parameter, thermal_state(ne_star)), input_photon)
 
 
@@ -146,7 +146,7 @@ def coherent_information(spec: ChannelSpec, input_photon):
     """S(channel output) - S(complementary output) for a thermal input of energy N.
 
     ``input_photon`` is a scalar or a 1-D array.  One ``channels._pair_spectra``
-    call on the input (N, r = 0, u = 0) and the environment's
+    call on the input (N, r = 0, u = 0) and the environment's stored
     ``core._mode_parameters`` gives the spectra for every N at once.  A failing
     check names the first failing input photon number; an overflow also names
     what left the float range and the (n, r) or invariants it comes from.
@@ -154,7 +154,7 @@ def coherent_information(spec: ChannelSpec, input_photon):
     n = _validated_photon(input_photon)
     grid = np.atleast_1d(n)
     label = lambda i: f"input photon number {grid[i]:.17g}"  # noqa: E731
-    modes = (grid, 0.0, 0.0), _mode_parameters(spec.environment)
+    modes = (grid, 0.0, 0.0), spec._environment_modes
     entropies = _factor_entropies(_pair_spectra(spec.kind, spec.parameter, *modes, label))
     info = entropies[0] - (entropies[1] + entropies[2])
     return float(info[0]) if np.ndim(n) == 0 else info
@@ -193,7 +193,7 @@ def coherent_lower_bound(spec: ChannelSpec, input_photon, second_argument: str =
 def evaluate_bounds(spec: ChannelSpec, input_photon, units: str = "nats", coherent_second_arg: str = "square"):
     """Evaluate every bound at one N, or at each N of a 1-D array (a list of results).
 
-    The closed forms take a thermal environment of ``equivalent_thermal_photon``
+    The closed forms take a thermal environment of the spec's stored n
     photons, the coherent-information columns the actual environment.  The grid
     runs in slices of ``_CHUNK`` points, so memory does not grow with it: one
     call each of ``holevo_capacity``, ``maximal_capacity`` and
@@ -202,9 +202,9 @@ def evaluate_bounds(spec: ChannelSpec, input_photon, units: str = "nats", cohere
     """
     n = _validated_photon(input_photon)
     unit = _nats_per(units)
-    ne = equivalent_thermal_photon(spec.environment)
+    ne = float(spec._environment_modes[0][0])
     formula_spec = ChannelSpec(spec.kind, spec.parameter, thermal_state(ne))
-    label = "thermal_photon" if _is_thermal(spec.environment) else "equivalent_photon"
+    label = "thermal_photon" if _is_thermal(spec._environment_modes) else "equivalent_photon"
     knob = "transmissivity" if spec.kind is ChannelKind.BEAM_SPLITTER else "gain"
     channel = f"{spec.kind.value}({knob}={spec.parameter:.12g}, {label}={ne:.12g})"
     moe = moe_sum_lower(formula_spec)

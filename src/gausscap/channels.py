@@ -49,7 +49,9 @@ class ChannelSpec:
     """Channel family, mixing parameter, and single-mode environment state.
 
     The parameter lies in the family's range of ``coupling``, with gains
-    capped at MAX_GAIN; gain 1 degenerates to the identity channel.
+    capped at MAX_GAIN; gain 1 degenerates to the identity channel.  The
+    environment's ``core._mode_parameters`` (n, r, u) are computed once and
+    stored as ``_environment_modes``, a plain attribute outside equality and repr.
     """
 
     kind: ChannelKind
@@ -62,6 +64,7 @@ class ChannelSpec:
         coupling(self.kind, self.parameter)  # raises outside the family's range
         if self.parameter > MAX_GAIN:
             raise ValueError(f"gain must lie in [1, {MAX_GAIN:g}]")
+        object.__setattr__(self, "_environment_modes", _mode_parameters(self.environment))
 
     @classmethod
     def beam_splitter(cls, transmissivity: float, environment: CovarianceMatrix) -> "ChannelSpec":
@@ -255,9 +258,9 @@ def _single_mode_data(state: CovarianceMatrix) -> np.ndarray:
 
 
 def _input_modes(state: CovarianceMatrix, spec: ChannelSpec) -> tuple:
-    """``core._mode_parameters`` (n, r, u) of the single-mode channel input, then of the environment."""
+    """``core._mode_parameters`` (n, r, u) of the single-mode channel input, then the environment's stored ones."""
     _single_mode_data(state)
-    return _mode_parameters(state), _mode_parameters(spec.environment)
+    return _mode_parameters(state), spec._environment_modes
 
 
 def apply_channel(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import (  # the front end reads the package's public names only
     BoundResult,
+    ChannelKind,
     ChannelSpec,
     Inequality,
     PhysicalityError,
@@ -61,15 +62,21 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _fixed(args: argparse.Namespace, kind: ChannelKind, owner: str) -> tuple[str, float | None]:
+    """The option fixing a ``kind`` channel's parameter (--tau or --kappa) and its value; error if the other is set."""
+    used, unused = ("kappa", "tau") if kind is ChannelKind.AMPLIFIER else ("tau", "kappa")
+    if getattr(args, unused) is not None:
+        raise ValueError(f"--{unused} does not apply to {owner}; use --{used}")
+    return used, getattr(args, used)
+
+
 def _channel_spec(args: argparse.Namespace) -> ChannelSpec:
     env = squeezed_thermal_state(args.ne, args.squeeze)
-    if args.channel == "bs":
-        if args.tau is None:
-            raise ValueError("--tau is required for the beam-splitter channel")
-        return ChannelSpec.beam_splitter(args.tau, env)
-    if args.kappa is None:  # argparse admits only bs and amp
-        raise ValueError("--kappa is required for the amplifier channel")
-    return ChannelSpec.amplifier(args.kappa, env)
+    kind = ChannelKind.BEAM_SPLITTER if args.channel == "bs" else ChannelKind.AMPLIFIER  # choices: bs, amp
+    option, parameter = _fixed(args, kind, f"the {kind.value} channel")
+    if parameter is None:
+        raise ValueError(f"--{option} is required for the {kind.value} channel")
+    return ChannelSpec(kind, parameter, env)
 
 
 def _photon_grid(args: argparse.Namespace) -> np.ndarray:
@@ -123,7 +130,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 def cmd_verify_epi(args: argparse.Namespace) -> int:
     """Monte Carlo campaign for one inequality family; exit 4 on any violation."""
-    fixed = args.kappa if args.family.endswith("amp") else args.tau
+    fixed = _fixed(args, Inequality(args.family).kind, f"the {args.family} family")[1]
     report = monte_carlo_verify(
         args.family,
         args.trials,

@@ -443,10 +443,10 @@ def _mode_parameters(state: CovarianceMatrix) -> tuple[NDArray[np.float64], ...]
     return np.array([n]), np.array([r]), np.array([u])
 
 
-def _is_thermal(state: CovarianceMatrix) -> bool:
-    """Whether a single-mode state is (2N + 1) I up to squeezing sinh 2r <= 1e-12, with r of ``_mode_parameters``:
+def _is_thermal(modes: tuple[NDArray[np.float64], ...]) -> bool:
+    """Whether the single-mode state of ``_mode_parameters`` (n, r, u) is (2N + 1) I up to squeezing sinh 2r <= 1e-12:
     relative to nu, so rounding of a rotated thermal state's entries never counts."""
-    return bool(np.sinh(2.0 * _mode_parameters(state)[1][0]) <= _THERMAL_ATOL)
+    return bool(np.sinh(2.0 * modes[1][0]) <= _THERMAL_ATOL)
 
 
 def mean_photon_number(state: CovarianceMatrix) -> float:

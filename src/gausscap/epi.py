@@ -12,11 +12,13 @@ closed-form output spectra of ``channels._pair_spectra``, which are sums of
 nonnegative terms, so no determinant cancels at any squeezing, and rhs from
 the input entropies g(n).  A campaign passes each trial's drawn photon
 numbers, squeezings and angles and builds no matrix, and a ``check_*`` call
-converts each validated matrix once (``core._mode_parameters``).  The cqepi kernel
+converts each validated input matrix once (``core._mode_parameters``; a chain
+reads its environment's from the ``ChannelSpec``).  The cqepi kernel
 (``_conditional_kernel``) builds the (B, Z1, Z2) output of two-mode inputs
 and validates it and the Z marginals like a ``CovarianceMatrix``; sampled
-two-mode squeezed inputs carry their exact spectra, and a ``check_*`` call
-is a stack of one.  The right-hand sides are ``channels.epi_rhs``.
+two-mode squeezed inputs carry their exact spectra.  Every ``check_*`` call is
+a stack of one through its family's kernel (``_trial``), whose channel is
+``Inequality.kind``; the right-hand sides are ``channels.epi_rhs``.
 Campaign results are reproducible: trial i's uniform draws
 are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
 for a whole chunk at once as array arithmetic (``_uniform_draws``); the
@@ -68,6 +70,12 @@ class Inequality(Enum):
     MOE_CHAIN_BS = "moe-chain-bs"
     WC_CHAIN_BS = "wc-chain-bs"
 
+    @property
+    def kind(self) -> ChannelKind:
+        """The channel the family is stated for: the amplifier (qepi-amp, cqepi-amp) or the beam splitter."""
+        amplifier = self in (Inequality.QEPI_AMP, Inequality.CQEPI_AMP)
+        return ChannelKind.AMPLIFIER if amplifier else ChannelKind.BEAM_SPLITTER
+
 
 @dataclass(frozen=True)
 class EpiTrial:
@@ -102,7 +110,6 @@ class EpiReport:
 
 _PLAIN = (Inequality.QEPI_BS, Inequality.QEPI_AMP)
 _CONDITIONAL = (Inequality.CQEPI_BS, Inequality.CQEPI_AMP)
-_AMPLIFIER = (Inequality.QEPI_AMP, Inequality.CQEPI_AMP)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +121,7 @@ def _single_mode_kernel(inequality: Inequality, parameter, a, e, label) -> tuple
     ``channels._pair_spectra`` takes them: lhs = S(B), from its closed-form spectrum, or for wc-chain-bs
     S(F, C) of the complementary output; rhs = ``epi_rhs``(s1, s2), with (s1, s2) = (g(n_A), g(n_E)), the
     inputs' entropies (qepi), or (0, g(n_E)) (chains), the output-entropy floor of a thermal environment."""
-    kind = _kind(inequality)
+    kind = inequality.kind
     xs = _pair_spectra(kind, parameter, a, e, label)
     lhs = _factor_entropies(xs[1:]).sum(axis=0) if inequality is Inequality.WC_CHAIN_BS else _factor_entropies(xs[0])
     s1, s2 = thermal_entropy(np.stack([a[0], e[0]])) if inequality in _PLAIN else (0.0, thermal_entropy(e[0]))
@@ -150,46 +157,35 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) 
 # single checks: user matrices turned into (n, r, u), or a stack of one
 # ---------------------------------------------------------------------------
 
-def _kind(inequality: Inequality) -> ChannelKind:
-    return ChannelKind.AMPLIFIER if inequality in _AMPLIFIER else ChannelKind.BEAM_SPLITTER
-
-
-def _matrix_label(i: tuple) -> str:
-    """Where the spectra of a check's input matrices fail."""
-    return "the input matrices"
-
-
-def _trial(inequality: Inequality, parameter: float, inputs: tuple[CovarianceMatrix, ...], lhs_rhs) -> EpiTrial:
-    lhs, rhs = lhs_rhs
+def _trial(inequality: Inequality, parameter: float, inputs: tuple[CovarianceMatrix, ...], first, second) -> EpiTrial:
+    """Any of the six checks as a stack of one through its family's kernel, on the (n, r, u) of single-mode
+    inputs (qepi, chains) or the (data, spectra) stacks of two-mode ones (cqepi)."""
+    column = np.array([parameter], dtype=float)
+    if inequality in _CONDITIONAL:
+        lhs, rhs = _conditional_kernel(inequality.kind, column, first, second)
+    else:
+        lhs, rhs = _single_mode_kernel(inequality, column, first, second, lambda i: "the input matrices")
     return EpiTrial(inequality, parameter, inputs, float(lhs[0]), float(rhs[0]))
 
 
-def _single_mode_trial(inequality: Inequality, parameter: float, a: CovarianceMatrix, e: CovarianceMatrix,
-                       inputs: tuple[CovarianceMatrix, ...]) -> EpiTrial:
-    """``_single_mode_kernel`` on the (n, r, u) of the validated input A and environment E, computed once."""
-    parameter_array, modes = np.array([parameter], dtype=float), (_mode_parameters(a), _mode_parameters(e))
-    return _trial(inequality, parameter, inputs, _single_mode_kernel(inequality, parameter_array, *modes, _matrix_label))
-
-
 def _pair_trial(inequality: Inequality, first: CovarianceMatrix, second: CovarianceMatrix, parameter: float) -> EpiTrial:
-    """A qepi check on the (n, r, u) of its inputs, or a cqepi check: its kernel on stacks of one."""
+    """A qepi check on the (n, r, u) of its inputs, or a cqepi check on their (data, spectra)."""
     if inequality in _PLAIN:
         _require_modes(1, first, second)
-        return _single_mode_trial(inequality, parameter, first, second, (first, second))
+        return _trial(inequality, parameter, (first, second), _mode_parameters(first), _mode_parameters(second))
     _require_modes(2, first, second)
-    stacks = ((s.data[None], symplectic_eigenvalues(s)[None]) for s in (first, second))
-    return _trial(inequality, parameter, (first, second),
-                  _conditional_kernel(_kind(inequality), np.array([parameter], dtype=float), *stacks))
+    pair1, pair2 = ((s.data[None], symplectic_eigenvalues(s)[None]) for s in (first, second))
+    return _trial(inequality, parameter, (first, second), pair1, pair2)
 
 
 def _chain_trial(inequality: Inequality, state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
-    """A chain check on the (n, r, u) of the input and its thermal environment."""
+    """A chain check on the (n, r, u) of the input and the spec's stored ones of its thermal environment."""
     if spec.kind is not ChannelKind.BEAM_SPLITTER:
         raise ValueError("chain inequalities are checked for the beam splitter")
     _require_modes(1, state)
-    if not _is_thermal(spec.environment):
+    if not _is_thermal(spec._environment_modes):
         raise ValueError(f"the chain inequality {inequality.value} assumes a thermal environment (2N + 1) I")
-    return _single_mode_trial(inequality, spec.parameter, state, spec.environment, (state,))
+    return _trial(inequality, spec.parameter, (state,), _mode_parameters(state), spec._environment_modes)
 
 
 def check_qepi_bs(state1: CovarianceMatrix, state2: CovarianceMatrix, transmissivity: float) -> EpiTrial:
@@ -424,7 +420,7 @@ class _Campaign:
             pair1, pair2 = (
                 _two_mode_squeezed_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]) for d in (first, second)
             )
-            return _conditional_kernel(_kind(inequality), parameter, pair1, pair2)
+            return _conditional_kernel(inequality.kind, parameter, pair1, pair2)
         if inequality in _PLAIN:
             a, e = self._modes(first), self._modes(second)
         else:  # a chain: the input against a thermal environment, r = 0
@@ -487,8 +483,10 @@ def monte_carlo_verify(
         raise ValueError("env_photon must be finite and nonnegative")
     if env_photon is not None and not 2.0 * env_photon + 1.0 < math.inf:
         raise ValueError(f"env_photon must keep 2N + 1 finite: N = {env_photon:.6g} is above {sys.float_info.max / 2:.6g}")
+    if env_photon is not None and inequality in _PLAIN + _CONDITIONAL:
+        raise ValueError(f"env_photon does not apply to {inequality.value}: it fixes a chain's thermal environment")
     if parameter_range is None:
-        parameter_range = (1.0, 10.0) if inequality in _AMPLIFIER else (0.0, 1.0)
+        parameter_range = (1.0, 10.0) if inequality.kind is ChannelKind.AMPLIFIER else (0.0, 1.0)
     if not all(math.isfinite(v) for v in parameter_range):
         raise ValueError("parameter_range must be finite")
     campaign = _Campaign(inequality, seed, max_photon, max_squeeze, tuple(parameter_range), env_photon)

@@ -179,6 +179,8 @@ class TestPrivateUpperGeneral:
 
     def test_equivalent_photon_from_determinant(self):
         assert equivalent_thermal_photon(squeezed_thermal_state(1.25, 0.9)) == pytest.approx(1.25, rel=1e-12)
+        with pytest.raises(ValueError, match="^expected a single-mode environment state$"):
+            equivalent_thermal_photon(vacuum_state(2))
 
 
 class TestPrivateLowerApprox:
@@ -426,6 +428,7 @@ class TestEvaluateBounds:
             assert getattr(bits, name) == pytest.approx(getattr(nats, name) / math.log(2), rel=1e-14)
         back = bits.as_units("nats")
         assert back.upper == pytest.approx(nats.upper, rel=1e-14)
+        assert nats.as_units("nats") is nats and bits.as_units("bits") is bits
 
     def test_invalid_units(self):
         with pytest.raises(ValueError):

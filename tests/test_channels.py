@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,9 +23,13 @@ from gausscap import (
     complementary,
     direct_sum,
     entropy,
+    evaluate_bounds,
+    holevo_capacity,
     mean_photon_number,
     output_entropies,
     partial_trace,
+    private_capacity_upper,
+    private_capacity_upper_general,
     purify,
     random_gaussian_state,
     squeezed_thermal_state,
@@ -32,7 +37,7 @@ from gausscap import (
     vacuum_state,
     weak_complementary,
 )
-from gausscap import capacities, channels, epi
+from gausscap import capacities, channels, core, epi
 from gausscap.channels import MAX_GAIN, _complementary_map, _pair_spectra, channel_map
 from gausscap.core import PHASE_FLIP, CovarianceMatrix, _mode_parameters
 from gausscap.epi import Inequality, _Campaign, _single_mode_kernel
@@ -65,6 +70,8 @@ class TestChannelSpec:
             ChannelSpec.beam_splitter(1.5, env)
         with pytest.raises(ValueError):
             ChannelSpec.beam_splitter(-0.1, env)
+        with pytest.raises(ValueError, match=r"^transmissivity must lie in \[0, 1\]$"):
+            beam_splitter_symplectic(1.5)
 
     def test_gain_range(self):
         env = thermal_state(1)
@@ -439,6 +446,40 @@ class TestOneConversion:
             (lambda: coherent_information(spec, np.linspace(0.0, 10.0, 11)), 1),
             (lambda: _Campaign(Inequality.QEPI_AMP, 3, 5.0, 1.5, (1.0, 10.0), None).slacks(range(100)), 1),
             (lambda: output_entropies(thermal_state(2.0), spec), 2),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == expected
+
+    def test_each_environment_converts_once(self, monkeypatch):
+        """A spec converts its environment to (n, r, u) once, when it is built; an evaluation converts its
+        own input, and the closed forms their thermal stand-in spec, but never the environment again."""
+        calls, original = [], core._mode_parameters
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        for module in (core, channels, capacities, epi):  # each module calls the name it imported
+            monkeypatch.setattr(module, "_mode_parameters", counted)
+        squeezed = ChannelSpec.beam_splitter(0.7, squeezed_thermal_state(1.0, 0.5))
+        # stored outside the dataclass fields: equality and repr see kind, parameter and environment only
+        assert [field.name for field in dataclasses.fields(squeezed)] == ["kind", "parameter", "environment"]
+        assert "_environment_modes" not in repr(squeezed)
+        thermal = ChannelSpec.beam_splitter(0.6, thermal_state(1.5))
+        amplifier = ChannelSpec.amplifier(2.0, thermal_state(1.0))
+        state = squeezed_thermal_state(0.5, 0.3)
+        for run, expected in (
+            (lambda: ChannelSpec.amplifier(3.0, squeezed_thermal_state(1.0, 0.2)), 1),
+            (lambda: evaluate_bounds(squeezed, np.linspace(0.0, 10.0, 101)), 1),
+            (lambda: evaluate_bounds(amplifier, np.linspace(0.0, 10.0, 1100)), 1),
+            (lambda: private_capacity_upper(amplifier, 2.0), 0),
+            (lambda: private_capacity_upper_general(squeezed, 2.0), 1),
+            (lambda: holevo_capacity(thermal, np.linspace(0.0, 10.0, 11)), 0),
+            (lambda: check_moe_chain(state, thermal), 1),
+            (lambda: check_wc_chain(state, thermal), 1),
+            (lambda: output_entropies(state, squeezed), 1),
+            (lambda: complementary(state, squeezed), 1),
         ):
             calls.clear()
             run()

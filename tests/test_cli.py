@@ -154,6 +154,17 @@ class TestBounds:
     def test_missing_parameter_is_config_error(self, capsys):
         assert main(["bounds", "--channel", "bs", "--ne", "1"]) == EXIT_CONFIG
         assert "tau" in capsys.readouterr().err
+        assert main(["bounds", "--channel", "amp"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: --kappa is required for the amplifier channel\n"
+
+    @pytest.mark.parametrize("channel,extra,message", [
+        ("bs", ["--tau", "0.5", "--kappa", "5"], "--kappa does not apply to the beam_splitter channel; use --tau"),
+        ("amp", ["--kappa", "5", "--tau", "0.5"], "--tau does not apply to the amplifier channel; use --kappa"),
+    ])
+    def test_option_of_the_other_channel_is_config_error(self, capsys, channel, extra, message):
+        assert main(["bounds", "--channel", channel] + extra) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"configuration error: {message}\n"
 
     def test_out_of_range_parameter_is_config_error(self, capsys):
         rc = main(["bounds", "--channel", "bs", "--tau", "1.5", "--ne", "1"])
@@ -198,6 +209,14 @@ class TestFig2:
         for row in bs_rows:
             assert row[header.index("upper")] == row[header.index("lower_approx")]
 
+    def test_takes_both_channel_options(self, tmp_path, capsys):
+        # one panel per channel: --tau sets the beam splitter's parameter, --kappa the amplifier's
+        prefix = tmp_path / "fig2"
+        assert main(["fig2", "--out", str(prefix), "--tau", "0.5", "--kappa", "3", "--n-steps", "3"]) == 0
+        for tag, option, value in (("bs", "--tau", "0.5"), ("amp", "--kappa", "3")):
+            assert main(["bounds", "--channel", tag, option, value, "--n-steps", "3"]) == 0
+            assert (tmp_path / f"fig2_{tag}.csv").read_text() == capsys.readouterr().out
+
     def test_note_goes_to_stderr(self, tmp_path, capsys):
         prefix = tmp_path / "fig2"
         assert main(["fig2", "--out", str(prefix), "--note"]) == 0
@@ -207,13 +226,20 @@ class TestFig2:
 
 
 class TestModuleEntryPoint:
-    @pytest.mark.parametrize("argv", [["fig2", "--out", "{tmp}/fig2"], ["verify-epi", "--trials", "200", "--seed", "42"]])
+    @pytest.mark.parametrize("argv", [
+        ["gausscap", "fig2", "--out", "{tmp}/fig2"],
+        ["gausscap", "verify-epi", "--trials", "200", "--seed", "42"],
+        ["gausscap", "--help"],  # the package's __main__
+        ["gausscap.cli", "--help"],  # the module run as a script
+    ])
     def test_python_dash_m_runs_without_numpy_warnings(self, tmp_path, argv):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "gausscap"] + [a.format(tmp=tmp_path) for a in argv]
+        command = [sys.executable, "-W", "error::RuntimeWarning", "-m"] + [a.format(tmp=tmp_path) for a in argv]
         done = subprocess.run(command, capture_output=True, text=True, env=env)
         assert done.returncode == 0, done.stderr
+        if argv[-1] == "--help":
+            assert done.stdout.startswith("usage: gausscap ") and done.stderr == ""
 
 
 class TestVerifyEpi:
@@ -422,6 +448,15 @@ class TestVerifyEpiErrors:
             (["--tolerance", "nan"], EXIT_CONFIG, "tolerance must be finite"),
             (["--max-n", "nan"], EXIT_CONFIG, "sampling bounds must be finite"),
             (["--family", "wc-chain-bs", "--ne", "inf"], EXIT_CONFIG, "env_photon must be finite"),
+            # an option that does not apply to the family is refused, not dropped
+            (["--family", "qepi-amp", "--tau", "0.5"], EXIT_CONFIG,
+             "^configuration error: --tau does not apply to the qepi-amp family; use --kappa$"),
+            (["--family", "qepi-bs", "--kappa", "7"], EXIT_CONFIG,
+             "^configuration error: --kappa does not apply to the qepi-bs family; use --tau$"),
+            (["--family", "moe-chain-bs", "--kappa", "2"], EXIT_CONFIG, "--kappa does not apply to the moe-chain-bs"),
+            *((["--family", family, "--ne", "3"], EXIT_CONFIG,
+               f"^configuration error: env_photon does not apply to {family}: it fixes a chain's thermal environment$")
+              for family in ("qepi-bs", "qepi-amp", "cqepi-bs", "cqepi-amp")),
         ],
     )
     def test_exit_code_and_message(self, capsys, extra, code, message):

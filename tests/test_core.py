@@ -476,6 +476,8 @@ class TestConditionalEntropy:
         state = direct_sum(thermal_state(1.3), thermal_state(0.4))
         cond = conditional_entropy(state, ModePartition(kept=(0,), traced=(1,)))
         assert cond == pytest.approx(entropy(thermal_state(1.3)), abs=1e-12)
+        # nothing traced: conditioning on nothing leaves the joint entropy
+        assert conditional_entropy(state, ModePartition(kept=(1, 0), traced=())) == entropy(state)
 
     def test_two_mode_squeezed_is_negative(self):
         r = 0.8

@@ -284,6 +284,17 @@ class TestMonteCarlo:
         report = monte_carlo_verify("wc-chain-bs", 50, env_photon=1.0, seed=3)
         assert report.violations == 0
 
+    @pytest.mark.parametrize("family", ["qepi-bs", "qepi-amp", "cqepi-bs", "cqepi-amp"])
+    def test_env_photon_outside_the_chains_is_refused(self, family):
+        # only a chain family has a thermal environment for env_photon to fix; the others used to drop it
+        with pytest.raises(ValueError, match=f"^env_photon does not apply to {family}: "):
+            monte_carlo_verify(family, 50, env_photon=3.0, seed=2)
+
+    def test_family_channel(self):
+        amplifier = {family for family in Inequality if family.kind is ChannelKind.AMPLIFIER}
+        assert amplifier == {Inequality.QEPI_AMP, Inequality.CQEPI_AMP}
+        assert all(family.kind is ChannelKind.BEAM_SPLITTER for family in set(Inequality) - amplifier)
+
     def test_trial_errors_carry_context(self):
         with pytest.raises(ValueError, match="trial 0 of qepi-bs"):
             monte_carlo_verify("qepi-bs", 5, parameter_range=(-0.5, -0.5), seed=1)
