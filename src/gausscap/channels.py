@@ -4,9 +4,8 @@ A channel mixes a single-mode input with a single-mode Gaussian
 environment through a two-mode symplectic; tracing one output mode gives
 the channel, tracing the other gives the weak-complementary map.  Both are
 one affine map, ``channel_map``, with input and environment exchanged.  The
-complementary map first purifies a mixed environment with a reference
+complementary map extends the environment by ``core.purify``'s reference
 mode, so its output covers two modes (environment output F, reference C).
-The environment's purification reads its stored symplectic eigenvalue.
 ``coupling`` holds every per-family constant, and ``_pair_spectra`` gives
 the output spectra of a single-mode input in closed form from its and the
 environment's (n, r, u), in one call: the one path for sampled draws and
@@ -23,7 +22,6 @@ import numpy as np
 from .core import (
     PHASE_FLIP,
     PHYSICALITY_ATOL,
-    PURE_ATOL,
     CovarianceMatrix,
     PhysicalityError,
     SymplecticMatrix,
@@ -31,6 +29,7 @@ from .core import (
     _mode_parameters,
     _reject,
     mixing_symplectic,
+    purify,
     thermal_entropy,
 )
 
@@ -146,28 +145,13 @@ def channel_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, gamma_e: np.n
 
 
 def _complementary_map(kind: ChannelKind, parameter, gamma_a: np.ndarray, environment: CovarianceMatrix) -> np.ndarray:
-    """Covariance on (F, C) of the complementary output, where C purifies the environment.
-
-    With nu the environment's stored symplectic eigenvalue, G_E = nu R R.T has
-    the symplectic factor R = sqrt(G_E / nu) (symmetric, det 1) and purifies to
-    [[G_E, c R Z], [c Z R, nu I]], c = sqrt((nu - 1)(nu + 1)).  The channel
-    keeps C and scales the E-C block by sqrt(t) or sqrt(k) on the way to F,
-    whose own block is ``channel_map`` with input and environment exchanged.
-    Takes one 2x2 input covariance and a scalar ``parameter``; returns the 4x4 matrix.
-    """
-    gamma_e, nu = environment.data, environment._spectrum[0]
-    out = np.zeros((4, 4))
-    out[:2, :2] = channel_map(kind, parameter, gamma_e, gamma_a)
-    out[2:, 2:] = nu * _IDENTITY
-    # sqrt of a 2x2 positive matrix M with det M = 1 is (M + I) / sqrt(tr M + 2).
-    m = gamma_e / nu
-    root = (m + _IDENTITY) / np.sqrt(m[0, 0] + m[1, 1] + 2.0)
-    # environments within PURE_ATOL of nu = 1 are pure and couple nothing to C
-    excess = (nu - 1.0) * (nu + 1.0) if nu - 1.0 > PURE_ATOL else 0.0
-    # adding 0.0 turns the -0.0 entries of an uncoupled block into +0.0
-    cross = np.sqrt(excess * coupling(kind, parameter)[0]) * (root @ PHASE_FLIP) + 0.0
-    out[:2, 2:] = cross
-    out[2:, :2] = cross.T
+    """Covariance on (F, C) of the complementary output: ``purify``'s extension of the environment E by C, its
+    E-C block scaled by sqrt(p) of ``coupling`` on the way to F, whose own block is ``channel_map`` with input
+    and environment exchanged.  Takes one 2x2 input covariance and a scalar ``parameter``; returns the 4x4 matrix."""
+    out = purify(environment).data.copy()
+    out[:2, :2] = channel_map(kind, parameter, environment.data, gamma_a)
+    out[:2, 2:] *= np.sqrt(coupling(kind, parameter)[0])
+    out[2:, :2] = out[:2, 2:].T
     return out
 
 

@@ -493,18 +493,22 @@ def williamson(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.fl
     """Decompose Gamma = S D S.T with S symplectic and D diagonal: returns ``(S, d)``, d the diagonal of D,
     each symplectic eigenvalue nu twice, descending.
 
-    From validation's Cholesky factor Gamma = L L.T, the positive eigenvalues
-    of ``_hermitian_form``(L) = i L.T Omega L are nu; an eigenvector x + iy
-    gives the columns (sqrt2 y, sqrt2 x) of the orthogonal Q in
+    One mode runs no eigensolver: with nu the stored spectrum, M = Gamma / nu
+    has det 1 and S is its symmetric root (M + I) / sqrt(tr M + 2).  From two
+    modes on, validation's Cholesky factor Gamma = L L.T gives the positive
+    eigenvalues nu of ``_hermitian_form``(L) = i L.T Omega L; an eigenvector
+    x + iy gives the columns (sqrt2 y, sqrt2 x) of the orthogonal Q in
     S = L Q D^(-1/2).  Its phase makes S's 2x2 block on the mode carrying most
-    of w = L (x + iy) symmetric with trace >= 0, so a single-mode S is the
-    symmetric sqrt(Gamma / nu).  Entries with no Cholesky factor, or whose nu
-    miss the state's spectrum (validation's, or the exact one stored at
-    construction) by more than 1e-9 of it, fix no decomposition
+    of w = L (x + iy) symmetric with trace >= 0.  Entries with no Cholesky
+    factor, or whose nu miss the state's spectrum (validation's, or the exact
+    one stored at construction) by more than 1e-9 of it, fix no decomposition
     (``ArithmeticError``): the rounded entries of ``two_mode_squeezed_state``
     from r ~ 5, for example, whose nu fall below 1 or rise above it.
     """
     n = state.n_modes
+    if n == 1:
+        m = state.data / state._spectrum[0]
+        return SymplecticMatrix((m + np.eye(2)) / np.sqrt(m[0, 0] + m[1, 1] + 2.0)), np.repeat(state._spectrum, 2)
     try:
         factor = np.linalg.cholesky(state.data)
     except np.linalg.LinAlgError:

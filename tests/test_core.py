@@ -8,16 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausscap import (
+    ChannelSpec,
     CovarianceMatrix,
     ModePartition,
     PhysicalityError,
     SymplecticMatrix,
     apply_symplectic,
+    channel_outputs,
+    check_moe_chain,
+    check_qepi_amp,
+    check_qepi_bs,
+    check_wc_chain,
+    complementary,
     conditional_entropy,
     deserialize_covariance,
     direct_sum,
     entropy,
     mean_photon_number,
+    output_entropies,
     partial_trace,
     purify,
     random_gaussian_state,
@@ -33,7 +41,7 @@ from gausscap import (
     williamson,
 )
 from gausscap.channels import amplifier_symplectic
-from gausscap.core import _EPS, _mode_parameters, _validated
+from gausscap.core import _EPS, _mode_parameters, _validated, rotation_symplectic
 from helpers import (
     G_DIRECT_MAX,
     g_direct,
@@ -277,17 +285,26 @@ class TestWilliamson:
     @pytest.mark.parametrize(
         "state",
         [vacuum_state(), thermal_state(1), squeezed_thermal_state(1, 0.6), squeezed_thermal_state(0, 2.0)]
-        + [random_gaussian_state(1, 5.0, 1.5, seed) for seed in range(5)],
+        + [random_gaussian_state(1, 5.0, 1.5, seed) for seed in range(5)]
+        # at 45 degrees det Gamma cancels most: 6.6 of its digits at r = 4, past which validation refuses it
+        + [CovarianceMatrix(rotated_squeezed(n, r, a)) for n, r, a in
+           ((0.0, 2.0, math.pi / 4), (0.0, 3.0, math.pi / 4), (0.0, 4.0, math.pi / 4), (3.0, 4.0, math.pi / 3))],
     )
     def test_single_mode_factor_is_symmetric_root(self, state):
-        # S = sqrt(Gamma / nu), the factor channels._complementary_map uses to purify an environment
+        # S = sqrt(Gamma / nu) with nu the stored spectrum, against a 50-digit root
         s, d = williamson(state)
-        nu = math.sqrt(np.linalg.det(state.data))
-        np.testing.assert_allclose(d, [nu, nu], rtol=1e-12)
-        # symmetric square root of a 2x2 positive matrix M with det 1: (M + I) / sqrt(tr M + 2)
-        m = state.data / nu
-        root = (m + np.eye(2)) / math.sqrt(np.trace(m) + 2.0)
-        assert np.max(np.abs(s.data - root)) <= 1e-12 * max(1.0, np.max(np.abs(root)))
+        nu = float(state._spectrum[0])
+        np.testing.assert_array_equal(d, [nu, nu])
+        with mpmath.workdps(50):
+            m = mpmath.matrix(state.data.tolist()) / nu
+            root = mpmath.sqrtm(m)
+            entries = [(float(s.data[i, j]), root[i, j]) for i in range(2) for j in range(2)]
+            scale = max(abs(y) for _, y in entries)
+            # a stored nu that misses sqrt(det Gamma) of the rounded entries leaves det M = 1 + delta, and no
+            # det-1 factor comes closer to the root than about |delta| / (tr M + 2) of its size
+            mismatch = abs(mpmath.det(m) - 1) / (m[0, 0] + m[1, 1] + 2)
+            error = max(abs(x - y) for x, y in entries)
+            assert error <= (4 * _EPS + mismatch) * scale
 
     @pytest.mark.parametrize("state", _WILLIAMSON_STATES)
     def test_decomposition(self, state):
@@ -321,11 +338,13 @@ class TestWilliamson:
 
     @pytest.mark.parametrize("n_modes", [1, 2, 5])
     def test_one_cholesky_and_one_eigh(self, monkeypatch, n_modes):
-        # the factorization validation uses: Gamma = L L.T, then i L.T Omega L; purify adds no solver
+        # the factorization validation uses: Gamma = L L.T, then i L.T Omega L; purify adds no solver, and
+        # one mode runs none (its factor is the closed-form root)
         state = random_gaussian_state(n_modes, 2.0, 1.0, seed=n_modes)
         calls = linalg_calls(monkeypatch)
         williamson(state)
-        expected = [("cholesky", (2 * n_modes, 2 * n_modes)), ("eigh", (2 * n_modes, 2 * n_modes))]
+        shape = (2 * n_modes, 2 * n_modes)
+        expected = [] if n_modes == 1 else [("cholesky", shape), ("eigh", shape)]
         assert calls == expected
         purify(state)
         assert calls == expected + expected
@@ -405,6 +424,40 @@ class TestPurify:
         recovered = partial_trace(purified, ModePartition.keeping([0, 1], 4))
         np.testing.assert_allclose(recovered.data, state.data, atol=1e-10)
         assert entropy(purified) < 1e-8
+
+
+_SINGLE_MODE_INPUTS = {
+    "thermal": thermal_state(1.5),
+    "squeezed": squeezed_thermal_state(0.5, 1.2),
+    "rotated": CovarianceMatrix(rotated_squeezed(2.0, 0.8, 0.6)),
+}
+# every public call that takes only single-mode states: the channel's environment is the input itself,
+# except for the chains, which assume a thermal one
+_SINGLE_MODE_CALLS = {
+    "CovarianceMatrix": lambda x, spec: CovarianceMatrix(x.data),
+    "entropy": lambda x, spec: entropy(x),
+    "williamson": lambda x, spec: williamson(x),
+    "purify": lambda x, spec: purify(x),
+    "complementary": lambda x, spec: complementary(x, spec),
+    "channel_outputs": lambda x, spec: channel_outputs(x, spec),
+    "output_entropies": lambda x, spec: output_entropies(x, spec),
+    "check_qepi_bs": lambda x, spec: check_qepi_bs(x, x, 0.3),
+    "check_qepi_amp": lambda x, spec: check_qepi_amp(x, x, 2.0),
+    "check_moe_chain": lambda x, spec: check_moe_chain(x, ChannelSpec.beam_splitter(0.3, thermal_state(1.0))),
+    "check_wc_chain": lambda x, spec: check_wc_chain(x, ChannelSpec.beam_splitter(0.3, thermal_state(1.0))),
+    "random_gaussian_state": lambda x, spec: random_gaussian_state(1, 2.0, 1.0, seed=3),
+    "apply_symplectic": lambda x, spec: apply_symplectic(rotation_symplectic(0.7), x),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SINGLE_MODE_INPUTS))
+@pytest.mark.parametrize("call", sorted(_SINGLE_MODE_CALLS))
+def test_single_mode_calls_reach_no_linalg(monkeypatch, call, kind):
+    state = _SINGLE_MODE_INPUTS[kind]
+    spec = ChannelSpec.beam_splitter(0.3, state)
+    calls = linalg_calls(monkeypatch)
+    _SINGLE_MODE_CALLS[call](state, spec)
+    assert calls == []
 
 
 class TestModeParameters:

@@ -142,3 +142,17 @@ def _package_imports(path: Path) -> set[str]:
 @pytest.mark.parametrize("name", sorted(_LOWER_LAYERS))
 def test_layers_import_only_lower_layers(name):
     assert _package_imports(_ROOT / "src" / "gausscap" / name) <= _LOWER_LAYERS[name]
+
+
+def test_cli_reads_only_exported_names():
+    # the front end takes package names through ``from . import ...`` alone, and only names __init__ exports
+    exported = {alias.asname or alias.name for node in _tree(_ROOT / "src" / "gausscap" / "__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    taken = []
+    for node in ast.walk(_tree(_ROOT / "src" / "gausscap" / "cli.py")):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "gausscap" for alias in node.names), ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "gausscap"):
+            assert (node.level, node.module) == (1, None), ast.unparse(node)
+            taken += [alias.name for alias in node.names]
+    assert taken and set(taken) <= exported, set(taken) - exported

@@ -1,8 +1,12 @@
-"""The README's Python example runs as written, and every statement commented with a number equals it."""
+"""The README's Python example runs as written, and every statement commented with a number equals it; every
+line of its "Command line" block exits 0."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from gausscap.cli import main
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +34,13 @@ def test_python_example_states_its_values():
         assert value == expected, f"README line {statement.lineno}: {ast.unparse(statement)} gives {value!r}"
         checked.append(ast.unparse(statement))
     assert len(checked) == 2, checked  # the private-capacity bound and the campaign's violation count
+
+
+def test_command_line_block_runs_as_written(tmp_path, monkeypatch):
+    block = re.search(r"## Command line\n\n```\n(.*?)```", _README.read_text(encoding="utf-8"), re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert [argv[0] for argv in commands] == ["gausscap"] * 5
+    monkeypatch.chdir(tmp_path)  # bounds --out and fig2 --out write here
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["amp.json", "fig2_amp.csv", "fig2_bs.csv"]
