@@ -24,7 +24,7 @@ from .channels import (
     coupling,
     epi_rhs,
 )
-from .core import _CHUNK, CovarianceMatrix, _everywhere, _is_thermal, _mode_parameters, thermal_entropy, thermal_state
+from .core import _CHUNK, CovarianceMatrix, _everywhere, _is_thermal, _mode_parameters, thermal_entropy
 
 
 def equivalent_thermal_photon(environment: CovarianceMatrix) -> float:
@@ -83,46 +83,61 @@ class BoundResult:
         return replace(self, units=units, **converted)
 
 
-def _finite_argument(argument, n, name: str, spec: ChannelSpec, ne: float):
-    """``argument`` of g in a closed form at input photon number(s) n, shaped like n, after
-    ``channels._require_finite`` names the first n at which it left the float range."""
-    grid = np.atleast_1d(n)
-    _require_finite((np.atleast_1d(argument),), lambda i: f"input photon number {grid[i]:.17g}",
+_ARGUMENTS = ("pN + q Ne", "pN + q (Ne + v)")
+
+
+def _closed_forms(spec: ChannelSpec, grid: np.ndarray, ne: float, lead: int = 0):
+    """holevo = g(pN + q Ne) - g(q Ne / d), maximal = 2 g(pN + q (Ne + v)) over a 1-D grid of N, and
+    moe_sum_lower = 2 ``epi_rhs``(0, g(Ne)), for a thermal environment of Ne photons: the one place these
+    formulas are written, with g of all four arguments in one ``thermal_entropy`` call.
+
+    The two arguments that grow with N leave the float range at the same N.
+    ``channels._require_finite`` checks ``_ARGUMENTS[lead]`` first, so an
+    overflow names the caller's own argument and the first N at which it
+    left the range.
+    """
+    p, q, _, d, v = coupling(spec.kind, spec.parameter)
+    with np.errstate(over="ignore"):
+        arguments = [p * grid + q * ne, p * grid + q * (ne + v)]
+    order = (lead, 1 - lead)
+    _require_finite([arguments[k] for k in order], lambda i: f"input photon number {grid[i]:.17g}",
                     lambda k, i: f"{spec.kind.value} parameter {spec.parameter:.6g}, Ne = {ne:.6g}",
-                    (f"the argument {name} of g",))
-    return argument
+                    [f"the argument {_ARGUMENTS[k]} of g" for k in order])
+    size = len(grid)
+    floor = q * ne / d if size else 0.0  # q Ne / d <= pN + q Ne is finite too; an empty grid subtracts it from nothing
+    g = thermal_entropy(np.concatenate([*arguments, [floor, ne]]))
+    return g[:size] - g[-2], 2.0 * g[size:2 * size], float(2.0 * epi_rhs(spec.kind, spec.parameter, 0.0, g[-1]))
+
+
+def _shaped(values: np.ndarray, n):
+    """A column evaluated on ``np.atleast_1d(n)``: a float for a scalar n, else the array."""
+    return float(values[0]) if np.ndim(n) == 0 else values
 
 
 def holevo_capacity(spec: ChannelSpec, input_photon: float) -> float:
     """Holevo capacity of the thermal-noise channel at input energy N: g(pN + q Ne) - g(q Ne / d)."""
     n = _validated_photon(input_photon)
-    ne = thermal_environment_photon(spec)
-    p, q, _, d, _ = coupling(spec.kind, spec.parameter)
-    with np.errstate(over="ignore"):
-        output = _finite_argument(p * n + q * ne, n, "pN + q Ne", spec, ne)
-    return thermal_entropy(output) - thermal_entropy(q * ne / d)  # q Ne / d <= pN + q Ne is finite too
+    return _shaped(_closed_forms(spec, np.atleast_1d(n), thermal_environment_photon(spec))[0], n)
 
 
 def maximal_capacity(spec: ChannelSpec, input_photon: float) -> float:
     """Twice the maximum output entropy at fixed input energy: 2 g(pN + q (Ne + v))."""
     n = _validated_photon(input_photon)
-    ne = thermal_environment_photon(spec)
-    p, q, _, _, v = coupling(spec.kind, spec.parameter)
-    with np.errstate(over="ignore"):
-        output = _finite_argument(p * n + q * (ne + v), n, "pN + q (Ne + v)", spec, ne)
-    return 2.0 * thermal_entropy(output)
+    return _shaped(_closed_forms(spec, np.atleast_1d(n), thermal_environment_photon(spec), lead=1)[1], n)
 
 
 def moe_sum_lower(spec: ChannelSpec) -> float:
     """Lower bound on the summed minimum output entropies of channel and complement:
     twice the entropy floor ``epi_rhs``(0, g(Ne)) = q/d g(Ne) + ln d of a thermal environment."""
-    return float(2.0 * epi_rhs(spec.kind, spec.parameter, 0.0, thermal_entropy(thermal_environment_photon(spec))))
+    return _closed_forms(spec, np.empty(0), thermal_environment_photon(spec))[2]
 
 
 def private_capacity_upper(spec: ChannelSpec, input_photon: float) -> float:
     """Upper bound on the private capacity for a thermal environment:
     maximal - moe_sum_lower = 2 [g(pN + q (Ne + v)) - q/d g(Ne) - ln d]."""
-    return maximal_capacity(spec, input_photon) - moe_sum_lower(spec)
+    n = _validated_photon(input_photon)
+    thermal_environment_photon(spec)  # error for other noise
+    return private_capacity_upper_general(spec, n)
 
 
 def private_capacity_upper_general(spec: ChannelSpec, input_photon: float) -> float:
@@ -130,11 +145,12 @@ def private_capacity_upper_general(spec: ChannelSpec, input_photon: float) -> fl
 
     Substitutes N* = (nu - 1) / 2, the n of the spec's stored (n, r, u), into the
     thermal formulas, so the bound depends on the environment only through
-    its symplectic eigenvalue nu: it is ``private_capacity_upper`` bit for bit
-    on thermal noise, and does not depend on squeezing.
+    its symplectic eigenvalue nu, and not on squeezing.  On thermal noise it
+    is ``private_capacity_upper``, which calls it after its thermal check.
     """
-    ne_star = float(spec._environment_modes[0][0])
-    return private_capacity_upper(ChannelSpec(spec.kind, spec.parameter, thermal_state(ne_star)), input_photon)
+    n = _validated_photon(input_photon)
+    _, maximal, moe = _closed_forms(spec, np.atleast_1d(n), float(spec._environment_modes[0][0]), lead=1)
+    return _shaped(maximal - moe, n)
 
 
 def private_capacity_lower_approx(spec: ChannelSpec, input_photon: float) -> float:
@@ -156,8 +172,7 @@ def coherent_information(spec: ChannelSpec, input_photon):
     label = lambda i: f"input photon number {grid[i]:.17g}"  # noqa: E731
     modes = (grid, 0.0, 0.0), spec._environment_modes
     entropies = _factor_entropies(_pair_spectra(spec.kind, spec.parameter, *modes, label))
-    info = entropies[0] - (entropies[1] + entropies[2])
-    return float(info[0]) if np.ndim(n) == 0 else info
+    return _shaped(entropies[0] - (entropies[1] + entropies[2]), n)
 
 
 _SECOND_POINTS = {"square": lambda n: n * n, "half": lambda n: n / 2.0}
@@ -186,34 +201,46 @@ def coherent_lower_bound(spec: ChannelSpec, input_photon, second_argument: str =
     exploration.  ``input_photon`` is a scalar (a grid of one) or a 1-D array.
     """
     n = _validated_photon(input_photon)
-    lower = _coherent_columns(spec, np.atleast_1d(n), second_argument)[1]
-    return float(lower[0]) if np.ndim(n) == 0 else lower
+    return _shaped(_coherent_columns(spec, np.atleast_1d(n), second_argument)[1], n)
+
+
+def bound_columns(spec: ChannelSpec, input_photon, units: str = "nats", coherent_second_arg: str = "square"):
+    """The channel label and every bound at each N of a 1-D array (a scalar N is a grid of one), as one
+    float array of shape (8, len): rows N, holevo, maximal, moe_sum_lower, upper, lower_approx, coherent_info
+    and coherent_lower, the ``BoundResult`` fields in order, in ``units``.
+
+    The closed forms take a thermal environment of the spec's stored n
+    photons, the coherent-information columns the actual environment.  The
+    grid runs in slices of ``_CHUNK`` points: per slice, one ``_closed_forms``
+    call and one ``coherent_information`` call on every N and N' together,
+    with upper = maximal - moe_sum_lower and lower_approx = 2 holevo.
+    """
+    grid = np.atleast_1d(_validated_photon(input_photon))
+    unit = _nats_per(units)
+    ne = float(spec._environment_modes[0][0])
+    label = "thermal_photon" if _is_thermal(spec._environment_modes) else "equivalent_photon"
+    knob = "transmissivity" if spec.kind is ChannelKind.BEAM_SPLITTER else "gain"
+    columns = np.empty((8, len(grid)))
+    columns[0] = grid
+    for start in range(0, len(grid), _CHUNK):
+        chunk = grid[start:start + _CHUNK]
+        holevo, maximal, moe = _closed_forms(spec, chunk, ne)
+        coherent = _coherent_columns(spec, chunk, coherent_second_arg)
+        moe_column = np.full(len(chunk), moe)
+        columns[1:, start:start + len(chunk)] = holevo, maximal, moe_column, maximal - moe, 2.0 * holevo, *coherent
+    columns[1:] /= unit
+    return f"{spec.kind.value}({knob}={spec.parameter:.12g}, {label}={ne:.12g})", columns
 
 
 def evaluate_bounds(spec: ChannelSpec, input_photon, units: str = "nats", coherent_second_arg: str = "square"):
-    """Evaluate every bound at one N, or at each N of a 1-D array (a list of results).
+    """Every bound at one N (a ``BoundResult``), or at each N of a 1-D array (a list of them).
 
-    The closed forms take a thermal environment of the spec's stored n
-    photons, the coherent-information columns the actual environment.  The grid
-    runs in slices of ``_CHUNK`` points, so memory does not grow with it: one
-    call each of ``holevo_capacity``, ``maximal_capacity`` and
-    ``coherent_information`` per slice, with upper = maximal - moe_sum_lower
-    (once per grid) and lower_approx = 2 holevo.  A scalar N is a grid of one.
+    The rows come from ``bound_columns``, one ``_CHUNK`` slice at a time, so
+    memory does not grow with the grid beyond the results themselves.
     """
     n = _validated_photon(input_photon)
-    unit = _nats_per(units)
-    ne = float(spec._environment_modes[0][0])
-    formula_spec = ChannelSpec(spec.kind, spec.parameter, thermal_state(ne))
-    label = "thermal_photon" if _is_thermal(spec._environment_modes) else "equivalent_photon"
-    knob = "transmissivity" if spec.kind is ChannelKind.BEAM_SPLITTER else "gain"
-    channel = f"{spec.kind.value}({knob}={spec.parameter:.12g}, {label}={ne:.12g})"
-    moe = moe_sum_lower(formula_spec)
     grid, results = np.atleast_1d(n), []
-    for start in range(0, len(grid), _CHUNK):
-        chunk = grid[start:start + _CHUNK]
-        holevo, maximal = holevo_capacity(formula_spec, chunk), maximal_capacity(formula_spec, chunk)
-        coherent = _coherent_columns(spec, chunk, coherent_second_arg)
-        # the BoundResult entropy fields in order, converted per column
-        columns = np.stack([holevo, maximal, np.full(len(chunk), moe), maximal - moe, 2 * holevo, *coherent]) / unit
-        results += [BoundResult(channel, *row, units=units) for row in zip(chunk.tolist(), *columns.tolist())]
+    for start in range(0, max(len(grid), 1), _CHUNK):  # an empty grid still checks its units
+        channel, columns = bound_columns(spec, grid[start:start + _CHUNK], units, coherent_second_arg)
+        results += [BoundResult(channel, *row, units=units) for row in zip(*columns.tolist())]
     return results[0] if np.ndim(n) == 0 else results

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import operator
 import os
 import sys
 from functools import lru_cache
@@ -25,9 +24,9 @@ from . import (  # the front end reads the package's public names only
     ChannelSpec,
     Inequality,
     PhysicalityError,
+    bound_columns,
     deserialize_covariance,
     entropy,
-    evaluate_bounds,
     monte_carlo_verify,
     squeezed_thermal_state,
     symplectic_eigenvalues,
@@ -41,18 +40,14 @@ EXIT_VIOLATION = 4
 
 BOUNDS_COLUMNS = ("N", "holevo", "maximal", "upper", "lower_approx", "coherent_info", "coherent_lower")
 _BOUND_FIELDS = tuple(field.name for field in dataclasses.fields(BoundResult))
-_CSV_ROW = operator.attrgetter("input_photon", *BOUNDS_COLUMNS[1:])
+# the rows of ``bound_columns``, one per numeric BoundResult field, that the CSV prints
+_CSV_ROWS = [_BOUND_FIELDS.index(name) - 1 for name in ("input_photon",) + BOUNDS_COLUMNS[1:]]
 
 _OMISSION_NOTE = (
     "note: externally published enhanced lower-bound curves are not computed here; "
     "the datasets carry the closed-form bounds plus the coherent-information difference "
     "I_c(N) - I_c(N'), which is not a lower bound on the private capacity."
 )
-
-
-def render_csv(header: tuple[str, ...], rows: list[tuple[float, ...]]) -> str:
-    line = ",".join(["%.17g"] * len(header))  # 17 significant digits round-trip float64 exactly
-    return "\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -88,12 +83,19 @@ def _photon_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _bounds_text(spec: ChannelSpec, grid: np.ndarray, args: argparse.Namespace) -> str:
-    """Every bound of one channel at each grid point, rendered as CSV or JSON."""
-    results = evaluate_bounds(spec, grid, units=args.units, coherent_second_arg=args.coherent_arg)
+    """Every bound of one channel at each grid point, rendered as CSV or JSON: one %-format of a row
+    template repeated over the flattened columns, as Python floats (numpy 2's repr of a float64 is np.float64(x))."""
+    channel, columns = bound_columns(spec, grid, units=args.units, coherent_second_arg=args.coherent_arg)
     if args.fmt == "csv":
-        return render_csv(BOUNDS_COLUMNS, [_CSV_ROW(r) for r in results])
-    # a shallow dict per row: dataclasses.asdict would deep-copy every float
-    return json.dumps([{name: getattr(r, name) for name in _BOUND_FIELDS} for r in results], indent=2) + "\n"
+        values = columns[_CSV_ROWS].T.ravel().tolist()
+        line = ",".join(["%.17g"] * len(BOUNDS_COLUMNS)) + "\n"  # 17 significant digits round-trip float64 exactly
+        return ",".join(BOUNDS_COLUMNS) + "\n" + line * len(grid) % tuple(values)
+    # The bytes of json.dumps(rows, indent=2): its repr of a float is %r, and every column is finite,
+    # since each overflow raises first (json would write a non-finite float as NaN or Infinity).
+    head, tail = (json.dumps(text).replace("%", "%%") for text in (channel, args.units))
+    fields = "".join(f'    "{name}": %r,\n' for name in _BOUND_FIELDS[1:-1])
+    row = f'  {{\n    "{_BOUND_FIELDS[0]}": {head},\n{fields}    "{_BOUND_FIELDS[-1]}": {tail}\n  }}'
+    return "[\n" + ",\n".join([row] * len(grid)) % tuple(columns.T.ravel().tolist()) + "\n]\n"
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

@@ -15,6 +15,7 @@ from gausscap import (
     PhysicalityError,
     amplifier_symplectic,
     apply_symplectic,
+    bound_columns,
     coherent_information,
     coherent_lower_bound,
     equivalent_thermal_photon,
@@ -30,6 +31,7 @@ from gausscap import (
     thermal_state,
     vacuum_state,
 )
+from gausscap import capacities, channels, core
 from gausscap.channels import MAX_GAIN
 from gausscap.core import _CHUNK, rotation_symplectic
 from helpers import (
@@ -551,6 +553,80 @@ class TestStackedBoundGrid:
         for coherent_arg in ("square", "half"):
             assert len(evaluate_bounds(spec, np.linspace(0.0, 10.0, 101), coherent_second_arg=coherent_arg)) == 101
         assert calls == []
+
+
+class TestBoundColumns:
+    """``bound_columns`` is the one pass behind every column: each public bound equals its row bit for bit."""
+
+    _ROWS = {"holevo": 1, "maximal": 2, "moe_sum_lower": 3, "upper": 4, "lower_approx": 5,
+             "coherent_info": 6, "coherent_lower": 7}
+
+    @pytest.mark.parametrize("ne", [0.0, 1.0, 0.3, 1e6])
+    @pytest.mark.parametrize("kind,parameter", _CHANNELS)
+    def test_each_bound_equals_its_row(self, kind, parameter, ne):
+        spec = (bs if kind == "bs" else amp)(parameter, ne)
+        grid = np.linspace(0.0, 40.0, _CHUNK + 9)  # two slices
+        for second in ("square", "half"):
+            columns = bound_columns(spec, grid, coherent_second_arg=second)[1]
+            assert columns.shape == (8, len(grid)) and _bits(columns[0]) == _bits(grid)
+            assert _bits(columns[7]) == _bits(coherent_lower_bound(spec, grid, second_argument=second))
+        columns = bound_columns(spec, grid)[1]
+        rows = {
+            "holevo": holevo_capacity(spec, grid),
+            "maximal": maximal_capacity(spec, grid),
+            "moe_sum_lower": np.full(len(grid), moe_sum_lower(spec)),
+            "upper": private_capacity_upper(spec, grid),
+            "lower_approx": private_capacity_lower_approx(spec, grid),
+            "coherent_info": coherent_information(spec, grid),
+        }
+        for name, values in rows.items():
+            assert _bits(columns[self._ROWS[name]]) == _bits(values), name
+        bits = bound_columns(spec, grid, units="bits")[1]
+        assert _bits(bits[1:].ravel()) == _bits((columns[1:] / math.log(2.0)).ravel())
+        assert _bits(bits[0]) == _bits(grid)
+
+    def test_evaluate_bounds_rows_are_the_columns(self):
+        spec = _spec("amp", 5.0, "squeezed")
+        grid = np.linspace(0.0, 10.0, 2 * _CHUNK + 3)
+        channel, columns = bound_columns(spec, grid, units="bits", coherent_second_arg="half")
+        results = evaluate_bounds(spec, grid, units="bits", coherent_second_arg="half")
+        assert [dataclasses.astuple(r) for r in results] == [(channel, *row, "bits") for row in zip(*columns.tolist())]
+        # under squeezed noise the upper row is the general bound on N* = (nu - 1) / 2
+        assert _bits(bound_columns(spec, grid)[1][4]) == _bits(private_capacity_upper_general(spec, grid))
+        assert bound_columns(spec, 2.0)[1].shape == (8, 1)
+        assert bound_columns(spec, np.array([]))[1].shape == (8, 0)
+
+    def test_two_entropy_calls_per_slice(self, monkeypatch):
+        calls, original = [], core.thermal_entropy
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return original(x)
+
+        for module in (core, channels, capacities):  # each module calls the name it imported
+            monkeypatch.setattr(module, "thermal_entropy", counted)
+        spec = _spec("bs", 0.85, "squeezed")
+        for points, slices in ((1, 1), (101, 1), (_CHUNK, 1), (2 * _CHUNK + 3, 3)):
+            calls.clear()
+            bound_columns(spec, np.linspace(0.0, 10.0, points))
+            assert len(calls) == 2 * slices, calls  # the closed forms, then the coherent columns
+        calls.clear()
+        evaluate_bounds(spec, np.linspace(0.0, 10.0, 2 * _CHUNK + 3))
+        assert len(calls) == 6
+
+    def test_checks_keep_their_order_and_messages(self):
+        # an overflow in the first slice's closed forms is reported before the coherent columns of that slice
+        grid = np.array([0.0, 1e308])
+        with pytest.raises(FloatingPointError, match=r"the argument pN \+ q Ne of g"):
+            bound_columns(amp(5, 1), grid)
+        with pytest.raises(FloatingPointError, match=r"the argument pN \+ q \(Ne \+ v\) of g"):
+            private_capacity_upper(amp(5, 1), grid)
+        with pytest.raises(ValueError, match="^units must be 'nats' or 'bits'$"):
+            evaluate_bounds(bs(0.85, 1), np.array([]), units="dits")
+        with pytest.raises(ValueError, match="^second_argument must be 'square' or 'half'$"):
+            bound_columns(bs(0.85, 1), 1.0, coherent_second_arg="double")
+        with pytest.raises(ValueError, match="thermal"):
+            moe_sum_lower(_spec("bs", 0.85, "squeezed"))
 
 
 class TestNonFiniteInputs:

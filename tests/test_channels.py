@@ -453,7 +453,7 @@ class TestOneConversion:
 
     def test_each_environment_converts_once(self, monkeypatch):
         """A spec converts its environment to (n, r, u) once, when it is built; an evaluation converts its
-        own input, and the closed forms their thermal stand-in spec, but never the environment again."""
+        own input, but never the environment again, and the closed forms build no thermal stand-in spec."""
         calls, original = [], core._mode_parameters
 
         def counted(state):
@@ -471,10 +471,10 @@ class TestOneConversion:
         state = squeezed_thermal_state(0.5, 0.3)
         for run, expected in (
             (lambda: ChannelSpec.amplifier(3.0, squeezed_thermal_state(1.0, 0.2)), 1),
-            (lambda: evaluate_bounds(squeezed, np.linspace(0.0, 10.0, 101)), 1),
-            (lambda: evaluate_bounds(amplifier, np.linspace(0.0, 10.0, 1100)), 1),
+            (lambda: evaluate_bounds(squeezed, np.linspace(0.0, 10.0, 101)), 0),
+            (lambda: evaluate_bounds(amplifier, np.linspace(0.0, 10.0, 1100)), 0),
             (lambda: private_capacity_upper(amplifier, 2.0), 0),
-            (lambda: private_capacity_upper_general(squeezed, 2.0), 1),
+            (lambda: private_capacity_upper_general(squeezed, 2.0), 0),
             (lambda: holevo_capacity(thermal, np.linspace(0.0, 10.0, 11)), 0),
             (lambda: check_moe_chain(state, thermal), 1),
             (lambda: check_wc_chain(state, thermal), 1),

@@ -1,4 +1,7 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,7 +15,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gausscap import ChannelSpec, evaluate_bounds, squeezed_thermal_state
 from gausscap.cli import BOUNDS_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, main
 from helpers import coherent_information_mp, g_direct, g_mp, rotated_squeezed
 
@@ -174,6 +180,48 @@ class TestBounds:
     def test_bad_steps_is_config_error(self):
         rc = main(["bounds", "--channel", "bs", "--tau", "0.5", "--n-steps", "0"])
         assert rc == EXIT_CONFIG
+
+
+class TestColumnRendering:
+    """``bounds`` renders straight from the column arrays; the bytes are those of the ``BoundResult`` rows, written
+    as 17-digit CSV or through ``json.dumps(indent=2)``, on every grid size, across the 512-point slice."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        channel=st.sampled_from(["bs", "amp"]),
+        u=st.floats(0.0, 1.0),
+        ne=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e4),
+        squeeze=st.sampled_from([0.0]) | st.floats(0.0, 3.0),
+        start=st.floats(0.0, 1e3),
+        width=st.sampled_from([0.0, 10.0]) | st.floats(0.0, 1e6),
+        steps=st.integers(1, 600),
+        units=st.sampled_from(["nats", "bits"]),
+        second=st.sampled_from(["square", "half"]),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    @example(channel="amp", u=0.004, ne=1.0, squeeze=0.5, start=0.0, width=10.0, steps=513, units="bits",
+             second="half", fmt="json")
+    def test_bytes_equal_the_rows(self, channel, u, ne, squeeze, start, width, steps, units, second, fmt):
+        parameter = u if channel == "bs" else 1.0 + 1e3 * u
+        knob = "--tau" if channel == "bs" else "--kappa"
+        argv = ["bounds", "--channel", channel, knob, repr(parameter), "--ne", repr(ne), "--squeeze", repr(squeeze),
+                "--n-start", repr(start), "--n-stop", repr(start + width), "--n-steps", str(steps),
+                "--units", units, "--coherent-arg", second, "--format", fmt]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        build = ChannelSpec.beam_splitter if channel == "bs" else ChannelSpec.amplifier
+        spec = build(parameter, squeezed_thermal_state(ne, squeeze))
+        grid = np.linspace(start, start + width, steps)
+        rows = evaluate_bounds(spec, grid, units=units, coherent_second_arg=second)
+        if fmt == "csv":
+            names = ("input_photon",) + BOUNDS_COLUMNS[1:]
+            lines = [",".join(BOUNDS_COLUMNS)] + [",".join("%.17g" % getattr(r, name) for name in names) for r in rows]
+            expected = "\n".join(lines) + "\n"
+        else:
+            expected = json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
+        # line lists: pytest names the first differing line, where a text diff of the whole output is slow
+        assert out.getvalue().splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
 class TestFig2:

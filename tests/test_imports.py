@@ -53,6 +53,34 @@ def test_single_chunk_campaigns_do_not_load_concurrent_futures():
     assert _run(_CAMPAIGN_SCRIPT).strip() == "False"
 
 
+# The modules that a fresh interpreter loads past numpy: first for the standard-library modules that the
+# package imports today, then for the benchmark's set-up code, an import and one bound point.
+_STDLIB_SCRIPT = """
+import sys
+import numpy
+before = set(sys.modules)
+import __future__, copy, dataclasses
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+_SETUP_SCRIPT = """
+import sys
+import numpy
+before = set(sys.modules)
+import gausscap as gc
+gc.evaluate_bounds(gc.ChannelSpec.beam_splitter(0.85, gc.thermal_state(1.0)), 1.0)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_setup_loads_no_module_beyond_numpy_and_the_package():
+    # import time is the benchmark's set-up cost: json, argparse and the command line stay unloaded until used
+    allowed = set(_run(_STDLIB_SCRIPT).split())
+    loaded = set(_run(_SETUP_SCRIPT).split())
+    extra = {name for name in loaded - allowed if name.partition(".")[0] not in ("numpy", "gausscap")}
+    assert extra == set()
+    assert {"json", "argparse", "gausscap.cli"}.isdisjoint(loaded)
+
+
 def _imported_packages(path: Path) -> set[str]:
     """Top-level names of the absolute imports anywhere in a module, deferred ones included."""
     names = set()
