@@ -6,19 +6,14 @@ below -tolerance (default 1e-9).  Near the degenerate amplifier gain
 k -> 1 the slack itself shrinks to the scale of k - 1, so checks pinned
 there should use a correspondingly wider band.
 
-The qepi and chain families have single-mode inputs A and E, and their
-kernel (``_single_mode_kernel``) takes each state's (n, r, u): lhs from the
-closed-form output spectra of ``channels._pair_spectra``, which are sums of
-nonnegative terms, so no determinant cancels at any squeezing, and rhs from
-the input entropies g(n).  A campaign passes each trial's drawn photon
-numbers, squeezings and angles and builds no matrix, and a ``check_*`` call
-converts each validated input matrix once (``core._mode_parameters``; a chain
-reads its environment's from the ``ChannelSpec``).  The cqepi kernel
-(``_conditional_kernel``) builds the (B, Z1, Z2) output of two-mode inputs
-and validates it and the Z marginals like a ``CovarianceMatrix``; sampled
-two-mode squeezed inputs carry their exact spectra.  Every ``check_*`` call is
-a stack of one through its family's kernel (``_trial``), whose channel is
-``Inequality.kind``; the right-hand sides are ``channels.epi_rhs``.
+Each family is one row of ``_FAMILIES``: its channel, the shapes of its
+two inputs in draw order (``_STATE``, ``_THERMAL`` or ``_PAIR``, each of
+which knows its draws per trial and how they, or a ``check_*`` argument,
+become a kernel input), and the ``channels._pair_spectra`` rows its lhs
+sums.  ``_kernel`` takes single-mode inputs to their closed-form output
+spectra, sums of nonnegative terms, so no determinant cancels at any
+squeezing, and two-mode ones to ``_conditional_kernel``, which builds and
+validates the (B, Z1, Z2) output; the right-hand sides are ``epi_rhs``.
 Campaign results are reproducible: trial i's uniform draws
 are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
 for a whole chunk at once as array arithmetic (``_uniform_draws``); the
@@ -72,9 +67,8 @@ class Inequality(Enum):
 
     @property
     def kind(self) -> ChannelKind:
-        """The channel the family is stated for: the amplifier (qepi-amp, cqepi-amp) or the beam splitter."""
-        amplifier = self in (Inequality.QEPI_AMP, Inequality.CQEPI_AMP)
-        return ChannelKind.AMPLIFIER if amplifier else ChannelKind.BEAM_SPLITTER
+        """The channel the family is stated for, from its row of ``_FAMILIES``."""
+        return _FAMILIES[self][0]
 
 
 @dataclass(frozen=True)
@@ -108,23 +102,92 @@ class EpiReport:
     tolerance: float
 
 
-_PLAIN = (Inequality.QEPI_BS, Inequality.QEPI_AMP)
-_CONDITIONAL = (Inequality.CQEPI_BS, Inequality.CQEPI_AMP)
-
-
 # ---------------------------------------------------------------------------
-# kernels: (n, r, u) or stacks of validated matrices in, lhs and rhs arrays out
+# families: input shapes, one row per family, the kernels, and the checks as stacks of one through them
 # ---------------------------------------------------------------------------
 
-def _single_mode_kernel(inequality: Inequality, parameter, a, e, label) -> tuple[np.ndarray, np.ndarray]:
-    """qepi and chain inequalities on single-mode inputs A and E given as their (n, r, u), as
-    ``channels._pair_spectra`` takes them: lhs = S(B), from its closed-form spectrum, or for wc-chain-bs
-    S(F, C) of the complementary output; rhs = ``epi_rhs``(s1, s2), with (s1, s2) = (g(n_A), g(n_E)), the
-    inputs' entropies (qepi), or (0, g(n_E)) (chains), the output-entropy floor of a thermal environment."""
-    kind = inequality.kind
-    xs = _pair_spectra(kind, parameter, a, e, label)
-    lhs = _factor_entropies(xs[1:]).sum(axis=0) if inequality is Inequality.WC_CHAIN_BS else _factor_entropies(xs[0])
-    s1, s2 = thermal_entropy(np.stack([a[0], e[0]])) if inequality in _PLAIN else (0.0, thermal_entropy(e[0]))
+class _State:
+    """A single-mode state's (n, r, u), drawn as ``core.random_gaussian_state``(1) draws them: the photon number (if
+    max_photon > 0), the rotation draw u of the angle 2 pi u, the squeezing and a last rotation, which drops out."""
+
+    def width(self, campaign: _Campaign) -> int:
+        return int(campaign.max_photon > 0) + 3
+
+    def drawn(self, campaign: _Campaign, draws: np.ndarray) -> tuple:
+        # max_photon = 0 draws no photon number, and its product with the rotation draw is n = 0 all the same
+        return campaign.max_photon * draws[:, 0], campaign.max_squeeze * draws[:, -2], draws[:, -3]
+
+    def require(self, state: CovarianceMatrix) -> None:
+        if state.n_modes != 1:
+            raise ValueError("expected single-mode input states")
+
+    def given(self, state: CovarianceMatrix, inequality: Inequality) -> tuple:
+        return _mode_parameters(state)
+
+
+class _Thermal:
+    """A chain's thermal environment as (n, 0, 0), n drawn unless ``env_photon`` pins it, or a spec's (n, r, u)."""
+
+    def width(self, campaign: _Campaign) -> int:
+        return int(campaign.env_photon is None)
+
+    def drawn(self, campaign: _Campaign, draws: np.ndarray) -> tuple:
+        pinned = campaign.env_photon
+        return (campaign.max_photon * draws[:, 0] if pinned is None else np.full(len(draws), pinned)), 0.0, 0.0
+
+    def require(self, spec: ChannelSpec) -> None:
+        if spec.kind is not ChannelKind.BEAM_SPLITTER:
+            raise ValueError("chain inequalities are checked for the beam splitter")
+
+    def given(self, spec: ChannelSpec, inequality: Inequality) -> tuple:
+        if not _is_thermal(spec._environment_modes):
+            raise ValueError(f"the chain inequality {inequality.value} assumes a thermal environment (2N + 1) I")
+        return spec._environment_modes
+
+
+class _Pair:
+    """A two-mode (X, Z) input's (data, spectra): (2n + 1) times a drawn two-mode squeezed vacuum, or a stack of one."""
+
+    def width(self, campaign: _Campaign) -> int:
+        return 2
+
+    def drawn(self, campaign: _Campaign, draws: np.ndarray) -> tuple:
+        return _two_mode_squeezed_stack(campaign.max_photon * draws[:, 0], campaign.max_squeeze * draws[:, 1])
+
+    def require(self, pair: CovarianceMatrix) -> None:
+        if pair.n_modes != 2:
+            raise ValueError("expected two-mode (X, Z) input states")
+
+    def given(self, pair: CovarianceMatrix, inequality: Inequality) -> tuple:
+        return pair.data[None], symplectic_eigenvalues(pair)[None]
+
+
+_STATE, _THERMAL, _PAIR = _State(), _Thermal(), _Pair()
+
+# Each family once: its channel, the shapes of its two inputs in draw order, and the rows of ``_pair_spectra``
+# whose entropies its lhs sums, S(B) or S(F, C) of the complementary output (None: the conditional kernel).
+_FAMILIES = {
+    Inequality.QEPI_BS: (ChannelKind.BEAM_SPLITTER, (_STATE, _STATE), slice(0, 1)),
+    Inequality.QEPI_AMP: (ChannelKind.AMPLIFIER, (_STATE, _STATE), slice(0, 1)),
+    Inequality.CQEPI_BS: (ChannelKind.BEAM_SPLITTER, (_PAIR, _PAIR), None),
+    Inequality.CQEPI_AMP: (ChannelKind.AMPLIFIER, (_PAIR, _PAIR), None),
+    Inequality.MOE_CHAIN_BS: (ChannelKind.BEAM_SPLITTER, (_THERMAL, _STATE), slice(0, 1)),
+    Inequality.WC_CHAIN_BS: (ChannelKind.BEAM_SPLITTER, (_THERMAL, _STATE), slice(1, 3)),
+}
+
+
+def _kernel(inequality: Inequality, parameter: np.ndarray, inputs, label) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs of a family on its kernel inputs in draw order: two-mode ones through ``_conditional_kernel``;
+    single-mode ones, an input A and an environment E (a chain draws its thermal E first), give lhs from the row's
+    ``_pair_spectra`` rows and rhs = ``epi_rhs``(s1, s2), (s1, s2) = (g(n_A), g(n_E)), the inputs' entropies (qepi),
+    or (0, g(n_E)) (chains), the output-entropy floor of a thermal environment over every input."""
+    kind, shapes, rows = _FAMILIES[inequality]
+    if rows is None:
+        return _conditional_kernel(kind, parameter, *inputs)
+    chain = shapes[0] is _THERMAL
+    a, e = inputs[::-1] if chain else inputs
+    lhs = _factor_entropies(_pair_spectra(kind, parameter, a, e, label)[rows]).sum(axis=0)
+    s1, s2 = (0.0, thermal_entropy(e[0])) if chain else thermal_entropy(np.stack([a[0], e[0]]))
     return lhs, epi_rhs(kind, parameter, s1, s2)
 
 
@@ -153,88 +216,59 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) 
     return lhs, epi_rhs(kind, parameter, _spectral_entropy(pair1[1]) - z1, _spectral_entropy(pair2[1]) - z2)
 
 
-# ---------------------------------------------------------------------------
-# single checks: user matrices turned into (n, r, u), or a stack of one
-# ---------------------------------------------------------------------------
-
-def _trial(inequality: Inequality, parameter: float, inputs: tuple[CovarianceMatrix, ...], first, second) -> EpiTrial:
-    """Any of the six checks as a stack of one through its family's kernel, on the (n, r, u) of single-mode
-    inputs (qepi, chains) or the (data, spectra) stacks of two-mode ones (cqepi)."""
-    column = np.array([parameter], dtype=float)
-    if inequality in _CONDITIONAL:
-        lhs, rhs = _conditional_kernel(inequality.kind, column, first, second)
-    else:
-        lhs, rhs = _single_mode_kernel(inequality, column, first, second, lambda i: "the input matrices")
-    return EpiTrial(inequality, parameter, inputs, float(lhs[0]), float(rhs[0]))
-
-
-def _pair_trial(inequality: Inequality, first: CovarianceMatrix, second: CovarianceMatrix, parameter: float) -> EpiTrial:
-    """A qepi check on the (n, r, u) of its inputs, or a cqepi check on their (data, spectra)."""
-    if inequality in _PLAIN:
-        _require_modes(1, first, second)
-        return _trial(inequality, parameter, (first, second), _mode_parameters(first), _mode_parameters(second))
-    _require_modes(2, first, second)
-    pair1, pair2 = ((s.data[None], symplectic_eigenvalues(s)[None]) for s in (first, second))
-    return _trial(inequality, parameter, (first, second), pair1, pair2)
-
-
-def _chain_trial(inequality: Inequality, state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
-    """A chain check on the (n, r, u) of the input and the spec's stored ones of its thermal environment."""
-    if spec.kind is not ChannelKind.BEAM_SPLITTER:
-        raise ValueError("chain inequalities are checked for the beam splitter")
-    _require_modes(1, state)
-    if not _is_thermal(spec._environment_modes):
-        raise ValueError(f"the chain inequality {inequality.value} assumes a thermal environment (2N + 1) I")
-    return _trial(inequality, spec.parameter, (state,), _mode_parameters(state), spec._environment_modes)
+def _trial(inequality: Inequality, parameter: float, values: tuple) -> EpiTrial:
+    """Any of the six checks on its arguments in draw order (input states, or a chain's ``ChannelSpec`` for its
+    environment): every argument passes its shape's ``require`` in turn, before any is converted by ``given``."""
+    shapes = _FAMILIES[inequality][1]
+    for shape, value in zip(shapes, values):
+        shape.require(value)
+    inputs = [shape.given(value, inequality) for shape, value in zip(shapes, values)]
+    lhs, rhs = _kernel(inequality, np.array([parameter], dtype=float), inputs, lambda i: "the input matrices")
+    states = tuple(value for value in values if isinstance(value, CovarianceMatrix))  # a spec is no input state
+    return EpiTrial(inequality, parameter, states, float(lhs[0]), float(rhs[0]))
 
 
 def check_qepi_bs(state1: CovarianceMatrix, state2: CovarianceMatrix, transmissivity: float) -> EpiTrial:
     """Beam-splitter entropy power inequality on two single-mode inputs: S(B) >= ``epi_rhs``(S(G1), S(G2))."""
-    return _pair_trial(Inequality.QEPI_BS, state1, state2, transmissivity)
+    return _trial(Inequality.QEPI_BS, transmissivity, (state1, state2))
 
 
 def check_qepi_amp(state1: CovarianceMatrix, state2: CovarianceMatrix, gain: float) -> EpiTrial:
     """Amplifier entropy power inequality on two single-mode inputs: S(B) >= ``epi_rhs``(S(G1), S(G2))."""
-    return _pair_trial(Inequality.QEPI_AMP, state1, state2, gain)
+    return _trial(Inequality.QEPI_AMP, gain, (state1, state2))
 
 
 def check_cqepi_bs(pair1: CovarianceMatrix, pair2: CovarianceMatrix, transmissivity: float) -> EpiTrial:
     """Conditional beam-splitter EPI on two-mode inputs (X_i, Z_i): S(B | Z1 Z2) >= ``epi_rhs``(S(X1|Z1), S(X2|Z2))."""
-    return _pair_trial(Inequality.CQEPI_BS, pair1, pair2, transmissivity)
+    return _trial(Inequality.CQEPI_BS, transmissivity, (pair1, pair2))
 
 
 def check_cqepi_amp(pair1: CovarianceMatrix, pair2: CovarianceMatrix, gain: float) -> EpiTrial:
     """Conditional amplifier EPI on two-mode inputs (X_i, Z_i): S(B | Z1 Z2) >= ``epi_rhs``(S(X1|Z1), S(X2|Z2))."""
-    return _pair_trial(Inequality.CQEPI_AMP, pair1, pair2, gain)
+    return _trial(Inequality.CQEPI_AMP, gain, (pair1, pair2))
 
 
 def check_moe_chain(state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
     """Single-use output-entropy floor S(channel(G)) >= (1-t) g(Ne)."""
-    return _chain_trial(Inequality.MOE_CHAIN_BS, state, spec)
+    return _trial(Inequality.MOE_CHAIN_BS, spec.parameter, (spec, state))
 
 
 def check_wc_chain(state: CovarianceMatrix, spec: ChannelSpec) -> EpiTrial:
     """Complementary-side floor S(complement(G)) >= (1-t) g(Ne)."""
-    return _chain_trial(Inequality.WC_CHAIN_BS, state, spec)
-
-
-def _require_modes(n_modes: int, *states: CovarianceMatrix) -> None:
-    if any(s.n_modes != n_modes for s in states):
-        raise ValueError("expected single-mode input states" if n_modes == 1 else "expected two-mode (X, Z) input states")
+    return _trial(Inequality.WC_CHAIN_BS, spec.parameter, (spec, state))
 
 
 def fock_entropy_oracle(mean_photon: float, cutoff: int) -> float:
     """Entropy of the truncated geometric photon-number distribution of a
     thermal state, renormalised; converges to thermal_entropy as the cutoff grows."""
-    if mean_photon < 0:
-        raise ValueError("mean photon number must be nonnegative")
-    if cutoff < 2:
+    if not 0.0 <= mean_photon < math.inf:  # also rejects NaN
+        raise ValueError("mean photon number must be finite and nonnegative")
+    if operator.index(cutoff) < 2:  # a fractional cutoff raises TypeError, as range() does
         raise ValueError("cutoff must be at least 2")
     if mean_photon == 0:
         return 0.0
     k = np.arange(cutoff)
-    log_p = k * math.log(mean_photon) - (k + 1) * math.log(mean_photon + 1.0)
-    p = np.exp(log_p)
+    p = np.exp(k * math.log(mean_photon) - (k + 1) * math.log(mean_photon + 1.0))
     p = p / p.sum()
     p = p[p > 0.0]  # underflowed tail terms contribute nothing
     return float(-np.sum(p * np.log(p)))
@@ -370,11 +404,6 @@ def _uniform_draws(seed: int, indices: range, count: int) -> np.ndarray:
 # campaigns
 # ---------------------------------------------------------------------------
 
-def _drawn_label(i: tuple) -> str:
-    """Where the spectra of a campaign's drawn states fail; the campaign names the trial."""
-    return "the drawn states"
-
-
 @dataclass(frozen=True)
 class _Campaign:
     """Sampling settings of one campaign; ``lhs_rhs`` evaluates a chunk of its trials."""
@@ -387,46 +416,17 @@ class _Campaign:
     env_photon: float | None
 
     def _widths(self) -> list[int]:
-        """Draws per trial, in draw order: the mixing parameter (unless the range is a single value),
-        then per family both single-mode states (qepi), the (photon, squeeze) pair of both two-mode
-        states (cqepi), or the environment photon number (unless fixed) and the input state (chains)."""
-        state = int(self.max_photon > 0) + 3  # one mode: its photon number (if drawn), then (angle, squeeze, angle)
-        if self.inequality in _PLAIN:
-            widths = [state, state]
-        elif self.inequality in _CONDITIONAL:
-            widths = [2, 2]
-        else:
-            widths = [int(self.env_photon is None), state]
+        """Draws per trial, in draw order: the mixing parameter (unless the range is one value), then each input's."""
         lo, hi = self.parameter_range
-        return [int(lo != hi)] + widths
-
-    def _modes(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n, r, u) of the single-mode states drawn as rows of ``core.random_gaussian_state``(1)'s draws: the
-        photon number (if max_photon > 0), then the rotation draw u of the angle 2 pi u, the squeezing and
-        the sampler's last rotation, which acts on a thermal state and drops out."""
-        if self.max_photon > 0:
-            photons, draws = self.max_photon * draws[:, 0], draws[:, 1:]
-        else:
-            photons = np.zeros(len(draws))
-        return photons, self.max_squeeze * draws[:, 1], draws[:, 0]
+        return [int(lo != hi)] + [shape.width(self) for shape in _FAMILIES[self.inequality][1]]
 
     def lhs_rhs(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """lhs and rhs of the trials whose uniform draws are the rows of ``draws``, split as ``_widths``."""
-        varied, first, second = np.split(draws, np.cumsum(self._widths())[:-1], axis=1)
+        varied, *split = np.split(draws, np.cumsum(self._widths())[:-1], axis=1)
         lo, hi = self.parameter_range
         parameter = lo + (hi - lo) * varied[:, 0] if varied.shape[1] else np.full(len(draws), float(lo))
-        inequality = self.inequality
-        if inequality in _CONDITIONAL:
-            pair1, pair2 = (
-                _two_mode_squeezed_stack(self.max_photon * d[:, 0], self.max_squeeze * d[:, 1]) for d in (first, second)
-            )
-            return _conditional_kernel(inequality.kind, parameter, pair1, pair2)
-        if inequality in _PLAIN:
-            a, e = self._modes(first), self._modes(second)
-        else:  # a chain: the input against a thermal environment, r = 0
-            photons = self.max_photon * first[:, 0] if self.env_photon is None else np.full(len(draws), self.env_photon)
-            a, e = self._modes(second), (photons, 0.0, 0.0)
-        return _single_mode_kernel(inequality, parameter, a, e, _drawn_label)
+        inputs = [shape.drawn(self, d) for shape, d in zip(_FAMILIES[self.inequality][1], split)]
+        return _kernel(self.inequality, parameter, inputs, lambda i: "the drawn states")
 
     def slacks(self, indices: range) -> np.ndarray:
         """Slacks of the trials ``indices``.  A failing trial raises its own
@@ -467,7 +467,7 @@ def monte_carlo_verify(
     lie in [1, 2^32] (each index is one uint32 seed word).  ``workers`` must
     be at least 1 and changes neither the speed nor the report.
     """
-    inequality = Inequality(inequality) if not isinstance(inequality, Inequality) else inequality
+    inequality = Inequality(inequality)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if trials > MAX_TRIALS:
@@ -483,7 +483,7 @@ def monte_carlo_verify(
         raise ValueError("env_photon must be finite and nonnegative")
     if env_photon is not None and not 2.0 * env_photon + 1.0 < math.inf:
         raise ValueError(f"env_photon must keep 2N + 1 finite: N = {env_photon:.6g} is above {sys.float_info.max / 2:.6g}")
-    if env_photon is not None and inequality in _PLAIN + _CONDITIONAL:
+    if env_photon is not None and _THERMAL not in _FAMILIES[inequality][1]:
         raise ValueError(f"env_photon does not apply to {inequality.value}: it fixes a chain's thermal environment")
     if parameter_range is None:
         parameter_range = (1.0, 10.0) if inequality.kind is ChannelKind.AMPLIFIER else (0.0, 1.0)

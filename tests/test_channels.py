@@ -40,7 +40,7 @@ from gausscap import (
 from gausscap import capacities, channels, core, epi
 from gausscap.channels import MAX_GAIN, _complementary_map, _pair_spectra, channel_map
 from gausscap.core import PHASE_FLIP, CovarianceMatrix, _mode_parameters
-from gausscap.epi import Inequality, _Campaign, _single_mode_kernel
+from gausscap.epi import Inequality, _Campaign, _kernel
 from helpers import (
     conjugate_and_trace,
     eigensolver_calls,
@@ -419,15 +419,15 @@ class TestOneConversion:
     def test_checks_on_matrices_equal_the_kernel_on_their_draws(self, family, u, a, e):
         amp = family.endswith("amp")
         parameter = 1.0 + 9.0 * u if amp else u
+        draws = (a[0], a[1], a[2] / (2.0 * math.pi))
         if family.startswith("qepi"):
             trial = CHECKS[family](_exact_state(*a), _exact_state(*e), parameter)
-            draws = (e[0], e[1], e[2] / (2.0 * math.pi))
-        else:
+            inputs = [draws, (e[0], e[1], e[2] / (2.0 * math.pi))]
+        else:  # a chain draws its thermal environment first
             trial = CHECKS[family](_exact_state(*a), ChannelSpec.beam_splitter(parameter, thermal_state(e[0])))
-            draws = (e[0], 0.0, 0.0)
+            inputs = [(e[0], 0.0, 0.0), draws]
         label = lambda i: "the draws"  # noqa: E731
-        column = np.array([parameter])
-        lhs, rhs = _single_mode_kernel(Inequality(family), column, (a[0], a[1], a[2] / (2.0 * math.pi)), draws, label)
+        lhs, rhs = _kernel(Inequality(family), np.array([parameter]), inputs, label)
         for got, want in ((trial.lhs, lhs[0]), (trial.rhs, rhs[0])):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 

@@ -417,18 +417,51 @@ class TestGoldenReports:
     @pytest.mark.parametrize("family", sorted(GOLDEN_REPORTS))
     def test_seed_42_report_is_byte_identical(self, capsys, family):
         assert main(["verify-epi", "--family", family, "--seed", "42", "--trials", "10000"]) == 0
-        min_slack, mean_slack = GOLDEN_REPORTS[family]
-        assert capsys.readouterr().out == (
-            "{\n"
-            f'  "inequality": "{family}",\n'
-            '  "trials": 10000,\n'
-            '  "violations": 0,\n'
-            f'  "min_slack": {min_slack},\n'
-            f'  "mean_slack": {mean_slack},\n'
-            '  "seed": 42,\n'
-            '  "tolerance": 1e-09\n'
-            "}\n"
-        )
+        assert capsys.readouterr().out == _report(family, 10000, 42, *GOLDEN_REPORTS[family])
+
+
+def _report(family, trials, seed, min_slack, mean_slack):
+    """The bytes of a campaign report without violations at the default tolerance."""
+    return (
+        "{\n"
+        f'  "inequality": "{family}",\n'
+        f'  "trials": {trials},\n'
+        '  "violations": 0,\n'
+        f'  "min_slack": {min_slack},\n'
+        f'  "mean_slack": {mean_slack},\n'
+        f'  "seed": {seed},\n'
+        '  "tolerance": 1e-09\n'
+        "}\n"
+    )
+
+
+# (min_slack, mean_slack) of `verify-epi --seed 7 --trials 1500` with one more setting, for the draw paths
+# the seed-42 reports do not take: --max-n 0 draws a single-mode state as 3 numbers instead of 4, a pinned
+# --tau/--kappa draws no mixing parameter, and a chain's --ne draws no environment photon number.  1500
+# trials cross a chunk boundary.
+GOLDEN_DRAW_PATHS = {
+    ("qepi-bs", "--max-n", "0"): ("0.0014074620535703378", "0.6757723560915183"),
+    ("qepi-bs", "--tau", "0.3"): ("0.0005010252801487258", "0.6348996454818063"),
+    ("qepi-amp", "--max-n", "0"): ("0.10439144502906203", "0.8969527249785272"),
+    ("qepi-amp", "--kappa", "2.5"): ("0.004674173988092889", "0.657571220601425"),
+    ("cqepi-bs", "--max-n", "0"): ("1.0579967768542531e-07", "0.11151867427288098"),
+    ("cqepi-bs", "--tau", "0.3"): ("9.441847699243056e-07", "0.17795715437113407"),
+    ("cqepi-amp", "--max-n", "0"): ("0.0018477282071889256", "0.19065468409012784"),
+    ("cqepi-amp", "--kappa", "2.5"): ("8.040747432946915e-05", "0.19217401702020595"),
+    ("moe-chain-bs", "--max-n", "0"): ("4.811018160521691e-07", "0.37400570566872066"),
+    ("moe-chain-bs", "--tau", "0.3"): ("0.07837078929640906", "0.9334265393846399"),
+    ("moe-chain-bs", "--ne", "2"): ("0.004006026746028013", "1.257776475321858"),
+    ("wc-chain-bs", "--max-n", "0"): ("4.811018160521691e-07", "0.37400570566872066"),
+    ("wc-chain-bs", "--tau", "0.3"): ("0.08442844881763811", "2.221308408560545"),
+    ("wc-chain-bs", "--ne", "2"): ("0.049496208847468415", "2.095011598715378"),
+}
+
+
+class TestGoldenDrawPaths:
+    @pytest.mark.parametrize("family,option,value", sorted(GOLDEN_DRAW_PATHS))
+    def test_seed_7_report_is_byte_identical(self, capsys, family, option, value):
+        assert main(["verify-epi", "--family", family, "--seed", "7", "--trials", "1500", option, value]) == 0
+        assert capsys.readouterr().out == _report(family, 1500, 7, *GOLDEN_DRAW_PATHS[family, option, value])
 
 
 class TestEntropyCommand:

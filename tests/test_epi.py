@@ -181,6 +181,58 @@ class TestChains:
         assert (trial.lhs, trial.rhs) == pytest.approx((thermal.lhs, thermal.rhs), rel=1e-14)
 
 
+SINGLE_MODE_MESSAGE = "expected single-mode input states"
+TWO_MODE_MESSAGE = "expected two-mode (X, Z) input states"
+BEAM_SPLITTER_MESSAGE = "chain inequalities are checked for the beam splitter"
+SQUEEZED_SPLITTER = ChannelSpec.beam_splitter(0.5, squeezed_thermal_state(1, 0.5))
+AMPLIFIER = ChannelSpec.amplifier(2.0, thermal_state(1))
+
+
+def _thermal_message(family):
+    return f"the chain inequality {family} assumes a thermal environment (2N + 1) I"
+
+
+class TestRefusals:
+    """Each ``check_*`` refusal with its class and exact text, and which one wins when several apply: the
+    channel of a chain's spec, then the input's mode count, then a chain's thermal environment or a pair's
+    mixing parameter."""
+
+    @pytest.mark.parametrize(
+        "run,message",
+        [
+            (lambda: check_qepi_bs(vacuum_state(2), vacuum_state(2), 0.5), SINGLE_MODE_MESSAGE),
+            (lambda: check_qepi_bs(vacuum_state(), vacuum_state(2), 0.5), SINGLE_MODE_MESSAGE),
+            (lambda: check_qepi_amp(vacuum_state(2), vacuum_state(), 2.0), SINGLE_MODE_MESSAGE),
+            (lambda: check_cqepi_bs(vacuum_state(), vacuum_state(), 0.5), TWO_MODE_MESSAGE),
+            (lambda: check_cqepi_amp(vacuum_state(2), vacuum_state(), 2.0), TWO_MODE_MESSAGE),
+            (lambda: check_cqepi_amp(vacuum_state(3), vacuum_state(3), 2.0), TWO_MODE_MESSAGE),
+            (lambda: check_moe_chain(vacuum_state(), AMPLIFIER), BEAM_SPLITTER_MESSAGE),
+            (lambda: check_wc_chain(vacuum_state(), AMPLIFIER), BEAM_SPLITTER_MESSAGE),
+            (lambda: check_moe_chain(vacuum_state(), SQUEEZED_SPLITTER), _thermal_message("moe-chain-bs")),
+            (lambda: check_wc_chain(vacuum_state(), SQUEEZED_SPLITTER), _thermal_message("wc-chain-bs")),
+            (lambda: check_moe_chain(vacuum_state(2), ChannelSpec.beam_splitter(0.5, thermal_state(1))),
+             SINGLE_MODE_MESSAGE),
+            (lambda: check_qepi_bs(vacuum_state(), vacuum_state(), 1.5), "transmissivity must lie in [0, 1]"),
+            (lambda: check_cqepi_amp(vacuum_state(2), vacuum_state(2), 0.5), "gain must be >= 1"),
+            # the channel before the input's modes
+            (lambda: check_moe_chain(vacuum_state(2), AMPLIFIER), BEAM_SPLITTER_MESSAGE),
+            (lambda: check_wc_chain(vacuum_state(2), ChannelSpec.amplifier(2.0, squeezed_thermal_state(1, 0.5))),
+             BEAM_SPLITTER_MESSAGE),
+            # the input's modes before the environment
+            (lambda: check_wc_chain(vacuum_state(2), SQUEEZED_SPLITTER), SINGLE_MODE_MESSAGE),
+            # the input's modes before the mixing parameter
+            (lambda: check_qepi_bs(vacuum_state(2), vacuum_state(2), 1.5), SINGLE_MODE_MESSAGE),
+            (lambda: check_qepi_amp(vacuum_state(2), vacuum_state(), 0.5), SINGLE_MODE_MESSAGE),
+            (lambda: check_cqepi_bs(vacuum_state(), vacuum_state(2), 1.5), TWO_MODE_MESSAGE),
+        ],
+    )
+    def test_class_text_and_precedence(self, run, message):
+        with pytest.raises(ValueError) as caught:
+            run()
+        assert caught.type is ValueError
+        assert str(caught.value) == message
+
+
 def _near_vacuum(shortfall):
     """(1 - shortfall) I, stored with nu within the 1e-9 tolerance below 1: entropy 0, photon number 0."""
     return CovarianceMatrix((1.0 - shortfall) * np.eye(2))
@@ -242,6 +294,17 @@ class TestFockOracle:
             fock_entropy_oracle(-0.1, 100)
         with pytest.raises(ValueError):
             fock_entropy_oracle(1.0, 1)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -0.1])
+    def test_rejects_photon_numbers_outside_the_domain(self, n):
+        # NaN and inf used to return -0.0, inf with numpy warnings on the way
+        with pytest.raises(ValueError, match=r"^mean photon number must be finite and nonnegative$"):
+            fock_entropy_oracle(n, 50)
+
+    def test_rejects_a_fractional_cutoff(self):
+        # 2.5 used to run as np.arange(2.5), three photon numbers
+        with pytest.raises(TypeError):
+            fock_entropy_oracle(1.0, 2.5)
 
 
 class TestMonteCarlo:

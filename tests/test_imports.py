@@ -184,3 +184,29 @@ def test_cli_reads_only_exported_names():
             assert (node.level, node.module) == (1, None), ast.unparse(node)
             taken += [alias.name for alias in node.names]
     assert taken and set(taken) <= exported, set(taken) - exported
+
+
+def _is_member(node: ast.AST) -> bool:
+    """Whether a node reads ``Inequality.<NAME>``."""
+    return isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "Inequality"
+
+
+def test_epi_names_families_only_in_its_table_and_checks():
+    # each family's facts live in one row of ``_FAMILIES``; a branch on family identity or family group elsewhere
+    # would spread them over the module again
+    from gausscap.epi import _FAMILIES, Inequality
+
+    assert set(_FAMILIES) == set(Inequality)
+    tree = _tree(_ROOT / "src" / "gausscap" / "epi.py")
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(target) for target in node.targets] == ["_FAMILIES"]:
+            allowed.update(id(key) for key in node.value.keys)
+        elif isinstance(node, ast.FunctionDef) and node.name.startswith("check_"):
+            allowed.update(id(inner) for inner in ast.walk(node))
+        elif isinstance(node, ast.Assign):
+            # no module-level tuple, list or set of members
+            assert not any(_is_member(inner) for inner in ast.walk(node.value)), ast.unparse(node)
+    stray = [ast.unparse(node) for node in ast.walk(tree) if _is_member(node) and id(node) not in allowed]
+    assert stray == []
+    assert sum(isinstance(node, ast.FunctionDef) and node.name.startswith("check_") for node in tree.body) == 6

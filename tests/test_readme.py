@@ -1,11 +1,12 @@
 """The README's Python example runs as written, and every statement commented with a number equals it; every
-line of its "Command line" block exits 0."""
+line of its "Command line" block exits 0; its `verify-epi` family list is ``Inequality``, in order."""
 
 import ast
 import re
 import shlex
 from pathlib import Path
 
+from gausscap import Inequality
 from gausscap.cli import main
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,3 +45,8 @@ def test_command_line_block_runs_as_written(tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv[1:]) == 0, " ".join(argv)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["amp.json", "fig2_amp.csv", "fig2_bs.csv"]
+
+
+def test_verify_epi_family_list_is_the_enum_in_order():
+    item = re.search(r"- `verify-epi` runs one inequality family \((.*?)\)", _README.read_text(encoding="utf-8"), re.S)
+    assert re.findall(r"`([^`]+)`", item.group(1)) == [family.value for family in Inequality]
