@@ -304,26 +304,17 @@ def squeezed_thermal_state(thermal_photon: float, squeeze: float) -> CovarianceM
     return CovarianceMatrix._physical(np.diag(diag), np.array([scale]))
 
 
-def _two_mode_squeezed_stack(photons: NDArray[np.float64], squeezes: NDArray[np.float64]):
-    """(2n + 1) times the two-mode squeezed vacuum of squeezing r for arrays of n and r of length T: the
-    (T, 4, 4) stack and its exact spectra (2n + 1, 2n + 1), physical by construction, as ``_validated`` returns them."""
-    scale = 2.0 * photons + 1.0
-    ch, sh = scale * np.cosh(2.0 * squeezes), scale * np.sinh(2.0 * squeezes)
-    out = np.zeros((len(scale), 4, 4))
-    out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = out[:, 3, 3] = ch
-    out[:, 0, 2] = out[:, 2, 0] = sh
-    out[:, 1, 3] = out[:, 3, 1] = -sh
-    return out, np.repeat(scale[:, None], 2, axis=1)
-
-
 def two_mode_squeezed_state(squeeze: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum; pure, with thermal marginals of sinh(r)^2 photons.
     Stored with its exact spectrum (1, 1); r >= 0 must keep cosh(2r) finite (r up to about 355)."""
     with np.errstate(over="ignore"):
-        data, spectrum = _two_mode_squeezed_stack(np.zeros(1), np.array([squeeze], dtype=float))
-    if not (squeeze >= 0 and np.isfinite(data).all()):
+        ch, sh = np.cosh(2.0 * squeeze), np.sinh(2.0 * squeeze)
+    if not (squeeze >= 0 and np.isfinite(ch)):
         raise ValueError("squeezing parameter must be nonnegative and keep cosh(2r) finite")
-    return CovarianceMatrix._physical(data[0], spectrum[0])
+    data = ch * np.eye(4)
+    data[0, 2] = data[2, 0] = sh
+    data[1, 3] = data[3, 1] = -sh
+    return CovarianceMatrix._physical(data, np.ones(2))
 
 
 def direct_sum(*states: CovarianceMatrix) -> CovarianceMatrix:
@@ -420,11 +411,6 @@ def _spectral_entropy(spectrum: NDArray[np.float64]) -> NDArray[np.float64]:
     """Entropy in nats of each symplectic spectrum along the last axis, values below 1 counted as 1."""
     nu = np.where(spectrum < 1.0, 1.0, spectrum)
     return thermal_entropy((nu - 1.0) / 2.0).sum(axis=-1)
-
-
-def _stack_entropy(matrices: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Entropy of each matrix of a stack, after validating it."""
-    return _spectral_entropy(_validated(matrices)[1])
 
 
 def entropy(state: CovarianceMatrix) -> float:

@@ -12,8 +12,9 @@ which knows its draws per trial and how they, or a ``check_*`` argument,
 become a kernel input), and the ``channels._pair_spectra`` rows its lhs
 sums.  ``_kernel`` takes single-mode inputs to their closed-form output
 spectra, sums of nonnegative terms, so no determinant cancels at any
-squeezing, and two-mode ones to ``_conditional_kernel``, which builds and
-validates the (B, Z1, Z2) output; the right-hand sides are ``epi_rhs``.
+squeezing, and two-mode ones to ``_conditional_kernel``, which takes the
+(B, Z1, Z2) spectrum from the inputs' factors; the right-hand sides are
+``epi_rhs``.
 Campaign results are reproducible: trial i's uniform draws
 are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
 for a whole chunk at once as array arithmetic (``_uniform_draws``); the
@@ -37,24 +38,29 @@ from .channels import (
     ChannelSpec,
     _factor_entropies,
     _pair_spectra,
-    channel_map,
     coupling,
     epi_rhs,
 )
 from .core import (
     _CHUNK,
+    _EPS,
+    PHYSICALITY_ATOL,
     CovarianceMatrix,
+    PhysicalityError,
     _check_sampling_bounds,
     _is_thermal,
     _mode_parameters,
+    _reject,
     _spectral_entropy,
-    _stack_entropy,
-    _two_mode_squeezed_stack,
     symplectic_eigenvalues,
+    symplectic_form,
     thermal_entropy,
 )
 
 DEFAULT_TOLERANCE = 1e-9
+# The (B, Z1, Z2) spectrum rounds within this many eps (s + nu) (``_conditional_kernel``): at most 25 over 3,200
+# drawn trials against mpmath, squeezing up to r = 30, and 8 for the singular value that vanishes.
+_SVD_ROUNDOFF = 128.0
 
 
 class Inequality(Enum):
@@ -146,20 +152,32 @@ class _Thermal:
 
 
 class _Pair:
-    """A two-mode (X, Z) input's (data, spectra): (2n + 1) times a drawn two-mode squeezed vacuum, or a stack of one."""
+    """A two-mode (X, Z) input as (F, n, n_Z): a factor F of its covariance G = F F.T, the photon numbers (nu - 1) / 2
+    of G's spectrum, one per column pair of F, and n_Z of its Z marginal.  A draw, (2n + 1) times a two-mode squeezed
+    vacuum, is its exact factor sqrt(2n + 1) S_TMS(r) as the (q, p) blocks on (X, Z), shape (T, 2, 2, 2), with
+    n_Z = n + (2n + 1) sinh^2 r; a validated matrix its Cholesky factor, a stack of one (1, 4, 4)."""
 
     def width(self, campaign: _Campaign) -> int:
         return 2
 
     def drawn(self, campaign: _Campaign, draws: np.ndarray) -> tuple:
-        return _two_mode_squeezed_stack(campaign.max_photon * draws[:, 0], campaign.max_squeeze * draws[:, 1])
+        n, r = campaign.max_photon * draws[:, 0], campaign.max_squeeze * draws[:, 1]
+        root, sh = np.sqrt(2.0 * n + 1.0), np.sinh(r)
+        c, s = root * np.cosh(r), root * sh
+        factor = np.stack([c, s, s, c, c, -s, -s, c], axis=1).reshape(-1, 2, 2, 2)
+        return factor, np.stack([n, n], axis=1), n + (2.0 * n + 1.0) * sh * sh
 
     def require(self, pair: CovarianceMatrix) -> None:
         if pair.n_modes != 2:
             raise ValueError("expected two-mode (X, Z) input states")
 
     def given(self, pair: CovarianceMatrix, inequality: Inequality) -> tuple:
-        return pair.data[None], symplectic_eigenvalues(pair)[None]
+        try:
+            factor = np.linalg.cholesky(pair.data)
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("the stored covariance entries of the (X, Z) input have no Cholesky factor") from None
+        z = symplectic_eigenvalues(CovarianceMatrix(pair.data[2:, 2:]))
+        return factor[None], 0.5 * (symplectic_eigenvalues(pair)[None] - 1.0), 0.5 * (z - 1.0)
 
 
 _STATE, _THERMAL, _PAIR = _State(), _Thermal(), _Pair()
@@ -176,14 +194,16 @@ _FAMILIES = {
 }
 
 
-def _kernel(inequality: Inequality, parameter: np.ndarray, inputs, label) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(inequality: Inequality, parameter: np.ndarray, inputs, label,
+            tolerance: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """lhs and rhs of a family on its kernel inputs in draw order: two-mode ones through ``_conditional_kernel``;
     single-mode ones, an input A and an environment E (a chain draws its thermal E first), give lhs from the row's
     ``_pair_spectra`` rows and rhs = ``epi_rhs``(s1, s2), (s1, s2) = (g(n_A), g(n_E)), the inputs' entropies (qepi),
-    or (0, g(n_E)) (chains), the output-entropy floor of a thermal environment over every input."""
+    or (0, g(n_E)) (chains), the output-entropy floor of a thermal environment over every input.  A campaign passes
+    its ``tolerance``, below which the conditional kernel tells roundoff from a violation; a ``check_*`` passes None."""
     kind, shapes, rows = _FAMILIES[inequality]
     if rows is None:
-        return _conditional_kernel(kind, parameter, *inputs)
+        return _conditional_kernel(kind, parameter, *inputs, label, tolerance)
     chain = shapes[0] is _THERMAL
     a, e = inputs[::-1] if chain else inputs
     lhs = _factor_entropies(_pair_spectra(kind, parameter, a, e, label)[rows]).sum(axis=0)
@@ -191,29 +211,104 @@ def _kernel(inequality: Inequality, parameter: np.ndarray, inputs, label) -> tup
     return lhs, epi_rhs(kind, parameter, s1, s2)
 
 
-def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional EPI on stacks of validated two-mode (X_i, Z_i) inputs pair_i = (data, spectra).
+def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2, label,
+                        tolerance: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional EPI on stacks of two-mode (X_i, Z_i) inputs pair_i = (F_i, n_i, n_Zi) of ``_Pair``: lhs =
+    S(B, Z1, Z2) - S(Z1) - S(Z2) for B = sqrt(p) X1 + sqrt(q) M X2, rhs = ``epi_rhs`` of S(X_i Z_i) - S(Z_i).
 
-    lhs = S(B | Z1 Z2) for B = sqrt(p) X1 + sqrt(q) M X2.  The (B, Z1, Z2)
-    covariance is built in closed form: the B block is the channel map of
-    (X1, X2), B couples to Z1 through sqrt(p) C1 and to Z2 through
-    sqrt(q) M C2 (C_i the X_i-Z_i block), and Z1, Z2 stay uncorrelated, so the
-    conditioner's entropy is S(Z1) + S(Z2) of the single-mode marginals.  rhs
-    = ``epi_rhs`` of the conditional entropies S(X_i | Z_i) = S(X_i Z_i) - S(Z_i).
+    The (B, Z1, Z2) spectrum is the nonzero singular values, each twice, of
+    the real skew K = F.T (Omega - u.T Omega u) F, with F = F1 + F2 (direct
+    sum) and u the rows of B' = sqrt(q) s M X1 - sqrt(p) X2 (s = M_11), the
+    channel's other output.  A factor given per quadrature is sqrt(nu) times
+    a symplectic, so K = [[0, M], [-M.T, 0]] with M = diag(nu) - x y.T of
+    rank 3 (x, y the rows u through F_q, F_p), a 4x4 SVD; a Cholesky factor
+    L gives the 8x8 K.  Each value rounds within ``_SVD_ROUNDOFF`` eps
+    (s + nu): s = max nu_i, or kappa sigma_1 with kappa = (max diag L / min diag L)^2.
+
+    Through ``core._reject``, naming ``label(i)``: K past the float range
+    raises ``FloatingPointError``; the vanishing value past its bound, or a
+    nu short of 1 by more than 1e-9 within its bound, ``ArithmeticError``;
+    a larger shortfall ``PhysicalityError``; a campaign's slack (truly >= 0)
+    below -``tolerance`` within its bounds' reach, ``ArithmeticError``.
     """
-    column = parameter[:, None, None]
-    p, q, m, _, _ = coupling(kind, column)
-    g1, g2 = pair1[0], pair2[0]
-    out = np.zeros((len(g1), 6, 6))
-    out[:, :2, :2] = channel_map(kind, column, g1[:, :2, :2], g2[:, :2, :2])
-    out[:, :2, 2:4] = np.sqrt(p) * g1[:, :2, 2:]
-    out[:, :2, 4:] = np.sqrt(q) * (m @ g2[:, :2, 2:])
-    out[:, 2:, :2] = out[:, :2, 2:].swapaxes(-1, -2)
-    out[:, 2:4, 2:4] = g1[:, 2:, 2:]
-    out[:, 4:, 4:] = g2[:, 2:, 2:]
-    z1, z2 = _stack_entropy(g1[:, 2:, 2:]), _stack_entropy(g2[:, 2:, 2:])
-    lhs = _stack_entropy(out) - (z1 + z2)
-    return lhs, epi_rhs(kind, parameter, _spectral_entropy(pair1[1]) - z1, _spectral_entropy(pair2[1]) - z2)
+    p, q, m, _, _ = coupling(kind, parameter[:, None])
+    (f1, n1, z1), (f2, n2, z2) = pair1, pair2
+    root_q, root_p = np.sqrt(q), -np.sqrt(p)  # u's weights on X1 (times s on the q row) and on X2
+    exact = f1.ndim == 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        if exact:
+            # the rows u through F_q and F_p, x and y, stacked
+            xy = np.concatenate([np.stack([m[1, 1] * root_q, root_q]) * f1[:, :, 0].swapaxes(0, 1),
+                                 root_p * f2[:, :, 0].swapaxes(0, 1)], axis=2)
+            nu_in = 2.0 * np.concatenate([n1, n2], axis=1) + 1.0
+            scale = nu_in.max(axis=1)
+            # M's entries would cancel to eps |x| |y|, so it is never formed: the reflections with H_x x = -a e_0 and
+            # H_y y = -b e_0 leave its rank-one part in the corner of H_x M H_y = H_x diag(nu) H_y - a b e_0 e_0.T,
+            # whose other entries are O(s), and its small singular values keep their digits
+            (v, w), (a, b) = _reflector(xy)
+            nw = nu_in * w
+            # H_x diag(nu) H_y = diag(nu) + [v, nu w] [4 (v . nu w) w - 2 nu v, -2 w].T
+            k = np.stack([v, nw], axis=2) @ np.stack([4.0 * (v * nw).sum(axis=1)[:, None] * w - 2.0 * nu_in * v,
+                                                      -2.0 * w], axis=1)
+            k.reshape(-1, 16)[:, ::5] += nu_in
+            k[:, 0, 0] -= a * b
+            # a corner past 2^60 s moves the other singular values by under 2^-60 of themselves and is sigma_1 to as
+            # many digits: capped there, LAPACK never scales the other entries into underflow
+            corner = np.abs(k[:, 0, 0])
+            np.clip(k[:, 0, 0], -2.0**60 * scale, 2.0**60 * scale, out=k[:, 0, 0])
+            # the one entry past O(s); n_Z < (2n + 1) e^(2r) stays finite by the sampling bounds
+            finite = np.isfinite(corner)
+        else:
+            f = np.zeros((len(f1), 8, 8))
+            f[:, :4, :4], f[:, 4:, 4:] = f1, f2
+            u_q, u_p = m[1, 1] * root_q * f[:, 0] + root_p * f[:, 4], root_q * f[:, 1] + root_p * f[:, 5]
+            outer = u_q[:, :, None] * u_p[:, None, :]
+            k = f.swapaxes(-1, -2) @ symplectic_form(4) @ f - (outer - outer.swapaxes(-1, -2))
+            diagonal = np.diagonal(f, axis1=-2, axis2=-1)
+            scale, corner = (diagonal.max(axis=-1) / diagonal.min(axis=-1)) ** 2, 0.0  # kappa, times sigma_1 below
+            finite = np.isfinite(k).all(axis=(-2, -1))
+    _reject(~finite, FloatingPointError, lambda i: f"overflow at {label(i)}: the (B, Z1, Z2) spectrum leaves the float "
+                                                   f"range (n_Z1 = {z1[i]:.6g}, n_Z2 = {z2[i]:.6g})")
+    values = np.linalg.svd(k, compute_uv=False)
+    values[:, 0] = np.maximum(values[:, 0], corner)
+    step = k.shape[-1] // 4  # K has each singular value of M twice
+    nu, zero = values[:, :3 * step:step], values[:, 3 * step]
+    if not exact:
+        scale = scale * values[:, 0]
+    bound = _SVD_ROUNDOFF * _EPS * (scale[:, None] + nu)
+    _reject(zero > _SVD_ROUNDOFF * _EPS * scale, ArithmeticError,
+            lambda i: f"the (B, Z1, Z2) spectrum at {label(i)} has a singular value {zero[i]:.3g} that should vanish, "
+                      f"above its roundoff bound {_SVD_ROUNDOFF:g} eps s = {_SVD_ROUNDOFF * _EPS * scale[i]:.3g}")
+    nu_min, nu_bound = nu[:, -1], bound[:, -1]
+    short = nu_min < 1.0 - PHYSICALITY_ATOL
+    if short.any():
+        _reject(short & (1.0 - nu_min <= nu_bound), ArithmeticError,
+                lambda i: f"min symplectic eigenvalue {nu_min[i]:.12g} of the (B, Z1, Z2) output at {label(i)} is "
+                          f"short of 1 by {1.0 - nu_min[i]:.3g}, within its roundoff bound {_SVD_ROUNDOFF:g} eps "
+                          f"(s + nu) = {nu_bound[i]:.3g}, so it is not fixed to {PHYSICALITY_ATOL:g}")
+        _reject(short, PhysicalityError, lambda i: f"uncertainty condition violated at {label(i)}: min symplectic "
+                                                   f"eigenvalue {nu_min[i]:.12g} of the (B, Z1, Z2) output < 1")
+    # one thermal_entropy call: the output's nu, values below 1 counted as 1, then both inputs' spectra and n_Z
+    g = thermal_entropy(np.concatenate([0.5 * (np.maximum(nu, 1.0) - 1.0), n1, n2, z1[:, None], z2[:, None]], axis=1))
+    s_z1, s_z2 = g[:, 7], g[:, 8]
+    lhs = (g[:, 0] - s_z1) + (g[:, 1] - s_z2) + g[:, 2]  # the Z terms come off the largest ones: small partial sums
+    rhs = epi_rhs(kind, parameter, g[:, 3:5].sum(axis=1) - s_z1, g[:, 5:7].sum(axis=1) - s_z2)
+    # a true slack is >= 0: a campaign's slack below -tolerance is a violation only past the bounds' reach
+    if tolerance is not None and (low := lhs - rhs < -tolerance).any():
+        reach = _spectral_entropy(nu + bound) - _spectral_entropy(nu - bound)
+        _reject(low & (rhs - lhs <= reach), ArithmeticError,
+                lambda i: f"slack {lhs[i] - rhs[i]:.6g} at {label(i)} is below -{tolerance:g}, but the roundoff bounds "
+                          f"{_SVD_ROUNDOFF:g} eps (s + nu) on its spectrum move the lhs by up to {reach[i]:.3g}")
+    return lhs, rhs
+
+
+def _reflector(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit u and a = sign(v_0) |v| with (I - 2 u u.T) v = -a e_0, for vectors v along the last axis; the norms
+    are hypot reductions, so no square overflows."""
+    a = np.copysign(np.hypot.reduce(v, axis=-1), v[..., 0])
+    u = v.copy()
+    u[..., 0] += a
+    return u / np.hypot.reduce(u, axis=-1)[..., None], a
 
 
 def _trial(inequality: Inequality, parameter: float, values: tuple) -> EpiTrial:
@@ -414,6 +509,7 @@ class _Campaign:
     max_squeeze: float
     parameter_range: tuple[float, float]
     env_photon: float | None
+    tolerance: float = DEFAULT_TOLERANCE
 
     def _widths(self) -> list[int]:
         """Draws per trial, in draw order: the mixing parameter (unless the range is one value), then each input's."""
@@ -426,7 +522,7 @@ class _Campaign:
         lo, hi = self.parameter_range
         parameter = lo + (hi - lo) * varied[:, 0] if varied.shape[1] else np.full(len(draws), float(lo))
         inputs = [shape.drawn(self, d) for shape, d in zip(_FAMILIES[self.inequality][1], split)]
-        return _kernel(self.inequality, parameter, inputs, lambda i: "the drawn states")
+        return _kernel(self.inequality, parameter, inputs, lambda i: "the drawn states", self.tolerance)
 
     def slacks(self, indices: range) -> np.ndarray:
         """Slacks of the trials ``indices``.  A failing trial raises its own
@@ -489,7 +585,7 @@ def monte_carlo_verify(
         parameter_range = (1.0, 10.0) if inequality.kind is ChannelKind.AMPLIFIER else (0.0, 1.0)
     if not all(math.isfinite(v) for v in parameter_range):
         raise ValueError("parameter_range must be finite")
-    campaign = _Campaign(inequality, seed, max_photon, max_squeeze, tuple(parameter_range), env_photon)
+    campaign = _Campaign(inequality, seed, max_photon, max_squeeze, tuple(parameter_range), env_photon, tolerance)
 
     chunks = (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
     slacks = np.concatenate([campaign.slacks(chunk) for chunk in chunks])

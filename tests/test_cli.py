@@ -357,12 +357,13 @@ class TestVerifyEpi:
 # (min_slack, mean_slack) of `verify-epi --seed 42 --trials 10000`.  The qepi and chain values were
 # printed when every trial built its own numpy.random.default_rng((42, i)) and validated its sampled
 # matrices; the per-chunk stream and the drawn invariants keep them to the byte.  The cqepi values are
-# those of the Cholesky spectrum of the (B, Z1, Z2) output, within 4e-15 of the old eig(Omega Gamma) ones.
+# those of the (B, Z1, Z2) spectrum from the draws' factors; each lies as close to a 50-digit oracle as the
+# 6x6 matrix's did, or closer.
 GOLDEN_REPORTS = {
     "qepi-bs": ("8.398428660161272e-05", "0.539112881565692"),
     "qepi-amp": ("0.002764301899059518", "0.6734030973899553"),
     "cqepi-bs": ("1.0436497421828506e-07", "0.150773120969198"),
-    "cqepi-amp": ("8.342785256314558e-06", "0.20022264960020528"),
+    "cqepi-amp": ("8.342785253205934e-06", "0.2002226496002053"),
     "moe-chain-bs": ("0.00029866392241495454", "1.2522473089888968"),
     "wc-chain-bs": ("0.01480334292601194", "2.0891677515364555"),
 }
@@ -444,10 +445,10 @@ GOLDEN_DRAW_PATHS = {
     ("qepi-bs", "--tau", "0.3"): ("0.0005010252801487258", "0.6348996454818063"),
     ("qepi-amp", "--max-n", "0"): ("0.10439144502906203", "0.8969527249785272"),
     ("qepi-amp", "--kappa", "2.5"): ("0.004674173988092889", "0.657571220601425"),
-    ("cqepi-bs", "--max-n", "0"): ("1.0579967768542531e-07", "0.11151867427288098"),
-    ("cqepi-bs", "--tau", "0.3"): ("9.441847699243056e-07", "0.17795715437113407"),
-    ("cqepi-amp", "--max-n", "0"): ("0.0018477282071889256", "0.19065468409012784"),
-    ("cqepi-amp", "--kappa", "2.5"): ("8.040747432946915e-05", "0.19217401702020595"),
+    ("cqepi-bs", "--max-n", "0"): ("1.0579966180923606e-07", "0.11151867427286319"),
+    ("cqepi-bs", "--tau", "0.3"): ("9.44184770812484e-07", "0.17795715437113435"),
+    ("cqepi-amp", "--max-n", "0"): ("0.0018477282071889256", "0.19065468409009187"),
+    ("cqepi-amp", "--kappa", "2.5"): ("8.040747431259376e-05", "0.19217401702020587"),
     ("moe-chain-bs", "--max-n", "0"): ("4.811018160521691e-07", "0.37400570566872066"),
     ("moe-chain-bs", "--tau", "0.3"): ("0.07837078929640906", "0.9334265393846399"),
     ("moe-chain-bs", "--ne", "2"): ("0.004006026746028013", "1.257776475321858"),
@@ -523,9 +524,10 @@ class TestVerifyEpiErrors:
         [
             (["--family", "qepi-amp", "--kappa", "nan"], EXIT_CONFIG, "parameter_range must be finite"),
             (["--tau", "1.5"], EXIT_CONFIG, r"trial 0 of qepi-bs failed \(seed=1\): transmissivity must lie in \[0, 1\]"),
-            # the 6x6 (B, Z1, Z2) output of two draws squeezed by up to r = 50 is not numerically positive definite
-            (["--family", "cqepi-bs", "--max-r", "50"], EXIT_NUMERICAL,
-             r"trial 0 of cqepi-bs failed \(seed=1\): covariance matrix is not positive definite"),
+            # t = 1 passes X1 through, so the slack is 0 exactly: at tolerance 0, its rounding below 0 is exit 3, not 4
+            (["--family", "cqepi-bs", "--tau", "1", "--tolerance", "0"], EXIT_NUMERICAL,
+             r"trial 0 of cqepi-bs failed \(seed=1\): slack -\S+ at the drawn states is below -0, but the roundoff "
+             r"bounds 128 eps \(s \+ nu\) on its spectrum move the lhs by up to \S+$"),
             (["--tolerance", "nan"], EXIT_CONFIG, "tolerance must be finite"),
             (["--max-n", "nan"], EXIT_CONFIG, "sampling bounds must be finite"),
             (["--family", "wc-chain-bs", "--ne", "inf"], EXIT_CONFIG, "env_photon must be finite"),
@@ -604,6 +606,40 @@ class TestVerifyEpiErrors:
         assert captured.err == (f"numerical error: trial 4 of {family} failed (seed=7): overflow at the drawn states: "
                                 "the cross term leaves the float range (r_A = 155.34, r_E = 224.009, n_A = 1.44057, "
                                 "n_E = 1.22886)\n")
+
+    @pytest.mark.parametrize("family", ["cqepi-bs", "cqepi-amp"])
+    def test_cqepi_at_squeezing_8_has_no_false_violation(self, capsys, family):
+        # the 6x6 (B, Z1, Z2) matrix of these draws fixed its spectrum only to eps e^(4r): cqepi-bs reported
+        # 4 violations (exit 4), and cqepi-amp's +/- pairs split by 2.8e-8 at trial 4 (exit 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["verify-epi", "--family", family, "--trials", "10000", "--seed", "42", "--max-r", "8"]
+            assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == 0 and report["min_slack"] > 0.0
+
+    @pytest.mark.parametrize("family", ["cqepi-bs", "cqepi-amp"])
+    @pytest.mark.parametrize("max_r", ["20", "50"])
+    def test_cqepi_large_squeezing_is_evaluated(self, capsys, family, max_r):
+        # the 6x6 matrix exited 3 from r ~ 8-9; the factors' spectrum keeps its digits (test_epi checks the slacks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["verify-epi", "--family", family, "--trials", "10000", "--seed", "42", "--max-r", max_r]
+            assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == 0 and report["min_slack"] > 0.0
+
+    def test_cqepi_overflow_is_numerical_error(self, capsys):
+        # gain 1e6 and r_2 = 350.6 put (k - 1) (2n + 1) cosh^2 r_2 in M past the float range, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["verify-epi", "--family", "cqepi-amp", "--trials", "5", "--seed", "60", "--kappa", "1e6",
+                    "--max-r", "354", "--max-n", "0"]
+            assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical error: trial 0 of cqepi-amp failed (seed=60): overflow at the drawn states: "
+                                "the (B, Z1, Z2) spectrum leaves the float range (n_Z1 = 5.5581e+07, n_Z2 = 9.01076e+303)\n")
 
     def test_large_squeezing_is_evaluated(self, capsys):
         # the 2x2 matrices of these draws lost their determinant to rounding, and were rejected, from r ~ 9-12

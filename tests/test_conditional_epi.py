@@ -15,7 +15,7 @@ from gausscap import (
     random_gaussian_state,
     two_mode_squeezed_state,
 )
-from gausscap.core import _two_mode_squeezed_stack
+from gausscap.epi import _PAIR, _Campaign, Inequality
 from helpers import conditional_conjugate_and_trace, raw_entropy, raw_symplectic_eigenvalues
 from test_epi import tms_thermal
 
@@ -48,10 +48,15 @@ class TestConditionalOutputOracle:
     def test_sampler_matches_two_mode_squeezed_thermal(self, seed):
         drawn = np.random.default_rng(seed)
         n, r = drawn.uniform(0.0, 5.0), drawn.uniform(0.0, 1.5)
-        sampled, spectrum = _two_mode_squeezed_stack(np.array([n]), np.array([r]))
+        campaign = _Campaign(Inequality.CQEPI_BS, 0, 1.0, 1.0, (0.5, 0.5), None)
+        blocks, photons, z_photons = _PAIR.drawn(campaign, np.array([[n, r]]))
+        factor = np.zeros((4, 4))  # the (q, p) blocks on (X, Z) back in mode order (q_X, p_X, q_Z, p_Z)
+        for quadrature in range(2):
+            factor[quadrature::2, quadrature::2] = blocks[0, quadrature]
         expected = tms_thermal(n, r).data
-        np.testing.assert_allclose(sampled[0], expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-        np.testing.assert_allclose(spectrum[0], raw_symplectic_eigenvalues(expected), rtol=1e-12)
+        np.testing.assert_allclose(factor @ factor.T, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(photons[0], (raw_symplectic_eigenvalues(expected) - 1.0) / 2.0, rtol=1e-12)
+        assert z_photons[0] == pytest.approx((expected[2, 2] - 1.0) / 2.0, rel=1e-12)
 
 
 def _general_pairs(seed: int):

@@ -35,6 +35,7 @@ from gausscap.channels import epi_rhs
 from gausscap.core import CovarianceMatrix, PhysicalityError
 from gausscap.epi import _CHUNK, MAX_TRIALS, _Campaign, _uniform_draws
 from helpers import (
+    drawn_cqepi_slack_mp,
     drawn_trial_slack_mp,
     g_direct,
     linalg_calls,
@@ -414,24 +415,26 @@ class TestBatchedCampaigns:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_eigensolver_runs_only_on_the_conditional_output(self, monkeypatch, family):
-        # qepi and chain trials are arithmetic on their draws, and single-mode marginals have closed-form
-        # spectra: only the (B, Z1, Z2) output is factored, once per chunk
+        # qepi and chain trials are arithmetic on their draws, and Z marginals have closed-form spectra: only
+        # the (B, Z1, Z2) spectrum takes a decomposition, one batched 4x4 SVD per chunk
         calls = linalg_calls(monkeypatch)
         assert monte_carlo_verify(family, 50, seed=5).violations == 0
         if family.startswith("cqepi"):
-            assert calls == [("cholesky", (50, 6, 6)), ("eigvalsh", (50, 6, 6))]
+            assert calls == [("svd", (50, 4, 4))]
         else:
             assert calls == []
 
-    @pytest.mark.parametrize("family", SINGLE_MODE_FAMILIES)
-    def test_single_mode_campaigns_build_no_matrix(self, monkeypatch, family):
-        # their invariants come straight from the draws: nothing is sampled as a matrix or validated
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_campaigns_build_no_matrix(self, monkeypatch, family):
+        # every input comes straight from the draws, a cqepi pair as its exact factor: nothing is sampled as a
+        # matrix or validated
         calls = []
         for module in (core, epi):
-            for name in ("_validated", "_sampled_symplectic", "_two_mode_squeezed_stack"):
+            for name in ("_validated", "_sampled_symplectic"):
                 if module is core or hasattr(module, name):  # core defines every one; epi imports some
                     monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
         monkeypatch.setattr(CovarianceMatrix, "__post_init__", lambda self: calls.append("CovarianceMatrix"))
+        monkeypatch.setattr(CovarianceMatrix, "_physical", lambda *args: calls.append("CovarianceMatrix"))
         assert monte_carlo_verify(family, _CHUNK + 7, seed=5).violations == 0
         assert calls == []
 
@@ -446,9 +449,13 @@ class TestBatchedCampaigns:
             monte_carlo_verify("qepi-bs", first + _CHUNK, seed=1, parameter_range=prange, workers=workers)
         assert caught.type is ValueError
 
-    def test_unphysical_trial_raises_physicality_error(self):
-        with pytest.raises(PhysicalityError, match=r"^trial 0 of cqepi-bs failed \(seed=1\): "):
-            monte_carlo_verify("cqepi-bs", 10, seed=1, max_squeeze=50.0)
+    def test_roundoff_below_the_tolerance_raises_arithmetic_error(self):
+        # at t = 1 the slack is 0 exactly: at tolerance 0 its rounding below 0 is no violation (exit 4) but exit 3
+        with pytest.raises(ArithmeticError, match=r"^trial 0 of cqepi-bs failed \(seed=1\): slack -\S+ at the drawn "
+                           r"states is below -0, but the roundoff bounds 128 eps \(s \+ nu\) on its spectrum move the "
+                           r"lhs by up to ") as caught:
+            monte_carlo_verify("cqepi-bs", 10, seed=1, parameter_range=(1.0, 1.0), tolerance=0.0)
+        assert caught.type is ArithmeticError
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -486,10 +493,70 @@ class TestLargeSqueezing:
             expected = drawn_trial_slack_mp(family, 7, i, 5.0, max_squeeze, prange)
             assert abs(slacks[i] - expected) <= 1e-12 * max(1.0, abs(expected)), i
 
+    @pytest.mark.parametrize("family", ["cqepi-bs", "cqepi-amp"])
+    @pytest.mark.parametrize("max_squeeze", [1.5, 6.0, 8.0, 20.0, 50.0])
+    def test_cqepi_slacks_match_the_drawn_oracle(self, family, max_squeeze):
+        # the 6x6 (B, Z1, Z2) matrix these replaced was off by 5e-14, 1.6e-6 and 7e-4 at r up to 1.5, 6 and 8, and
+        # rejected draws from r ~ 8-9; every 4th of 200 trials (8th from r = 20), and the worst, against mpmath
+        prange = (1.0, 10.0) if family.endswith("amp") else (0.0, 1.0)
+        slacks = _Campaign(Inequality(family), 7, 5.0, max_squeeze, prange, None).slacks(range(200))
+        assert np.all(slacks > 0.0)
+        for i in sorted({*range(0, 200, 4 if max_squeeze < 20.0 else 8), int(np.argmin(slacks))}):
+            expected = drawn_cqepi_slack_mp(family, 7, i, 5.0, max_squeeze, prange)
+            assert abs(slacks[i] - expected) <= 1e-12 * max(1.0, abs(expected)), i
+
+    def test_cqepi_spectrum_past_the_lapack_range(self):
+        # gain 1e6 and r_2 = 345.5 put sigma_1 near 6e305: scaled into LAPACK's range, the other entries of the
+        # deflated matrix would underflow (trial 15 gave nu = 0.99998, a PhysicalityError), so its corner is capped
+        slacks = _Campaign(Inequality.CQEPI_AMP, 1, 0.0, 354.0, (1e6, 1e6), None).slacks(range(20))
+        for i in (15, int(np.argmin(slacks))):
+            expected = drawn_cqepi_slack_mp("cqepi-amp", 1, i, 0.0, 354.0, (1e6, 1e6))
+            assert abs(slacks[i] - expected) <= 1e-12 * max(1.0, abs(expected)), i
+
     def test_drawn_overflow_names_the_invariant(self):
         with pytest.raises(FloatingPointError, match=r"^trial \d+ of qepi-amp failed \(seed=1\): overflow at the drawn "
                            r"states: the cross term leaves the float range \(r_A = \S+, r_E = \S+, n_A = \S+, n_E = \S+\)$"):
             monte_carlo_verify("qepi-amp", 20, seed=1, max_squeeze=353.0)
+
+
+def _drawn_pair(n, r):
+    """One ``_PAIR`` kernel input drawn as (n, r)."""
+    return epi._PAIR.drawn(_Campaign(Inequality.CQEPI_BS, 0, 1.0, 1.0, (0.5, 0.5), None), np.array([[n, r]]))
+
+
+def _conditional(pair1, pair2, tolerance=1e-9):
+    return epi._conditional_kernel(ChannelKind.BEAM_SPLITTER, np.array([0.5]), pair1, pair2, lambda i: "the inputs",
+                                   tolerance)
+
+
+class TestConditionalKernel:
+    def test_unphysical_factor_raises_physicality_error(self):
+        # sqrt(0.2) times a symplectic, with the matching spectrum: every output nu is 0.2, far past the bound
+        factor, photons, z = _drawn_pair(0.0, 0.3)
+        pair = (np.sqrt(0.2) * factor, photons - 0.4, z)
+        with pytest.raises(PhysicalityError, match=r"^uncertainty condition violated at the inputs: min symplectic "
+                           r"eigenvalue 0\.2\d* of the \(B, Z1, Z2\) output < 1$"):
+            _conditional(pair, pair)
+
+    def test_factor_off_its_spectrum_fails_the_rank_check(self):
+        # F_q.T F_p = diag(nu) holds only for the factor's own nu: one more photon leaves M of full rank
+        factor, photons, z = _drawn_pair(1.0, 0.3)
+        with pytest.raises(ArithmeticError, match=r"^the \(B, Z1, Z2\) spectrum at the inputs has a singular value "
+                           r"\S+ that should vanish, above its roundoff bound 128 eps s = "):
+            _conditional((factor, photons + 1.0, z), _drawn_pair(0.5, 0.2))
+
+    def test_a_fixed_negative_slack_is_returned(self):
+        # an inflated n_Z1 lowers the slack by (1 - t) g(n_Z1), far past the bound: a violation, not roundoff
+        factor, photons, z = _drawn_pair(1.0, 0.3)
+        lhs, rhs = _conditional((factor, photons, z + 10.0), _drawn_pair(0.5, 0.2))
+        assert lhs[0] - rhs[0] < -0.5
+
+    def test_check_without_a_cholesky_factor_is_arithmetic_error(self):
+        # r = 10 stores cosh 20 ~ 2.4e8 on the diagonal: the rounded entries are not numerically positive definite
+        pair = two_mode_squeezed_state(10.0)
+        with pytest.raises(ArithmeticError, match="^the stored covariance entries of the \\(X, Z\\) input have no "
+                           "Cholesky factor$"):
+            check_cqepi_bs(pair, pair, 0.5)
 
 
 class TestMatrixBoundary:
