@@ -17,12 +17,10 @@ from .capacities import (
 )
 from .channels import (
     ChannelKind,
-    ChannelOutput,
     ChannelSpec,
     amplifier_symplectic,
     apply_channel,
     beam_splitter_symplectic,
-    channel_outputs,
     channel_symplectic,
     complementary,
     output_entropies,
@@ -38,7 +36,6 @@ from .core import (
     deserialize_covariance,
     direct_sum,
     entropy,
-    mean_photon_number,
     partial_trace,
     purify,
     random_gaussian_state,
@@ -64,7 +61,6 @@ from .epi import (
     check_qepi_amp,
     check_qepi_bs,
     check_wc_chain,
-    fock_entropy_oracle,
     monte_carlo_verify,
 )
 

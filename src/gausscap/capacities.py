@@ -11,7 +11,7 @@ eigenvalue, which is the occupation of a thermal environment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,16 +71,6 @@ class BoundResult:
     coherent_info: float
     coherent_lower: float
     units: str = "nats"
-
-    _ENTROPY_FIELDS = ("holevo", "maximal", "moe_sum_lower", "upper", "lower_approx", "coherent_info", "coherent_lower")
-
-    def as_units(self, units: str) -> "BoundResult":
-        """Return the result converted to ``nats`` or ``bits``."""
-        factor = _nats_per(units) / _nats_per(self.units)
-        if units == self.units:
-            return self
-        converted = {name: getattr(self, name) / factor for name in self._ENTROPY_FIELDS}
-        return replace(self, units=units, **converted)
 
 
 _ARGUMENTS = ("pN + q Ne", "pN + q (Ne + v)")

@@ -74,15 +74,6 @@ class ChannelSpec:
         return cls(ChannelKind.AMPLIFIER, float(gain), environment)
 
 
-@dataclass(frozen=True)
-class ChannelOutput:
-    """Covariances of the three channel outputs for one input state."""
-
-    output: CovarianceMatrix
-    weak_complement: CovarianceMatrix
-    complement: CovarianceMatrix | None = None
-
-
 def beam_splitter_symplectic(transmissivity: float) -> SymplecticMatrix:
     """Two-mode beam-splitter symplectic at the given transmissivity."""
     return SymplecticMatrix(mixing_symplectic(transmissivity))
@@ -274,15 +265,6 @@ def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatri
     spectrum = np.sqrt(1.0 + _pair_spectra(spec.kind, spec.parameter, a, e, _input_label)[1:, 0])
     data = _complementary_map(spec.kind, spec.parameter, state.data, spec.environment)
     return CovarianceMatrix._physical(data, spectrum)
-
-
-def channel_outputs(state: CovarianceMatrix, spec: ChannelSpec, include_complement: bool = True) -> ChannelOutput:
-    """Bundle the transmitted, weak-complementary and complementary outputs."""
-    return ChannelOutput(
-        output=apply_channel(state, spec),
-        weak_complement=weak_complementary(state, spec),
-        complement=complementary(state, spec) if include_complement else None,
-    )
 
 
 def output_entropies(state: CovarianceMatrix, spec: ChannelSpec) -> tuple[float, float, float]:

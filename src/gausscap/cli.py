@@ -132,6 +132,8 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 def cmd_verify_epi(args: argparse.Namespace) -> int:
     """Monte Carlo campaign for one inequality family; exit 4 on any violation."""
+    if args.workers < 1:
+        raise ValueError("workers must be at least 1")
     fixed = _fixed(args, Inequality(args.family).kind, f"the {args.family} family")[1]
     report = monte_carlo_verify(
         args.family,
@@ -142,7 +144,6 @@ def cmd_verify_epi(args: argparse.Namespace) -> int:
         env_photon=args.ne,
         seed=args.seed if args.seed is not None else int(os.environ.get("GAUSSCAP_SEED", 0)),
         tolerance=args.tolerance,
-        workers=args.workers,
     )
     _emit(json.dumps(dataclasses.asdict(report), indent=2, allow_nan=False) + "\n", args.out)
     if report.violations > 0:

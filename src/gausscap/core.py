@@ -435,13 +435,6 @@ def _is_thermal(modes: tuple[NDArray[np.float64], ...]) -> bool:
     return bool(np.sinh(2.0 * modes[1][0]) <= _THERMAL_ATOL)
 
 
-def mean_photon_number(state: CovarianceMatrix) -> float:
-    """Mean photon number of a single-mode state, (tr Gamma - 2) / 4."""
-    if state.n_modes != 1:
-        raise ValueError("mean_photon_number is defined for single-mode states")
-    return float((np.trace(state.data) - 2.0) / 4.0)
-
-
 def total_photon_number(state: CovarianceMatrix) -> float:
     """Total mean photon number over all modes, (tr Gamma - 2n) / 4."""
     return float((np.trace(state.data) - 2.0 * state.n_modes) / 4.0)

@@ -10,6 +10,7 @@ information must reproduce it to a stated tolerance.
 
 import inspect
 import math
+import operator
 
 import mpmath as mp
 import numpy as np
@@ -42,6 +43,22 @@ def g_direct(x: float) -> float:
     if x == 0:
         return 0.0
     return (x + 1.0) * math.log(x + 1.0) - x * math.log(x)
+
+
+def fock_entropy_oracle(mean_photon: float, cutoff: int) -> float:
+    """Entropy of the truncated geometric photon-number distribution of a
+    thermal state, renormalised; converges to thermal_entropy as the cutoff grows."""
+    if not 0.0 <= mean_photon < math.inf:  # also rejects NaN
+        raise ValueError("mean photon number must be finite and nonnegative")
+    if operator.index(cutoff) < 2:  # a fractional cutoff raises TypeError, as range() does
+        raise ValueError("cutoff must be at least 2")
+    if mean_photon == 0:
+        return 0.0
+    k = np.arange(cutoff)
+    p = np.exp(k * math.log(mean_photon) - (k + 1) * math.log(mean_photon + 1.0))
+    p = p / p.sum()
+    p = p[p > 0.0]  # underflowed tail terms contribute nothing
+    return float(-np.sum(p * np.log(p)))
 
 
 def raw_symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from gausscap import (
     check_wc_chain,
     complementary,
     entropy,
-    fock_entropy_oracle,
     maximal_capacity,
     monte_carlo_verify,
     output_entropies,
@@ -36,7 +35,7 @@ from gausscap import (
     weak_complementary,
 )
 from gausscap.cli import main
-from helpers import g_direct
+from helpers import fock_entropy_oracle, g_direct
 
 mp.mp.dps = 60
 

@@ -13,7 +13,6 @@ from gausscap import (
     amplifier_symplectic,
     apply_channel,
     beam_splitter_symplectic,
-    channel_outputs,
     channel_symplectic,
     check_moe_chain,
     check_qepi_amp,
@@ -25,7 +24,6 @@ from gausscap import (
     entropy,
     evaluate_bounds,
     holevo_capacity,
-    mean_photon_number,
     output_entropies,
     partial_trace,
     private_capacity_upper,
@@ -34,6 +32,7 @@ from gausscap import (
     random_gaussian_state,
     squeezed_thermal_state,
     thermal_state,
+    total_photon_number,
     vacuum_state,
     weak_complementary,
 )
@@ -84,6 +83,13 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec.beam_splitter(0.5, vacuum_state(2))
 
+    @pytest.mark.parametrize("kind", ["amplifier", "beam_splitter"])
+    def test_coupling_rejects_a_kind_that_is_not_a_channel_kind(self, kind):
+        # a ChannelKind's value is no ChannelKind: the families are told apart by identity
+        with pytest.raises(ValueError, match=f"^unknown channel kind: '{kind}'$") as caught:
+            channels.coupling(kind, 2.0)
+        assert caught.type is ValueError
+
 
 class TestSymplectics:
     def test_transparent_splitter_is_identity(self):
@@ -127,18 +133,18 @@ class TestApplyChannel:
     def test_beam_splitter_mixes_photon_numbers(self):
         spec = ChannelSpec.beam_splitter(0.85, thermal_state(1))
         out = apply_channel(thermal_state(2), spec)
-        assert mean_photon_number(out) == pytest.approx(0.85 * 2 + 0.15 * 1, abs=1e-12)
+        assert total_photon_number(out) == pytest.approx(0.85 * 2 + 0.15 * 1, abs=1e-12)
 
     def test_amplifier_adds_gain_noise(self):
         spec = ChannelSpec.amplifier(5.0, thermal_state(1))
         out = apply_channel(thermal_state(1), spec)
-        assert mean_photon_number(out) == pytest.approx(5 * 1 + 4 * (1 + 1), abs=1e-12)
+        assert total_photon_number(out) == pytest.approx(5 * 1 + 4 * (1 + 1), abs=1e-12)
 
     def test_two_photon_vacuum_amplifier(self):
         spec = ChannelSpec.amplifier(2.0, vacuum_state())
         out = apply_channel(vacuum_state(), spec)
         np.testing.assert_allclose(out.data, 3 * np.eye(2), atol=1e-13)
-        assert mean_photon_number(out) == pytest.approx(1.0, abs=1e-13)
+        assert total_photon_number(out) == pytest.approx(1.0, abs=1e-13)
 
     def test_unit_gain_is_identity_channel(self):
         spec = ChannelSpec.amplifier(1.0, thermal_state(3))
@@ -179,7 +185,7 @@ class TestWeakComplementary:
     def test_photon_mixing(self):
         spec = ChannelSpec.beam_splitter(0.85, thermal_state(1))
         out = weak_complementary(thermal_state(2), spec)
-        assert mean_photon_number(out) == pytest.approx(0.15 * 2 + 0.85 * 1, abs=1e-12)
+        assert total_photon_number(out) == pytest.approx(0.15 * 2 + 0.85 * 1, abs=1e-12)
 
     @pytest.mark.parametrize("env", [vacuum_state(), squeezed_thermal_state(0, 0.9)])
     def test_pure_environment_weak_equals_complementary(self, env):
@@ -286,13 +292,6 @@ class TestOutputEntropies:
             comp.data,
             atol=1e-10,
         )
-
-    def test_channel_outputs_bundle(self):
-        spec = ChannelSpec.beam_splitter(0.4, thermal_state(0.5))
-        outs = channel_outputs(thermal_state(1), spec)
-        assert outs.complement is not None and outs.complement.n_modes == 2
-        lean = channel_outputs(thermal_state(1), spec, include_complement=False)
-        assert lean.complement is None
 
     def test_overflow_names_the_input_and_environment(self):
         spec = ChannelSpec.amplifier(1e6, squeezed_thermal_state(1e300, 0.0))

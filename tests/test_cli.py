@@ -537,6 +537,7 @@ class TestVerifyEpiErrors:
             (["--family", "qepi-bs", "--kappa", "7"], EXIT_CONFIG,
              "^configuration error: --kappa does not apply to the qepi-bs family; use --tau$"),
             (["--family", "moe-chain-bs", "--kappa", "2"], EXIT_CONFIG, "--kappa does not apply to the moe-chain-bs"),
+            (["--workers", "0"], EXIT_CONFIG, "^configuration error: workers must be at least 1$"),
             *((["--family", family, "--ne", "3"], EXIT_CONFIG,
                f"^configuration error: env_photon does not apply to {family}: it fixes a chain's thermal environment$")
               for family in ("qepi-bs", "qepi-amp", "cqepi-bs", "cqepi-amp")),

@@ -97,3 +97,23 @@ class TestConditionalEpiProperties:
     def test_product_pairs_reduce_to_qepi_amp(self, seed, k):
         singles, pairs = _product_pairs(seed)
         assert check_cqepi_amp(*pairs, k).slack == pytest.approx(check_qepi_amp(*singles, k).slack, abs=1e-9)
+
+
+class TestCheckAccuracy:
+    # two equal two-mode squeezed vacua at t = 1/2 meet the bound with equality; the check carries the rounding of
+    # the pairs' entries, which their Cholesky factor L amplifies by kappa = (max diag L / min diag L)^2
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0, 3.5])
+    def test_slack_is_within_the_rounding_of_the_entries(self, r):
+        pair = two_mode_squeezed_state(r)
+        diagonal = np.diag(np.linalg.cholesky(pair.data))
+        kappa = (diagonal.max() / diagonal.min()) ** 2
+        assert abs(check_cqepi_bs(pair, pair, 0.5).slack) <= 32.0 * np.finfo(float).eps * kappa
+
+    @pytest.mark.parametrize("r", [5.0, 6.0])
+    def test_entries_that_fix_no_spectrum_raise(self, r):
+        pair = two_mode_squeezed_state(r)
+        with pytest.raises(ArithmeticError, match=r"^min symplectic eigenvalue 0\.9999\d* of the \(B, Z1, Z2\) output "
+                                                  r"at the input matrices is short of 1 by .*, within its roundoff "
+                                                  r"bound 128 eps \(s \+ nu\)") as caught:
+            check_cqepi_bs(pair, pair, 0.5)
+        assert caught.type is ArithmeticError

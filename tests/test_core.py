@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -14,7 +15,6 @@ from gausscap import (
     PhysicalityError,
     SymplecticMatrix,
     apply_symplectic,
-    channel_outputs,
     check_moe_chain,
     check_qepi_amp,
     check_qepi_bs,
@@ -24,7 +24,6 @@ from gausscap import (
     deserialize_covariance,
     direct_sum,
     entropy,
-    mean_photon_number,
     output_entropies,
     partial_trace,
     purify,
@@ -36,6 +35,7 @@ from gausscap import (
     symplectic_form,
     thermal_entropy,
     thermal_state,
+    total_photon_number,
     two_mode_squeezed_state,
     vacuum_state,
     williamson,
@@ -247,19 +247,15 @@ class TestEntropy:
 
 class TestMeanPhoton:
     def test_vacuum(self):
-        assert mean_photon_number(vacuum_state()) == 0.0
+        assert total_photon_number(vacuum_state()) == 0.0
 
     def test_thermal_round_trip(self):
-        assert mean_photon_number(thermal_state(2.5)) == pytest.approx(2.5, abs=1e-14)
+        assert total_photon_number(thermal_state(2.5)) == pytest.approx(2.5, abs=1e-14)
 
     def test_squeezed_vacuum_carries_squeezing_energy(self):
         expected = (math.exp(2) + math.exp(-2) - 2) / 4  # sinh(1)^2
-        assert mean_photon_number(squeezed_thermal_state(0, 1)) == pytest.approx(expected, rel=1e-13)
+        assert total_photon_number(squeezed_thermal_state(0, 1)) == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(math.sinh(1) ** 2, rel=1e-14)
-
-    def test_rejects_multimode(self):
-        with pytest.raises(ValueError):
-            mean_photon_number(vacuum_state(2))
 
 
 _THERMAL_PRODUCT = direct_sum(thermal_state(1), thermal_state(1), thermal_state(0.5))
@@ -439,7 +435,6 @@ _SINGLE_MODE_CALLS = {
     "williamson": lambda x, spec: williamson(x),
     "purify": lambda x, spec: purify(x),
     "complementary": lambda x, spec: complementary(x, spec),
-    "channel_outputs": lambda x, spec: channel_outputs(x, spec),
     "output_entropies": lambda x, spec: output_entropies(x, spec),
     "check_qepi_bs": lambda x, spec: check_qepi_bs(x, x, 0.3),
     "check_qepi_amp": lambda x, spec: check_qepi_amp(x, x, 2.0),
@@ -496,7 +491,7 @@ class TestPartialTrace:
         r = 0.8
         marginal = partial_trace(two_mode_squeezed_state(r), ModePartition.keeping([0], 2))
         np.testing.assert_allclose(marginal.data, math.cosh(2 * r) * np.eye(2), rtol=1e-12)
-        assert mean_photon_number(marginal) == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
+        assert total_photon_number(marginal) == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("r", [4.5, 10.0, 20.0])
     def test_two_mode_squeezed_state_at_large_squeezing(self, r):
@@ -744,3 +739,34 @@ class TestSamplerDrawOrder:
     def test_rejects_non_finite_bounds(self, bounds):
         with pytest.raises(ValueError):
             random_gaussian_state(1, *bounds, seed=0)
+
+
+# input checks that no other test reaches, each a ValueError with its own message
+_REJECTED_INPUTS = {
+    "symplectic_form(0)": (lambda: symplectic_form(0), "n_modes must be a positive integer"),
+    "vacuum_state(0)": (lambda: vacuum_state(0), "n_modes must be a positive integer"),
+    "random_symplectic(0)": (lambda: random_symplectic(0), "n_modes must be a positive integer"),
+    "covariance-2x3": (lambda: CovarianceMatrix(np.ones((2, 3))), "covariance matrix must be square"),
+    "covariance-3x3": (lambda: CovarianceMatrix(np.eye(3)), "covariance matrix must be 2n x 2n with n >= 1"),
+    "covariance-0x0": (lambda: CovarianceMatrix(np.zeros((0, 0))), "covariance matrix must be 2n x 2n with n >= 1"),
+    "symplectic-3x3": (lambda: SymplecticMatrix(np.eye(3)), "symplectic matrix must be 2n x 2n"),
+    "tmsv-negative": (lambda: two_mode_squeezed_state(-0.5),
+                      "squeezing parameter must be nonnegative and keep cosh(2r) finite"),
+    "tmsv-overflow": (lambda: two_mode_squeezed_state(400.0),
+                      "squeezing parameter must be nonnegative and keep cosh(2r) finite"),
+    "direct_sum()": (lambda: direct_sum(), "direct_sum needs at least one state"),
+    "apply_symplectic-4x4-on-one-mode": (lambda: apply_symplectic(np.eye(4), thermal_state(1)),
+                                         "transform and state dimensions do not match"),
+    "partial_trace-keeps-nothing": (lambda: partial_trace(vacuum_state(2), ModePartition(kept=(), traced=(0, 1))),
+                                    "at least one mode must be kept"),
+    "conditional_entropy-wrong-partition": (lambda: conditional_entropy(vacuum_state(2), ModePartition.keeping([0], 3)),
+                                            "partition does not match the number of modes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_INPUTS))
+def test_rejected_input_raises_its_message(case):
+    call, message = _REJECTED_INPUTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert caught.type is ValueError

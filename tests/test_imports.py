@@ -44,7 +44,7 @@ import gausscap as gc
 spec = gc.ChannelSpec.beam_splitter(0.85, gc.squeezed_thermal_state(1.0, 0.5))
 gc.evaluate_bounds(spec, 2.0)
 gc.monte_carlo_verify("wc-chain-bs", 5)
-gc.monte_carlo_verify("cqepi-amp", 5, workers=4)
+gc.monte_carlo_verify("cqepi-amp", 5)
 print("concurrent.futures" in sys.modules)
 """
 
