@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -97,19 +97,8 @@ def _hermitian_form(factor: NDArray[np.float64]) -> NDArray[np.complex128]:
 def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Validate one covariance matrix or a stack of them, shape (..., 2n, 2n).
 
-    Checks finite entries and symmetry (to 1e-12, ``ValueError``), positive
-    definiteness and the uncertainty condition (every symplectic eigenvalue
-    >= 1 - 1e-9, ``PhysicalityError``).  One mode runs no eigensolver: it is
-    positive definite iff Gamma_00 > 0 and det > 0, with spectrum sqrt(det).
-    A det whose rounding, eps (|Gamma_00 Gamma_11| + Gamma_01^2), exceeds 1e-9
-    of it fixes neither the sign nor the spectrum (``ArithmeticError``), unless
-    it is negative beyond that rounding (not positive definite).  From two
-    modes on, the Cholesky factor Gamma = L L.T is the positive-definiteness
-    check, and the eigenvalues +/- nu of ``_hermitian_form``(L) = i L.T Omega L,
-    the matrix ``williamson`` diagonalises, must split into +/- pairs
-    (``ArithmeticError``).
-    A min nu short of 1 by more than 1e-9 but no more than its roundoff bound
-    eps (max diag L / min diag L)^2 is roundoff too (``ArithmeticError``).
+    Checks finite entries and symmetry (to 1e-12, ``ValueError``), then
+    symmetrises the entries and checks their spectrum (``_checked_spectrum``).
     Every check raises through ``_reject`` and names no index: a caller that
     validates a stack locates the failing item.  Returns the symmetrised data
     and the symplectic eigenvalues per matrix, one per +/- pair, descending.
@@ -119,6 +108,27 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     _reject(asymmetry > SYMMETRY_ATOL, ValueError,
             lambda i: f"covariance matrix is not symmetric (max asymmetry {asymmetry[i]:.3e})")
     data = 0.5 * data + 0.5 * data.swapaxes(-1, -2)  # halves first: entries near the float maximum stay finite
+    return data, _checked_spectrum(data)
+
+
+def _checked_spectrum(data: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Symplectic eigenvalues of finite, exactly symmetric covariance entries, shape (..., 2n, 2n), one per
+    +/- pair, descending, once the entries are shown to fix them.
+
+    Checks positive definiteness and the uncertainty condition (every
+    symplectic eigenvalue >= 1 - 1e-9, ``PhysicalityError``).  One mode runs
+    no eigensolver: it is positive definite iff Gamma_00 > 0 and det > 0, with
+    spectrum sqrt(det).  A det whose rounding, eps (|Gamma_00 Gamma_11| +
+    Gamma_01^2), exceeds 1e-9 of it fixes neither the sign nor the spectrum
+    (``ArithmeticError``), unless it is negative beyond that rounding (not
+    positive definite).  From two modes on, the Cholesky factor Gamma = L L.T
+    is the positive-definiteness check, and the eigenvalues +/- nu of
+    ``_hermitian_form``(L) = i L.T Omega L, the matrix ``williamson``
+    diagonalises, must split into +/- pairs (``ArithmeticError``).  Their
+    roundoff bound eps (max diag L / min diag L)^2 must not exceed 1e-9
+    (``ArithmeticError``), unless min nu falls short of 1 by more than that
+    bound (surely unphysical).
+    """
     if data.shape[-1] == 2:
         det, scale = _det2(data)
         unit = data / scale[..., None, None]
@@ -147,17 +157,16 @@ def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
         # the mean of each pair, summed and halved exactly as np.mean does
         spectrum = (big + small) * 0.5
     nu_min = spectrum[..., -1]
-    short = nu_min < 1.0 - PHYSICALITY_ATOL
-    if data.shape[-1] > 2 and short.any():  # only a failing matrix estimates the roundoff of its spectrum
+    if data.shape[-1] > 2:  # whatever nu_min is: rounding may push it either way
         diagonal = np.diagonal(factor, axis1=-2, axis2=-1)
         bound = _EPS * (diagonal.max(axis=-1) / diagonal.min(axis=-1)) ** 2
-        _reject(short & (1.0 - nu_min <= bound), ArithmeticError,
-                lambda i: f"min symplectic eigenvalue {nu_min[i]:.12g} is short of 1 by {1.0 - nu_min[i]:.3g}, within "
-                          f"its roundoff bound eps kappa = {bound[i]:.3g} (kappa = (max diag L / min diag L)^2 of the "
-                          f"Cholesky factor L), so the entries do not fix it to {PHYSICALITY_ATOL:g}")
-    _reject(short, PhysicalityError,
+        _reject((bound > PHYSICALITY_ATOL) & (1.0 - nu_min <= bound), ArithmeticError,
+                lambda i: f"the entries fix min symplectic eigenvalue {nu_min[i]:.12g} only to its roundoff bound "
+                          f"eps kappa = {bound[i]:.3g} (kappa = (max diag L / min diag L)^2 of the Cholesky factor L), "
+                          f"more than {PHYSICALITY_ATOL:g}")
+    _reject(nu_min < 1.0 - PHYSICALITY_ATOL, PhysicalityError,
             lambda i: f"uncertainty condition violated: min symplectic eigenvalue {nu_min[i]:.12g} < 1")
-    return data, spectrum
+    return spectrum
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -166,7 +175,8 @@ class CovarianceMatrix:
 
     Construction validates symmetry (to 1e-12), positive definiteness and
     the uncertainty condition (every symplectic eigenvalue >= 1 - 1e-9).
-    The stored array is read-only.
+    The stored array is read-only.  The state is immutable, so its entropy and
+    its Williamson decomposition are computed once, on first use, and kept.
     """
 
     data: NDArray[np.float64]
@@ -189,11 +199,19 @@ class CovarianceMatrix:
 
     @classmethod
     def _physical(cls, data: NDArray[np.float64], spectrum: NDArray[np.float64]) -> "CovarianceMatrix":
-        """A matrix that is symmetric and physical by construction, with its exact
-        spectrum (one value >= 1 per mode, descending): stored without the eigensolver checks."""
+        """A matrix whose entries are finite and exactly symmetric, stored with a spectrum that is exact by
+        construction or already checked (one value >= 1 - 1e-9 per mode, descending), without re-checking."""
         state = object.__new__(cls)
         state._store(data, spectrum)
         return state
+
+    @cached_property
+    def _entropy(self) -> float:
+        return float(_spectral_entropy(self._spectrum))
+
+    @cached_property
+    def _williamson(self) -> tuple["SymplecticMatrix", NDArray[np.float64]]:
+        return _williamson_decomposition(self)
 
     @property
     def n_modes(self) -> int:
@@ -414,8 +432,8 @@ def _spectral_entropy(spectrum: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def entropy(state: CovarianceMatrix) -> float:
-    """Von Neumann entropy in nats: sum of thermal_entropy((nu - 1) / 2)."""
-    return float(_spectral_entropy(state._spectrum))
+    """Von Neumann entropy in nats: sum of thermal_entropy((nu - 1) / 2), computed once per state."""
+    return state._entropy
 
 
 def _mode_parameters(state: CovarianceMatrix) -> tuple[NDArray[np.float64], ...]:
@@ -440,14 +458,21 @@ def total_photon_number(state: CovarianceMatrix) -> float:
     return float((np.trace(state.data) - 2.0 * state.n_modes) / 4.0)
 
 
+def _marginal(state: CovarianceMatrix, modes: tuple[int, ...]) -> CovarianceMatrix:
+    """Principal submatrix on ``modes``, in that order.  A stored matrix is finite and exactly symmetric, and so
+    is its submatrix: only its spectrum is checked (``_checked_spectrum``), not its entries."""
+    idx = (2 * np.array(modes)[:, None] + (0, 1)).ravel()
+    data = state.data[idx[:, None], idx]
+    return CovarianceMatrix._physical(data, _checked_spectrum(data))
+
+
 def partial_trace(state: CovarianceMatrix, partition: ModePartition) -> CovarianceMatrix:
     """Principal submatrix on the kept modes, in the order listed by the partition."""
     if partition.n_modes != state.n_modes:
         raise ValueError("partition does not match the number of modes")
     if not partition.kept:
         raise ValueError("at least one mode must be kept")
-    idx = [q for m in partition.kept for q in (2 * m, 2 * m + 1)]
-    return CovarianceMatrix(state.data[np.ix_(idx, idx)])
+    return _marginal(state, partition.kept)
 
 
 def conditional_entropy(state: CovarianceMatrix, partition: ModePartition) -> float:
@@ -460,8 +485,7 @@ def conditional_entropy(state: CovarianceMatrix, partition: ModePartition) -> fl
     joint = entropy(state)
     if not partition.traced:
         return joint
-    conditioner = partial_trace(state, ModePartition(kept=partition.traced, traced=partition.kept))
-    return joint - entropy(conditioner)
+    return joint - entropy(_marginal(state, partition.traced))
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +493,21 @@ def conditional_entropy(state: CovarianceMatrix, partition: ModePartition) -> fl
 # ---------------------------------------------------------------------------
 
 def williamson(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.float64]]:
-    """Decompose Gamma = S D S.T with S symplectic and D diagonal: returns ``(S, d)``, d the diagonal of D,
-    each symplectic eigenvalue nu twice, descending.
+    """Decompose Gamma = S D S.T with S symplectic and D diagonal: returns ``(S, d)``, d the diagonal of D
+    (read-only), each symplectic eigenvalue nu twice, descending.
+
+    The decomposition runs once per state, on the first call (or ``purify``'s);
+    later calls return the same ``(S, d)``.
+    """
+    return state._williamson
+
+
+def _williamson_decomposition(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.float64]]:
+    """``williamson``'s ``(S, d)``, computed afresh.
 
     One mode runs no eigensolver: with nu the stored spectrum, M = Gamma / nu
     has det 1 and S is its symmetric root (M + I) / sqrt(tr M + 2).  From two
-    modes on, validation's Cholesky factor Gamma = L L.T gives the positive
+    modes on, the Cholesky factor Gamma = L L.T gives the positive
     eigenvalues nu of ``_hermitian_form``(L) = i L.T Omega L; an eigenvector
     x + iy gives the columns (sqrt2 y, sqrt2 x) of the orthogonal Q in
     S = L Q D^(-1/2).  Its phase makes S's 2x2 block on the mode carrying most
@@ -487,7 +520,9 @@ def williamson(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.fl
     n = state.n_modes
     if n == 1:
         m = state.data / state._spectrum[0]
-        return SymplecticMatrix((m + np.eye(2)) / np.sqrt(m[0, 0] + m[1, 1] + 2.0)), np.repeat(state._spectrum, 2)
+        d = np.repeat(state._spectrum, 2)
+        d.setflags(write=False)
+        return SymplecticMatrix((m + np.eye(2)) / np.sqrt(m[0, 0] + m[1, 1] + 2.0)), d
     try:
         factor = np.linalg.cholesky(state.data)
     except np.linalg.LinAlgError:
@@ -505,6 +540,7 @@ def williamson(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.fl
     w = w * (np.conj(phase) / np.abs(phase))
     d = np.repeat(nu, 2)
     s = math.sqrt(2.0) * np.stack([w.imag, w.real], axis=-1).reshape(2 * n, 2 * n) / np.sqrt(d)
+    d.setflags(write=False)
     return SymplecticMatrix(s), d
 
 
@@ -512,7 +548,8 @@ def purify(state: CovarianceMatrix) -> CovarianceMatrix:
     """Pure 2n-mode extension [[Gamma, S C], [C S.T, D]] of Gamma = S D S.T (``williamson``), with
     C = direct sum of sqrt((nu - 1)(nu + 1)) Z: each thermal factor nu becomes a two-mode squeezed block.
 
-    Its first n modes are ``state``'s entries bit for bit.  It is pure by
+    Its first n modes are ``state``'s entries bit for bit.  It reuses the
+    state's one Williamson decomposition.  It is pure by
     construction, certified by the check on S, and stored with its exact
     spectrum (1, ..., 1).  Factors with nu - 1 <= 1e-12 count as pure and
     couple nothing to their reference mode, so a state whose stored spectrum
@@ -529,13 +566,40 @@ def purify(state: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix._physical(np.block([[state.data, cross], [cross.T, np.diag(d)]]), np.ones(2 * state.n_modes))
 
 
+@lru_cache(maxsize=None)
+def _mixer_layers(n_modes: int) -> tuple[tuple[NDArray[np.intp], NDArray[np.intp]], ...]:
+    """The n(n-1)/2 pair mixers of ``_sampled_symplectic`` (pairs i < j in draw order) in layers: pair k goes
+    one layer after the last earlier pair that shares a mode with it, so the pairs of a layer touch disjoint
+    rows and applying the layers in turn applies every pair in draw order (29 layers at n = 16).  Each layer
+    is (the draw-order indices of its pairs, their rows (2i, 2i + 1, 2j, 2j + 1)), both read-only."""
+    depth = [0] * n_modes  # per mode: one past the layer of the last pair on it so far
+    layers: list[list[int]] = []
+    pairs = [(i, j) for i in range(n_modes) for j in range(i + 1, n_modes)]
+    for k, (i, j) in enumerate(pairs):
+        layer = max(depth[i], depth[j])
+        depth[i] = depth[j] = layer + 1
+        if layer == len(layers):
+            layers.append([])
+        layers[layer].append(k)
+    schedule = []
+    for members in layers:
+        modes = np.array([pairs[k] for k in members])
+        rows = (2 * modes[:, :, None] + (0, 1)).reshape(len(members), 4)
+        index = np.array(members)
+        index.setflags(write=False)
+        rows.setflags(write=False)
+        schedule.append((index, rows))
+    return tuple(schedule)
+
+
 def _sampled_symplectic(rng: np.random.Generator, n_modes: int, max_squeeze: float) -> NDArray[np.float64]:
     """Random 2n x 2n symplectic from the generator's next 3n + n(n-1)/2 ``random()`` draws.
 
     In draw order: (angle, squeezing, angle) per mode, then one
     transmissivity per mode pair i < j.  Mode m gets the local factor
     R(2 pi u) S(max_squeeze u') R(2 pi u''), and the pair mixers then act on
-    the rows of modes i and j in turn.  A generator's ``uniform(0, h)`` is
+    the rows of modes i and j in turn, one ``_mixer_layers`` layer of
+    disjoint pairs per batched product.  A generator's ``uniform(0, h)`` is
     exactly h times its next ``random()``, so scaling ``random()`` draws
     reproduces sampling one scalar at a time.
     """
@@ -546,15 +610,14 @@ def _sampled_symplectic(rng: np.random.Generator, n_modes: int, max_squeeze: flo
         @ squeezing_symplectic(max_squeeze * local[:, 1])
         @ rotation_symplectic(2.0 * np.pi * local[:, 2])
     )
-    s = np.zeros((2 * n_modes, 2 * n_modes))
-    for m in range(n_modes):
-        s[2 * m:2 * m + 2, 2 * m:2 * m + 2] = blocks[m]
-    pairs = [(i, j) for i in range(n_modes) for j in range(i + 1, n_modes)]
+    s = np.zeros((n_modes, 2, n_modes, 2))
+    modes = np.arange(n_modes)
+    s[modes, :, modes, :] = blocks
+    s = s.reshape(2 * n_modes, 2 * n_modes)
     mixers = mixing_symplectic(draws[3 * n_modes:])
-    for mixer, (i, j) in zip(mixers, pairs):
-        # the pair mixer changes only the rows of modes i and j
-        rows = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-        s[rows] = mixer @ s[rows]
+    for index, rows in _mixer_layers(n_modes):
+        # each pair mixer changes only the rows of its modes i and j, and the pairs of a layer share none
+        s[rows] = mixers[index] @ s[rows]
     return s
 
 
@@ -606,7 +669,7 @@ def random_gaussian_state(
 
 def serialize_covariance(state: CovarianceMatrix) -> dict:
     """JSON-friendly dict with the row-major matrix entries."""
-    return {"n_modes": state.n_modes, "data": [float(v) for v in state.data.ravel()]}
+    return {"n_modes": state.n_modes, "data": state.data.ravel().tolist()}
 
 
 def _as_square(values: NDArray[np.float64]) -> NDArray[np.float64]:

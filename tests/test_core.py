@@ -1,6 +1,8 @@
+import json
 import math
 import re
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -40,8 +42,9 @@ from gausscap import (
     vacuum_state,
     williamson,
 )
+from gausscap import core
 from gausscap.channels import amplifier_symplectic
-from gausscap.core import _EPS, _mode_parameters, _validated, rotation_symplectic
+from gausscap.core import _EPS, _mixer_layers, _mode_parameters, _validated, rotation_symplectic
 from helpers import (
     G_DIRECT_MAX,
     g_direct,
@@ -334,16 +337,26 @@ class TestWilliamson:
 
     @pytest.mark.parametrize("n_modes", [1, 2, 5])
     def test_one_cholesky_and_one_eigh(self, monkeypatch, n_modes):
-        # the factorization validation uses: Gamma = L L.T, then i L.T Omega L; purify adds no solver, and
-        # one mode runs none (its factor is the closed-form root)
+        # Gamma = L L.T, then i L.T Omega L, once per state; one mode runs none (its factor is the closed-form root)
         state = random_gaussian_state(n_modes, 2.0, 1.0, seed=n_modes)
         calls = linalg_calls(monkeypatch)
         williamson(state)
         shape = (2 * n_modes, 2 * n_modes)
         expected = [] if n_modes == 1 else [("cholesky", shape), ("eigh", shape)]
         assert calls == expected
+        # purify reuses the state's decomposition: no solver call is added
         purify(state)
-        assert calls == expected + expected
+        assert calls == expected
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 5])
+    def test_decomposition_is_stored_read_only(self, n_modes):
+        state = random_gaussian_state(n_modes, 2.0, 1.0, seed=n_modes)
+        s, d = williamson(state)
+        again = williamson(state)
+        assert again[0] is s and again[1] is d
+        assert not d.flags.writeable and not s.data.flags.writeable
+        with pytest.raises(ValueError):
+            d[0] = 0.0
 
     @pytest.mark.parametrize("squeeze", [5.0, 8.0, 9.0, 10.0, 10.5])
     def test_rounded_entries_of_an_exact_state_raise(self, squeeze):
@@ -503,6 +516,28 @@ class TestPartialTrace:
         for mode in (0, 1):
             assert entropy(partial_trace(state, ModePartition.keeping([mode], 2))) == pytest.approx(expected, rel=1e-12)
 
+    @settings(deadline=None, max_examples=60)
+    @given(n_modes=st.integers(2, 16), seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_marginal_spectrum_matches_validating_the_submatrix(self, n_modes, seed, data):
+        # a marginal skips the entry checks its parent's stored matrix guarantees, not a bit of its spectrum
+        state = random_gaussian_state(n_modes, 3.0, 1.0, seed)
+        kept = data.draw(st.permutations(range(n_modes)).flatmap(lambda p: st.integers(1, n_modes).map(lambda k: p[:k])))
+        marginal = partial_trace(state, ModePartition.keeping(kept, n_modes))
+        idx = [q for m in kept for q in (2 * m, 2 * m + 1)]
+        revalidated = CovarianceMatrix(state.data[np.ix_(idx, idx)])
+        assert marginal.data.tobytes() == revalidated.data.tobytes()
+        assert marginal._spectrum.tobytes() == revalidated._spectrum.tobytes()
+        assert not marginal.data.flags.writeable
+
+    def test_stored_matrices_are_exactly_symmetric(self):
+        # marginals skip the symmetry check: every matrix a state can store, validated or built, is symmetric
+        states = [random_gaussian_state(seed % 4 + 1, 3.0, 1.5, seed) for seed in range(40)]
+        spec = ChannelSpec.amplifier(3.0, squeezed_thermal_state(0.7, 0.8))
+        stored = states + [purify(state) for state in states] + [two_mode_squeezed_state(2.5)] + [
+            complementary(state, spec) for state in states if state.n_modes == 1]
+        for state in stored:
+            assert state.data.tobytes() == state.data.T.copy().tobytes()
+
     def test_kept_order_reorders_modes(self):
         state = direct_sum(thermal_state(1), thermal_state(2))
         swapped = partial_trace(state, ModePartition(kept=(1, 0), traced=()))
@@ -517,6 +552,27 @@ class TestPartialTrace:
             ModePartition(kept=(0, 1), traced=(1,))
         with pytest.raises(ValueError):
             ModePartition(kept=(0, 2), traced=())
+
+
+def test_state_analysis_solver_calls(monkeypatch):
+    # one Cholesky and eigvalsh per sampled state and per marginal of two or more modes, one Cholesky and eigh
+    # for the one Williamson decomposition, one entropy per state; later williamson, purify and entropy calls
+    # add none
+    calls = linalg_calls(monkeypatch)
+    entropies = []
+    monkeypatch.setattr(core, "_spectral_entropy", lambda nu, _original=core._spectral_entropy: (
+        entropies.append(nu.shape), _original(nu))[1])
+    state = random_gaussian_state(5, 2.0, 1.0, seed=11)
+    for kept in ((0, 2), (1,), (4, 3, 0)):  # marginals of 2, 1 and 3 modes; conditioners of 3, 4 and 2
+        partition = ModePartition.keeping(kept, 5)
+        partial_trace(state, partition)
+        conditional_entropy(state, partition)
+    williamson(state)
+    purify(state)
+    williamson(state)
+    entropy(state)
+    assert Counter(name for name, _ in calls) == {"cholesky": 7, "eigvalsh": 6, "eigh": 1}
+    assert entropies == [(5,), (3,), (4,), (2,)]  # the state's joint entropy, then each conditioner's
 
 
 class TestConditionalEntropy:
@@ -573,6 +629,12 @@ class TestSerialization:
         state = random_gaussian_state(n_modes, 2.0, 1.0, seed)
         rebuilt = deserialize_covariance(serialize_covariance(state))
         np.testing.assert_array_equal(rebuilt.data, state.data)
+
+    @pytest.mark.parametrize("n_modes", [1, 4, 16])
+    def test_json_matches_per_entry_floats(self, n_modes):
+        state = random_gaussian_state(n_modes, 2.0, 1.0, seed=n_modes)
+        per_entry = {"n_modes": n_modes, "data": [float(v) for v in state.data.ravel()]}
+        assert json.dumps(serialize_covariance(state)) == json.dumps(per_entry)
 
     def test_flat_and_nested_forms(self):
         flat = [3.0, 0.0, 0.0, 3.0]
@@ -706,19 +768,58 @@ class TestSingleModeCancellation:
         assert symplectic_eigenvalues(rebuilt).tobytes() == np.array([2.0 * photon + 1.0]).tobytes()
 
 
+_ROUNDOFF_MESSAGE = (r"^the entries fix min symplectic eigenvalue {nu} only to its roundoff bound eps kappa = \S+ "
+                     r"\(kappa = \(max diag L / min diag L\)\^2 of the Cholesky factor L\), more than 1e-09$")
+
+
 class TestMultiModeRoundoff:
     @pytest.mark.parametrize("squeeze", [5.0, 6.0])
     def test_pure_state_short_of_one_by_roundoff_is_a_numerical_error(self, squeeze):
         # a two-mode squeezed vacuum is pure; validating its entries loses nu_min to 1 - 5.7e-9 (r = 5)
         # and 1 - 6.6e-7 (r = 6), within eps (max diag L / min diag L)^2 = 2.7e-8 and 1.5e-6
-        with pytest.raises(ArithmeticError, match=r"^min symplectic eigenvalue 0\.9999.* within its roundoff "
-                                                  r"bound eps kappa = .* do not fix it to 1e-09$") as caught:
+        with pytest.raises(ArithmeticError, match=_ROUNDOFF_MESSAGE.format(nu=r"0\.9999\d*")) as caught:
             CovarianceMatrix(two_mode_squeezed_state(squeeze).data)
         assert caught.type is ArithmeticError
+
+    @pytest.mark.parametrize("squeeze", [9.0, 9.5])
+    def test_pure_state_above_one_by_roundoff_is_a_numerical_error(self, squeeze):
+        # the same entries from r ~ 8 give nu_min above 1 (1.049 at r = 9 and 1.63 at r = 9.5, entropy 0.232
+        # and 1.449 for a pure state) with eps kappa = 0.22 and 0.67: the bound applies whatever nu_min is
+        with pytest.raises(ArithmeticError, match=_ROUNDOFF_MESSAGE.format(nu=r"1\.\d+")) as caught:
+            CovarianceMatrix(two_mode_squeezed_state(squeeze).data)
+        assert caught.type is ArithmeticError
+
+    def test_shortfall_beyond_a_large_roundoff_bound_is_unphysical(self):
+        # eps kappa = 2.2e-6 exceeds 1e-9, but nu_min = 0.5 falls short of 1 by far more than that
+        with pytest.raises(PhysicalityError, match=r"^uncertainty condition violated: min symplectic eigenvalue "):
+            CovarianceMatrix(np.diag([0.5, 0.5, 5e9, 5e9]))
 
     def test_shortfall_beyond_roundoff_is_unphysical(self):
         with pytest.raises(PhysicalityError, match=r"^uncertainty condition violated: min symplectic eigenvalue 0\.5 < 1$"):
             CovarianceMatrix(0.5 * np.eye(4))
+
+
+class TestMixerLayers:
+    @settings(deadline=None, max_examples=30)
+    @given(n_modes=st.integers(1, 24))
+    def test_schedule_keeps_the_draw_order_of_overlapping_pairs(self, n_modes):
+        pairs = [(i, j) for i in range(n_modes) for j in range(i + 1, n_modes)]
+        layer_of = {}
+        for layer, (index, rows) in enumerate(_mixer_layers(n_modes)):
+            assert not index.flags.writeable and not rows.flags.writeable
+            members = [pairs[k] for k in index.tolist()]
+            modes = [m for pair in members for m in pair]
+            assert len(set(modes)) == len(modes)  # the pairs of a layer are disjoint
+            assert rows.tolist() == [[2 * i, 2 * i + 1, 2 * j, 2 * j + 1] for i, j in members]
+            layer_of.update(dict.fromkeys(index.tolist(), layer))
+        assert sorted(layer_of) == list(range(len(pairs)))  # every pair appears once
+        for k, pair in enumerate(pairs):
+            for earlier in range(k):
+                if set(pairs[earlier]) & set(pair):
+                    assert layer_of[earlier] < layer_of[k]
+
+    def test_layer_count(self):
+        assert [len(_mixer_layers(n)) for n in (1, 2, 3, 4, 8, 16)] == [0, 1, 3, 5, 13, 29]
 
 
 class TestSamplerDrawOrder:
