@@ -125,7 +125,7 @@ def _checked_spectrum(data: NDArray[np.float64]) -> NDArray[np.float64]:
     is the positive-definiteness check, and the eigenvalues +/- nu of
     ``_hermitian_form``(L) = i L.T Omega L, the matrix ``williamson``
     diagonalises, must split into +/- pairs (``ArithmeticError``).  Their
-    roundoff bound eps (max diag L / min diag L)^2 must not exceed 1e-9
+    roundoff bound eps max_i Gamma_ii / L_ii^2 must not exceed 1e-9
     (``ArithmeticError``), unless min nu falls short of 1 by more than that
     bound (surely unphysical).
     """
@@ -158,11 +158,13 @@ def _checked_spectrum(data: NDArray[np.float64]) -> NDArray[np.float64]:
         spectrum = (big + small) * 0.5
     nu_min = spectrum[..., -1]
     if data.shape[-1] > 2:  # whatever nu_min is: rounding may push it either way
+        # kappa of the unit-diagonal D^-1/2 Gamma D^-1/2 (D = diag Gamma), whose Cholesky factor has diagonal
+        # L_ii / sqrt(Gamma_ii) and leading entry 1: a product of modes on different scales cancels nothing
         diagonal = np.diagonal(factor, axis1=-2, axis2=-1)
-        bound = _EPS * (diagonal.max(axis=-1) / diagonal.min(axis=-1)) ** 2
+        bound = _EPS * (np.diagonal(data, axis1=-2, axis2=-1) / (diagonal * diagonal)).max(axis=-1)
         _reject((bound > PHYSICALITY_ATOL) & (1.0 - nu_min <= bound), ArithmeticError,
                 lambda i: f"the entries fix min symplectic eigenvalue {nu_min[i]:.12g} only to its roundoff bound "
-                          f"eps kappa = {bound[i]:.3g} (kappa = (max diag L / min diag L)^2 of the Cholesky factor L), "
+                          f"eps kappa = {bound[i]:.3g} (kappa = max Gamma_ii / L_ii^2, L the Cholesky factor), "
                           f"more than {PHYSICALITY_ATOL:g}")
     _reject(nu_min < 1.0 - PHYSICALITY_ATOL, PhysicalityError,
             lambda i: f"uncertainty condition violated: min symplectic eigenvalue {nu_min[i]:.12g} < 1")
@@ -175,8 +177,8 @@ class CovarianceMatrix:
 
     Construction validates symmetry (to 1e-12), positive definiteness and
     the uncertainty condition (every symplectic eigenvalue >= 1 - 1e-9).
-    The stored array is read-only.  The state is immutable, so its entropy and
-    its Williamson decomposition are computed once, on first use, and kept.
+    The stored array is read-only.  The state is immutable, so its Williamson
+    decomposition is computed once, on first use, and kept.
     """
 
     data: NDArray[np.float64]
@@ -206,12 +208,34 @@ class CovarianceMatrix:
         return state
 
     @cached_property
-    def _entropy(self) -> float:
-        return float(_spectral_entropy(self._spectrum))
-
-    @cached_property
     def _williamson(self) -> tuple["SymplecticMatrix", NDArray[np.float64]]:
-        return _williamson_decomposition(self)
+        """``williamson``'s ``(S, d)``, computed on first use."""
+        n = self.n_modes
+        if n == 1:
+            m = self.data / self._spectrum[0]
+            d = np.repeat(self._spectrum, 2)
+            d.setflags(write=False)
+            return SymplecticMatrix((m + np.eye(2)) / np.sqrt(m[0, 0] + m[1, 1] + 2.0)), d
+        try:
+            factor = np.linalg.cholesky(self.data)
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("williamson: the stored covariance entries have no Cholesky factor") from None
+        nu, v = np.linalg.eigh(_hermitian_form(factor))
+        nu, v = nu[:n - 1:-1], v[:, :n - 1:-1]
+        miss = np.abs(nu - self._spectrum) / self._spectrum
+        _reject(miss > PHYSICALITY_ATOL, ArithmeticError,
+                lambda k: f"williamson: the stored covariance entries give symplectic eigenvalue {nu[k]:.12g} for "
+                          f"the state's {self._spectrum[k]:.12g}, off by {miss[k]:.3g} of it, more than "
+                          f"{PHYSICALITY_ATOL:g}")
+        w = factor @ v
+        # S's block on mode m has rotation part ~ w_p - i w_q: make it real and >= 0 on the heaviest mode
+        heaviest = np.argmax(np.abs(w[0::2]) ** 2 + np.abs(w[1::2]) ** 2, axis=0)
+        phase = (w[1::2] - 1j * w[0::2])[heaviest, np.arange(n)]
+        w = w * (np.conj(phase) / np.abs(phase))
+        d = np.repeat(nu, 2)
+        s = math.sqrt(2.0) * np.stack([w.imag, w.real], axis=-1).reshape(2 * n, 2 * n) / np.sqrt(d)
+        d.setflags(write=False)
+        return SymplecticMatrix(s), d
 
     @property
     def n_modes(self) -> int:
@@ -432,8 +456,8 @@ def _spectral_entropy(spectrum: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def entropy(state: CovarianceMatrix) -> float:
-    """Von Neumann entropy in nats: sum of thermal_entropy((nu - 1) / 2), computed once per state."""
-    return state._entropy
+    """Von Neumann entropy in nats: sum of thermal_entropy((nu - 1) / 2)."""
+    return float(_spectral_entropy(state._spectrum))
 
 
 def _mode_parameters(state: CovarianceMatrix) -> tuple[NDArray[np.float64], ...]:
@@ -498,12 +522,6 @@ def williamson(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.fl
 
     The decomposition runs once per state, on the first call (or ``purify``'s);
     later calls return the same ``(S, d)``.
-    """
-    return state._williamson
-
-
-def _williamson_decomposition(state: CovarianceMatrix) -> tuple[SymplecticMatrix, NDArray[np.float64]]:
-    """``williamson``'s ``(S, d)``, computed afresh.
 
     One mode runs no eigensolver: with nu the stored spectrum, M = Gamma / nu
     has det 1 and S is its symmetric root (M + I) / sqrt(tr M + 2).  From two
@@ -517,31 +535,7 @@ def _williamson_decomposition(state: CovarianceMatrix) -> tuple[SymplecticMatrix
     (``ArithmeticError``): the rounded entries of ``two_mode_squeezed_state``
     from r ~ 5, for example, whose nu fall below 1 or rise above it.
     """
-    n = state.n_modes
-    if n == 1:
-        m = state.data / state._spectrum[0]
-        d = np.repeat(state._spectrum, 2)
-        d.setflags(write=False)
-        return SymplecticMatrix((m + np.eye(2)) / np.sqrt(m[0, 0] + m[1, 1] + 2.0)), d
-    try:
-        factor = np.linalg.cholesky(state.data)
-    except np.linalg.LinAlgError:
-        raise ArithmeticError("williamson: the stored covariance entries have no Cholesky factor") from None
-    nu, v = np.linalg.eigh(_hermitian_form(factor))
-    nu, v = nu[:n - 1:-1], v[:, :n - 1:-1]
-    miss = np.abs(nu - state._spectrum) / state._spectrum
-    _reject(miss > PHYSICALITY_ATOL, ArithmeticError,
-            lambda k: f"williamson: the stored covariance entries give symplectic eigenvalue {nu[k]:.12g} for the "
-                      f"state's {state._spectrum[k]:.12g}, off by {miss[k]:.3g} of it, more than {PHYSICALITY_ATOL:g}")
-    w = factor @ v
-    # S's block on mode m has rotation part ~ w_p - i w_q: make it real and >= 0 on the heaviest mode
-    heaviest = np.argmax(np.abs(w[0::2]) ** 2 + np.abs(w[1::2]) ** 2, axis=0)
-    phase = (w[1::2] - 1j * w[0::2])[heaviest, np.arange(n)]
-    w = w * (np.conj(phase) / np.abs(phase))
-    d = np.repeat(nu, 2)
-    s = math.sqrt(2.0) * np.stack([w.imag, w.real], axis=-1).reshape(2 * n, 2 * n) / np.sqrt(d)
-    d.setflags(write=False)
-    return SymplecticMatrix(s), d
+    return state._williamson
 
 
 def purify(state: CovarianceMatrix) -> CovarianceMatrix:

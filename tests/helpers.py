@@ -17,6 +17,7 @@ import numpy as np
 
 from gausscap import (
     ChannelSpec,
+    CovarianceMatrix,
     apply_channel,
     complementary,
     entropy,
@@ -499,18 +500,12 @@ def linalg_calls(monkeypatch) -> list:
 # ---------------------------------------------------------------------------
 
 def coherent_information_per_point(spec: ChannelSpec, n_in: float) -> float:
-    """S(B) - S(F, C) for one thermal input, one ``CovarianceMatrix`` per step:
-    ``thermal_state`` -> ``apply_channel`` / ``complementary`` -> entropy.
-    S(F, C) comes from the (F, C) matrix's float entries, not from the closed-form
-    spectrum ``complementary`` stores: their invariants (``_mp_pair_spectrum``) in
-    50-digit arithmetic.  Re-validating the entries in floats instead raises
-    ``ArithmeticError`` at gain 1e6 for most N, where their roundoff bound
-    eps kappa exceeds 1e-9."""
+    """S(B) - S(F, C) for one thermal input, one validated ``CovarianceMatrix``
+    per step: ``thermal_state`` -> ``apply_channel`` / ``complementary`` -> ``entropy``.
+    The (F, C) matrix is re-validated, so its spectrum is not the closed form that
+    ``complementary`` stores."""
     state = thermal_state(n_in)
-    with mp.workdps(50):
-        spectrum = _mp_pair_spectrum(mp.matrix(complementary(state, spec).data.tolist()))
-        joint = float(sum(g_mp((nu - 1) / 2) for nu in spectrum))
-    return entropy(apply_channel(state, spec)) - joint
+    return entropy(apply_channel(state, spec)) - entropy(CovarianceMatrix(complementary(state, spec).data))
 
 
 def bounds_per_point(spec: ChannelSpec, n_in: float, second_argument: str = "square") -> tuple[float, ...]:

@@ -556,12 +556,8 @@ class TestPartialTrace:
 
 def test_state_analysis_solver_calls(monkeypatch):
     # one Cholesky and eigvalsh per sampled state and per marginal of two or more modes, one Cholesky and eigh
-    # for the one Williamson decomposition, one entropy per state; later williamson, purify and entropy calls
-    # add none
+    # for the one Williamson decomposition; later williamson, purify and entropy calls add none
     calls = linalg_calls(monkeypatch)
-    entropies = []
-    monkeypatch.setattr(core, "_spectral_entropy", lambda nu, _original=core._spectral_entropy: (
-        entropies.append(nu.shape), _original(nu))[1])
     state = random_gaussian_state(5, 2.0, 1.0, seed=11)
     for kept in ((0, 2), (1,), (4, 3, 0)):  # marginals of 2, 1 and 3 modes; conditioners of 3, 4 and 2
         partition = ModePartition.keeping(kept, 5)
@@ -572,7 +568,6 @@ def test_state_analysis_solver_calls(monkeypatch):
     williamson(state)
     entropy(state)
     assert Counter(name for name, _ in calls) == {"cholesky": 7, "eigvalsh": 6, "eigh": 1}
-    assert entropies == [(5,), (3,), (4,), (2,)]  # the state's joint entropy, then each conditioner's
 
 
 class TestConditionalEntropy:
@@ -769,14 +764,14 @@ class TestSingleModeCancellation:
 
 
 _ROUNDOFF_MESSAGE = (r"^the entries fix min symplectic eigenvalue {nu} only to its roundoff bound eps kappa = \S+ "
-                     r"\(kappa = \(max diag L / min diag L\)\^2 of the Cholesky factor L\), more than 1e-09$")
+                     r"\(kappa = max Gamma_ii / L_ii\^2, L the Cholesky factor\), more than 1e-09$")
 
 
 class TestMultiModeRoundoff:
     @pytest.mark.parametrize("squeeze", [5.0, 6.0])
     def test_pure_state_short_of_one_by_roundoff_is_a_numerical_error(self, squeeze):
         # a two-mode squeezed vacuum is pure; validating its entries loses nu_min to 1 - 5.7e-9 (r = 5)
-        # and 1 - 6.6e-7 (r = 6), within eps (max diag L / min diag L)^2 = 2.7e-8 and 1.5e-6
+        # and 1 - 6.6e-7 (r = 6), within eps max Gamma_ii / L_ii^2 = eps cosh^2 2r = 2.7e-8 and 1.5e-6
         with pytest.raises(ArithmeticError, match=_ROUNDOFF_MESSAGE.format(nu=r"0\.9999\d*")) as caught:
             CovarianceMatrix(two_mode_squeezed_state(squeeze).data)
         assert caught.type is ArithmeticError
@@ -790,9 +785,19 @@ class TestMultiModeRoundoff:
         assert caught.type is ArithmeticError
 
     def test_shortfall_beyond_a_large_roundoff_bound_is_unphysical(self):
-        # eps kappa = 2.2e-6 exceeds 1e-9, but nu_min = 0.5 falls short of 1 by far more than that
+        # eps kappa = 1.1e-7 exceeds 1e-9, but nu_min = 0.5 falls short of 1 by far more than that
         with pytest.raises(PhysicalityError, match=r"^uncertainty condition violated: min symplectic eigenvalue "):
-            CovarianceMatrix(np.diag([0.5, 0.5, 5e9, 5e9]))
+            CovarianceMatrix(0.5 * two_mode_squeezed_state(5.0).data)
+
+    @pytest.mark.parametrize("modes,spectrum", [
+        ((squeezed_thermal_state(0.0, 4.0), vacuum_state()), (1.0, 1.0)),
+        ((squeezed_thermal_state(0.0, 100.0), vacuum_state()), (1.0, 1.0)),
+        ((thermal_state(0.0), thermal_state(3e6)), (6e6 + 1.0, 1.0)),
+    ])
+    def test_products_of_modes_on_different_scales_validate(self, modes, spectrum):
+        # a diagonal matrix cancels nothing, however far apart its modes' scales: its bound is eps
+        rebuilt = CovarianceMatrix(direct_sum(*modes).data)
+        assert symplectic_eigenvalues(rebuilt).tolist() == list(spectrum)
 
     def test_shortfall_beyond_roundoff_is_unphysical(self):
         with pytest.raises(PhysicalityError, match=r"^uncertainty condition violated: min symplectic eigenvalue 0\.5 < 1$"):
