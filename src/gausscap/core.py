@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -79,41 +80,42 @@ def _reject(failed, error: type[Exception], reason) -> None:
         raise error(reason(np.unravel_index(int(np.argmax(failed)), failed.shape)))
 
 
-def _det2(gamma: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Determinant of each 2x2 matrix of a stack (..., 2, 2) as (det / s^2, s), for a power of two s
-    near sqrt(Gamma_00 Gamma_11): no product overflows, and (det / s^2) s s is the bits of the plain
-    determinant wherever that is finite and normal."""
-    scale = np.ldexp(1.0, (np.frexp(gamma[..., 0, 0])[1] + np.frexp(gamma[..., 1, 1])[1]) // 2)
-    unit = gamma / scale[..., None, None]
-    return unit[..., 0, 0] * unit[..., 1, 1] - unit[..., 0, 1] * unit[..., 1, 0], scale
+def _det2(gamma: NDArray[np.float64]) -> tuple[float, float, int]:
+    """Determinant of a 2x2 matrix as (det / s^2, its rounding scale |u00 u11| + u01^2, e) for the entries
+    u = Gamma / s and a power of two s = 2^e near sqrt(Gamma_00 Gamma_11): no product overflows, and
+    (det / s^2) s s is the bits of the plain determinant wherever that is finite and normal."""
+    (g00, g01), (g10, g11) = gamma.tolist()
+    e = (math.frexp(g00)[1] + math.frexp(g11)[1]) // 2
+    # ldexp(g, -e) is g / s exactly, and stays finite where s itself (s = 2^1024 from 9e307 on) would not be
+    u00, u01, u10, u11 = (math.ldexp(g, -e) for g in (g00, g01, g10, g11))
+    return u00 * u11 - u01 * u10, abs(u00 * u11) + u01 * u01, e
 
 
 def _hermitian_form(factor: NDArray[np.float64]) -> NDArray[np.complex128]:
-    """i L.T Omega L for a Cholesky factor Gamma = L L.T, or a stack of them: Hermitian and similar to
-    i Omega Gamma, so its eigenvalues are +/- each symplectic eigenvalue nu."""
-    return 1j * (factor.swapaxes(-1, -2) @ symplectic_form(factor.shape[-1] // 2) @ factor)
+    """i L.T Omega L for a Cholesky factor Gamma = L L.T: Hermitian and similar to i Omega Gamma, so its
+    eigenvalues are +/- each symplectic eigenvalue nu."""
+    return 1j * (factor.T @ symplectic_form(factor.shape[0] // 2) @ factor)
 
 
 def _validated(data: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Validate one covariance matrix or a stack of them, shape (..., 2n, 2n).
+    """Validate one covariance matrix, shape (2n, 2n).
 
     Checks finite entries and symmetry (to 1e-12, ``ValueError``), then
     symmetrises the entries and checks their spectrum (``_checked_spectrum``).
-    Every check raises through ``_reject`` and names no index: a caller that
-    validates a stack locates the failing item.  Returns the symmetrised data
-    and the symplectic eigenvalues per matrix, one per +/- pair, descending.
+    Returns the symmetrised data and the symplectic eigenvalues, one per +/-
+    pair, descending.
     """
-    _reject(~np.isfinite(data).all(axis=(-2, -1)), ValueError, lambda i: "covariance matrix must be finite")
-    asymmetry = np.abs(data - data.swapaxes(-1, -2)).max(axis=(-2, -1))
-    _reject(asymmetry > SYMMETRY_ATOL, ValueError,
-            lambda i: f"covariance matrix is not symmetric (max asymmetry {asymmetry[i]:.3e})")
-    data = 0.5 * data + 0.5 * data.swapaxes(-1, -2)  # halves first: entries near the float maximum stay finite
+    if not np.isfinite(data).all():
+        raise ValueError("covariance matrix must be finite")
+    if (asymmetry := float(np.abs(data - data.T).max())) > SYMMETRY_ATOL:
+        raise ValueError(f"covariance matrix is not symmetric (max asymmetry {asymmetry:.3e})")
+    data = 0.5 * data + 0.5 * data.T  # halves first: entries near the float maximum stay finite
     return data, _checked_spectrum(data)
 
 
 def _checked_spectrum(data: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Symplectic eigenvalues of finite, exactly symmetric covariance entries, shape (..., 2n, 2n), one per
-    +/- pair, descending, once the entries are shown to fix them.
+    """Symplectic eigenvalues of finite, exactly symmetric covariance entries, shape (2n, 2n), one per +/- pair,
+    descending, once the entries are shown to fix them.
 
     Checks positive definiteness and the uncertainty condition (every
     symplectic eigenvalue >= 1 - 1e-9, ``PhysicalityError``).  One mode runs
@@ -129,45 +131,44 @@ def _checked_spectrum(data: NDArray[np.float64]) -> NDArray[np.float64]:
     (``ArithmeticError``), unless min nu falls short of 1 by more than that
     bound (surely unphysical).
     """
-    if data.shape[-1] == 2:
-        det, scale = _det2(data)
-        unit = data / scale[..., None, None]
+    if data.shape[0] == 2:
+        det, magnitude, e = _det2(data)
         # u00 u11 - u01^2 rounds by up to about eps (|u00 u11| + u01^2): only a det below that is surely negative
-        magnitude = np.abs(unit[..., 0, 0] * unit[..., 1, 1]) + unit[..., 0, 1] * unit[..., 0, 1]
-        _reject(~(data[..., 0, 0] > 0.0) | (det <= -_EPS * magnitude), PhysicalityError,
-                lambda i: "covariance matrix is not positive definite")
-        lost = lambda i: min(_DIGITS, math.log10(magnitude[i] / abs(det[i]))) if det[i] else _DIGITS  # noqa: E731
-        _reject(_EPS * magnitude > PHYSICALITY_ATOL * det, ArithmeticError,
-                lambda i: f"det Gamma = Gamma_00 Gamma_11 - Gamma_01^2 cancels {lost(i):.1f} of its {_DIGITS:.1f} "
-                          f"digits, so the entries do not fix the symplectic eigenvalue to {PHYSICALITY_ATOL:g}")
-        spectrum = (np.sqrt(det) * scale)[..., None]
+        if not data[0, 0] > 0.0 or det <= -_EPS * magnitude:
+            raise PhysicalityError("covariance matrix is not positive definite")
+        if _EPS * magnitude > PHYSICALITY_ATOL * det:
+            lost = min(_DIGITS, math.log10(magnitude / abs(det))) if det else _DIGITS
+            raise ArithmeticError(f"det Gamma = Gamma_00 Gamma_11 - Gamma_01^2 cancels {lost:.1f} of its "
+                                  f"{_DIGITS:.1f} digits, so the entries do not fix the symplectic eigenvalue to "
+                                  f"{PHYSICALITY_ATOL:g}")
+        nu_min = math.ldexp(math.sqrt(det), e)
+        spectrum = np.array([nu_min])
     else:
         try:
             factor = np.linalg.cholesky(data)
         except np.linalg.LinAlgError:
             raise PhysicalityError("covariance matrix is not positive definite") from None
-        n = data.shape[-1] // 2
+        n = data.shape[0] // 2
         # ascending: -nu_1 <= ... <= -nu_n <= nu_n <= ... <= nu_1
         values = np.linalg.eigvalsh(_hermitian_form(factor))
-        big, small = values[..., :n - 1:-1], -values[..., :n]
-        split = (np.abs(big - small) / np.maximum(big, 1.0)).max(axis=-1)
-        _reject(split > PAIR_ATOL, ArithmeticError,
-                lambda i: f"eigenvalues of i L.T Omega L do not split into +/- pairs: they differ by {split[i]:.3g} "
-                          f"of max(nu, 1), more than {PAIR_ATOL:g}")
+        big, small = values[:n - 1:-1], -values[:n]
+        if (split := float((np.abs(big - small) / np.maximum(big, 1.0)).max())) > PAIR_ATOL:
+            raise ArithmeticError(f"eigenvalues of i L.T Omega L do not split into +/- pairs: they differ by "
+                                  f"{split:.3g} of max(nu, 1), more than {PAIR_ATOL:g}")
         # the mean of each pair, summed and halved exactly as np.mean does
         spectrum = (big + small) * 0.5
-    nu_min = spectrum[..., -1]
-    if data.shape[-1] > 2:  # whatever nu_min is: rounding may push it either way
-        # kappa of the unit-diagonal D^-1/2 Gamma D^-1/2 (D = diag Gamma), whose Cholesky factor has diagonal
-        # L_ii / sqrt(Gamma_ii) and leading entry 1: a product of modes on different scales cancels nothing
-        diagonal = np.diagonal(factor, axis1=-2, axis2=-1)
-        bound = _EPS * (np.diagonal(data, axis1=-2, axis2=-1) / (diagonal * diagonal)).max(axis=-1)
-        _reject((bound > PHYSICALITY_ATOL) & (1.0 - nu_min <= bound), ArithmeticError,
-                lambda i: f"the entries fix min symplectic eigenvalue {nu_min[i]:.12g} only to its roundoff bound "
-                          f"eps kappa = {bound[i]:.3g} (kappa = max Gamma_ii / L_ii^2, L the Cholesky factor), "
-                          f"more than {PHYSICALITY_ATOL:g}")
-    _reject(nu_min < 1.0 - PHYSICALITY_ATOL, PhysicalityError,
-            lambda i: f"uncertainty condition violated: min symplectic eigenvalue {nu_min[i]:.12g} < 1")
+        nu_min = float(spectrum[-1])
+        # whatever nu_min is, rounding may push it either way.  kappa of the unit-diagonal D^-1/2 Gamma D^-1/2
+        # (D = diag Gamma), whose Cholesky factor has diagonal L_ii / sqrt(Gamma_ii) and leading entry 1: a
+        # product of modes on different scales cancels nothing
+        diagonal = np.diagonal(factor)
+        bound = _EPS * float((np.diagonal(data) / (diagonal * diagonal)).max())
+        if bound > PHYSICALITY_ATOL and 1.0 - nu_min <= bound:
+            raise ArithmeticError(f"the entries fix min symplectic eigenvalue {nu_min:.12g} only to its roundoff "
+                                  f"bound eps kappa = {bound:.3g} (kappa = max Gamma_ii / L_ii^2, L the Cholesky "
+                                  f"factor), more than {PHYSICALITY_ATOL:g}")
+    if nu_min < 1.0 - PHYSICALITY_ATOL:
+        raise PhysicalityError(f"uncertainty condition violated: min symplectic eigenvalue {nu_min:.12g} < 1")
     return spectrum
 
 
@@ -177,8 +178,9 @@ class CovarianceMatrix:
 
     Construction validates symmetry (to 1e-12), positive definiteness and
     the uncertainty condition (every symplectic eigenvalue >= 1 - 1e-9).
-    The stored array is read-only.  The state is immutable, so its Williamson
-    decomposition is computed once, on first use, and kept.
+    The stored array is read-only.  The state is immutable, so its entropy and
+    Williamson decomposition are computed once, on first use, and kept, and
+    each marginal is kept while the caller holds it.
     """
 
     data: NDArray[np.float64]
@@ -206,6 +208,20 @@ class CovarianceMatrix:
         state = object.__new__(cls)
         state._store(data, spectrum)
         return state
+
+    @cached_property
+    def _marginals(self) -> weakref.WeakValueDictionary:
+        """``_marginal``'s memo: each marginal by its kept-mode tuple, held only as long as something else holds it."""
+        return weakref.WeakValueDictionary()
+
+    @cached_property
+    def _entropy(self) -> float:
+        """``entropy``'s value, computed on first use."""
+        return float(_spectral_entropy(self._spectrum))
+
+    def __getstate__(self) -> dict:
+        # weak references do not pickle: a copy starts with no memoised marginals
+        return {key: value for key, value in self.__dict__.items() if key != "_marginals"}
 
     @cached_property
     def _williamson(self) -> tuple["SymplecticMatrix", NDArray[np.float64]]:
@@ -456,8 +472,8 @@ def _spectral_entropy(spectrum: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def entropy(state: CovarianceMatrix) -> float:
-    """Von Neumann entropy in nats: sum of thermal_entropy((nu - 1) / 2)."""
-    return float(_spectral_entropy(state._spectrum))
+    """Von Neumann entropy in nats: sum of thermal_entropy((nu - 1) / 2), computed once per state."""
+    return state._entropy
 
 
 def _mode_parameters(state: CovarianceMatrix) -> tuple[NDArray[np.float64], ...]:
@@ -484,10 +500,14 @@ def total_photon_number(state: CovarianceMatrix) -> float:
 
 def _marginal(state: CovarianceMatrix, modes: tuple[int, ...]) -> CovarianceMatrix:
     """Principal submatrix on ``modes``, in that order.  A stored matrix is finite and exactly symmetric, and so
-    is its submatrix: only its spectrum is checked (``_checked_spectrum``), not its entries."""
-    idx = (2 * np.array(modes)[:, None] + (0, 1)).ravel()
-    data = state.data[idx[:, None], idx]
-    return CovarianceMatrix._physical(data, _checked_spectrum(data))
+    is its submatrix: only its spectrum is checked (``_checked_spectrum``), not its entries.  The same ``modes``
+    give the same object for as long as the caller holds it (``CovarianceMatrix._marginals``)."""
+    marginal = state._marginals.get(modes)
+    if marginal is None:
+        idx = (2 * np.array(modes)[:, None] + (0, 1)).ravel()
+        data = state.data[idx[:, None], idx]
+        marginal = state._marginals[modes] = CovarianceMatrix._physical(data, _checked_spectrum(data))
+    return marginal
 
 
 def partial_trace(state: CovarianceMatrix, partition: ModePartition) -> CovarianceMatrix:
@@ -549,15 +569,20 @@ def purify(state: CovarianceMatrix) -> CovarianceMatrix:
     couple nothing to their reference mode, so a state whose stored spectrum
     is all pure becomes [[Gamma, 0], [0, I]] without a decomposition.
     """
+    m = 2 * state.n_modes
+    out = np.zeros((2 * m, 2 * m))
+    out[:m, :m] = state.data
     if np.any(state._spectrum - 1.0 > PURE_ATOL):
         s, d = williamson(state)
         nu = d[0::2]
         excess = np.where(nu - 1.0 > PURE_ATOL, nu - 1.0, 0.0)
-        # S C scales column pair m of S by c_m Z
-        cross = s.data * np.kron(np.sqrt(excess * (nu + 1.0)), np.diag(PHASE_FLIP))
+        # S C scales column pair k of S by c_k Z
+        np.multiply(s.data, (np.sqrt(excess * (nu + 1.0))[:, None] * np.diag(PHASE_FLIP)).ravel(), out=out[:m, m:])
+        out[m:, :m] = out[:m, m:].T
     else:
-        cross, d = np.zeros_like(state.data), np.ones(2 * state.n_modes)
-    return CovarianceMatrix._physical(np.block([[state.data, cross], [cross.T, np.diag(d)]]), np.ones(2 * state.n_modes))
+        d = 1.0
+    np.fill_diagonal(out[m:, m:], d)
+    return CovarianceMatrix._physical(out, np.ones(m))
 
 
 @lru_cache(maxsize=None)
@@ -666,7 +691,12 @@ def serialize_covariance(state: CovarianceMatrix) -> dict:
     return {"n_modes": state.n_modes, "data": state.data.ravel().tolist()}
 
 
-def _as_square(values: NDArray[np.float64]) -> NDArray[np.float64]:
+def _as_square(payload) -> NDArray[np.float64]:
+    """The float array of a flat row-major list (reshaped to its square) or of nested rows."""
+    try:
+        values = np.asarray(payload, dtype=float)
+    except TypeError:  # an object or a string nested in the lists: a malformed payload, not a crash
+        raise ValueError("matrix data must be a flat list of numbers or a list of rows of numbers") from None
     if values.ndim == 1:
         side = int(round(np.sqrt(values.size)))
         if side * side != values.size:
@@ -677,10 +707,15 @@ def _as_square(values: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def deserialize_covariance(obj) -> CovarianceMatrix:
     """Rebuild a state from ``serialize_covariance`` output, a flat row-major
-    list, or a nested list of rows."""
+    list, or a nested list of rows.  A declared ``n_modes`` must be an integer (not a bool) that matches the
+    matrix size."""
     if isinstance(obj, dict):
-        values = _as_square(np.asarray(obj["data"], dtype=float))
-        if "n_modes" in obj and 2 * int(obj["n_modes"]) != values.shape[0]:
-            raise ValueError("declared n_modes does not match the matrix size")
+        values = _as_square(obj["data"])
+        if "n_modes" in obj:
+            declared = obj["n_modes"]
+            if isinstance(declared, bool) or not isinstance(declared, (int, np.integer)):
+                raise ValueError(f"declared n_modes must be an integer, not {declared!r}")
+            if 2 * declared != values.shape[0]:
+                raise ValueError("declared n_modes does not match the matrix size")
         return CovarianceMatrix(values)
-    return CovarianceMatrix(_as_square(np.asarray(obj, dtype=float)))
+    return CovarianceMatrix(_as_square(obj))

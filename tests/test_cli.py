@@ -514,6 +514,27 @@ class TestEntropyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_modes"] == 1
 
+    @pytest.mark.parametrize("source", ["--matrix", "--matrix-file"])
+    @pytest.mark.parametrize("declared,shown", [("1.5", "1.5"), ("1.9", "1.9"), ("true", "True"), ('"1"', "'1'")])
+    def test_non_integer_mode_count_is_config_error(self, tmp_path, capsys, source, declared, shown):
+        text = f'{{"n_modes": {declared}, "data": [3, 0, 0, 3]}}'
+        if source == "--matrix-file":
+            path = tmp_path / "state.json"
+            path.write_text(text)
+            text = str(path)
+        assert main(["entropy", source, text]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: declared n_modes must be an integer, not {shown}\n"
+
+    @pytest.mark.parametrize("matrix", ['{"n_modes": 1, "data": {"a": 1}}', '[{"a": 1}]', '[[3, {}], [0, 3]]'])
+    def test_data_that_is_not_numbers_is_config_error(self, capsys, matrix):
+        assert main(["entropy", "--matrix", matrix]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: matrix data must be a flat list of numbers or a list of rows "
+                                "of numbers\n")
+
     def test_malformed_json_is_config_error(self):
         assert main(["entropy", "--matrix", "[1, 0, 0"]) == EXIT_CONFIG
 

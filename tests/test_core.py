@@ -1,7 +1,10 @@
+import gc
 import json
 import math
+import pickle
 import re
 import warnings
+import weakref
 from collections import Counter
 
 import mpmath
@@ -570,6 +573,80 @@ def test_state_analysis_solver_calls(monkeypatch):
     assert Counter(name for name, _ in calls) == {"cholesky": 7, "eigvalsh": 6, "eigh": 1}
 
 
+class TestMarginalMemo:
+    @staticmethod
+    def bipartition(kept, n_modes):
+        part = ModePartition.keeping(kept, n_modes)
+        return part, ModePartition(kept=part.traced, traced=part.kept)
+
+    @pytest.mark.parametrize("kept", [(0, 2), (1,), (4, 3, 0), (3, 1, 2, 0)])
+    def test_bipartition_solves_each_marginal_once(self, monkeypatch, kept):
+        # S(A), S(B) and S(A|B): conditional_entropy reuses the B marginal partial_trace built, so one Cholesky
+        # and one eigvalsh per distinct marginal of two or more modes
+        state = random_gaussian_state(5, 2.0, 1.0, seed=11)
+        part, conditioner = self.bipartition(kept, 5)
+        calls = linalg_calls(monkeypatch)
+        a, b = partial_trace(state, part), partial_trace(state, conditioner)
+        entropy(a), entropy(b), conditional_entropy(state, part)
+        assert partial_trace(state, conditioner) is b
+        solved = sum(len(modes) >= 2 for modes in (part.kept, part.traced))
+        assert Counter(name for name, _ in calls) == Counter(cholesky=solved, eigvalsh=solved)
+
+    def test_entropy_is_summed_once_per_state(self, monkeypatch):
+        summed = []
+        spectral_entropy = core._spectral_entropy
+        monkeypatch.setattr(core, "_spectral_entropy", lambda nu: summed.append(len(nu)) or spectral_entropy(nu))
+        state = random_gaussian_state(5, 2.0, 1.0, seed=11)
+        part, conditioner = self.bipartition((4, 0), 5)
+        b = partial_trace(state, conditioner)
+        for _ in range(2):
+            conditional_entropy(state, part), entropy(state), entropy(b)
+        assert summed == [5, 3]
+
+    def test_dropped_marginals_are_not_kept_alive(self):
+        state = random_gaussian_state(4, 2.0, 1.0, seed=3)
+        part, conditioner = self.bipartition((2, 0), 4)
+        marginal = partial_trace(state, conditioner)
+        conditional_entropy(state, part)  # finds the same marginal in the memo
+        ref = weakref.ref(marginal)
+        del marginal
+        gc.collect()
+        assert ref() is None
+        assert len(state._marginals) == 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(n_modes=st.integers(2, 16), seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_memoised_values_equal_a_fresh_state(self, n_modes, seed, data):
+        state = random_gaussian_state(n_modes, 3.0, 1.0, seed)
+        prefixes = st.permutations(range(n_modes)).flatmap(lambda p: st.integers(1, n_modes - 1).map(lambda k: p[:k]))
+        kept = data.draw(prefixes)
+        part, conditioner = self.bipartition(kept, n_modes)
+        a, b = partial_trace(state, part), partial_trace(state, conditioner)
+        memoised = [conditional_entropy(state, part), entropy(state), entropy(a), entropy(b)]
+        assert [conditional_entropy(state, part), entropy(state), entropy(a), entropy(b)] == memoised
+        assert partial_trace(state, part) is a
+        # a state with no memo: its conditional entropy builds (and drops) the conditioner itself
+        fresh = CovarianceMatrix._physical(state.data, state._spectrum)
+        cond = conditional_entropy(fresh, part)
+        fresh_a, fresh_b = partial_trace(fresh, part), partial_trace(fresh, conditioner)
+        expected = [cond, entropy(fresh), entropy(fresh_a), entropy(fresh_b)]
+        assert [value.hex() for value in memoised] == [value.hex() for value in expected]
+        for marginal, other in ((a, fresh_a), (b, fresh_b)):
+            assert marginal.data.tobytes() == other.data.tobytes()
+            assert marginal._spectrum.tobytes() == other._spectrum.tobytes()
+
+    def test_state_with_memoised_marginals_pickles(self):
+        state = random_gaussian_state(3, 2.0, 1.0, seed=5)
+        part = ModePartition.keeping((2, 0), 3)
+        marginal = partial_trace(state, part)
+        williamson(state), entropy(state)
+        copy = pickle.loads(pickle.dumps(state))
+        assert copy.data.tobytes() == state.data.tobytes()
+        assert entropy(copy) == entropy(state)
+        assert williamson(copy)[0].data.tobytes() == williamson(state)[0].data.tobytes()
+        assert partial_trace(copy, part).data.tobytes() == marginal.data.tobytes()
+
+
 class TestConditionalEntropy:
     def test_product_state_additivity(self):
         state = direct_sum(thermal_state(1.3), thermal_state(0.4))
@@ -643,6 +720,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize_covariance({"n_modes": 2, "data": [3.0, 0.0, 0.0, 3.0]})
 
+    @pytest.mark.parametrize("declared", [1.5, 1.9, 1.0, True, "1", None, [1]])
+    def test_declared_mode_count_must_be_an_integer(self, declared):
+        # int() once truncated 1.5 and 1.9 to 1 and read true and "1" as 1
+        with pytest.raises(ValueError, match=r"^declared n_modes must be an integer, not "):
+            deserialize_covariance({"n_modes": declared, "data": [3.0, 0.0, 0.0, 3.0]})
+
+    @pytest.mark.parametrize("payload", [{"data": {"a": 1.0}}, [{"a": 1.0}], [[3.0, {}], [0.0, 3.0]]])
+    def test_data_that_is_not_numbers_is_a_value_error(self, payload):
+        # numpy's TypeError for an object among the entries once escaped as a crash
+        with pytest.raises(ValueError, match=r"^matrix data must be a flat list of numbers or a list of rows"):
+            deserialize_covariance(payload)
+
+    def test_declared_numpy_integer_is_an_integer(self):
+        state = deserialize_covariance({"n_modes": np.int64(1), "data": [3.0, 0.0, 0.0, 3.0]})
+        assert state.n_modes == 1
+
 
 class TestSymplecticTolerance:
     def test_large_entries_pass_within_roundoff(self):
@@ -683,17 +776,17 @@ class TestSymplecticTolerance:
             williamson(random_gaussian_state(16, 5.0, 1.5, seed))
 
 
-class TestBatchedValidation:
+class TestValidation:
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
-    def test_stack_matches_one_matrix_at_a_time(self, n_modes):
+    def test_validation_is_what_a_state_stores(self, n_modes):
         rng = np.random.default_rng(n_modes)
-        stack = np.array([random_gaussian_state(n_modes, 5.0, 1.5, rng).data for _ in range(25)])
-        data, spectra = _validated(stack)
-        for i, matrix in enumerate(stack):
-            one_data, one_spectrum = _validated(matrix)
-            assert spectra[i].tobytes() == one_spectrum.tobytes()
-            assert data[i].tobytes() == one_data.tobytes()
-            assert symplectic_eigenvalues(CovarianceMatrix(matrix)).tobytes() == one_spectrum.tobytes()
+        for _ in range(25):
+            matrix = random_gaussian_state(n_modes, 5.0, 1.5, rng).data
+            data, spectrum = _validated(matrix)
+            state = CovarianceMatrix(matrix)
+            assert data.tobytes() == state.data.tobytes()
+            assert spectrum.tobytes() == state._spectrum.tobytes()
+            assert symplectic_eigenvalues(state).tobytes() == spectrum.tobytes()
 
     @pytest.mark.parametrize(
         "defect,error,reason",
@@ -703,31 +796,38 @@ class TestBatchedValidation:
             (0.5 * np.eye(2), PhysicalityError, "uncertainty condition violated"),
         ],
     )
-    def test_bad_matrix_in_a_stack_is_caught(self, defect, error, reason):
-        # a stack fails with its first failing matrix's reason; a campaign names the trial itself
-        stack = np.array([thermal_state(1.0).data] * 7)
-        stack[3] = defect
+    def test_bad_matrix_is_caught(self, defect, error, reason):
         with pytest.raises(error, match=f"^{reason}") as caught:
-            _validated(stack)
+            _validated(defect)
         assert caught.type is error
 
     @pytest.mark.parametrize("n_modes", [2, 3])
     @pytest.mark.parametrize("kind", ["negative", "indefinite"])
-    def test_matrix_without_cholesky_factor_in_a_stack_is_caught(self, n_modes, kind):
-        stack = np.array([3.0 * np.eye(2 * n_modes)] * 7)
+    def test_matrix_without_cholesky_factor_is_caught(self, n_modes, kind):
+        matrix = 3.0 * np.eye(2 * n_modes)
         if kind == "negative":
-            stack[3, 1, 1] = -1.0
+            matrix[1, 1] = -1.0
         else:  # eigenvalues 3 +/- 4 on the outer pair of quadratures
-            stack[3, 0, -1] = stack[3, -1, 0] = 4.0
-        for matrices in (stack, stack[3]):
-            with pytest.raises(PhysicalityError, match=r"^covariance matrix is not positive definite$"):
-                _validated(matrices)
+            matrix[0, -1] = matrix[-1, 0] = 4.0
+        with pytest.raises(PhysicalityError, match=r"^covariance matrix is not positive definite$"):
+            _validated(matrix)
 
-    def test_single_matrix_messages_name_no_index(self):
-        with pytest.raises(PhysicalityError, match="^uncertainty condition violated"):
+    def test_messages_name_no_index(self):
+        with pytest.raises(PhysicalityError, match=r"^uncertainty condition violated: min symplectic eigenvalue "
+                                                   r"0\.5 < 1$"):
             _validated(0.5 * np.eye(2))
-        with pytest.raises(PhysicalityError, match="^covariance matrix is not positive definite"):
-            _validated(-np.eye(2)[None])
+        with pytest.raises(PhysicalityError, match="^covariance matrix is not positive definite$"):
+            _validated(-np.eye(2))
+
+    @pytest.mark.parametrize("diagonal", [(1e308, 1e308), (2.0 ** 1023, 2.0 ** 1023), (9e307, 1e308)])
+    def test_entries_past_half_the_float_range_keep_their_spectrum(self, diagonal):
+        # both diagonal entries from 2^1023 on once scaled the determinant by an overflowing 2^1024, and a thermal
+        # state was rejected as not positive definite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = CovarianceMatrix(np.diag(diagonal))
+        expected = math.sqrt(diagonal[0]) * math.sqrt(diagonal[1])
+        assert symplectic_eigenvalues(state)[0] == pytest.approx(expected, rel=4 * _EPS)
 
 
 class TestSingleModeCancellation:
@@ -737,10 +837,8 @@ class TestSingleModeCancellation:
         message = r"cancels 15\.7 of its 15\.7 digits, so the entries do not fix the symplectic eigenvalue to 1e-09$"
         with pytest.raises(ArithmeticError, match=r"^det Gamma = Gamma_00 Gamma_11 - Gamma_01\^2 " + message):
             CovarianceMatrix(gamma)
-        stack = np.array([thermal_state(1.0).data] * 4)
-        stack[2] = gamma
         with pytest.raises(ArithmeticError, match=r"^det Gamma = Gamma_00 Gamma_11 - Gamma_01\^2 " + message):
-            _validated(stack)
+            _validated(gamma)
 
     @pytest.mark.parametrize("squeeze,valid", [(2.0, True), (3.9, True), (4.1, False), (20.0, False)])
     def test_cancellation_bound_at_45_degrees(self, squeeze, valid):
