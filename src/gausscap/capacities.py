@@ -18,8 +18,9 @@ import numpy as np
 from .channels import (
     ChannelKind,
     ChannelSpec,
+    _complementary_roots,
     _factor_entropies,
-    _pair_spectra,
+    _pair_invariants,
     _require_finite,
     coupling,
     epi_rhs,
@@ -86,7 +87,8 @@ def _closed_forms(spec: ChannelSpec, grid: np.ndarray, ne: float, lead: int = 0)
     overflow names the caller's own argument and the first N at which it
     left the range.
     """
-    p, q, _, d, v = coupling(spec.kind, spec.parameter)
+    constants = coupling(spec.kind, spec.parameter)
+    p, q, _, d, v = constants
     with np.errstate(over="ignore"):
         arguments = [p * grid + q * ne, p * grid + q * (ne + v)]
     order = (lead, 1 - lead)
@@ -96,7 +98,7 @@ def _closed_forms(spec: ChannelSpec, grid: np.ndarray, ne: float, lead: int = 0)
     size = len(grid)
     floor = q * ne / d if size else 0.0  # q Ne / d <= pN + q Ne is finite too; an empty grid subtracts it from nothing
     g = thermal_entropy(np.concatenate([*arguments, [floor, ne]]))
-    return g[:size] - g[-2], 2.0 * g[size:2 * size], float(2.0 * epi_rhs(spec.kind, spec.parameter, 0.0, g[-1]))
+    return g[:size] - g[-2], 2.0 * g[size:2 * size], float(2.0 * epi_rhs(constants, 0.0, g[-1]))
 
 
 def _shaped(values: np.ndarray, n):
@@ -151,9 +153,10 @@ def private_capacity_lower_approx(spec: ChannelSpec, input_photon: float) -> flo
 def coherent_information(spec: ChannelSpec, input_photon):
     """S(channel output) - S(complementary output) for a thermal input of energy N.
 
-    ``input_photon`` is a scalar or a 1-D array.  One ``channels._pair_spectra``
+    ``input_photon`` is a scalar or a 1-D array.  One ``channels._pair_invariants``
     call on the input (N, r = 0, u = 0) and the environment's stored
-    ``core._mode_parameters`` gives the spectra for every N at once.  A failing
+    ``core._mode_parameters``, with ``channels._complementary_roots``, gives the
+    spectra for every N at once.  A failing
     check names the first failing input photon number; an overflow also names
     what left the float range and the (n, r) or invariants it comes from.
     """
@@ -161,7 +164,8 @@ def coherent_information(spec: ChannelSpec, input_photon):
     grid = np.atleast_1d(n)
     label = lambda i: f"input photon number {grid[i]:.17g}"  # noqa: E731
     modes = (grid, 0.0, 0.0), spec._environment_modes
-    entropies = _factor_entropies(_pair_spectra(spec.kind, spec.parameter, *modes, label))
+    x_b, total, product = _pair_invariants(coupling(spec.kind, spec.parameter), *modes, label)
+    entropies = _factor_entropies(np.concatenate([x_b[None], _complementary_roots(total, product)]))
     return _shaped(entropies[0] - (entropies[1] + entropies[2]), n)
 
 

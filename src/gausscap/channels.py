@@ -6,10 +6,12 @@ the channel, tracing the other gives the weak-complementary map.  Both are
 one affine map, ``channel_map``, with input and environment exchanged.  The
 complementary map extends the environment by ``core.purify``'s reference
 mode, so its output covers two modes (environment output F, reference C).
-``coupling`` holds every per-family constant, and ``_pair_spectra`` gives
-the output spectra of a single-mode input in closed form from its and the
-environment's (n, r, u), in one call: the one path for sampled draws and
-for validated matrices (``core._mode_parameters``).
+``coupling`` holds every per-family constant, and ``_pair_invariants``
+gives the output spectrum of a single-mode input and the invariants of its
+complementary pair in closed form from its and the environment's (n, r, u),
+in one call: the one path for sampled draws and for validated matrices
+(``core._mode_parameters``).  ``_complementary_roots`` takes the pair's
+spectrum from those invariants, for the callers that read it.
 """
 
 from __future__ import annotations
@@ -118,10 +120,11 @@ def coupling(kind: ChannelKind, parameter) -> tuple:
     return parameter, parameter - 1.0, PHASE_FLIP, 2.0 * parameter - 1.0, 1.0
 
 
-def epi_rhs(kind: ChannelKind, parameter, s1, s2):
-    """Entropy power bound (p s1 + q s2) / d + ln d on S(B) for inputs of entropies s1 and s2,
-    evaluated as p/d s1 + q/d s2 + ln d; at (0, g(Ne)) the output-entropy floor of a thermal environment."""
-    p, q, _, d, _ = coupling(kind, parameter)
+def epi_rhs(constants: tuple, s1, s2):
+    """Entropy power bound (p s1 + q s2) / d + ln d on S(B) for inputs of entropies s1 and s2, with (p, q, d) of
+    the ``coupling`` tuple ``constants``, evaluated as p/d s1 + q/d s2 + ln d; at (0, g(Ne)) the output-entropy
+    floor of a thermal environment."""
+    p, q, _, d, _ = constants
     return p / d * s1 + q / d * s2 + np.log(d)
 
 
@@ -154,14 +157,14 @@ def _require_finite(arrays, label, detail, names) -> None:
                 lambda i: f"overflow at {label(i)}: {names[k]} leaves the float range ({detail(k, i)})")
 
 
-def _pair_spectra(kind: ChannelKind, parameter, a, e, label) -> np.ndarray:
-    """x = nu^2 - 1 of the channel output B, then x_+ and x_- of the complementary pair (F, C), stacked on
-    axis 0, for single-mode states G = (2n + 1) R(2 pi u) diag(e^(-2r), e^(2r)) R(2 pi u).T with a and e the
+def _pair_invariants(constants: tuple, a, e, label) -> tuple:
+    """x_B = nu_B^2 - 1 of the channel output B (clamped at 0), then the invariants S and K of the complementary
+    pair (F, C), for single-mode states G = (2n + 1) R(2 pi u) diag(e^(-2r), e^(2r)) R(2 pi u).T with a and e the
     (n, r, u) of the input A and the environment E, arrays or scalars that broadcast together (a campaign's
-    draws, or ``core._mode_parameters`` of a validated matrix).
+    draws, or ``core._mode_parameters`` of a validated matrix), and ``constants`` the ``coupling`` tuple.
 
-    The spectra follow from three invariants, each a sum of nonnegative
-    terms, so nothing cancels, whatever the squeezing:
+    They follow from three invariants, each a sum of nonnegative terms, so
+    nothing cancels, whatever the squeezing:
 
         det G - 1 = 4 n (n + 1)
         cross = tr(G_A J M G_E M J.T) / 2 + 2v - 1 = (nu_A nu_E - 1) X + (X - 1) + 2v
@@ -179,15 +182,16 @@ def _pair_spectra(kind: ChannelKind, parameter, a, e, label) -> np.ndarray:
 
     where nu_+ and nu_- are the (F, C) output's symplectic eigenvalues, from
     the invariants of Serafini, Illuminati and De Siena, J. Phys. B 37, L21
-    (2004); x_+ is the larger root of x^2 - S x + K and x_- = K / x_+: a
-    near-degenerate pair is split only to about sqrt(eps), but its product,
-    and its entropy sum to second order, keep their digits.  An invariant
+    (2004); ``_complementary_roots`` takes them from S and K.  An invariant
     beyond the float range raises ``FloatingPointError`` naming it and the
     (n, r) it comes from; nu_B^2 - 1, S or K beyond it, naming the
     invariants.  K < 0, S < 0 or nu_B < 1 - 1e-9 raises ``PhysicalityError``.
-    Every check goes through ``core._reject`` and names ``label(i)`` of the first failing i.
+    The six are checked in one pass, their sum (finite only if each is) and
+    one physicality mask; only when that fails do the checks run one by one,
+    in the order above, each through ``core._reject`` naming ``label(i)`` of
+    the first failing i (if none fails, only the sum overflowed).
     """
-    p, q, m, _, v = coupling(kind, parameter)
+    p, q, m, _, v = constants
     (n_a, r_a, u_a), (n_e, r_e, u_e) = a, e
     with np.errstate(over="ignore", invalid="ignore"):
         angle = 2.0 * np.pi * (m[1, 1] * u_e - u_a)
@@ -195,35 +199,46 @@ def _pair_spectra(kind: ChannelKind, parameter, a, e, label) -> np.ndarray:
         cross = 2.0 * (n_a + n_e + 2.0 * n_a * n_e) * (1.0 + x_excess) + x_excess + 2.0 * v
         a_excess, e_excess = 4.0 * n_a * (n_a + 1.0), 4.0 * n_e * (n_e + 1.0)
         w = q * q * e_excess + 2.0 * p * q * cross
-        terms = (p * p * a_excess + w, q * q * a_excess + w, q * q * e_excess * a_excess)
-    b, total, product = terms
+        b, total, product = p * p * a_excess + w, q * q * a_excess + w, q * q * e_excess * a_excess
+        ok = (product >= 0.0) & (total >= 0.0) & (b >= (1.0 - PHYSICALITY_ATOL) ** 2 - 1.0)
+        finite = np.isfinite(a_excess + e_excess + cross + b + total + product)
+    if not (finite & ok).all():
+        def draws(k, i):
+            na, ne, ra, re = (float(np.broadcast_to(x, np.shape(cross))[i]) for x in (n_a, n_e, r_a, r_e))
+            return (f"n_A = {na:.6g}", f"n_E = {ne:.6g}",
+                    f"r_A = {ra:.6g}, r_E = {re:.6g}, n_A = {na:.6g}, n_E = {ne:.6g}")[k]
 
-    def draws(k, i):
-        na, ne, ra, re = (float(np.broadcast_to(x, np.shape(cross))[i]) for x in (n_a, n_e, r_a, r_e))
-        return (f"n_A = {na:.6g}", f"n_E = {ne:.6g}", f"r_A = {ra:.6g}, r_E = {re:.6g}, n_A = {na:.6g}, n_E = {ne:.6g}")[k]
+        def invariants(k, i):
+            x, y, c = (np.broadcast_to(t, np.shape(b))[i] for t in (a_excess, e_excess, cross))
+            return f"det G_A - 1 = {x:.6g}, det G_E - 1 = {y:.6g}, cross term {c:.6g}"
 
-    def invariants(k, i):
-        x, y, c = (np.broadcast_to(t, np.shape(b))[i] for t in (a_excess, e_excess, cross))
-        return f"det G_A - 1 = {x:.6g}, det G_E - 1 = {y:.6g}, cross term {c:.6g}"
+        _require_finite((a_excess, e_excess, cross), label, draws, ("det G_A - 1", "det G_E - 1", "the cross term"))
+        _require_finite((b, total, product), label, invariants, ("nu_B^2 - 1", "S", "K"))
+        _reject(~ok, PhysicalityError, lambda i: f"uncertainty condition violated at {label(i)}: "
+                                                 f"K = {product[i]:.6g}, S = {total[i]:.6g}, nu_B^2 - 1 = {b[i]:.6g}")
+    return np.maximum(b, 0.0), total, product  # nu within the tolerance below 1 counts as 1
 
-    _require_finite((a_excess, e_excess, cross), label, draws, ("det G_A - 1", "det G_E - 1", "the cross term"))
-    _require_finite(terms, label, invariants, ("nu_B^2 - 1", "S", "K"))
-    ok = (product >= 0.0) & (total >= 0.0) & (b >= (1.0 - PHYSICALITY_ATOL) ** 2 - 1.0)
-    _reject(~ok, PhysicalityError, lambda i: f"uncertainty condition violated at {label(i)}: "
-                                             f"K = {product[i]:.6g}, S = {total[i]:.6g}, nu_B^2 - 1 = {b[i]:.6g}")
+
+def _complementary_roots(total, product) -> np.ndarray:
+    """x_+ and x_- = nu^2 - 1 of the complementary pair (F, C), stacked on axis 0, from the S and K of
+    ``_pair_invariants``: x_+ is the larger root of x^2 - S x + K and x_- = K / x_+.  A near-degenerate pair is
+    split only to about sqrt(eps), but its product, and its entropy sum to second order, keep their digits."""
     root = np.sqrt(product)
-    xs = np.zeros((3,) + np.shape(b))
-    xs[0] = b
+    xs = np.zeros((2,) + np.shape(total))
     # sqrt(S^2 - 4K) as a product of two roots and x_+ as a sum of halves, so nothing overflows
-    xs[1] = 0.5 * total + 0.5 * (np.sqrt(np.maximum(total - 2.0 * root, 0.0)) * np.sqrt(total + 2.0 * root))
-    np.divide(product, xs[1], out=xs[2], where=xs[1] > 0.0)
+    xs[0] = 0.5 * total + 0.5 * (np.sqrt(np.maximum(total - 2.0 * root, 0.0)) * np.sqrt(total + 2.0 * root))
+    np.divide(product, xs[0], out=xs[1], where=xs[0] > 0.0)
     return np.maximum(xs, 0.0, out=xs)  # nu within the tolerance below 1 counts as 1
 
 
+def _factor_photons(xs):
+    """Photon numbers (nu - 1) / 2 = x / (2 + 2 sqrt(1 + x)) of symplectic factors given as x = nu^2 - 1."""
+    return xs / (2.0 + 2.0 * np.sqrt(1.0 + xs))
+
+
 def _factor_entropies(xs: np.ndarray) -> np.ndarray:
-    """Entropies of symplectic factors given as x = nu^2 - 1, whose photon number
-    (nu - 1) / 2 is x / (2 + 2 sqrt(1 + x)): one ``thermal_entropy`` call for a whole stack."""
-    return thermal_entropy(xs / (2.0 + 2.0 * np.sqrt(1.0 + xs)))
+    """Entropies of symplectic factors given as x = nu^2 - 1: one ``thermal_entropy`` call for a whole stack."""
+    return thermal_entropy(_factor_photons(xs))
 
 
 def _single_mode_data(state: CovarianceMatrix) -> np.ndarray:
@@ -256,21 +271,24 @@ def _input_label(i: tuple) -> str:
 def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatrix:
     """Two-mode complementary output on (F, C), where C purifies the environment.
 
-    The closed form is ``_complementary_map``, stored with the spectrum sqrt(1 + x_+/-) of ``_pair_spectra``
-    (the matrix's condition number grows like e^(4r) with the squeezing).  Tracing out C recovers the
-    weak-complementary output; the two maps coincide whenever the
-    environment is pure.
+    The closed form is ``_complementary_map``, stored with the spectrum sqrt(1 + x_+/-) of
+    ``_complementary_roots`` (the matrix's condition number grows like e^(4r) with the squeezing).  Tracing
+    out C recovers the weak-complementary output; the two maps coincide whenever the environment is pure.
     """
     a, e = _input_modes(state, spec)
-    spectrum = np.sqrt(1.0 + _pair_spectra(spec.kind, spec.parameter, a, e, _input_label)[1:, 0])
+    _, total, product = _pair_invariants(coupling(spec.kind, spec.parameter), a, e, _input_label)
+    spectrum = np.sqrt(1.0 + _complementary_roots(total, product)[:, 0])
     data = _complementary_map(spec.kind, spec.parameter, state.data, spec.environment)
     return CovarianceMatrix._physical(data, spectrum)
 
 
 def output_entropies(state: CovarianceMatrix, spec: ChannelSpec) -> tuple[float, float, float]:
-    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_pair_spectra`` of (A, E)
+    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_pair_invariants`` of (A, E)
     and, for F, of (E, A); no output is built or diagonalised."""
     a, e = _input_modes(state, spec)
-    pair, swapped = (_pair_spectra(spec.kind, spec.parameter, x, y, _input_label) for x, y in ((a, e), (e, a)))
-    s_b, s_plus, s_minus, s_f = _factor_entropies(np.append(pair, swapped[0])).tolist()
+    constants = coupling(spec.kind, spec.parameter)
+    x_b, total, product = _pair_invariants(constants, a, e, _input_label)
+    x_f = _pair_invariants(constants, e, a, _input_label)[0]
+    xs = np.concatenate([x_b, *_complementary_roots(total, product), x_f])
+    s_b, s_plus, s_minus, s_f = _factor_entropies(xs).tolist()
     return s_b, s_f, s_plus + s_minus

@@ -456,13 +456,14 @@ def thermal_entropy(mean_photon):
     overflow.  Accepts scalars or arrays.
     """
     x = np.asarray(mean_photon, dtype=float)
-    if not ((x >= 0) & (x < math.inf)).all():  # also rejects NaN
+    if x.size and not (x.min() >= 0.0 and x.max() < math.inf):  # a NaN is the min and fails too
         raise ValueError("mean photon number must be finite and nonnegative")
-    safe = np.where(x > 0, x, 1.0)
+    positive = x > 0.0
+    safe = np.where(positive, x, 1.0)
     head = np.log1p(safe)
     tail = np.where(safe < 1.0, head - np.log(safe), np.log1p(1.0 / np.maximum(safe, 1.0)))
-    value = np.where(x > 0, head + safe * tail, 0.0)
-    return float(value) if np.ndim(mean_photon) == 0 else value
+    value = np.where(positive, head + safe * tail, 0.0)
+    return float(value) if x.ndim == 0 else value
 
 
 def _spectral_entropy(spectrum: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -708,8 +709,11 @@ def _as_square(payload) -> NDArray[np.float64]:
 def deserialize_covariance(obj) -> CovarianceMatrix:
     """Rebuild a state from ``serialize_covariance`` output, a flat row-major
     list, or a nested list of rows.  A declared ``n_modes`` must be an integer (not a bool) that matches the
-    matrix size."""
+    matrix size; an object without ``data`` is a ``ValueError`` that names the accepted formats."""
     if isinstance(obj, dict):
+        if "data" not in obj:
+            raise ValueError('matrix object has no "data" field; the accepted formats are {"n_modes": n, "data": '
+                             'entries}, a flat row-major list of entries, or a list of rows')
         values = _as_square(obj["data"])
         if "n_modes" in obj:
             declared = obj["n_modes"]

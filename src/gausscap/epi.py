@@ -9,12 +9,12 @@ there should use a correspondingly wider band.
 Each family is one row of ``_FAMILIES``: its channel, the shapes of its
 two inputs in draw order (``_STATE``, ``_THERMAL`` or ``_PAIR``, each of
 which knows its draws per trial and how they, or a ``check_*`` argument,
-become a kernel input), and the ``channels._pair_spectra`` rows its lhs
-sums.  ``_kernel`` takes single-mode inputs to their closed-form output
-spectra, sums of nonnegative terms, so no determinant cancels at any
-squeezing, and two-mode ones to ``_conditional_kernel``, which takes the
-(B, Z1, Z2) spectrum from the inputs' factors; the right-hand sides are
-``epi_rhs``.
+become a kernel input), and the output spectrum its lhs sums, taken from
+``channels._pair_invariants``.  ``_kernel`` takes single-mode inputs to
+their closed-form output spectra, sums of nonnegative terms, so no
+determinant cancels at any squeezing, and two-mode ones to
+``_conditional_kernel``, which takes the (B, Z1, Z2) spectrum from the
+inputs' factors; the right-hand sides are ``epi_rhs``.
 Campaign results are reproducible: trial i's uniform draws
 are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
 for a whole chunk at once as array arithmetic (``_uniform_draws``); the
@@ -37,8 +37,9 @@ import numpy as np
 from .channels import (
     ChannelKind,
     ChannelSpec,
-    _factor_entropies,
-    _pair_spectra,
+    _complementary_roots,
+    _factor_photons,
+    _pair_invariants,
     coupling,
     epi_rhs,
 )
@@ -164,8 +165,11 @@ class _Pair:
         n, r = campaign.max_photon * draws[:, 0], campaign.max_squeeze * draws[:, 1]
         root, sh = np.sqrt(2.0 * n + 1.0), np.sinh(r)
         c, s = root * np.cosh(r), root * sh
-        factor = np.stack([c, s, s, c, c, -s, -s, c], axis=1).reshape(-1, 2, 2, 2)
-        return factor, np.stack([n, n], axis=1), n + (2.0 * n + 1.0) * sh * sh
+        factor = np.empty((len(n), 2, 4))  # rows (c, s, s, c) and (c, -s, -s, c)
+        factor[:, :, ::3] = c[:, None, None]
+        factor[:, 0, 1:3] = s[:, None]
+        factor[:, 1, 1:3] = -s[:, None]
+        return factor.reshape(-1, 2, 2, 2), n[:, None].repeat(2, axis=1), n + (2.0 * n + 1.0) * sh * sh
 
     def require(self, pair: CovarianceMatrix) -> None:
         if pair.n_modes != 2:
@@ -182,15 +186,16 @@ class _Pair:
 
 _STATE, _THERMAL, _PAIR = _State(), _Thermal(), _Pair()
 
-# Each family once: its channel, the shapes of its two inputs in draw order, and the rows of ``_pair_spectra``
-# whose entropies its lhs sums, S(B) or S(F, C) of the complementary output (None: the conditional kernel).
+# Each family once: its channel, the shapes of its two inputs in draw order, and whether its lhs sums the entropies
+# of S(F, C), the complementary output's x_+ and x_- (True), or of S(B), the channel output's x_B (False), both from
+# ``_pair_invariants`` (None: the conditional kernel).
 _FAMILIES = {
-    Inequality.QEPI_BS: (ChannelKind.BEAM_SPLITTER, (_STATE, _STATE), slice(0, 1)),
-    Inequality.QEPI_AMP: (ChannelKind.AMPLIFIER, (_STATE, _STATE), slice(0, 1)),
+    Inequality.QEPI_BS: (ChannelKind.BEAM_SPLITTER, (_STATE, _STATE), False),
+    Inequality.QEPI_AMP: (ChannelKind.AMPLIFIER, (_STATE, _STATE), False),
     Inequality.CQEPI_BS: (ChannelKind.BEAM_SPLITTER, (_PAIR, _PAIR), None),
     Inequality.CQEPI_AMP: (ChannelKind.AMPLIFIER, (_PAIR, _PAIR), None),
-    Inequality.MOE_CHAIN_BS: (ChannelKind.BEAM_SPLITTER, (_THERMAL, _STATE), slice(0, 1)),
-    Inequality.WC_CHAIN_BS: (ChannelKind.BEAM_SPLITTER, (_THERMAL, _STATE), slice(1, 3)),
+    Inequality.MOE_CHAIN_BS: (ChannelKind.BEAM_SPLITTER, (_THERMAL, _STATE), False),
+    Inequality.WC_CHAIN_BS: (ChannelKind.BEAM_SPLITTER, (_THERMAL, _STATE), True),
 }
 
 
@@ -198,23 +203,34 @@ def _kernel(inequality: Inequality, parameter: np.ndarray, inputs, label,
             tolerance: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """lhs and rhs of a family on its kernel inputs in draw order: two-mode ones through ``_conditional_kernel``;
     single-mode ones, an input A and an environment E (a chain draws its thermal E first), give lhs from the row's
-    ``_pair_spectra`` rows and rhs = ``epi_rhs``(s1, s2), (s1, s2) = (g(n_A), g(n_E)), the inputs' entropies (qepi),
-    or (0, g(n_E)) (chains), the output-entropy floor of a thermal environment over every input.  A campaign passes
-    its ``tolerance``, below which the conditional kernel tells roundoff from a violation; a ``check_*`` passes None."""
-    kind, shapes, rows = _FAMILIES[inequality]
-    if rows is None:
-        return _conditional_kernel(kind, parameter, *inputs, label, tolerance)
+    output spectrum and rhs = ``epi_rhs``(s1, s2), (s1, s2) = (g(n_A), g(n_E)), the inputs' entropies (qepi), or
+    (0, g(n_E)) (chains), the output-entropy floor of a thermal environment over every input, with g of the lhs and
+    rhs photon numbers in one ``thermal_entropy`` call.  A campaign passes its ``tolerance``, below which the
+    conditional kernel tells roundoff from a violation; a ``check_*`` passes None."""
+    kind, shapes, reads_fc = _FAMILIES[inequality]
+    constants = coupling(kind, parameter)
+    if reads_fc is None:
+        return _conditional_kernel(constants, *inputs, label, tolerance)
     chain = shapes[0] is _THERMAL
     a, e = inputs[::-1] if chain else inputs
-    lhs = _factor_entropies(_pair_spectra(kind, parameter, a, e, label)[rows]).sum(axis=0)
-    s1, s2 = (0.0, thermal_entropy(e[0])) if chain else thermal_entropy(np.stack([a[0], e[0]]))
-    return lhs, epi_rhs(kind, parameter, s1, s2)
+    x_b, total, product = _pair_invariants(constants, a, e, label)
+    xs = _complementary_roots(total, product) if reads_fc else x_b[None]
+    given = (e[0],) if chain else (a[0], e[0])  # the photon numbers of the inputs whose entropies the rhs reads
+    rows = len(xs)
+    photons = np.empty((rows + len(given),) + xs.shape[1:])
+    photons[:rows] = _factor_photons(xs)
+    for row, n in enumerate(given, rows):
+        photons[row] = n
+    g = thermal_entropy(photons)
+    s1, s2 = (0.0, g[rows]) if chain else g[rows:]
+    return g[:rows].sum(axis=0), epi_rhs(constants, s1, s2)
 
 
-def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2, label,
+def _conditional_kernel(constants: tuple, pair1, pair2, label,
                         tolerance: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Conditional EPI on stacks of two-mode (X_i, Z_i) inputs pair_i = (F_i, n_i, n_Zi) of ``_Pair``: lhs =
-    S(B, Z1, Z2) - S(Z1) - S(Z2) for B = sqrt(p) X1 + sqrt(q) M X2, rhs = ``epi_rhs`` of S(X_i Z_i) - S(Z_i).
+    S(B, Z1, Z2) - S(Z1) - S(Z2) for B = sqrt(p) X1 + sqrt(q) M X2, rhs = ``epi_rhs`` of S(X_i Z_i) - S(Z_i),
+    with (p, q, M) of ``constants``, the ``coupling`` tuple of the stack's parameters.
 
     The (B, Z1, Z2) spectrum is the nonzero singular values, each twice, of
     the real skew K = F.T (Omega - u.T Omega u) F, with F = F1 + F2 (direct
@@ -231,9 +247,9 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2, 
     a larger shortfall ``PhysicalityError``; a campaign's slack (truly >= 0)
     below -``tolerance`` within its bounds' reach, ``ArithmeticError``.
     """
-    p, q, m, _, _ = coupling(kind, parameter[:, None])
+    p, q, m, _, _ = constants
     (f1, n1, z1), (f2, n2, z2) = pair1, pair2
-    root_q, root_p = np.sqrt(q), -np.sqrt(p)  # u's weights on X1 (times s on the q row) and on X2
+    root_q, root_p = np.sqrt(q)[:, None], -np.sqrt(p)[:, None]  # u's weights on X1 (times s on the q row) and on X2
     exact = f1.ndim == 4
     with np.errstate(over="ignore", invalid="ignore"):
         if exact:
@@ -292,7 +308,7 @@ def _conditional_kernel(kind: ChannelKind, parameter: np.ndarray, pair1, pair2, 
     g = thermal_entropy(np.concatenate([0.5 * (np.maximum(nu, 1.0) - 1.0), n1, n2, z1[:, None], z2[:, None]], axis=1))
     s_z1, s_z2 = g[:, 7], g[:, 8]
     lhs = (g[:, 0] - s_z1) + (g[:, 1] - s_z2) + g[:, 2]  # the Z terms come off the largest ones: small partial sums
-    rhs = epi_rhs(kind, parameter, g[:, 3:5].sum(axis=1) - s_z1, g[:, 5:7].sum(axis=1) - s_z2)
+    rhs = epi_rhs(constants, g[:, 3:5].sum(axis=1) - s_z1, g[:, 5:7].sum(axis=1) - s_z2)
     # a true slack is >= 0: a campaign's slack below -tolerance is a violation only past the bounds' reach
     if tolerance is not None and (low := lhs - rhs < -tolerance).any():
         reach = _spectral_entropy(nu + bound) - _spectral_entropy(nu - bound)
@@ -506,11 +522,14 @@ class _Campaign:
         return [int(lo != hi)] + [shape.width(self) for shape in _FAMILIES[self.inequality][1]]
 
     def lhs_rhs(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """lhs and rhs of the trials whose uniform draws are the rows of ``draws``, split as ``_widths``."""
-        varied, *split = np.split(draws, np.cumsum(self._widths())[:-1], axis=1)
+        """lhs and rhs of the trials whose uniform draws are the rows of ``draws``, in the columns of ``_widths``."""
         lo, hi = self.parameter_range
-        parameter = lo + (hi - lo) * varied[:, 0] if varied.shape[1] else np.full(len(draws), float(lo))
-        inputs = [shape.drawn(self, d) for shape, d in zip(_FAMILIES[self.inequality][1], split)]
+        start, *widths = self._widths()
+        parameter = lo + (hi - lo) * draws[:, 0] if start else np.full(len(draws), float(lo))
+        inputs = []
+        for shape, width in zip(_FAMILIES[self.inequality][1], widths):
+            inputs.append(shape.drawn(self, draws[:, start:start + width]))
+            start += width
         return _kernel(self.inequality, parameter, inputs, lambda i: "the drawn states", self.tolerance)
 
     def slacks(self, indices: range) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Everything here is computed from first principles (stdlib math, mpmath
 and raw numpy eigensolvers) so the expectations do not reuse the library's
-own code paths.  The one exception is the per-point bounds chain at the
-end, which reuses the library's per-matrix API on purpose: the bound grids'
+own code paths.  Two exceptions are on purpose: ``thermal_entropy_reference``,
+a frozen copy of the library's formula for g, which the library must keep
+bit for bit however it arranges its passes; and the per-point bounds chain
+at the end, which reuses the library's per-matrix API: the bound grids'
 closed forms must reproduce it bit for bit, and their closed-form coherent
 information must reproduce it to a stated tolerance.
 """
@@ -43,6 +45,19 @@ def g_direct(x: float) -> float:
     if x == 0:
         return 0.0
     return (x + 1.0) * math.log(x + 1.0) - x * math.log(x)
+
+
+def thermal_entropy_reference(mean_photon):
+    """``thermal_entropy`` as first written, one branch of ln(1+x) + x ln(1 + 1/x) per element and the x < 1 branch
+    x (ln(1+x) - ln x) on every element: the bits the library's evaluation must keep."""
+    x = np.asarray(mean_photon, dtype=float)
+    if not ((x >= 0) & (x < math.inf)).all():  # also rejects NaN
+        raise ValueError("mean photon number must be finite and nonnegative")
+    safe = np.where(x > 0, x, 1.0)
+    head = np.log1p(safe)
+    tail = np.where(safe < 1.0, head - np.log(safe), np.log1p(1.0 / np.maximum(safe, 1.0)))
+    value = np.where(x > 0, head + safe * tail, 0.0)
+    return float(value) if np.ndim(mean_photon) == 0 else value
 
 
 def fock_entropy_oracle(mean_photon: float, cutoff: int) -> float:

@@ -37,7 +37,14 @@ from gausscap import (
     weak_complementary,
 )
 from gausscap import capacities, channels, core, epi
-from gausscap.channels import MAX_GAIN, _complementary_map, _pair_spectra, channel_map
+from gausscap.channels import (
+    MAX_GAIN,
+    _complementary_map,
+    _complementary_roots,
+    _pair_invariants,
+    channel_map,
+    coupling,
+)
 from gausscap.core import PHASE_FLIP, CovarianceMatrix, _mode_parameters
 from gausscap.epi import Inequality, _Campaign, _kernel
 from helpers import (
@@ -351,7 +358,8 @@ def _spectra(kind, parameter, gamma_a, gamma_e):
     """x = nu^2 - 1 of B, then of the (F, C) pair, for one single-mode input and environment."""
     label = lambda i: "the test matrices"  # noqa: E731
     a, e = (_mode_parameters(CovarianceMatrix(g)) for g in (gamma_a, gamma_e))
-    return _pair_spectra(kind, parameter, a, e, label)[:, 0]
+    x_b, total, product = _pair_invariants(coupling(kind, parameter), a, e, label)
+    return np.concatenate([x_b, *_complementary_roots(total, product)])
 
 
 class TestClosedFormSpectra:
@@ -411,7 +419,7 @@ def _exact_state(photon, squeeze, angle):
 
 class TestOneConversion:
     """A check's validated matrices and a campaign's draws reach the same spectra through
-    ``core._mode_parameters`` and ``channels._pair_spectra``."""
+    ``core._mode_parameters`` and ``channels._pair_invariants``."""
 
     @settings(deadline=None, max_examples=200)
     @given(family=st.sampled_from(sorted(CHECKS)), u=st.floats(0.0, 1.0), a=STATES, e=STATES)
@@ -431,14 +439,14 @@ class TestOneConversion:
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_each_evaluation_converts_once(self, monkeypatch):
-        calls, original = [], channels._pair_spectra
+        calls, original = [], channels._pair_invariants
 
         def counted(*args):
             calls.append(args[0])
             return original(*args)
 
         for module in (channels, capacities, epi):  # each module calls the name it imported
-            monkeypatch.setattr(module, "_pair_spectra", counted)
+            monkeypatch.setattr(module, "_pair_invariants", counted)
         spec = ChannelSpec.beam_splitter(0.7, squeezed_thermal_state(1.0, 0.5))
         for run, expected in (
             (lambda: check_qepi_bs(thermal_state(1.0), squeezed_thermal_state(0.5, 0.3), 0.4), 1),

@@ -535,6 +535,14 @@ class TestEntropyCommand:
         assert captured.err == ("configuration error: matrix data must be a flat list of numbers or a list of rows "
                                 "of numbers\n")
 
+    def test_object_without_data_is_config_error(self, capsys):
+        # printed only "configuration error: 'data'" (a KeyError's repr)
+        assert main(["entropy", "--matrix", '{"n_modes": 1}']) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ('configuration error: matrix object has no "data" field; the accepted formats are '
+                                '{"n_modes": n, "data": entries}, a flat row-major list of entries, or a list of rows\n')
+
     def test_malformed_json_is_config_error(self):
         assert main(["entropy", "--matrix", "[1, 0, 0"]) == EXIT_CONFIG
 

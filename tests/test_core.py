@@ -57,6 +57,7 @@ from helpers import (
     reference_gaussian_state,
     rotated_squeezed,
     symplectic_residual,
+    thermal_entropy_reference,
 )
 
 
@@ -231,6 +232,43 @@ class TestThermalEntropy:
         xs = np.linspace(0, 20, 50)
         for lam in lambdas:
             assert np.all(thermal_entropy(lam * xs) - lam * thermal_entropy(xs) >= -1e-12)
+
+
+    # 0, the floats next to 1 and a log grid from the subnormals to 1e300, alone and in every arrangement a caller
+    # stacks them: with and without values below 1, since that branch is built only where present
+    BIT_GRID = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
+                               np.logspace(-320, 300, 4001)])
+
+    @pytest.mark.parametrize("part", ["all", "below-1", "from-1", "scalars"])
+    def test_bits_match_the_reference_formula(self, part):
+        xs = {"all": self.BIT_GRID, "below-1": self.BIT_GRID[self.BIT_GRID < 1.0],
+              "from-1": self.BIT_GRID[self.BIT_GRID >= 1.0], "scalars": self.BIT_GRID[::13]}[part]
+        if part == "scalars":
+            got, want = [thermal_entropy(float(x)) for x in xs], [thermal_entropy_reference(float(x)) for x in xs]
+            assert [type(v) for v in got] == [float] * len(xs)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        else:
+            for shaped in (xs, xs[:len(xs) // 2 * 2].reshape(2, -1)):
+                got = thermal_entropy(shaped)
+                assert got.shape == shaped.shape
+                assert got.tobytes() == thermal_entropy_reference(shaped).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_input_gives_an_empty_array(self, shape):
+        got = thermal_entropy(np.zeros(shape))
+        assert isinstance(got, np.ndarray) and got.shape == shape
+
+    @pytest.mark.parametrize("x", [0.0, 2.0, np.float64(0.5), np.array(3.0)])
+    def test_zero_dimensional_input_gives_a_float(self, x):
+        got = thermal_entropy(x)
+        assert type(got) is float and got == thermal_entropy_reference(x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
+    @pytest.mark.parametrize("container", ["scalar", "array"])
+    def test_rejects_each_value_outside_the_domain(self, bad, container):
+        x = bad if container == "scalar" else np.array([[0.5, 2.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="^mean photon number must be finite and nonnegative$"):
+            thermal_entropy(x)
 
 
 class TestEntropy:
@@ -730,6 +768,14 @@ class TestSerialization:
     def test_data_that_is_not_numbers_is_a_value_error(self, payload):
         # numpy's TypeError for an object among the entries once escaped as a crash
         with pytest.raises(ValueError, match=r"^matrix data must be a flat list of numbers or a list of rows"):
+            deserialize_covariance(payload)
+
+    @pytest.mark.parametrize("payload", [{"n_modes": 1}, {}, {"entries": [3.0, 0.0, 0.0, 3.0]}])
+    def test_object_without_data_names_the_field(self, payload):
+        # obj["data"] once escaped as a bare KeyError('data')
+        with pytest.raises(ValueError, match=r'^matrix object has no "data" field; the accepted formats are '
+                                             r'\{"n_modes": n, "data": entries\}, a flat row-major list of entries, '
+                                             r'or a list of rows$'):
             deserialize_covariance(payload)
 
     def test_declared_numpy_integer_is_an_integer(self):

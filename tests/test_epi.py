@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from gausscap import (
     ChannelKind,
     ChannelSpec,
     Inequality,
+    channels,
     check_cqepi_amp,
     check_cqepi_bs,
     check_moe_chain,
@@ -24,6 +26,7 @@ from gausscap import (
     entropy,
     epi,
     monte_carlo_verify,
+    output_entropies,
     random_gaussian_state,
     squeezed_thermal_state,
     thermal_entropy,
@@ -31,7 +34,7 @@ from gausscap import (
     two_mode_squeezed_state,
     vacuum_state,
 )
-from gausscap.channels import epi_rhs
+from gausscap.channels import coupling, epi_rhs
 from gausscap.core import CovarianceMatrix, PhysicalityError
 from gausscap.epi import _CHUNK, MAX_TRIALS, _Campaign, _uniform_draws
 from helpers import (
@@ -262,7 +265,7 @@ class TestRightHandSide:
         kind, check, parameter = (
             (ChannelKind.AMPLIFIER, check_qepi_amp, 1.0 + 9.0 * u) if amp else (ChannelKind.BEAM_SPLITTER, check_qepi_bs, u)
         )
-        assert check(a, e, parameter).rhs == float(epi_rhs(kind, parameter, entropy(a), entropy(e)))
+        assert check(a, e, parameter).rhs == float(epi_rhs(coupling(kind, parameter), entropy(a), entropy(e)))
 
     @settings(deadline=None, max_examples=150)
     @given(wc=st.booleans(), t=st.floats(0.0, 1.0), a=SINGLE_MODE_STATES, environment=THERMAL_ENVIRONMENTS)
@@ -270,7 +273,7 @@ class TestRightHandSide:
     @example(wc=True, t=0.3, a=_near_vacuum(0.9e-9), environment=_near_vacuum(0.5e-9))
     def test_chain_rhs_is_epi_rhs_of_the_environment_entropy(self, wc, t, a, environment):
         trial = (check_wc_chain if wc else check_moe_chain)(a, ChannelSpec.beam_splitter(t, environment))
-        assert trial.rhs == float(epi_rhs(ChannelKind.BEAM_SPLITTER, t, 0.0, entropy(environment)))
+        assert trial.rhs == float(epi_rhs(coupling(ChannelKind.BEAM_SPLITTER, t), 0.0, entropy(environment)))
 
     def test_near_vacuum_inputs_have_zero_entropy(self):
         state = _near_vacuum(0.9e-9)
@@ -428,6 +431,33 @@ class TestBatchedCampaigns:
         assert monte_carlo_verify(family, _CHUNK + 7, seed=5).violations == 0
         assert calls == []
 
+    @pytest.mark.parametrize("family,expected", [
+        ("qepi-bs", ["_pair_invariants", "thermal_entropy"]),
+        ("qepi-amp", ["_pair_invariants", "thermal_entropy"]),
+        ("moe-chain-bs", ["_pair_invariants", "thermal_entropy"]),
+        ("wc-chain-bs", ["_complementary_roots", "_pair_invariants", "thermal_entropy"]),
+    ])
+    def test_one_chunk_pays_each_step_once(self, monkeypatch, family, expected):
+        # a chunk checks its invariants in one pass (no per-invariant guard runs), evaluates g once for lhs and
+        # rhs together, and takes the complementary roots only for the family that reads S(F, C)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        steps = [(module, "thermal_entropy") for module in (core, channels, epi)]  # each module calls its import
+        steps += [(epi, "_pair_invariants"), (epi, "_complementary_roots")]
+        steps += [(channels, "_require_finite"), (channels, "_reject")]
+        for module, name in steps:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for trials in (1, 100, _CHUNK):
+            calls.clear()
+            assert monte_carlo_verify(family, trials, seed=5).violations == 0
+            assert sorted(calls) == expected
+
     def test_memory_does_not_grow_with_the_trials(self):
         # a campaign holds one chunk's slacks at a time: concatenating every slack, then listing them for the
         # exact sum, took about 40 bytes per trial
@@ -530,8 +560,8 @@ def _drawn_pair(n, r):
 
 
 def _conditional(pair1, pair2, tolerance=1e-9):
-    return epi._conditional_kernel(ChannelKind.BEAM_SPLITTER, np.array([0.5]), pair1, pair2, lambda i: "the inputs",
-                                   tolerance)
+    return epi._conditional_kernel(coupling(ChannelKind.BEAM_SPLITTER, np.array([0.5])), pair1, pair2,
+                                   lambda i: "the inputs", tolerance)
 
 
 class TestConditionalKernel:
@@ -590,6 +620,18 @@ class TestMatrixBoundary:
     def test_matrix_overflow_names_the_invariant(self, check, message):
         with pytest.raises(FloatingPointError, match=r"^overflow at the input matrices: " + message + "$"):
             check()
+
+    def test_finite_invariants_whose_sum_overflows_are_evaluated(self):
+        # det G_A - 1 = 4 n (n + 1) and nu_B^2 - 1 at t = 1 are each finite, but their sum, the one finiteness test
+        # of a passing evaluation, is not: the per-invariant checks then find nothing, and the evaluation goes on
+        n = 6.6e153
+        assert math.isfinite(4.0 * n * (n + 1.0)) and not math.isfinite(2.0 * (4.0 * n * (n + 1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trial = check_qepi_bs(thermal_state(n), vacuum_state(1), 1.0)
+            outputs = output_entropies(thermal_state(n), ChannelSpec.beam_splitter(1.0, vacuum_state(1)))
+        assert (trial.lhs, trial.rhs) == (355.18258887712136, 355.18258887712136)
+        assert outputs == (355.18258887712136, 0.0, 0.0)
 
     def test_largest_squeezing_against_a_vacuum_floor_is_evaluated(self):
         # the entry products of the 2x2 matrices overflowed here; the cross term 9 cosh 708 - 1 is finite
