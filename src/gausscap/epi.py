@@ -14,7 +14,8 @@ become a kernel input), and the output spectrum its lhs sums, taken from
 their closed-form output spectra, sums of nonnegative terms, so no
 determinant cancels at any squeezing, and two-mode ones to
 ``_conditional_kernel``, which takes the (B, Z1, Z2) spectrum from the
-inputs' factors; the right-hand sides are ``epi_rhs``.
+inputs' factors with one symmetric ``eigvalsh`` call per stack
+(``_conditional_spectrum``); the right-hand sides are ``epi_rhs``.
 Campaign results are reproducible: trial i's uniform draws
 are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
 for a whole chunk at once as array arithmetic (``_uniform_draws``); the
@@ -60,9 +61,9 @@ from .core import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
-# The (B, Z1, Z2) spectrum rounds within this many eps (s + nu) (``_conditional_kernel``): at most 25 over 3,200
-# drawn trials against mpmath, squeezing up to r = 30, and 8 for the singular value that vanishes.
-_SVD_ROUNDOFF = 128.0
+# The (B, Z1, Z2) spectrum rounds within this many eps (s + nu) (``_conditional_spectrum``): at most 4.5 over 9,720
+# drawn trials against mpmath (seeds 1, 7 and 42, squeezing up to r = 30), and 8.6 eps s for the value that vanishes.
+_SPECTRUM_ROUNDOFF = 128.0
 
 
 class Inequality(Enum):
@@ -155,8 +156,9 @@ class _Thermal:
 class _Pair:
     """A two-mode (X, Z) input as (F, n, n_Z): a factor F of its covariance G = F F.T, the photon numbers (nu - 1) / 2
     of G's spectrum, one per column pair of F, and n_Z of its Z marginal.  A draw, (2n + 1) times a two-mode squeezed
-    vacuum, is its exact factor sqrt(2n + 1) S_TMS(r) as the (q, p) blocks on (X, Z), shape (T, 2, 2, 2), with
-    n_Z = n + (2n + 1) sinh^2 r; a validated matrix its Cholesky factor, a stack of one (1, 4, 4)."""
+    vacuum, has the exact factor sqrt(2n + 1) S_TMS(r), whose (q, p) blocks on (X, Z) are [[c, s], [s, c]] and
+    [[c, -s], [-s, c]]; F is their first row (c, s) = sqrt(2n + 1) (cosh r, sinh r), shape (T, 2), all the kernel
+    reads, with n_Z = n + (2n + 1) sinh^2 r.  A validated matrix gives its Cholesky factor, a stack of one (1, 4, 4)."""
 
     def width(self, campaign: _Campaign) -> int:
         return 2
@@ -164,12 +166,8 @@ class _Pair:
     def drawn(self, campaign: _Campaign, draws: np.ndarray) -> tuple:
         n, r = campaign.max_photon * draws[:, 0], campaign.max_squeeze * draws[:, 1]
         root, sh = np.sqrt(2.0 * n + 1.0), np.sinh(r)
-        c, s = root * np.cosh(r), root * sh
-        factor = np.empty((len(n), 2, 4))  # rows (c, s, s, c) and (c, -s, -s, c)
-        factor[:, :, ::3] = c[:, None, None]
-        factor[:, 0, 1:3] = s[:, None]
-        factor[:, 1, 1:3] = -s[:, None]
-        return factor.reshape(-1, 2, 2, 2), n[:, None].repeat(2, axis=1), n + (2.0 * n + 1.0) * sh * sh
+        rows = root[:, None] * np.stack([np.cosh(r), sh], axis=1)
+        return rows, n[:, None].repeat(2, axis=1), n + (2.0 * n + 1.0) * sh * sh
 
     def require(self, pair: CovarianceMatrix) -> None:
         if pair.n_modes != 2:
@@ -230,77 +228,28 @@ def _conditional_kernel(constants: tuple, pair1, pair2, label,
                         tolerance: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Conditional EPI on stacks of two-mode (X_i, Z_i) inputs pair_i = (F_i, n_i, n_Zi) of ``_Pair``: lhs =
     S(B, Z1, Z2) - S(Z1) - S(Z2) for B = sqrt(p) X1 + sqrt(q) M X2, rhs = ``epi_rhs`` of S(X_i Z_i) - S(Z_i),
-    with (p, q, M) of ``constants``, the ``coupling`` tuple of the stack's parameters.
+    with (p, q, M) of ``constants``, the ``coupling`` tuple of the stack's parameters, and the (B, Z1, Z2)
+    spectrum of ``_conditional_spectrum``.
 
-    The (B, Z1, Z2) spectrum is the nonzero singular values, each twice, of
-    the real skew K = F.T (Omega - u.T Omega u) F, with F = F1 + F2 (direct
-    sum) and u the rows of B' = sqrt(q) s M X1 - sqrt(p) X2 (s = M_11), the
-    channel's other output.  A factor given per quadrature is sqrt(nu) times
-    a symplectic, so K = [[0, M], [-M.T, 0]] with M = diag(nu) - x y.T of
-    rank 3 (x, y the rows u through F_q, F_p), a 4x4 SVD; a Cholesky factor
-    L gives the 8x8 K.  Each value rounds within ``_SVD_ROUNDOFF`` eps
-    (s + nu): s = max nu_i, or kappa sigma_1 with kappa = (max diag L / min diag L)^2.
-
-    Through ``core._reject``, naming ``label(i)``: K past the float range
-    raises ``FloatingPointError``; the vanishing value past its bound, or a
-    nu short of 1 by more than 1e-9 within its bound, ``ArithmeticError``;
-    a larger shortfall ``PhysicalityError``; a campaign's slack (truly >= 0)
-    below -``tolerance`` within its bounds' reach, ``ArithmeticError``.
+    Through ``core._reject``, naming ``label(i)``: the vanishing value past
+    its bound, or a nu short of 1 by more than 1e-9 within its bound,
+    ``ArithmeticError``; a larger shortfall ``PhysicalityError``; a
+    campaign's slack (truly >= 0) below -``tolerance`` within its bounds'
+    reach, ``ArithmeticError``.
     """
-    p, q, m, _, _ = constants
-    (f1, n1, z1), (f2, n2, z2) = pair1, pair2
-    root_q, root_p = np.sqrt(q)[:, None], -np.sqrt(p)[:, None]  # u's weights on X1 (times s on the q row) and on X2
-    exact = f1.ndim == 4
-    with np.errstate(over="ignore", invalid="ignore"):
-        if exact:
-            # the rows u through F_q and F_p, x and y, stacked
-            xy = np.concatenate([np.stack([m[1, 1] * root_q, root_q]) * f1[:, :, 0].swapaxes(0, 1),
-                                 root_p * f2[:, :, 0].swapaxes(0, 1)], axis=2)
-            nu_in = 2.0 * np.concatenate([n1, n2], axis=1) + 1.0
-            scale = nu_in.max(axis=1)
-            # M's entries would cancel to eps |x| |y|, so it is never formed: the reflections with H_x x = -a e_0 and
-            # H_y y = -b e_0 leave its rank-one part in the corner of H_x M H_y = H_x diag(nu) H_y - a b e_0 e_0.T,
-            # whose other entries are O(s), and its small singular values keep their digits
-            (v, w), (a, b) = _reflector(xy)
-            nw = nu_in * w
-            # H_x diag(nu) H_y = diag(nu) + [v, nu w] [4 (v . nu w) w - 2 nu v, -2 w].T
-            k = np.stack([v, nw], axis=2) @ np.stack([4.0 * (v * nw).sum(axis=1)[:, None] * w - 2.0 * nu_in * v,
-                                                      -2.0 * w], axis=1)
-            k.reshape(-1, 16)[:, ::5] += nu_in
-            k[:, 0, 0] -= a * b
-            # a corner past 2^60 s moves the other singular values by under 2^-60 of themselves and is sigma_1 to as
-            # many digits: capped there, LAPACK never scales the other entries into underflow
-            corner = np.abs(k[:, 0, 0])
-            np.clip(k[:, 0, 0], -2.0**60 * scale, 2.0**60 * scale, out=k[:, 0, 0])
-            # the one entry past O(s); n_Z < (2n + 1) e^(2r) stays finite by the sampling bounds
-            finite = np.isfinite(corner)
-        else:
-            f = np.zeros((len(f1), 8, 8))
-            f[:, :4, :4], f[:, 4:, 4:] = f1, f2
-            u_q, u_p = m[1, 1] * root_q * f[:, 0] + root_p * f[:, 4], root_q * f[:, 1] + root_p * f[:, 5]
-            outer = u_q[:, :, None] * u_p[:, None, :]
-            k = f.swapaxes(-1, -2) @ symplectic_form(4) @ f - (outer - outer.swapaxes(-1, -2))
-            diagonal = np.diagonal(f, axis1=-2, axis2=-1)
-            scale, corner = (diagonal.max(axis=-1) / diagonal.min(axis=-1)) ** 2, 0.0  # kappa, times sigma_1 below
-            finite = np.isfinite(k).all(axis=(-2, -1))
-    _reject(~finite, FloatingPointError, lambda i: f"overflow at {label(i)}: the (B, Z1, Z2) spectrum leaves the float "
-                                                   f"range (n_Z1 = {z1[i]:.6g}, n_Z2 = {z2[i]:.6g})")
-    values = np.linalg.svd(k, compute_uv=False)
-    values[:, 0] = np.maximum(values[:, 0], corner)
-    step = k.shape[-1] // 4  # K has each singular value of M twice
-    nu, zero = values[:, :3 * step:step], values[:, 3 * step]
-    if not exact:
-        scale = scale * values[:, 0]
-    bound = _SVD_ROUNDOFF * _EPS * (scale[:, None] + nu)
-    _reject(zero > _SVD_ROUNDOFF * _EPS * scale, ArithmeticError,
+    (_, n1, z1), (_, n2, z2) = pair1, pair2
+    nu, zero, scale = _conditional_spectrum(constants, pair1, pair2, label)
+    bound = _SPECTRUM_ROUNDOFF * _EPS * (scale[:, None] + nu)
+    zero_bound = _SPECTRUM_ROUNDOFF * _EPS * scale
+    _reject(zero > zero_bound, ArithmeticError,
             lambda i: f"the (B, Z1, Z2) spectrum at {label(i)} has a singular value {zero[i]:.3g} that should vanish, "
-                      f"above its roundoff bound {_SVD_ROUNDOFF:g} eps s = {_SVD_ROUNDOFF * _EPS * scale[i]:.3g}")
+                      f"above its roundoff bound {_SPECTRUM_ROUNDOFF:g} eps s = {zero_bound[i]:.3g}")
     nu_min, nu_bound = nu[:, -1], bound[:, -1]
     short = nu_min < 1.0 - PHYSICALITY_ATOL
     if short.any():
         _reject(short & (1.0 - nu_min <= nu_bound), ArithmeticError,
                 lambda i: f"min symplectic eigenvalue {nu_min[i]:.12g} of the (B, Z1, Z2) output at {label(i)} is "
-                          f"short of 1 by {1.0 - nu_min[i]:.3g}, within its roundoff bound {_SVD_ROUNDOFF:g} eps "
+                          f"short of 1 by {1.0 - nu_min[i]:.3g}, within its roundoff bound {_SPECTRUM_ROUNDOFF:g} eps "
                           f"(s + nu) = {nu_bound[i]:.3g}, so it is not fixed to {PHYSICALITY_ATOL:g}")
         _reject(short, PhysicalityError, lambda i: f"uncertainty condition violated at {label(i)}: min symplectic "
                                                    f"eigenvalue {nu_min[i]:.12g} of the (B, Z1, Z2) output < 1")
@@ -314,8 +263,78 @@ def _conditional_kernel(constants: tuple, pair1, pair2, label,
         reach = _spectral_entropy(nu + bound) - _spectral_entropy(nu - bound)
         _reject(low & (rhs - lhs <= reach), ArithmeticError,
                 lambda i: f"slack {lhs[i] - rhs[i]:.6g} at {label(i)} is below -{tolerance:g}, but the roundoff bounds "
-                          f"{_SVD_ROUNDOFF:g} eps (s + nu) on its spectrum move the lhs by up to {reach[i]:.3g}")
+                          f"{_SPECTRUM_ROUNDOFF:g} eps (s + nu) on its spectrum move the lhs by up to {reach[i]:.3g}")
     return lhs, rhs
+
+
+def _conditional_spectrum(constants: tuple, pair1, pair2, label) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (B, Z1, Z2) spectrum of ``_conditional_kernel``'s inputs: nu, shape (T, 3), descending, the value that
+    vanishes, and the scale s of their roundoff bounds, each value within ``_SPECTRUM_ROUNDOFF`` eps (s + nu).
+
+    The spectrum is the nonzero singular values, each twice, of the real
+    skew K = F.T (Omega - u.T Omega u) F, with F = F1 + F2 (direct sum) and
+    u the rows of B' = sqrt(q) m M X1 - sqrt(p) X2 (m = M_11), the channel's
+    other output.  A draw's factor, per quadrature sqrt(nu) times a
+    symplectic, gives K = [[0, M], [-M.T, 0]] with M = diag(nu) - x y.T of
+    rank 3 (x, y the rows u through F_q, F_p); there y = J x for the
+    signature J = diag(m, -m, 1, -1), which commutes with diag(nu), so the
+    singular values of M are |eig(diag(nu) J - x x.T)|, a symmetric 4x4
+    with s = max nu_i.  A Cholesky factor L gives the 8x8 K, whose singular
+    values are the eigenvalues of the symmetric [[0, K.T], [K, 0]], with
+    s = kappa sigma_1 for kappa = (max diag L / min diag L)^2.  One
+    ``eigvalsh`` call takes either.  K past the float range raises
+    ``FloatingPointError`` through ``core._reject``, naming ``label(i)``.
+    """
+    p, q, m, _, _ = constants
+    (f1, n1, z1), (f2, n2, z2) = pair1, pair2
+    root_q, root_p = np.sqrt(q)[:, None], -np.sqrt(p)[:, None]  # u's weights on X1 (times m on the q row) and on X2
+    exact = f1.ndim == 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if exact:
+            x = np.concatenate([m[1, 1] * root_q * f1, root_p * f2], axis=1)  # u through F_q; through F_p it is J x
+            nu_in = 2.0 * np.concatenate([n1, n2], axis=1) + 1.0
+            scale = nu_in.max(axis=1)
+            d = nu_in * np.array([m[1, 1], -m[1, 1], 1.0, -1.0])  # the diagonal of diag(nu) J
+            # diag(d) - x x.T would cancel to eps |x|^2, so it is never formed: the reflection with H x = -a e_0
+            # leaves its rank-one part in the corner of H diag(d) H - a^2 e_0 e_0.T, whose other entries are O(s),
+            # and its small eigenvalues keep their digits
+            v, a = _reflector(x)
+            dv = d * v
+            # H diag(d) H = diag(d) + v w.T - 2 (d v) v.T with w = 4 (v . d v) v - 2 d v
+            w = 4.0 * (v * dv).sum(axis=1)[:, None] * v - 2.0 * dv
+            k = v[:, :, None] * w[:, None, :] - 2.0 * dv[:, :, None] * v[:, None, :]
+            k.reshape(-1, 16)[:, ::5] += d
+            k[:, 0, 0] -= a * a
+            # a corner past 2^60 s moves the other eigenvalues by under 2^-60 of themselves and is |lambda_1| to as
+            # many digits: capped there, LAPACK never scales the other entries into underflow
+            corner = np.abs(k[:, 0, 0])
+            np.clip(k[:, 0, 0], -2.0**60 * scale, 2.0**60 * scale, out=k[:, 0, 0])
+            # the one entry past O(s); n_Z < (2n + 1) e^(2r) stays finite by the sampling bounds
+            finite = np.isfinite(corner)
+        else:
+            f = np.zeros((len(f1), 8, 8))
+            f[:, :4, :4], f[:, 4:, 4:] = f1, f2
+            u_q, u_p = m[1, 1] * root_q * f[:, 0] + root_p * f[:, 4], root_q * f[:, 1] + root_p * f[:, 5]
+            outer = u_q[:, :, None] * u_p[:, None, :]
+            skew = f.swapaxes(-1, -2) @ symplectic_form(4) @ f - (outer - outer.swapaxes(-1, -2))
+            diagonal = np.diagonal(f, axis1=-2, axis2=-1)
+            scale, corner = (diagonal.max(axis=-1) / diagonal.min(axis=-1)) ** 2, 0.0  # kappa, times sigma_1 below
+            finite = np.isfinite(skew).all(axis=(-2, -1))
+            # [[0, K.T], [K, 0]] in the order (row 7, column 7, row 6, ...) of K: its tridiagonalization is then a
+            # Golub-Kahan bidiagonalization of K, so the small values keep as many digits as a singular value solver's
+            k = np.zeros((len(f1), 16, 16))
+            k[:, ::2, 1::2] = skew[:, ::-1, ::-1]
+            k[:, 1::2, ::2] = k[:, ::2, 1::2].swapaxes(-1, -2)
+    _reject(~finite, FloatingPointError, lambda i: f"overflow at {label(i)}: the (B, Z1, Z2) spectrum leaves the float "
+                                                   f"range (n_Z1 = {z1[i]:.6g}, n_Z2 = {z2[i]:.6g})")
+    values = np.abs(np.linalg.eigvalsh(k))
+    values.sort(axis=1)
+    values = values[:, ::-1]
+    values[:, 0] = np.maximum(values[:, 0], corner)
+    step = k.shape[-1] // 4  # each value once from the 4x4, four times from the 16x16
+    if not exact:
+        scale = scale * values[:, 0]
+    return values[:, :3 * step:step], values[:, 3 * step], scale
 
 
 def _reflector(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +371,7 @@ def check_cqepi_bs(pair1: CovarianceMatrix, pair2: CovarianceMatrix, transmissiv
     """Conditional beam-splitter EPI on two-mode inputs (X_i, Z_i): S(B | Z1 Z2) >= ``epi_rhs``(S(X1|Z1), S(X2|Z2)).
 
     Accurate to the rounding of the input entries times kappa = (max diag L / min diag L)^2 of each pair's Cholesky
-    factor L: on two equal ``two_mode_squeezed_state``(r) at t = 1/2 (slack 0) it reads 3-10 eps kappa, from 1.3e-14
+    factor L: on two equal ``two_mode_squeezed_state``(r) at t = 1/2 (slack 0) it reads 3-15 eps kappa, from 4.5e-14
     at r = 1 to 6.4e-10 at r = 3.5; from r = 5 those entries fix no spectrum (``ArithmeticError``).
     """
     return _trial(Inequality.CQEPI_BS, transmissivity, (pair1, pair2))
@@ -521,8 +540,9 @@ class _Campaign:
         lo, hi = self.parameter_range
         return [int(lo != hi)] + [shape.width(self) for shape in _FAMILIES[self.inequality][1]]
 
-    def lhs_rhs(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """lhs and rhs of the trials whose uniform draws are the rows of ``draws``, in the columns of ``_widths``."""
+    def inputs(self, draws: np.ndarray) -> tuple[np.ndarray, list]:
+        """The mixing parameters and the kernel inputs in draw order of the trials whose uniform draws are the rows
+        of ``draws``, in the columns of ``_widths``."""
         lo, hi = self.parameter_range
         start, *widths = self._widths()
         parameter = lo + (hi - lo) * draws[:, 0] if start else np.full(len(draws), float(lo))
@@ -530,7 +550,11 @@ class _Campaign:
         for shape, width in zip(_FAMILIES[self.inequality][1], widths):
             inputs.append(shape.drawn(self, draws[:, start:start + width]))
             start += width
-        return _kernel(self.inequality, parameter, inputs, lambda i: "the drawn states", self.tolerance)
+        return parameter, inputs
+
+    def lhs_rhs(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lhs and rhs of the trials whose uniform draws are the rows of ``draws``, in the columns of ``_widths``."""
+        return _kernel(self.inequality, *self.inputs(draws), lambda i: "the drawn states", self.tolerance)
 
     def slacks(self, indices: range) -> np.ndarray:
         """Slacks of the trials ``indices``.  A failing trial raises its own
@@ -590,6 +614,11 @@ def monte_carlo_verify(
         parameter_range = (1.0, 10.0) if inequality.kind is ChannelKind.AMPLIFIER else (0.0, 1.0)
     if not all(math.isfinite(v) for v in parameter_range):
         raise ValueError("parameter_range must be finite")
+    try:  # both ends, before any draw: a trial then fails only for its own draws
+        coupling(inequality.kind, np.array(parameter_range, dtype=float))
+    except ValueError as exc:
+        lo, hi = (float(v) for v in parameter_range)  # each end to the last digit: one just outside reads as outside
+        raise ValueError(f"parameter_range ({lo!r}, {hi!r}) of {inequality.value}: {exc}") from None
     campaign = _Campaign(inequality, seed, max_photon, max_squeeze, tuple(parameter_range), env_photon, tolerance)
 
     violations, least = 0, np.inf

@@ -456,7 +456,20 @@ def drawn_trial_slack_mp(family: str, seed: int, index: int, max_photon: float, 
 
 def drawn_cqepi_slack_mp(family: str, seed: int, index: int, max_photon: float, max_squeeze: float,
                          parameter_range: tuple[float, float]) -> float:
-    """lhs - rhs of trial ``index`` of a cqepi campaign, from its (seed, index) draws in at least 50-digit arithmetic.
+    """lhs - rhs of trial ``index`` of a cqepi campaign, from its (seed, index) draws in at least 50-digit arithmetic
+    (``drawn_cqepi_spectrum_mp``)."""
+    with mp.workdps(_cqepi_digits(max_photon, max_squeeze)):
+        p, q, d, draws, spectrum = _drawn_cqepi_output_mp(family, seed, index, max_photon, max_squeeze, parameter_range)
+        z1, z2 = (((2 * mp.mpf(n) + 1) * mp.cosh(2 * mp.mpf(r)) - 1) / 2 for n, r in draws)
+        lhs = sum(g_mp((nu - 1) / 2) for nu in spectrum) - g_mp(z1) - g_mp(z2)
+        s_1, s_2 = (2 * g_mp(mp.mpf(n)) - g_mp(z) for (n, _), z in zip(draws, (z1, z2)))
+        return float(lhs - ((p * s_1 + q * s_2) / d + mp.log(d)))
+
+
+def drawn_cqepi_spectrum_mp(family: str, seed: int, index: int, max_photon: float, max_squeeze: float,
+                            parameter_range: tuple[float, float]) -> list[float]:
+    """The (B, Z1, Z2) symplectic spectrum of trial ``index`` of a cqepi campaign, descending, from its (seed, index)
+    draws in at least 50-digit arithmetic.
 
     The draws come in the campaign's documented order: the mixing parameter
     (unless the range is one value), then per (X, Z) input a photon number n
@@ -467,27 +480,35 @@ def drawn_cqepi_slack_mp(family: str, seed: int, index: int, max_photon: float, 
     of the eigenvalues of V_q V_p, those of L.T V_p L for V_q = L L.T.  The precision grows with the squeezing,
     as in ``drawn_trial_slack_mp``.
     """
+    with mp.workdps(_cqepi_digits(max_photon, max_squeeze)):
+        spectrum = _drawn_cqepi_output_mp(family, seed, index, max_photon, max_squeeze, parameter_range)[-1]
+        return [float(nu) for nu in spectrum]
+
+
+def _cqepi_digits(max_photon: float, max_squeeze: float) -> int:
+    return 50 + int(8 * max_squeeze / math.log(10)) + 2 * int(math.log10(1.0 + max_photon))
+
+
+def _drawn_cqepi_output_mp(family, seed, index, max_photon, max_squeeze, parameter_range) -> tuple:
+    """(p, q, d, the (n, r) draws of both inputs, the descending (B, Z1, Z2) spectrum) of ``drawn_cqepi_spectrum_mp``
+    at the working precision."""
     rng = np.random.default_rng((seed, index))
     lo, hi = parameter_range
     parameter = lo if lo == hi else rng.uniform(lo, hi)
     draws = [(rng.uniform(0.0, max_photon), rng.uniform(0.0, max_squeeze)) for _ in range(2)]
-    with mp.workdps(50 + int(8 * max_squeeze / math.log(10)) + 2 * int(math.log10(1.0 + max_photon))):
-        p = mp.mpf(parameter)
-        # B = sqrt(p) X1 + sqrt(q) M X2 with M = diag(1, sign)
-        q, d, sign = (1 - p, mp.mpf(1), 1) if family == "cqepi-bs" else (p - 1, 2 * p - 1, -1)
-        (nu1, c1, s1), (nu2, c2, s2) = ((2 * mp.mpf(n) + 1, mp.cosh(2 * mp.mpf(r)), mp.sinh(2 * mp.mpf(r)))
-                                        for n, r in draws)
-        b = p * nu1 * c1 + q * nu2 * c2
-        blocks = [mp.matrix([[b, mp.sqrt(p) * nu1 * s1 * z, mp.sqrt(q) * nu2 * s2 * z * m],
-                             [mp.sqrt(p) * nu1 * s1 * z, nu1 * c1, 0],
-                             [mp.sqrt(q) * nu2 * s2 * z * m, 0, nu2 * c2]])
-                  for z, m in ((1, 1), (-1, sign))]  # the Z of each input and M's entry, per quadrature
-        lower = mp.cholesky(blocks[0])  # V_q V_p is similar to the symmetric L.T V_p L
-        spectrum = [mp.sqrt(v) for v in mp.eigsy(lower.T * blocks[1] * lower, eigvals_only=True)]
-        z1, z2 = (nu1 * c1 - 1) / 2, (nu2 * c2 - 1) / 2
-        lhs = sum(g_mp((nu - 1) / 2) for nu in spectrum) - g_mp(z1) - g_mp(z2)
-        s_1, s_2 = (2 * g_mp(mp.mpf(n)) - g_mp(z) for (n, _), z in zip(draws, (z1, z2)))
-        return float(lhs - ((p * s_1 + q * s_2) / d + mp.log(d)))
+    p = mp.mpf(parameter)
+    # B = sqrt(p) X1 + sqrt(q) M X2 with M = diag(1, sign)
+    q, d, sign = (1 - p, mp.mpf(1), 1) if family == "cqepi-bs" else (p - 1, 2 * p - 1, -1)
+    (nu1, c1, s1), (nu2, c2, s2) = ((2 * mp.mpf(n) + 1, mp.cosh(2 * mp.mpf(r)), mp.sinh(2 * mp.mpf(r)))
+                                    for n, r in draws)
+    b = p * nu1 * c1 + q * nu2 * c2
+    blocks = [mp.matrix([[b, mp.sqrt(p) * nu1 * s1 * z, mp.sqrt(q) * nu2 * s2 * z * m],
+                         [mp.sqrt(p) * nu1 * s1 * z, nu1 * c1, 0],
+                         [mp.sqrt(q) * nu2 * s2 * z * m, 0, nu2 * c2]])
+              for z, m in ((1, 1), (-1, sign))]  # the Z of each input and M's entry, per quadrature
+    lower = mp.cholesky(blocks[0])  # V_q V_p is similar to the symmetric L.T V_p L
+    spectrum = sorted((mp.sqrt(v) for v in mp.eigsy(lower.T * blocks[1] * lower, eigvals_only=True)), reverse=True)
+    return p, q, d, draws, spectrum
 
 
 def eigensolver_calls(monkeypatch,names=("eig", "eigh", "eigvals", "eigvalsh")) -> list:

@@ -357,13 +357,13 @@ class TestVerifyEpi:
 # (min_slack, mean_slack) of `verify-epi --seed 42 --trials 10000`.  The qepi and chain values were
 # printed when every trial built its own numpy.random.default_rng((42, i)) and validated its sampled
 # matrices; the per-chunk stream and the drawn invariants keep them to the byte.  The cqepi values are
-# those of the (B, Z1, Z2) spectrum from the draws' factors; each lies as close to a 50-digit oracle as the
-# 6x6 matrix's did, or closer.
+# those of the (B, Z1, Z2) spectrum from the draws' factors through one symmetric eigvalsh per chunk; each
+# lies within 5e-15 of a 50-digit oracle (min and mean over every trial), here and in GOLDEN_DRAW_PATHS.
 GOLDEN_REPORTS = {
     "qepi-bs": ("8.398428660161272e-05", "0.539112881565692"),
     "qepi-amp": ("0.002764301899059518", "0.6734030973899553"),
-    "cqepi-bs": ("1.0436497421828506e-07", "0.150773120969198"),
-    "cqepi-amp": ("8.342785253205934e-06", "0.2002226496002053"),
+    "cqepi-bs": ("1.0436497466237427e-07", "0.150773120969198"),
+    "cqepi-amp": ("8.342785249431175e-06", "0.2002226496002053"),
     "moe-chain-bs": ("0.00029866392241495454", "1.2522473089888968"),
     "wc-chain-bs": ("0.01480334292601194", "2.0891677515364555"),
 }
@@ -445,10 +445,10 @@ GOLDEN_DRAW_PATHS = {
     ("qepi-bs", "--tau", "0.3"): ("0.0005010252801487258", "0.6348996454818063"),
     ("qepi-amp", "--max-n", "0"): ("0.10439144502906203", "0.8969527249785272"),
     ("qepi-amp", "--kappa", "2.5"): ("0.004674173988092889", "0.657571220601425"),
-    ("cqepi-bs", "--max-n", "0"): ("1.0579966180923606e-07", "0.11151867427286319"),
-    ("cqepi-bs", "--tau", "0.3"): ("9.44184770812484e-07", "0.17795715437113435"),
-    ("cqepi-amp", "--max-n", "0"): ("0.0018477282071889256", "0.19065468409009187"),
-    ("cqepi-amp", "--kappa", "2.5"): ("8.040747431259376e-05", "0.19217401702020587"),
+    ("cqepi-bs", "--max-n", "0"): ("1.0579966158719145e-07", "0.11151867427286519"),
+    ("cqepi-bs", "--tau", "0.3"): ("9.441847712565732e-07", "0.17795715437113435"),
+    ("cqepi-amp", "--max-n", "0"): ("0.0018477282071898138", "0.1906546840900935"),
+    ("cqepi-amp", "--kappa", "2.5"): ("8.040747431214967e-05", "0.19217401702020584"),
     ("moe-chain-bs", "--max-n", "0"): ("4.811018160521691e-07", "0.37400570566872066"),
     ("moe-chain-bs", "--tau", "0.3"): ("0.07837078929640906", "0.9334265393846399"),
     ("moe-chain-bs", "--ne", "2"): ("0.004006026746028013", "1.257776475321858"),
@@ -552,10 +552,14 @@ class TestVerifyEpiErrors:
         "extra,code,message",
         [
             (["--family", "qepi-amp", "--kappa", "nan"], EXIT_CONFIG, "parameter_range must be finite"),
-            (["--tau", "1.5"], EXIT_CONFIG, r"trial 0 of qepi-bs failed \(seed=1\): transmissivity must lie in \[0, 1\]"),
+            # both ends of the range are checked before any draw: the message names the setting, not a trial
+            (["--tau", "1.5"], EXIT_CONFIG,
+             r"^configuration error: parameter_range \(1\.5, 1\.5\) of qepi-bs: transmissivity must lie in \[0, 1\]$"),
+            (["--tau", "1.0000001"], EXIT_CONFIG, r"^configuration error: parameter_range \(1\.0000001, 1\.0000001\) of "
+                                                  r"qepi-bs: transmissivity must lie in \[0, 1\]$"),
             # t = 1 passes X1 through, so the slack is 0 exactly: at tolerance 0, its rounding below 0 is exit 3, not 4
             (["--family", "cqepi-bs", "--tau", "1", "--tolerance", "0"], EXIT_NUMERICAL,
-             r"trial 0 of cqepi-bs failed \(seed=1\): slack -\S+ at the drawn states is below -0, but the roundoff "
+             r"trial 4 of cqepi-bs failed \(seed=1\): slack -\S+ at the drawn states is below -0, but the roundoff "
              r"bounds 128 eps \(s \+ nu\) on its spectrum move the lhs by up to \S+$"),
             (["--tolerance", "nan"], EXIT_CONFIG, "tolerance must be finite"),
             (["--max-n", "nan"], EXIT_CONFIG, "sampling bounds must be finite"),

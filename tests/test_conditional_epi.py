@@ -1,6 +1,7 @@
 """The conditional EPI checks against conjugate-and-trace, and over inputs
 the Monte Carlo campaign never draws (squeezed, arbitrarily correlated)."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gausscap import (
     check_cqepi_amp,
+    epi,
     check_cqepi_bs,
     check_qepi_amp,
     check_qepi_bs,
@@ -44,15 +46,48 @@ class TestConditionalOutputOracle:
         lhs = CHECKS[kind](pair1, pair2, parameter).lhs
         assert abs(lhs - (s_kept - raw_entropy(conditioner))) <= 1e-12 * max(1.0, abs(s_kept))
 
+    @pytest.mark.parametrize("kind,parameter", PARAMETERS)
+    @pytest.mark.parametrize("family", ["general", "product", "pure"])
+    def test_check_spectrum_matches_the_singular_values_of_its_form(self, monkeypatch, kind, parameter, family):
+        # a check's 8x8 skew K goes to eigvalsh as the symmetric [[0, K.T], [K, 0]] in the order (row 7, column 7,
+        # row 6, ...) of K, where its tridiagonalization is a Golub-Kahan bidiagonalization: against 50-digit
+        # singular values of the K it was given, each value keeps a singular value solver's accuracy on the LAPACK
+        # that runs it (in the natural order, the small values of the gain-1000 pairs were off by up to 4 eps sigma_1)
+        pairs = [_pairs(family, seed) for seed in range(3)]
+        forms, spectra = [], []
+
+        def recorded_form(a, *args, _original=np.linalg.eigvalsh, **kwargs):
+            forms.append(a.copy())
+            return _original(a, *args, **kwargs)
+
+        def recorded_spectrum(*args, _original=epi._conditional_spectrum):
+            spectra.append(_original(*args))
+            return spectra[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded_form)
+        monkeypatch.setattr(epi, "_conditional_spectrum", recorded_spectrum)
+        for pair1, pair2 in pairs:
+            CHECKS[kind](pair1, pair2, parameter)
+        assert [form.shape for form in forms] == [(1, 16, 16)] * 3
+        small = 1.0 if parameter == 1e3 and family != "product" else 8.0  # in eps sigma_1, for all but sigma_1
+        with mpmath.workdps(50):
+            for form, (nu, zero, _) in zip(forms, spectra):
+                skew = mpmath.matrix(form[0, ::2, 1::2][::-1, ::-1].tolist())
+                squares = mpmath.eigsy(skew.T * skew, eigvals_only=True)  # each singular value of K twice
+                expected = sorted((float(mpmath.sqrt(abs(v))) for v in squares), reverse=True)[::2]
+                error = np.abs(np.append(nu[0], zero[0]) - expected) / (np.finfo(float).eps * expected[0])
+                assert error[0] <= 8.0 and error[1:].max() <= small, error
+
     @pytest.mark.parametrize("seed", range(20))
     def test_sampler_matches_two_mode_squeezed_thermal(self, seed):
         drawn = np.random.default_rng(seed)
         n, r = drawn.uniform(0.0, 5.0), drawn.uniform(0.0, 1.5)
         campaign = _Campaign(Inequality.CQEPI_BS, 0, 1.0, 1.0, (0.5, 0.5), None)
-        blocks, photons, z_photons = _PAIR.drawn(campaign, np.array([[n, r]]))
-        factor = np.zeros((4, 4))  # the (q, p) blocks on (X, Z) back in mode order (q_X, p_X, q_Z, p_Z)
-        for quadrature in range(2):
-            factor[quadrature::2, quadrature::2] = blocks[0, quadrature]
+        rows, photons, z_photons = _PAIR.drawn(campaign, np.array([[n, r]]))
+        (c, s), factor = rows[0], np.zeros((4, 4))
+        # the (q, p) blocks [[c, s], [s, c]] and [[c, -s], [-s, c]] on (X, Z), in mode order (q_X, p_X, q_Z, p_Z)
+        for quadrature, sign in enumerate((1.0, -1.0)):
+            factor[quadrature::2, quadrature::2] = [[c, sign * s], [sign * s, c]]
         expected = tms_thermal(n, r).data
         np.testing.assert_allclose(factor @ factor.T, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
         np.testing.assert_allclose(photons[0], (raw_symplectic_eigenvalues(expected) - 1.0) / 2.0, rtol=1e-12)

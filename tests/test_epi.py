@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -39,6 +40,7 @@ from gausscap.core import CovarianceMatrix, PhysicalityError
 from gausscap.epi import _CHUNK, MAX_TRIALS, _Campaign, _uniform_draws
 from helpers import (
     drawn_cqepi_slack_mp,
+    drawn_cqepi_spectrum_mp,
     drawn_trial_slack_mp,
     fock_entropy_oracle,
     g_direct,
@@ -359,8 +361,31 @@ class TestMonteCarlo:
         assert all(family.kind is ChannelKind.BEAM_SPLITTER for family in set(Inequality) - amplifier)
 
     def test_trial_errors_carry_context(self):
-        with pytest.raises(ValueError, match="trial 0 of qepi-bs"):
-            monte_carlo_verify("qepi-bs", 5, parameter_range=(-0.5, -0.5), seed=1)
+        # a^2 = (k - 1) cosh 2 r_1 + k cosh 2 r_2 of the reflected row overflows for this trial's draws alone
+        with pytest.raises(FloatingPointError, match=r"^trial 1280 of cqepi-amp failed \(seed=1\): overflow at the "
+                           r"drawn states: the \(B, Z1, Z2\) spectrum leaves the float range "
+                           r"\(n_Z1 = \S+, n_Z2 = \S+\)$"):
+            monte_carlo_verify("cqepi-amp", 1300, seed=1, max_photon=0.0, max_squeeze=354.5,
+                               parameter_range=(10.0, 10.0))
+
+    @pytest.mark.parametrize("family,prange,message", [
+        ("qepi-bs", (0.5, 1.5), "transmissivity must lie in \\[0, 1\\]"),
+        ("cqepi-bs", (-0.25, 0.75), "transmissivity must lie in \\[0, 1\\]"),
+        ("qepi-amp", (0.5, 3.0), "gain must be >= 1"),
+        ("moe-chain-bs", (1.0, 2.0), "transmissivity must lie in \\[0, 1\\]"),
+        # an end just outside is printed to its last digit, not rounded back inside the family's range
+        ("qepi-bs", (0.0, 1.0 + 1e-7), "transmissivity must lie in \\[0, 1\\]"),
+        ("cqepi-amp", (1.0 - 1e-7, 2.0), "gain must be >= 1"),
+    ])
+    def test_range_partly_outside_the_family_is_named_before_any_draw(self, monkeypatch, family, prange, message):
+        # both ends are checked up front: the error names the range, not whichever trial first drew outside it
+        drawn = []
+        monkeypatch.setattr(epi, "_uniform_draws", lambda *args: drawn.append(args))
+        lo, hi = (re.escape(repr(v)) for v in prange)
+        with pytest.raises(ValueError, match=rf"^parameter_range \({lo}, {hi}\) of {family}: {message}$") as caught:
+            monte_carlo_verify(family, 2 * _CHUNK, seed=1, parameter_range=prange)
+        assert caught.type is ValueError
+        assert drawn == []
 
     def test_equality_trials_counted_exactly(self):
         trial = check_qepi_bs(thermal_state(1), thermal_state(1), 0.7)
@@ -409,13 +434,32 @@ class TestBatchedCampaigns:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_eigensolver_runs_only_on_the_conditional_output(self, monkeypatch, family):
         # qepi and chain trials are arithmetic on their draws, and Z marginals have closed-form spectra: only
-        # the (B, Z1, Z2) spectrum takes a decomposition, one batched 4x4 SVD per chunk
+        # the (B, Z1, Z2) spectrum takes a decomposition, one batched symmetric 4x4 eigvalsh per chunk
         calls = linalg_calls(monkeypatch)
         assert monte_carlo_verify(family, 50, seed=5).violations == 0
         if family.startswith("cqepi"):
-            assert calls == [("svd", (50, 4, 4))]
+            assert calls == [("eigvalsh", (50, 4, 4))]
         else:
             assert calls == []
+
+    @pytest.mark.parametrize("check", [check_cqepi_bs, check_cqepi_amp])
+    def test_a_check_takes_one_symmetric_eigvalsh(self, monkeypatch, check):
+        # the Cholesky path's 8x8 K through the symmetric [[0, K.T], [K, 0]]: the one solver call of both paths
+        pair = tms_thermal(0.5, 0.4)
+        calls = linalg_calls(monkeypatch)
+        check(pair, pair, 0.5 if check is check_cqepi_bs else 2.0)
+        assert calls == [("cholesky", (4, 4))] * 2 + [("eigvalsh", (1, 16, 16))]
+
+    def test_no_family_or_check_calls_an_svd(self, monkeypatch):
+        calls = linalg_calls(monkeypatch)
+        for family in FAMILIES:
+            monte_carlo_verify(family, 20, seed=5)
+        pair, state = tms_thermal(0.5, 0.4), thermal_state(1.0)
+        spec = ChannelSpec.beam_splitter(0.5, thermal_state(1.0))
+        trials = [check_qepi_bs(state, state, 0.5), check_qepi_amp(state, state, 2.0), check_cqepi_bs(pair, pair, 0.5),
+                  check_cqepi_amp(pair, pair, 2.0), check_moe_chain(state, spec), check_wc_chain(state, spec)]
+        assert not any(trial.is_violation() for trial in trials)
+        assert calls and all(name != "svd" for name, _ in calls)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_campaigns_build_no_matrix(self, monkeypatch, family):
@@ -475,18 +519,31 @@ class TestBatchedCampaigns:
         assert transient_peak(100 * _CHUNK) <= 2 * transient_peak(_CHUNK + 1)
 
     def test_first_failing_trial_keeps_its_class(self):
-        # t drawn from [0, 1.001): the first trial with t > 1 fails, past the first chunk
-        prange = (0.0, 1.001)
-        first = next(i for i in range(10_000) if np.random.default_rng((1, i)).uniform(*prange) > 1.0)
+        # qepi-amp at gain 1 with vacuum inputs: the cross term 2 (cos^2 D sinh^2 (r_A - r_E) + sin^2 D sinh^2 (r_A +
+        # r_E)) + 2 overflows for draws with r_A + r_E near 355, and the first such trial lies past the first chunk
+        max_squeeze, log_max = 181.0, math.log(np.finfo(float).max)
+        for first in range(10_000):
+            # per input: the rotation draw u, the squeezing and a last rotation (max_photon = 0 draws no photons)
+            u_a, r_a, _, u_e, r_e, _ = np.random.default_rng((1, first)).random(6)
+            r_a, r_e = max_squeeze * r_a, max_squeeze * r_e
+            angle = 2.0 * math.pi * (-u_e - u_a)  # M = diag(1, -1) turns E's rotation around
+            with np.errstate(divide="ignore"):  # a factor 0 has log -inf
+                excess = math.log(2.0) + np.logaddexp(2.0 * np.log(abs(math.cos(angle) * math.sinh(r_a - r_e))),
+                                                      2.0 * np.log(abs(math.sin(angle) * math.sinh(r_a + r_e))))
+            assert abs(excess - log_max) > 1e-6  # no trial sits on the float range's edge
+            if excess > log_max:
+                break
         assert first >= _CHUNK
-        message = rf"^trial {first} of qepi-bs failed \(seed=1\): transmissivity must lie in \[0, 1\]$"
-        with pytest.raises(ValueError, match=message) as caught:
-            monte_carlo_verify("qepi-bs", first + _CHUNK, seed=1, parameter_range=prange)
-        assert caught.type is ValueError
+        message = (rf"^trial {first} of qepi-amp failed \(seed=1\): overflow at the drawn states: the cross term "
+                   rf"leaves the float range \(r_A = {r_a:.6g}, r_E = {r_e:.6g}, n_A = 0, n_E = 0\)$")
+        with pytest.raises(FloatingPointError, match=message) as caught:
+            monte_carlo_verify("qepi-amp", first + _CHUNK, seed=1, max_photon=0.0, max_squeeze=max_squeeze,
+                               parameter_range=(1.0, 1.0))
+        assert caught.type is FloatingPointError
 
     def test_roundoff_below_the_tolerance_raises_arithmetic_error(self):
         # at t = 1 the slack is 0 exactly: at tolerance 0 its rounding below 0 is no violation (exit 4) but exit 3
-        with pytest.raises(ArithmeticError, match=r"^trial 0 of cqepi-bs failed \(seed=1\): slack -\S+ at the drawn "
+        with pytest.raises(ArithmeticError, match=r"^trial 4 of cqepi-bs failed \(seed=1\): slack -\S+ at the drawn "
                            r"states is below -0, but the roundoff bounds 128 eps \(s \+ nu\) on its spectrum move the "
                            r"lhs by up to ") as caught:
             monte_carlo_verify("cqepi-bs", 10, seed=1, parameter_range=(1.0, 1.0), tolerance=0.0)
@@ -539,6 +596,22 @@ class TestLargeSqueezing:
         for i in sorted({*range(0, 200, 4 if max_squeeze < 20.0 else 8), int(np.argmin(slacks))}):
             expected = drawn_cqepi_slack_mp(family, 7, i, 5.0, max_squeeze, prange)
             assert abs(slacks[i] - expected) <= 1e-12 * max(1.0, abs(expected)), i
+
+    @pytest.mark.parametrize("family", ["cqepi-bs", "cqepi-amp"])
+    @pytest.mark.parametrize("max_squeeze", [1.5, 8.0, 30.0])
+    def test_cqepi_spectrum_is_within_its_roundoff_bounds(self, family, max_squeeze):
+        # the bounds the kernel's checks stand on, against mpmath: each nu within _SPECTRUM_ROUNDOFF eps (s + nu) and
+        # the value that vanishes within _SPECTRUM_ROUNDOFF eps s, for the first 100 trials
+        prange = (1.0, 10.0) if family.endswith("amp") else (0.0, 1.0)
+        campaign = _Campaign(Inequality(family), 42, 5.0, max_squeeze, prange, None)
+        parameter, inputs = campaign.inputs(_uniform_draws(42, range(100), sum(campaign._widths())))
+        constants = coupling(campaign.inequality.kind, parameter)
+        nu, zero, scale = epi._conditional_spectrum(constants, *inputs, lambda i: "the drawn states")
+        unit = epi._SPECTRUM_ROUNDOFF * np.finfo(float).eps
+        assert np.all(zero <= unit * scale)
+        for i in range(100):
+            expected = np.array(drawn_cqepi_spectrum_mp(family, 42, i, 5.0, max_squeeze, prange))
+            assert np.all(np.abs(nu[i] - expected) <= unit * (scale[i] + expected)), i
 
     def test_cqepi_spectrum_past_the_lapack_range(self):
         # gain 1e6 and r_2 = 345.5 put sigma_1 near 6e305: scaled into LAPACK's range, the other entries of the
@@ -692,9 +765,13 @@ class TestUniformStream:
             return _original(seed, indices, count)
 
         monkeypatch.setattr(epi, "_uniform_draws", counted)
-        with pytest.raises(ValueError, match=r"^trial 0 of qepi-bs failed \(seed=1\)"):
-            monte_carlo_verify("qepi-bs", 5, parameter_range=(-0.5, -0.5), seed=1)
-        assert calls == [range(0, 5)]
+        # the cross term overflows for trials 3 and 15 of these 20 (and for no other, at max_squeeze 240 to 255):
+        # the row-by-row re-run names the first, from the chunk's one draw
+        with pytest.raises(FloatingPointError, match=r"^trial 3 of qepi-amp failed \(seed=1\): overflow at the drawn "
+                           r"states: the cross term leaves the float range \(r_A = 228\.003, r_E = 149\.155, "
+                           r"n_A = 0\.683041, n_E = 0\.480298\)$"):
+            monte_carlo_verify("qepi-amp", 20, seed=1, max_squeeze=250.0)
+        assert calls == [range(0, 20)]
 
     def test_numpy_integer_seed_draws_the_same_stream(self):
         assert monte_carlo_verify("cqepi-bs", 20, seed=np.uint64(2**63)) == monte_carlo_verify("cqepi-bs", 20, seed=2**63)
