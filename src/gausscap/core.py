@@ -70,13 +70,10 @@ def _everywhere(mask) -> bool:
 
 
 def _reject(failed, error: type[Exception], reason) -> None:
-    """Raise ``error(reason(index))`` for the first index where ``failed`` holds: ``failed`` is 0-d for one
-    item (index ``()``) or has one entry per item of a stack (an index tuple).  The message does not name the
-    index; a caller that evaluates a stack names the failing item itself (a campaign names the trial)."""
-    if failed.ndim == 0:  # one item: a numpy bool, whose truth test is cheaper than .any()
-        if failed:
-            raise error(reason(()))
-    elif failed.any():
+    """Raise ``error(reason(index))`` for the first index where the boolean array ``failed``, one entry per item
+    of a stack, holds: the index is a tuple, ``()`` for a 0-d ``failed``.  The message does not name the index; a
+    caller that evaluates a stack names the failing item itself (a campaign names the trial)."""
+    if failed.any():
         raise error(reason(np.unravel_index(int(np.argmax(failed)), failed.shape)))
 
 

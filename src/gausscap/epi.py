@@ -14,8 +14,9 @@ become a kernel input), and the output spectrum its lhs sums, taken from
 their closed-form output spectra, sums of nonnegative terms, so no
 determinant cancels at any squeezing, and two-mode ones to
 ``_conditional_kernel``, which takes the (B, Z1, Z2) spectrum from the
-inputs' factors with one symmetric ``eigvalsh`` call per stack
-(``_conditional_spectrum``); the right-hand sides are ``epi_rhs``.
+inputs' factors with one solver call per stack (``_conditional_spectrum``):
+a symmetric ``eigvalsh`` for drawn factors, an ``svd`` for Cholesky ones;
+the right-hand sides are ``epi_rhs``.
 Campaign results are reproducible: trial i's uniform draws
 are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
 for a whole chunk at once as array arithmetic (``_uniform_draws``); the
@@ -52,6 +53,7 @@ from .core import (
     PhysicalityError,
     _check_sampling_bounds,
     _is_thermal,
+    _marginal,
     _mode_parameters,
     _reject,
     _spectral_entropy,
@@ -158,7 +160,8 @@ class _Pair:
     of G's spectrum, one per column pair of F, and n_Z of its Z marginal.  A draw, (2n + 1) times a two-mode squeezed
     vacuum, has the exact factor sqrt(2n + 1) S_TMS(r), whose (q, p) blocks on (X, Z) are [[c, s], [s, c]] and
     [[c, -s], [-s, c]]; F is their first row (c, s) = sqrt(2n + 1) (cosh r, sinh r), shape (T, 2), all the kernel
-    reads, with n_Z = n + (2n + 1) sinh^2 r.  A validated matrix gives its Cholesky factor, a stack of one (1, 4, 4)."""
+    reads, with n_Z = n + (2n + 1) sinh^2 r.  A validated matrix gives its Cholesky factor, a stack of one (1, 4, 4),
+    and n_Z from its Z marginal (``core._marginal``)."""
 
     def width(self, campaign: _Campaign) -> int:
         return 2
@@ -178,7 +181,7 @@ class _Pair:
             factor = np.linalg.cholesky(pair.data)
         except np.linalg.LinAlgError:
             raise ArithmeticError("the stored covariance entries of the (X, Z) input have no Cholesky factor") from None
-        z = symplectic_eigenvalues(CovarianceMatrix(pair.data[2:, 2:]))
+        z = symplectic_eigenvalues(_marginal(pair, (1,)))
         return factor[None], 0.5 * (symplectic_eigenvalues(pair)[None] - 1.0), 0.5 * (z - 1.0)
 
 
@@ -279,10 +282,9 @@ def _conditional_spectrum(constants: tuple, pair1, pair2, label) -> tuple[np.nda
     rank 3 (x, y the rows u through F_q, F_p); there y = J x for the
     signature J = diag(m, -m, 1, -1), which commutes with diag(nu), so the
     singular values of M are |eig(diag(nu) J - x x.T)|, a symmetric 4x4
-    with s = max nu_i.  A Cholesky factor L gives the 8x8 K, whose singular
-    values are the eigenvalues of the symmetric [[0, K.T], [K, 0]], with
-    s = kappa sigma_1 for kappa = (max diag L / min diag L)^2.  One
-    ``eigvalsh`` call takes either.  K past the float range raises
+    with s = max nu_i, through one ``eigvalsh``.  A Cholesky factor L gives
+    the 8x8 K, through one ``svd``, with s = kappa sigma_1 for
+    kappa = (max diag L / min diag L)^2.  K past the float range raises
     ``FloatingPointError`` through ``core._reject``, naming ``label(i)``.
     """
     p, q, m, _, _ = constants
@@ -316,25 +318,20 @@ def _conditional_spectrum(constants: tuple, pair1, pair2, label) -> tuple[np.nda
             f[:, :4, :4], f[:, 4:, 4:] = f1, f2
             u_q, u_p = m[1, 1] * root_q * f[:, 0] + root_p * f[:, 4], root_q * f[:, 1] + root_p * f[:, 5]
             outer = u_q[:, :, None] * u_p[:, None, :]
-            skew = f.swapaxes(-1, -2) @ symplectic_form(4) @ f - (outer - outer.swapaxes(-1, -2))
+            k = f.swapaxes(-1, -2) @ symplectic_form(4) @ f - (outer - outer.swapaxes(-1, -2))
             diagonal = np.diagonal(f, axis1=-2, axis2=-1)
-            scale, corner = (diagonal.max(axis=-1) / diagonal.min(axis=-1)) ** 2, 0.0  # kappa, times sigma_1 below
-            finite = np.isfinite(skew).all(axis=(-2, -1))
-            # [[0, K.T], [K, 0]] in the order (row 7, column 7, row 6, ...) of K: its tridiagonalization is then a
-            # Golub-Kahan bidiagonalization of K, so the small values keep as many digits as a singular value solver's
-            k = np.zeros((len(f1), 16, 16))
-            k[:, ::2, 1::2] = skew[:, ::-1, ::-1]
-            k[:, 1::2, ::2] = k[:, ::2, 1::2].swapaxes(-1, -2)
+            scale = (diagonal.max(axis=-1) / diagonal.min(axis=-1)) ** 2  # kappa, times sigma_1 below
+            finite = np.isfinite(k).all(axis=(-2, -1))
     _reject(~finite, FloatingPointError, lambda i: f"overflow at {label(i)}: the (B, Z1, Z2) spectrum leaves the float "
                                                    f"range (n_Z1 = {z1[i]:.6g}, n_Z2 = {z2[i]:.6g})")
+    if not exact:
+        values = np.linalg.svd(k, compute_uv=False)  # each singular value of the skew K twice, descending
+        return values[:, 0:6:2], values[:, 6], scale * values[:, 0]
     values = np.abs(np.linalg.eigvalsh(k))
     values.sort(axis=1)
     values = values[:, ::-1]
     values[:, 0] = np.maximum(values[:, 0], corner)
-    step = k.shape[-1] // 4  # each value once from the 4x4, four times from the 16x16
-    if not exact:
-        scale = scale * values[:, 0]
-    return values[:, :3 * step:step], values[:, 3 * step], scale
+    return values[:, :3], values[:, 3], scale
 
 
 def _reflector(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,8 +368,8 @@ def check_cqepi_bs(pair1: CovarianceMatrix, pair2: CovarianceMatrix, transmissiv
     """Conditional beam-splitter EPI on two-mode inputs (X_i, Z_i): S(B | Z1 Z2) >= ``epi_rhs``(S(X1|Z1), S(X2|Z2)).
 
     Accurate to the rounding of the input entries times kappa = (max diag L / min diag L)^2 of each pair's Cholesky
-    factor L: on two equal ``two_mode_squeezed_state``(r) at t = 1/2 (slack 0) it reads 3-15 eps kappa, from 4.5e-14
-    at r = 1 to 6.4e-10 at r = 3.5; from r = 5 those entries fix no spectrum (``ArithmeticError``).
+    factor L: on two equal ``two_mode_squeezed_state``(r) at t = 1/2 (slack 0) it reads 2.8-9.6 eps kappa, from
+    1.3e-14 at r = 1 to 6.4e-10 at r = 3.5; from r = 5 those entries fix no spectrum (``ArithmeticError``).
     """
     return _trial(Inequality.CQEPI_BS, transmissivity, (pair1, pair2))
 

@@ -506,6 +506,13 @@ class TestEntropyCommand:
             "so the entries do not fix the symplectic eigenvalue to 1e-09\n"
         )
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_is_config_error(self, capsys, entry):
+        assert main(["entropy", "--matrix", f"[{entry}, 0, 0, 1]"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: covariance matrix must be finite\n"
+
     def test_matrix_file(self, tmp_path, capsys):
         path = tmp_path / "state.json"
         path.write_text('{"n_modes": 1, "data": [3, 0, 0, 3]}')

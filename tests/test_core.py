@@ -999,6 +999,12 @@ _REJECTED_INPUTS = {
     "covariance-2x3": (lambda: CovarianceMatrix(np.ones((2, 3))), "covariance matrix must be square"),
     "covariance-3x3": (lambda: CovarianceMatrix(np.eye(3)), "covariance matrix must be 2n x 2n with n >= 1"),
     "covariance-0x0": (lambda: CovarianceMatrix(np.zeros((0, 0))), "covariance matrix must be 2n x 2n with n >= 1"),
+    "covariance-nan": (lambda: CovarianceMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+                       "covariance matrix must be finite"),
+    "covariance-inf": (lambda: CovarianceMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]])),
+                       "covariance matrix must be finite"),
+    "covariance-minus-inf": (lambda: CovarianceMatrix(np.array([[-np.inf, 0.0], [0.0, 1.0]])),
+                             "covariance matrix must be finite"),
     "symplectic-3x3": (lambda: SymplecticMatrix(np.eye(3)), "symplectic matrix must be 2n x 2n"),
     "tmsv-negative": (lambda: two_mode_squeezed_state(-0.5),
                       "squeezing parameter must be nonnegative and keep cosh(2r) finite"),

@@ -443,23 +443,28 @@ class TestBatchedCampaigns:
             assert calls == []
 
     @pytest.mark.parametrize("check", [check_cqepi_bs, check_cqepi_amp])
-    def test_a_check_takes_one_symmetric_eigvalsh(self, monkeypatch, check):
-        # the Cholesky path's 8x8 K through the symmetric [[0, K.T], [K, 0]]: the one solver call of both paths
+    def test_a_check_takes_one_svd(self, monkeypatch, check):
+        # the Cholesky path's 8x8 skew K goes straight to a singular value solver, one call per check
         pair = tms_thermal(0.5, 0.4)
         calls = linalg_calls(monkeypatch)
         check(pair, pair, 0.5 if check is check_cqepi_bs else 2.0)
-        assert calls == [("cholesky", (4, 4))] * 2 + [("eigvalsh", (1, 16, 16))]
+        assert calls == [("cholesky", (4, 4))] * 2 + [("svd", (1, 8, 8))]
 
-    def test_no_family_or_check_calls_an_svd(self, monkeypatch):
+    def test_only_a_cqepi_check_calls_an_svd(self, monkeypatch):
+        # campaigns, cqepi ones included, call no svd; each cqepi check calls exactly one
         calls = linalg_calls(monkeypatch)
         for family in FAMILIES:
             monte_carlo_verify(family, 20, seed=5)
+        assert calls and all(name != "svd" for name, _ in calls)
         pair, state = tms_thermal(0.5, 0.4), thermal_state(1.0)
         spec = ChannelSpec.beam_splitter(0.5, thermal_state(1.0))
-        trials = [check_qepi_bs(state, state, 0.5), check_qepi_amp(state, state, 2.0), check_cqepi_bs(pair, pair, 0.5),
-                  check_cqepi_amp(pair, pair, 2.0), check_moe_chain(state, spec), check_wc_chain(state, spec)]
-        assert not any(trial.is_violation() for trial in trials)
-        assert calls and all(name != "svd" for name, _ in calls)
+        checks = [lambda: check_qepi_bs(state, state, 0.5), lambda: check_qepi_amp(state, state, 2.0),
+                  lambda: check_cqepi_bs(pair, pair, 0.5), lambda: check_cqepi_amp(pair, pair, 2.0),
+                  lambda: check_moe_chain(state, spec), lambda: check_wc_chain(state, spec)]
+        for check, svds in zip(checks, [0, 0, 1, 1, 0, 0]):
+            calls.clear()
+            assert not check().is_violation()
+            assert [name for name, _ in calls].count("svd") == svds
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_campaigns_build_no_matrix(self, monkeypatch, family):
