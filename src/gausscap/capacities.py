@@ -18,9 +18,7 @@ import numpy as np
 from .channels import (
     ChannelKind,
     ChannelSpec,
-    _complementary_roots,
-    _factor_entropies,
-    _pair_invariants,
+    _output_photons,
     _require_finite,
     coupling,
     epi_rhs,
@@ -153,10 +151,10 @@ def private_capacity_lower_approx(spec: ChannelSpec, input_photon: float) -> flo
 def coherent_information(spec: ChannelSpec, input_photon):
     """S(channel output) - S(complementary output) for a thermal input of energy N.
 
-    ``input_photon`` is a scalar or a 1-D array.  One ``channels._pair_invariants``
+    ``input_photon`` is a scalar or a 1-D array.  One ``channels._output_photons``
     call on the input (N, r = 0, u = 0) and the environment's stored
-    ``core._mode_parameters``, with ``channels._complementary_roots``, gives the
-    spectra for every N at once.  A failing
+    ``core._mode_parameters`` gives the photon numbers of B, nu_+ and nu_- for
+    every N at once.  A failing
     check names the first failing input photon number; an overflow also names
     what left the float range and the (n, r) or invariants it comes from.
     """
@@ -164,8 +162,7 @@ def coherent_information(spec: ChannelSpec, input_photon):
     grid = np.atleast_1d(n)
     label = lambda i: f"input photon number {grid[i]:.17g}"  # noqa: E731
     modes = (grid, 0.0, 0.0), spec._environment_modes
-    x_b, total, product = _pair_invariants(coupling(spec.kind, spec.parameter), *modes, label)
-    entropies = _factor_entropies(np.concatenate([x_b[None], _complementary_roots(total, product)]))
+    entropies = thermal_entropy(_output_photons(coupling(spec.kind, spec.parameter), *modes, label, True))
     return _shaped(entropies[0] - (entropies[1] + entropies[2]), n)
 
 

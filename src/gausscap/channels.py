@@ -10,8 +10,9 @@ mode, so its output covers two modes (environment output F, reference C).
 gives the output spectrum of a single-mode input and the invariants of its
 complementary pair in closed form from its and the environment's (n, r, u),
 in one call: the one path for sampled draws and for validated matrices
-(``core._mode_parameters``).  ``_complementary_roots`` takes the pair's
-spectrum from those invariants, for the callers that read it.
+(``core._mode_parameters``); ``_complementary_roots`` takes the pair's
+spectrum from those invariants.  Output spectra reach ``capacities`` and
+``epi`` only as photon numbers, through ``_output_photons``.
 """
 
 from __future__ import annotations
@@ -231,14 +232,13 @@ def _complementary_roots(total, product) -> np.ndarray:
     return np.maximum(xs, 0.0, out=xs)  # nu within the tolerance below 1 counts as 1
 
 
-def _factor_photons(xs):
-    """Photon numbers (nu - 1) / 2 = x / (2 + 2 sqrt(1 + x)) of symplectic factors given as x = nu^2 - 1."""
+def _output_photons(constants: tuple, a, e, label, complementary: bool) -> np.ndarray:
+    """Photon numbers (nu - 1) / 2 of the output spectrum of input a and environment e (``_pair_invariants``' a, e,
+    ``constants`` and ``label``): the channel output B in row 0 and, if ``complementary``, the (F, C) pair's nu_+
+    and nu_- in rows 1 and 2; each from x = nu^2 - 1 as x / (2 + 2 sqrt(1 + x)), which does not cancel."""
+    x_b, total, product = _pair_invariants(constants, a, e, label)
+    xs = np.concatenate([x_b[None], _complementary_roots(total, product)]) if complementary else x_b[None]
     return xs / (2.0 + 2.0 * np.sqrt(1.0 + xs))
-
-
-def _factor_entropies(xs: np.ndarray) -> np.ndarray:
-    """Entropies of symplectic factors given as x = nu^2 - 1: one ``thermal_entropy`` call for a whole stack."""
-    return thermal_entropy(_factor_photons(xs))
 
 
 def _single_mode_data(state: CovarianceMatrix) -> np.ndarray:
@@ -283,12 +283,11 @@ def complementary(state: CovarianceMatrix, spec: ChannelSpec) -> CovarianceMatri
 
 
 def output_entropies(state: CovarianceMatrix, spec: ChannelSpec) -> tuple[float, float, float]:
-    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_pair_invariants`` of (A, E)
-    and, for F, of (E, A); no output is built or diagonalised."""
+    """Entropies (S_B, S_F, S_FC) of the three channel outputs, in nats, from the ``_output_photons`` of (A, E)
+    with the (F, C) pair and, for F (row 0), of (E, A); no output is built or diagonalised."""
     a, e = _input_modes(state, spec)
     constants = coupling(spec.kind, spec.parameter)
-    x_b, total, product = _pair_invariants(constants, a, e, _input_label)
-    x_f = _pair_invariants(constants, e, a, _input_label)[0]
-    xs = np.concatenate([x_b, *_complementary_roots(total, product), x_f])
-    s_b, s_plus, s_minus, s_f = _factor_entropies(xs).tolist()
+    photons = np.concatenate([_output_photons(constants, a, e, _input_label, True),
+                              _output_photons(constants, e, a, _input_label, False)])
+    s_b, s_plus, s_minus, s_f = thermal_entropy(photons)[:, 0].tolist()
     return s_b, s_f, s_plus + s_minus

@@ -9,14 +9,14 @@ there should use a correspondingly wider band.
 Each family is one row of ``_FAMILIES``: its channel, the shapes of its
 two inputs in draw order (``_STATE``, ``_THERMAL`` or ``_PAIR``, each of
 which knows its draws per trial and how they, or a ``check_*`` argument,
-become a kernel input), and the output spectrum its lhs sums, taken from
-``channels._pair_invariants``.  ``_kernel`` takes single-mode inputs to
-their closed-form output spectra, sums of nonnegative terms, so no
-determinant cancels at any squeezing, and two-mode ones to
-``_conditional_kernel``, which takes the (B, Z1, Z2) spectrum from the
-inputs' factors with one solver call per stack (``_conditional_spectrum``):
-a symmetric ``eigvalsh`` for drawn factors, an ``svd`` for Cholesky ones;
-the right-hand sides are ``epi_rhs``.
+become a kernel input), and the output spectrum its lhs sums, taken as
+photon numbers from ``channels._output_photons``.  ``_kernel`` takes
+single-mode inputs to their closed-form output spectra, sums of
+nonnegative terms, so no determinant cancels at any squeezing, and
+two-mode ones to ``_conditional_kernel``, which takes the (B, Z1, Z2)
+spectrum from the inputs' factors with one solver call per stack
+(``_conditional_spectrum``): a symmetric ``eigvalsh`` for drawn factors,
+an ``svd`` for Cholesky ones; the right-hand sides are ``epi_rhs``.
 Campaign results are reproducible: trial i's uniform draws
 are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
 for a whole chunk at once as array arithmetic (``_uniform_draws``); the
@@ -39,9 +39,7 @@ import numpy as np
 from .channels import (
     ChannelKind,
     ChannelSpec,
-    _complementary_roots,
-    _factor_photons,
-    _pair_invariants,
+    _output_photons,
     coupling,
     epi_rhs,
 )
@@ -188,8 +186,8 @@ class _Pair:
 _STATE, _THERMAL, _PAIR = _State(), _Thermal(), _Pair()
 
 # Each family once: its channel, the shapes of its two inputs in draw order, and whether its lhs sums the entropies
-# of S(F, C), the complementary output's x_+ and x_- (True), or of S(B), the channel output's x_B (False), both from
-# ``_pair_invariants`` (None: the conditional kernel).
+# of S(F, C), the complementary output's nu_+ and nu_- (True), or of S(B), the channel output's nu_B (False), both
+# from ``_output_photons``, whose ``complementary`` this is (None: the conditional kernel).
 _FAMILIES = {
     Inequality.QEPI_BS: (ChannelKind.BEAM_SPLITTER, (_STATE, _STATE), False),
     Inequality.QEPI_AMP: (ChannelKind.AMPLIFIER, (_STATE, _STATE), False),
@@ -214,12 +212,11 @@ def _kernel(inequality: Inequality, parameter: np.ndarray, inputs, label,
         return _conditional_kernel(constants, *inputs, label, tolerance)
     chain = shapes[0] is _THERMAL
     a, e = inputs[::-1] if chain else inputs
-    x_b, total, product = _pair_invariants(constants, a, e, label)
-    xs = _complementary_roots(total, product) if reads_fc else x_b[None]
+    output = _output_photons(constants, a, e, label, reads_fc)[int(reads_fc):]  # (F, C) drops the row of B
     given = (e[0],) if chain else (a[0], e[0])  # the photon numbers of the inputs whose entropies the rhs reads
-    rows = len(xs)
-    photons = np.empty((rows + len(given),) + xs.shape[1:])
-    photons[:rows] = _factor_photons(xs)
+    rows = len(output)
+    photons = np.empty((rows + len(given),) + output.shape[1:])
+    photons[:rows] = output
     for row, n in enumerate(given, rows):
         photons[row] = n
     g = thermal_entropy(photons)
@@ -589,9 +586,14 @@ def monte_carlo_verify(
     arithmetic, the trials are evaluated serially in chunks of a fixed size,
     and the mean is an exactly rounded sum in trial order.  Memory holds one
     chunk's slacks at a time.  ``trials`` must lie in [1, 2^32] (each index
-    is one uint32 seed word).
+    is one uint32 seed word); it and ``seed`` are integers (numpy ones too),
+    reported as plain ints.
     """
     inequality = Inequality(inequality)
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    trials, seed = operator.index(trials), operator.index(seed)  # plain ints, which the report serialises
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if trials > MAX_TRIALS:

@@ -525,6 +525,19 @@ def eigensolver_calls(monkeypatch,names=("eig", "eigh", "eigvals", "eigvalsh")) 
     return calls
 
 
+def unpaired_eigvalsh(monkeypatch, gap: float = 1e-6) -> None:
+    """From now on, ``np.linalg.eigvalsh`` returns its upper half raised by ``gap``: +nu and -nu that no longer pair,
+    as a solver's wrong values would, which no known input produces."""
+    original = np.linalg.eigvalsh
+
+    def unpaired(a, *args, **kwargs):
+        values = original(a, *args, **kwargs)
+        values[..., values.shape[-1] // 2:] += gap
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", unpaired)
+
+
 def linalg_calls(monkeypatch) -> list:
     """``eigensolver_calls`` of every function ``np.linalg`` exports, ``det`` and ``solve`` included."""
     functions = [name for name in np.linalg.__all__ if not inspect.isclass(getattr(np.linalg, name))]

@@ -267,8 +267,9 @@ class TestOutputEntropies:
 
     def test_channel_entropy_matches_thermal_formula(self):
         spec = ChannelSpec.beam_splitter(0.85, thermal_state(1))
-        s_b, _, _ = output_entropies(thermal_state(2), spec)
+        s_b, s_f, _ = output_entropies(thermal_state(2), spec)
         assert s_b == pytest.approx(g_direct(1.85), rel=1e-12)
+        assert s_f == pytest.approx(g_direct(1.15), rel=1e-12)  # F exchanges input and environment
 
     def test_complement_entropy_matches_block_formula_bs(self):
         spec = ChannelSpec.beam_splitter(0.85, thermal_state(1))
@@ -445,8 +446,7 @@ class TestOneConversion:
             calls.append(args[0])
             return original(*args)
 
-        for module in (channels, capacities, epi):  # each module calls the name it imported
-            monkeypatch.setattr(module, "_pair_invariants", counted)
+        monkeypatch.setattr(channels, "_pair_invariants", counted)  # capacities and epi reach it through channels
         spec = ChannelSpec.beam_splitter(0.7, squeezed_thermal_state(1.0, 0.5))
         for run, expected in (
             (lambda: check_qepi_bs(thermal_state(1.0), squeezed_thermal_state(0.5, 0.3), 0.4), 1),

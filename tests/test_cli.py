@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from gausscap import ChannelSpec, evaluate_bounds, squeezed_thermal_state
 from gausscap.cli import BOUNDS_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, main
-from helpers import coherent_information_mp, g_direct, g_mp, rotated_squeezed
+from helpers import coherent_information_mp, g_direct, g_mp, rotated_squeezed, unpaired_eigvalsh
 
 
 def parse_csv(text):
@@ -494,6 +494,14 @@ class TestEntropyCommand:
         rc = main(["entropy", "--matrix", "[0.5, 0, 0, 0.5]"])
         assert rc == EXIT_NUMERICAL
         assert "physicality" in capsys.readouterr().err
+
+    def test_eigenvalues_that_do_not_pair_are_numerical_error(self, capsys, monkeypatch):
+        unpaired_eigvalsh(monkeypatch)
+        assert main(["entropy", "--matrix", json.dumps(np.eye(4).tolist())]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical error: eigenvalues of i L.T Omega L do not split into +/- pairs: they differ "
+                                "by 1e-06 of max(nu, 1), more than 1e-08\n")
 
     def test_lost_determinant_is_numerical_error(self, capsys):
         # N = 1, r = 180 rotated by 0.3 rad: the rounded entries once reported nu = 2.557e148 instead of 3

@@ -58,6 +58,7 @@ from helpers import (
     rotated_squeezed,
     symplectic_residual,
     thermal_entropy_reference,
+    unpaired_eigvalsh,
 )
 
 
@@ -815,9 +816,10 @@ class TestSymplecticTolerance:
             SymplecticMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_roundoff_of_exact_symplectics_accepted(self):
-        SymplecticMatrix(amplifier_symplectic(1e6).data)
+        matrix = SymplecticMatrix(amplifier_symplectic(1e6).data)
+        assert (matrix.n_modes, repr(matrix)) == (2, "SymplecticMatrix(n_modes=2)")
         for seed in range(20):
-            random_symplectic(4, max_squeeze=3.0, seed=seed)
+            assert random_symplectic(4, max_squeeze=3.0, seed=seed).n_modes == 4
         for seed in range(5):
             williamson(random_gaussian_state(16, 5.0, 1.5, seed))
 
@@ -946,6 +948,14 @@ class TestMultiModeRoundoff:
     def test_shortfall_beyond_roundoff_is_unphysical(self):
         with pytest.raises(PhysicalityError, match=r"^uncertainty condition violated: min symplectic eigenvalue 0\.5 < 1$"):
             CovarianceMatrix(0.5 * np.eye(4))
+
+    def test_eigenvalues_that_do_not_pair_are_a_numerical_error(self, monkeypatch):
+        # +nu and -nu of i L.T Omega L 1e-6 apart (of nu = 1): the solver's values fix no spectrum
+        unpaired_eigvalsh(monkeypatch)
+        with pytest.raises(ArithmeticError, match=r"^eigenvalues of i L\.T Omega L do not split into \+/- pairs: they "
+                                                  r"differ by 1e-06 of max\(nu, 1\), more than 1e-08$") as caught:
+            CovarianceMatrix(np.eye(4))
+        assert caught.type is ArithmeticError
 
 
 class TestMixerLayers:

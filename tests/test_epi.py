@@ -498,7 +498,7 @@ class TestBatchedCampaigns:
             return wrapper
 
         steps = [(module, "thermal_entropy") for module in (core, channels, epi)]  # each module calls its import
-        steps += [(epi, "_pair_invariants"), (epi, "_complementary_roots")]
+        steps += [(channels, "_pair_invariants"), (channels, "_complementary_roots")]  # epi reads _output_photons
         steps += [(channels, "_require_finite"), (channels, "_reject")]
         for module, name in steps:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -780,6 +780,24 @@ class TestUniformStream:
 
     def test_numpy_integer_seed_draws_the_same_stream(self):
         assert monte_carlo_verify("cqepi-bs", 20, seed=np.uint64(2**63)) == monte_carlo_verify("cqepi-bs", 20, seed=2**63)
+
+    def test_numpy_integer_arguments_report_plain_ints(self):
+        # the command line serialises a report with json.dumps(vars(report)), which rejects numpy integers
+        report = monte_carlo_verify("qepi-bs", np.int64(3), seed=np.uint32(7))
+        assert (type(report.trials), type(report.seed)) == (int, int)
+        assert json.loads(json.dumps(vars(report))) == vars(monte_carlo_verify("qepi-bs", 3, seed=7))
+
+    @pytest.mark.parametrize("arguments,message", [
+        ({"trials": True}, "trials must be an integer, not True"),
+        ({"trials": 3.0}, "trials must be an integer, not 3.0"),
+        ({"trials": 3, "seed": True}, "seed must be an integer, not True"),
+        ({"trials": 3, "seed": 1.5}, "seed must be an integer, not 1.5"),
+    ])
+    def test_trials_and_seed_must_be_integers(self, arguments, message):
+        # a bool once ran as 0 or 1 and was reported as itself; a float failed inside range or the seed's words
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            monte_carlo_verify("qepi-bs", **arguments)
+        assert caught.type is ValueError
 
     def test_trials_past_the_index_words_are_rejected(self):
         with pytest.raises(ValueError, match=r"trials must stay at or below 2\^32 = 4294967296"):

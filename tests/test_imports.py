@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -210,3 +211,33 @@ def test_epi_names_families_only_in_its_table_and_checks():
     stray = [ast.unparse(node) for node in ast.walk(tree) if _is_member(node) and id(node) not in allowed]
     assert stray == []
     assert sum(isinstance(node, ast.FunctionDef) and node.name.startswith("check_") for node in tree.body) == 6
+
+
+def test_output_spectra_leave_channels_only_as_photon_numbers():
+    # the invariants of the (F, C) pair, their roots and x = nu^2 - 1 stay inside channels: the other modules take
+    # output spectra from _output_photons
+    taken = {}
+    for path in _PACKAGE:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "channels":
+                private = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if private:
+                    taken.setdefault(path.name, set()).update(private)
+    assert taken == {"capacities.py": {"_output_photons", "_require_finite"}, "epi.py": {"_output_photons"}}
+    for path in _PACKAGE:
+        if path.name != "channels.py":
+            assert {"_pair_invariants", "_complementary_roots"}.isdisjoint(_referenced(_tree(path))), path.name
+
+
+_DOC_REFERENCE = r"(core|channels|capacities|epi|cli)\.([A-Za-z_]\w*)"
+
+
+def test_every_doc_reference_to_a_module_attribute_resolves():
+    # a backticked `module.name` in the README and a ``module.name`` in the package's source name something that
+    # exists, so a rename cannot leave the documentation pointing at a deleted helper
+    readme = re.findall(rf"`{_DOC_REFERENCE}", (_ROOT / "README.md").read_text(encoding="utf-8"))
+    source = [ref for path in _PACKAGE for ref in re.findall(rf"``{_DOC_REFERENCE}``", path.read_text())]
+    assert readme and source
+    missing = [f"{module}.{name}" for module, name in readme + source
+               if not hasattr(importlib.import_module(f"gausscap.{module}"), name)]
+    assert missing == []
