@@ -135,6 +135,9 @@ def cmd_verify_epi(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError("workers must be at least 1")
     fixed = _fixed(args, Inequality(args.family).kind, f"the {args.family} family")[1]
+    env_seed = os.environ.get("GAUSSCAP_SEED", "0")
+    if args.seed is None and not env_seed.strip().isdecimal():  # the digits int() reads, no sign or underscore
+        raise ValueError(f"GAUSSCAP_SEED must be a nonnegative integer, not {env_seed!r}")
     report = monte_carlo_verify(
         args.family,
         args.trials,
@@ -142,7 +145,7 @@ def cmd_verify_epi(args: argparse.Namespace) -> int:
         max_squeeze=args.max_r,
         parameter_range=None if fixed is None else (fixed, fixed),
         env_photon=args.ne,
-        seed=args.seed if args.seed is not None else int(os.environ.get("GAUSSCAP_SEED", 0)),
+        seed=int(env_seed) if args.seed is None else args.seed,
         tolerance=args.tolerance,
     )
     _emit(json.dumps(vars(report), indent=2, allow_nan=False) + "\n", args.out)  # the fields in order, uncopied
@@ -204,15 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bounds = sub.add_parser("bounds", help="evaluate all bounds over an input-energy grid")
+    bounds.set_defaults(run=cmd_bounds)
     _add_channel_args(bounds, with_channel=True)
     _add_grid_args(bounds)
 
     fig2 = sub.add_parser("fig2", help="emit the two reference panel datasets")
+    fig2.set_defaults(run=cmd_fig2)
     _add_channel_args(fig2, with_channel=False)
     _add_grid_args(fig2)
     fig2.add_argument("--note", action="store_true", help="print why external curves are omitted")
 
     verify = sub.add_parser("verify-epi", help="Monte Carlo check of one inequality family")
+    verify.set_defaults(run=cmd_verify_epi)
     verify.add_argument(
         "--family",
         choices=tuple(family.value for family in Inequality),
@@ -233,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None)
 
     entropy_cmd = sub.add_parser("entropy", help="inspect a serialized covariance matrix")
+    entropy_cmd.set_defaults(run=cmd_entropy)
     group = entropy_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--matrix", default=None, help="JSON matrix: flat row-major list, nested rows, or {n_modes, data}")
     group.add_argument("--matrix-file", default=None, help="path to a JSON matrix file")
@@ -241,19 +248,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "bounds": cmd_bounds,
-    "fig2": cmd_fig2,
-    "verify-epi": cmd_verify_epi,
-    "entropy": cmd_entropy,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    if argv and argv[0] in commands:  # one pass, by the parser the top level would hand the other arguments to
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except PhysicalityError as exc:
         print(f"physicality error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -124,9 +124,9 @@ def _checked_spectrum(data: NDArray[np.float64]) -> NDArray[np.float64]:
     is the positive-definiteness check, and the eigenvalues +/- nu of
     ``_hermitian_form``(L) = i L.T Omega L, the matrix ``williamson``
     diagonalises, must split into +/- pairs (``ArithmeticError``).  Their
-    roundoff bound eps max_i Gamma_ii / L_ii^2 must not exceed 1e-9
+    roundoff estimate eps max_i Gamma_ii / L_ii^2 must not exceed 1e-9
     (``ArithmeticError``), unless min nu falls short of 1 by more than that
-    bound (surely unphysical).
+    estimate (``PhysicalityError``, also for some rounded pure states).
     """
     if data.shape[0] == 2:
         det, magnitude, e = _det2(data)

@@ -17,11 +17,11 @@ two-mode ones to ``_conditional_kernel``, which takes the (B, Z1, Z2)
 spectrum from the inputs' factors with one solver call per stack
 (``_conditional_spectrum``): a symmetric ``eigvalsh`` for drawn factors,
 an ``svd`` for Cholesky ones; the right-hand sides are ``epi_rhs``.
-Campaign results are reproducible: trial i's uniform draws
-are those of ``numpy.random.default_rng((seed, i))``, bit for bit, computed
-for a whole chunk at once as array arithmetic (``_uniform_draws``); the
-trials are evaluated in fixed-size chunks, and the mean is an exactly
-rounded sum in trial order, so every chunking aggregates identically.
+Campaign results are reproducible: trial i's uniform draws are those of
+``numpy.random.default_rng((seed, i))``, bit for bit, from one array circuit
+per chunk (``_uniform_draws``: SeedSequence's hash, then output j's PCG64
+state P_j initstate + S_j initseq + R_j); chunks have a fixed size, and the
+mean is an exactly rounded sum in trial order, so every chunking aggregates alike.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -332,12 +332,12 @@ def _conditional_spectrum(constants: tuple, pair1, pair2, label) -> tuple[np.nda
 
 
 def _reflector(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit u and a = sign(v_0) |v| with (I - 2 u u.T) v = -a e_0, for vectors v along the last axis; the norms
-    are hypot reductions, so no square overflows."""
-    a = np.copysign(np.hypot.reduce(v, axis=-1), v[..., 0])
+    """Unit u and a = sign(v_0) |v| with (I - 2 u u.T) v = -a e_0, for the rows v of a (T, 4) stack; the norms
+    are hypot chains from the left, so no square overflows."""
+    a = np.copysign(reduce(np.hypot, v.T), v[:, 0])
     u = v.copy()
-    u[..., 0] += a
-    return u / np.hypot.reduce(u, axis=-1)[..., None], a
+    u[:, 0] += a
+    return u / reduce(np.hypot, u.T)[:, None], a
 
 
 def _trial(inequality: Inequality, parameter: float, values: tuple) -> EpiTrial:
@@ -418,57 +418,46 @@ def _seed_keys(n_words: int):
     """SeedSequence's hash keys on an entropy of ``n_words`` words, as ``_columns`` per pass over its pool
     of 4: the fill (steps 0-3), the cross-mix of each source word into the other three (steps 4 + 3 src
     onwards; the source's own row repeats the first step and its result is discarded), one pass per word
-    past the pool (4 steps each), and the 8 words of ``generate_state(4, np.uint64)``."""
+    past the pool (4 steps each), and the 8 words of ``generate_state(4, np.uint64)``, shaped (2, 4, 1):
+    initstate's words, then initseq's."""
     keys = _hash_keys(_INIT_A, _MULT_A, 16 + 4 * max(n_words - 4, 0))
-    cross = []
-    for src in range(4):
-        steps = [4 + 3 * src + n for n in range(3)]
-        steps.insert(src, steps[0])
-        cross.append(_columns(keys, steps))
+    cross = [_columns(keys, [4 + 3 * src + (0 if n == src else n - (n > src)) for n in range(4)]) for src in range(4)]
     tail = [_columns(keys, range(16 + 4 * n, 20 + 4 * n)) for n in range(max(n_words - 4, 0))]
-    return _columns(keys, range(4)), cross, tail, _columns(_hash_keys(_INIT_B, _MULT_B, 8), range(8))
+    generate = tuple(column.reshape(2, 4, 1) for column in _columns(_hash_keys(_INIT_B, _MULT_B, 8), range(8)))
+    return _columns(keys, range(4)), cross, tail, generate
 
 
 def _hashmix(values, keys):
     """SeedSequence's hashmix of uint32 rows (or one word) with ``_columns`` keys, wrapping mod 2^32."""
-    mixed = (values ^ keys[0]) * keys[1]
-    return mixed ^ (mixed >> 16)
+    mixed = values ^ keys[0]
+    mixed *= keys[1]
+    return np.bitwise_xor(mixed, mixed >> 16, out=mixed)
 
 
 def _mix(x, y):
     """SeedSequence's mix of y into x, wrapping mod 2^32."""
-    mixed = _MIX_L * x - _MIX_R * y
-    return mixed ^ (mixed >> 16)
+    mixed = _MIX_L * x
+    mixed -= _MIX_R * y
+    return np.bitwise_xor(mixed, mixed >> 16, out=mixed)
 
 
 @lru_cache(maxsize=None)
 def _jump_keys(count: int) -> tuple[np.ndarray, ...]:
-    """P_j = M^(j+2) and Q_j = 1 + M + ... + M^(j+1) mod 2^128 for j < count, stacked as rows (2, 1, count)
-    of their uint64 limbs hi and lo, then of the 32-bit halves of lo.
+    """For outputs j < count, the uint64 limbs hi and lo and the 32-bit halves of lo of P_j = M^(j+2) and
+    S_j = 2 R_j, stacked (2, count, 1), then the limbs hi and lo of R_j = 1 + M + ... + M^(j+2), (count, 1).
 
     Seeding PCG64 with (initstate, initseq) sets inc = 2 initseq + 1 and the
     state M (inc + initstate) + inc; output j is the XSL-RR of that state after
-    j + 1 more steps s -> M s + inc, which is P_j (inc + initstate) + Q_j inc.
+    j + 1 more steps s -> M s + inc, which is P_j (inc + initstate) + (R_j - P_j)
+    inc = P_j initstate + S_j initseq + R_j (mod 2^128).
     """
-    powers, sums = [], []
-    power, total = _PCG_MULT, 1
+    constants, power, total = [], _PCG_MULT, 1 + _PCG_MULT
     for _ in range(count):
         power, total = power * _PCG_MULT % 2**128, (total * _PCG_MULT + 1) % 2**128
-        powers.append(power)
-        sums.append(total)
-    fields = ((64, 2**64 - 1), (0, 2**64 - 1), (32, _MASK32), (0, _MASK32))
-    return tuple(np.array([[[v >> shift & mask for v in values]] for values in (powers, sums)], dtype=np.uint64)
-                 for shift, mask in fields)
-
-
-def _times(hi: np.ndarray, lo: np.ndarray, limbs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) uint64 limbs of x c mod 2^128 for x in limbs ``hi``, ``lo`` and c from ``_jump_keys``, broadcast."""
-    c_hi, c_lo, c1, c0 = limbs
-    x0, x1 = lo & _MASK32, lo >> 32
-    p01, p10 = x0 * c1, x1 * c0
-    middle = ((x0 * c0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = x1 * c1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)  # the high limb of lo * c_lo
-    return carry + lo * c_hi + hi * c_lo, lo * c_lo
+        constants.append((power, 2 * total % 2**128, total))
+    c_hi, c_lo, c1, c0 = (np.array([[[v >> shift & mask] for v in row] for row in zip(*constants)], dtype=np.uint64)
+                          for shift, mask in ((64, 2**64 - 1), (0, 2**64 - 1), (32, _MASK32), (0, _MASK32)))
+    return c_hi[:2], c_lo[:2], c1[:2], c0[:2], c_hi[2], c_lo[2]
 
 
 def _uniform_draws(seed: int, indices: range, count: int) -> np.ndarray:
@@ -477,12 +466,13 @@ def _uniform_draws(seed: int, indices: range, count: int) -> np.ndarray:
     The entropy is the seed's uint32 words, least significant first, then
     the index.  SeedSequence fills a pool of 4 words from it (zeros past its
     end), cross-mixes the pool, mixes in the words past the pool, and hashes
-    it into PCG64's (initstate, initseq); each of these is a fixed uint32
-    circuit whose keys do not depend on the data, so it runs on all indices
-    at once.  Every output then comes from one jump-ahead (``_jump_keys``)
-    instead of a step at a time, and ``random()`` is (XSL-RR >> 11) 2^-53.
-    Indices must lie below ``MAX_TRIALS``.  Array arithmetic on uint32 and
-    uint64 wraps silently, as the hash and the generator require.
+    it into 8 output words, little-endian pairs of PCG64's initstate (words
+    0-3, most significant pair first) and initseq (4-7); each of these is a
+    fixed uint32 circuit whose keys do not depend on the data, so it runs on
+    all indices at once.  Output j's state is then P_j initstate + S_j initseq
+    + R_j (mod 2^128, ``_jump_keys``), and ``random()`` is (XSL-RR >> 11)
+    2^-53.  Indices must lie below ``MAX_TRIALS``.  Array arithmetic on uint32
+    and uint64 wraps silently, as the hash and the generator require.
     """
     seed = operator.index(seed)  # a numpy integer too, as SeedSequence accepts it
     words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -498,19 +488,22 @@ def _uniform_draws(seed: int, indices: range, count: int) -> np.ndarray:
         pool = mixed
     for word, keys in zip(entropy[4:], tail):
         pool = _mix(pool, _hashmix(word, keys))
-    state = _hashmix(np.concatenate([pool, pool]), generate).astype(np.uint64)
-    # little-endian word pairs: initstate = (s0 | s1 << 32) << 64 | (s2 | s3 << 32), initseq likewise
-    init_hi, init_lo, seq_hi, seq_lo = (state[0::2] | (state[1::2] << 32))[:, :, None]
-    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    x_lo = inc_lo + init_lo
-    x_hi = inc_hi + init_hi + (x_lo < inc_lo)
-    # (inc + initstate) P_j and inc Q_j in one pass, stacked on axis 0
-    hi, lo = _times(np.stack([x_hi, inc_hi]), np.stack([x_lo, inc_lo]), _jump_keys(count))
+    # (initstate, initseq) stacked, shape (2, 1, T): each one's limbs are hi = h0 | h1 << 32 and lo = x0 | x1 << 32
+    h0, h1, x0, x1 = _hashmix(pool, generate).astype(np.uint64)[:, :, None].swapaxes(0, 1)
+    c_hi, c_lo, c1, c0, r_hi, r_lo = _jump_keys(count)
+    lo = x0 | (x1 << 32)
+    # the high limbs of (initstate P_j, initseq S_j), (2, count, T): lo c_lo's from 32-bit products (sums < 2^64)
+    middle = (x0 * c0 >> 32) + x1 * c0
+    low = (middle & _MASK32) + x0 * c1
+    hi = (middle >> 32) + (low >> 32) + x1 * c1 + (h0 | (h1 << 32)) * c_lo + lo * c_hi
+    lo = lo * c_lo
     out_lo = lo[0] + lo[1]
-    out_hi = hi[0] + hi[1] + (out_lo < lo[0])
+    carry = out_lo < lo[0]
+    out_lo += r_lo
+    out_hi = hi[0] + hi[1] + r_hi + carry + (out_lo < r_lo)
     rotation, folded = out_hi >> 58, out_hi ^ out_lo
     out = (folded >> rotation) | (folded << ((64 - rotation) & 63))
-    return (out >> 11) * (1.0 / 9007199254740992.0)
+    return (out >> 11).T * (1.0 / 9007199254740992.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gausscap import ChannelSpec, evaluate_bounds, squeezed_thermal_state
-from gausscap.cli import BOUNDS_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, main
+from gausscap.cli import BOUNDS_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, build_parser, main
 from helpers import coherent_information_mp, g_direct, g_mp, rotated_squeezed, unpaired_eigvalsh
 
 
@@ -290,6 +291,93 @@ class TestModuleEntryPoint:
             assert done.stdout.startswith("usage: gausscap ") and done.stderr == ""
 
 
+def _subcommand_parsers():
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+_TOP_USAGE = "usage: gausscap [-h] {bounds,fig2,verify-epi,entropy} ...\n"
+_BOUNDS_USAGE = """\
+usage: gausscap bounds [-h] --channel {bs,amp} [--tau TAU] [--kappa KAPPA]
+                       [--ne NE] [--squeeze SQUEEZE] [--n-start N_START]
+                       [--n-stop N_STOP] [--n-steps N_STEPS]
+                       [--units {nats,bits}] [--format {csv,json}] [--out OUT]
+                       [--coherent-arg {square,half}]
+"""
+_VERIFY_USAGE = """\
+usage: gausscap verify-epi [-h]
+                           [--family {qepi-bs,qepi-amp,cqepi-bs,cqepi-amp,moe-chain-bs,wc-chain-bs}]
+                           [--trials TRIALS] [--seed SEED]
+                           [--tolerance TOLERANCE] [--tau TAU] [--kappa KAPPA]
+                           [--ne NE] [--max-n MAX_N] [--max-r MAX_R]
+                           [--workers WORKERS] [--out OUT]
+"""
+_ENTROPY_USAGE = """\
+usage: gausscap entropy [-h] (--matrix MATRIX | --matrix-file MATRIX_FILE)
+                        [--out OUT]
+"""
+
+
+class TestParseBehaviour:
+    """What the command line prints and returns as it parses its arguments, with usage wrapped at 80 columns."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        # some Python releases print an invalid choice's options unquoted: compare them unquoted
+        return code, out, re.sub(r"'([^' ]*)'(?=[,)])", r"\1", err)
+
+    @pytest.mark.parametrize("argv,code,stderr", [
+        ([], 2, _TOP_USAGE + "gausscap: error: the following arguments are required: command\n"),
+        (["nope"], 2, _TOP_USAGE + "gausscap: error: argument command: invalid choice: 'nope' "
+                                   "(choose from bounds, fig2, verify-epi, entropy)\n"),
+        # arguments no parser takes are the top level's error, with its usage, as it collects them
+        (["verify-epi", "--bogus"], 2, _TOP_USAGE + "gausscap: error: unrecognized arguments: --bogus\n"),
+        (["verify-epi", "extra"], 2, _TOP_USAGE + "gausscap: error: unrecognized arguments: extra\n"),
+        (["verify-epi", "--trials", "3", "--bogus", "1", "extra"], 2,
+         _TOP_USAGE + "gausscap: error: unrecognized arguments: --bogus 1 extra\n"),
+        (["--bogus", "verify-epi"], 2, _TOP_USAGE + "gausscap: error: unrecognized arguments: --bogus\n"),
+        # a subcommand's own errors carry its usage
+        (["verify-epi", "--trials", "x"], 2,
+         _VERIFY_USAGE + "gausscap verify-epi: error: argument --trials: invalid int value: 'x'\n"),
+        (["bounds"], 2, _BOUNDS_USAGE + "gausscap bounds: error: the following arguments are required: --channel\n"),
+        (["bounds", "--channel", "xx"], 2,
+         _BOUNDS_USAGE + "gausscap bounds: error: argument --channel: invalid choice: 'xx' (choose from bs, amp)\n"),
+        (["entropy"], 2,
+         _ENTROPY_USAGE + "gausscap entropy: error: one of the arguments --matrix --matrix-file is required\n"),
+    ])
+    def test_usage_errors(self, capsys, argv, code, stderr):
+        assert self.run(argv, capsys) == (code, "", stderr)
+
+    @pytest.mark.parametrize("command", [None, "bounds", "fig2", "verify-epi", "entropy"])
+    def test_help_is_the_named_parsers(self, capsys, command):
+        argv, parser = (["-h"], build_parser()) if command is None else ([command, "-h"], _subcommand_parsers()[command])
+        assert self.run(argv, capsys) == (0, parser.format_help(), "")
+
+    def test_options_are_matched_by_prefix(self, capsys):
+        full = self.run(["verify-epi", "--trials", "3", "--seed", "1"], capsys)
+        assert full[0] == 0 and json.loads(full[1])["trials"] == 3
+        assert self.run(["verify-epi", "--tr", "3", "--se", "1"], capsys) == full
+
+    def test_a_command_is_parsed_once(self, capsys, monkeypatch):
+        parsed = []
+
+        def counted(parser, *args, _original=argparse.ArgumentParser.parse_known_args, **kwargs):
+            parsed.append(parser.prog)
+            return _original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert main(["verify-epi", "--trials", "3", "--seed", "1"]) == 0
+        assert parsed == ["gausscap verify-epi"]
+
+
 class TestVerifyEpi:
     def test_small_campaign_passes(self, capsys):
         rc = main(["verify-epi", "--family", "qepi-bs", "--trials", "300", "--seed", "42"])
@@ -328,9 +416,12 @@ class TestVerifyEpi:
         assert from_env == explicit
         assert json.loads(from_env)["seed"] == 42
 
-    def test_bad_env_seed_is_config_error(self, monkeypatch):
-        monkeypatch.setenv("GAUSSCAP_SEED", "not-a-number")
+    @pytest.mark.parametrize("value", ["not-a-number", "abc", "1e3", "-3"])
+    def test_bad_env_seed_is_config_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GAUSSCAP_SEED", value)
         assert main(["verify-epi", "--trials", "10"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"configuration error: GAUSSCAP_SEED must be a nonnegative integer, "
+                                          f"not {value!r}\n")
 
     def test_fixed_tau(self, capsys):
         rc = main(["verify-epi", "--family", "qepi-bs", "--trials", "50", "--tau", "0.85", "--seed", "1"])

@@ -749,6 +749,14 @@ class TestUniformStream:
         indices = range(start, min(start + length, MAX_TRIALS))
         assert np.array_equal(_uniform_draws(seed, indices, count), _default_rng_rows(seed, indices, count))
 
+    # whole chunks through every in-place step: 1 and 3 seed words fill the pool, 4 and 5 reach the words past it
+    @pytest.mark.parametrize("seed", [7, 2**64 + 3, 2**96 + 5, 2**128 + 11])
+    @pytest.mark.parametrize("start", [0, MAX_TRIALS - _CHUNK])
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_whole_chunks_equal_default_rng(self, seed, start, count):
+        indices = range(start, start + _CHUNK)
+        assert np.array_equal(_uniform_draws(seed, indices, count), _default_rng_rows(seed, indices, count))
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_campaigns_build_no_generator(self, monkeypatch, family):
         built = []
